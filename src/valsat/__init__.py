@@ -16,7 +16,6 @@ from .polyvec import PivotIndex, Pivot, PolyVec, family_degree, red_prim
 from .echelon import EchelonBasis, echelon_insert, gauss_eliminate, member, saturate_free
 from .vxsat import IterationRecord, SaturationResult, counters, defect, saturate_vx
 from .syzygy import KPolyMatrix, kernel_kx, primitive_scale, scaled_kernel, syzygy_vx
-from ._backend import kernel_name
 from . import errors, oracle
 
 __version__ = "0.1.0"
@@ -45,7 +44,6 @@ __all__ = [
     "gauss_eliminate",
     "KPolyMatrix",
     "kernel_kx",
-    "kernel_name",
     "make_domain",
     "member",
     "oracle",

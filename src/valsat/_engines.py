@@ -3,8 +3,9 @@
 The drivers in ``echelon``/``vxsat`` are written against a tiny engine
 protocol (insert a vector, insert the X-shift of a held column, read a
 column's pivot, export columns) so that one driver loop runs over either
-the generic DomainElement path or the packed rational kernel (pure-Python
-or compiled) for domains whose elements are plain rationals.
+the generic DomainElement path, valid for every domain, or the packed
+rational kernel (``_packed``/``_ratkernel``) for domains whose elements are
+plain rationals.  Both engines produce bit-identical bases.
 """
 
 from __future__ import annotations

@@ -1,52 +1,40 @@
 """Packed engine: echelon insertion through the rational kernel.
 
 Usable whenever the domain's elements are plain rationals (Z_(p), and Q with
-the trivial valuation); the packed representation and the kernel twins live
-in ``_ratkernel``/``_speedups``.  Results are bit-identical to the generic
-engine: same elimination order, same content rule, same canonical fractions.
+the trivial valuation).  Columns are held as ``_ratkernel`` packed vectors,
+integer numerators over one denominator per column in lowest terms, and are
+turned into reduced fractions only on export.  Results are bit-identical to
+the generic engine: same elimination order, same content rule, and the
+exported fractions are canonical.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from . import _backend
+from . import _ratkernel
 from .echelon import EchelonBasis
 from .polyvec import Pivot, PivotIndex, PolyVec
+from .valuation import FieldElement, ZpElement
 
 
 def _pack(v: PolyVec):
-    out = []
-    for comp in v.comps:
-        flat = []
-        for c in comp:
-            f = c.value
-            flat.append(f.numerator)
-            flat.append(f.denominator)
-        out.append(flat)
-    return out
-
-
-def _unpack(domain, packed) -> PolyVec:
-    comps = []
-    for comp in packed:
-        comps.append(
-            tuple(
-                domain.k_element(Fraction(comp[i], comp[i + 1]))
-                for i in range(0, len(comp), 2)
-            )
-        )
-    return PolyVec(domain, comps)
+    """Lowest-terms packing: D is the lcm of the reduced denominators."""
+    D = lcm(*(c.value.denominator for comp in v.comps for c in comp))
+    return [[c.value.numerator * (D // c.value.denominator) for c in comp]
+            for comp in v.comps], D
 
 
 class PackedEngine:
-    """Engine over packed rational vectors, kernel chosen at import."""
+    """Engine over packed rational vectors."""
 
-    def __init__(self, domain, kernel=None):
+    name = "packed"
+
+    def __init__(self, domain):
         self.domain = domain
         self.p = domain.packing_prime
-        self.kernel = kernel if kernel is not None else _backend.kernel()
-        self.name = f"packed-{_backend.kernel_name()}"
+        self._element = ZpElement if self.p else FieldElement
         self.cols: list = []
         self.pivs: list = []
 
@@ -57,27 +45,29 @@ class PackedEngine:
         return self._insert(_pack(v))
 
     def insert_shift_of(self, i: int) -> tuple[bool, bool]:
-        return self._insert(self.kernel.vec_shift(self.cols[i]))
+        return self._insert(_ratkernel.vec_shift(self.cols[i]))
 
     def _insert(self, packed) -> tuple[bool, bool]:
-        reduced, cn, cd = self.kernel.insert(self.cols, self.pivs, packed, self.p)
+        reduced, new = _ratkernel.insert(self.cols, self.pivs, packed, self.p)
         if reduced is None:
             return False, False
         self.cols.append(reduced)
-        self.pivs.append(self.kernel.vec_pivot(reduced, self.p))
-        return True, not self.kernel.frac_is_unit(cn, cd, self.p)
+        self.pivs.append(_ratkernel.vec_pivot(reduced, self.p))
+        return True, new
 
     def pivot(self, i: int) -> tuple[int, int]:
-        j, r, _, _ = self.pivs[i]
+        j, r, _ = self.pivs[i]
         return (j, r)
 
     def polyvec(self, i: int) -> PolyVec:
-        return _unpack(self.domain, self.cols[i])
+        """Column i with its entries as reduced fractions."""
+        comps, D = self.cols[i]
+        dom, make, zero = self.domain, self._element, self.domain.zero
+        return PolyVec(dom, [[make(dom, Fraction(num, D)) if num else zero
+                              for num in comp] for comp in comps])
 
     def export_basis(self) -> EchelonBasis:
         columns = [self.polyvec(i) for i in range(len(self.cols))]
-        pivots = [
-            Pivot(PivotIndex(j, r), self.domain.k_element(Fraction(num, den)))
-            for (j, r, num, den) in self.pivs
-        ]
+        pivots = [Pivot(PivotIndex(j, r), col.comps[j - 1][r])
+                  for col, (j, r, _) in zip(columns, self.pivs)]
         return EchelonBasis(columns, pivots, _trusted=True)

@@ -1,166 +1,151 @@
-"""Pure-Python rational echelon kernel.
+"""Packed rational echelon kernel: integer numerators over one denominator.
 
-Twin of the compiled ``_speedups`` extension; same functions, same packed
-representation, bit-identical results.  A packed vector is a list of n
-component lists, each storing interleaved reduced fractions
-``[num0, den0, num1, den1, ...]`` (denominators positive, trailing zero
-coefficients trimmed).  ``p`` is the residue prime of Z_(p), or 0 for the
-trivial valuation on Q.
+A packed vector is a pair ``(comps, D)``.  ``comps`` holds one list of
+integer numerators per component, trailing zeros trimmed, and ``D != 0`` is
+a denominator common to every coefficient: the coefficient of X^r in
+component j is ``comps[j - 1][r] / D``.  Basis columns are kept in lowest
+terms with D > 0, gcd(numerators, D) = 1, which makes their packing
+unique; vectors in the middle of an elimination need only D != 0.  ``p`` is
+the residue prime of Z_(p), or 0 for the trivial valuation on Q.
+
+The valuation of an entry ``num / D`` is v_p(num) - v_p(D), so every
+comparison of valuations inside one vector compares numerators only, and
+an entry is a unit iff v_p(num) = v_p(D).
+
+Elimination step (fraction-free, after Bareiss).  Let V/D be the vector and
+W/Dw a basis column whose pivot entry is w/Dw, and let a/D be the vector's
+entry at that pivot.  The generic step subtracts (a/D)/(w/Dw) times the
+column:
+
+    V/D - (a Dw / (D w)) (W / Dw) = (w V - a W) / (D w),
+
+so Dw cancels.  With g = gcd(a, w), s = w/g and t = a/g, the new vector
+is (s V - t W, s D): one gcd per step.  (Columns built here have their
+pivot at the content position, so w = Dw > 0; the step relies on neither.)
+
+Swell control.  After a step with s != 1 the common factor of D and the
+numerators is divided out, the gcd chain stopping once it reaches 1.  It
+starts from the old D, not from s D: a prime q of s would have to divide
+t W_i for every i, but gcd(s, t) = 1 and a column in lowest terms has some
+W_i prime to q.
+
+Content division.  The content of V/D is its first coefficient of minimal
+valuation, c/D, and (V/D) / (c/D) = V/c: dividing by the content replaces
+the denominator by c.  Dividing V and c by +-gcd(V), with the sign of c,
+then gives lowest terms with a positive denominator (c is one of the
+numerators, so gcd(V) divides it).  The sign of D before this division
+does not matter, as valuations ignore signs.
 """
 
 from math import gcd
 
 
-def _vp(num: int, den: int, p: int) -> int:
+def _vp(n: int, p: int) -> int:
+    """p-adic valuation of a nonzero integer."""
     v = 0
-    n = num
     while n % p == 0:
         n //= p
         v += 1
-    if v:
-        return v
-    d = den
-    while d % p == 0:
-        d //= p
-        v -= 1
     return v
 
 
-def frac_is_unit(num, den, p):
-    if num == 0:
-        return False
-    if p == 0:
-        return True
-    return num % p != 0 and den % p != 0
-
-
-def frac_divides(an, ad, bn, bd, p):
-    """a | b in V for nonzero a, b: val(a) <= val(b)."""
-    if p == 0:
-        return True
-    return _vp(an, ad, p) <= _vp(bn, bd, p)
-
-
-def frac_sub(an, ad, bn, bd):
-    g = gcd(ad, bd)
-    if g == 1:
-        return an * bd - bn * ad, ad * bd
-    s = ad // g
-    t = an * (bd // g) - bn * s
-    g2 = gcd(t, g)
-    if g2 == 1:
-        return t, s * bd
-    return t // g2, s * (bd // g2)
-
-
-def frac_mul(an, ad, bn, bd):
-    g1 = gcd(an, bd)
-    if g1 > 1:
-        an //= g1
-        bd //= g1
-    g2 = gcd(bn, ad)
-    if g2 > 1:
-        bn //= g2
-        ad //= g2
-    return an * bn, ad * bd
-
-
-def frac_div(an, ad, bn, bd):
-    num, den = frac_mul(an, ad, bd, bn)
-    if den < 0:
-        return -num, -den
-    return num, den
-
-
-def vec_is_zero(vec):
-    return all(not comp for comp in vec)
-
-
-def vec_copy(vec):
-    return [list(comp) for comp in vec]
-
-
 def vec_shift(vec):
-    return [[0, 1] + list(comp) if comp else [] for comp in vec]
-
-
-def vec_trim(vec):
-    for comp in vec:
-        while comp and comp[-2] == 0:
-            del comp[-2:]
+    """Multiply every component by X."""
+    comps, D = vec
+    return [[0] + comp if comp else [] for comp in comps], D
 
 
 def vec_pivot(vec, p):
-    """First unit coordinate: (j, r, num, den), or None."""
-    for c, comp in enumerate(vec):
-        for i in range(0, len(comp), 2):
-            num = comp[i]
-            if num and frac_is_unit(num, comp[i + 1], p):
-                return (c + 1, i // 2, num, comp[i + 1])
+    """First unit coordinate as ``(j, r, num)``, or None."""
+    comps, D = vec
+    vd = _vp(D, p) if p else 0
+    for j, comp in enumerate(comps, start=1):
+        for r, num in enumerate(comp):
+            if num and (not p or _vp(num, p) == vd):
+                return j, r, num
     return None
 
 
-def vec_content(vec, p):
-    """First minimal-valuation coefficient in coordinate order."""
-    bn = bd = 0
-    for comp in vec:
-        for i in range(0, len(comp), 2):
-            num = comp[i]
-            if num == 0:
-                continue
-            if bn == 0 or not frac_divides(bn, bd, num, comp[i + 1], p):
-                bn, bd = num, comp[i + 1]
-    return bn, bd
+def _common_factor(comps, g):
+    """gcd of g and every numerator, stopping once it reaches 1."""
+    for comp in comps:
+        g = gcd(g, *comp)
+        if g == 1:
+            break
+    return g
 
 
-def vec_div(vec, cn, cd):
-    for comp in vec:
-        for i in range(0, len(comp), 2):
-            if comp[i]:
-                comp[i], comp[i + 1] = frac_div(comp[i], comp[i + 1], cn, cd)
+def _divide(comps, g):
+    """Exact division of every numerator by g, into fresh lists."""
+    for c, comp in enumerate(comps):
+        comps[c] = [num // g for num in comp]
 
 
-def _sub_scaled(vec, col, fn, fd):
-    """vec -= (fn/fd) * col, componentwise on packed lists."""
-    for c, wcomp in enumerate(col):
-        if not wcomp:
-            continue
-        comp = vec[c]
-        if len(comp) < len(wcomp):
-            comp.extend([0, 1] * ((len(wcomp) - len(comp)) // 2))
-        for i in range(0, len(wcomp), 2):
-            bn = wcomp[i]
-            if bn == 0:
-                continue
-            pn, pd = frac_mul(bn, wcomp[i + 1], fn, fd)
-            comp[i], comp[i + 1] = frac_sub(comp[i], comp[i + 1], pn, pd)
-    vec_trim(vec)
+def _sub_scaled(comps, wcomps, s, t):
+    """comps <- s * comps - t * wcomps, trailing zeros trimmed.
+
+    Writes fresh component lists into ``comps`` and mutates none, so the
+    caller's vector and the basis columns stay intact.
+    """
+    for c, wcomp in enumerate(wcomps):
+        comp = comps[c]
+        if wcomp:
+            m = len(wcomp)
+            if len(comp) < m:
+                comp = comp + [0] * (m - len(comp))
+            if s == 1:
+                new = [x - t * y for x, y in zip(comp, wcomp)] + comp[m:]
+            else:
+                new = [s * x - t * y for x, y in zip(comp, wcomp)]
+                new += [s * x for x in comp[m:]]
+            while new and not new[-1]:
+                new.pop()
+            comps[c] = new
+        elif s != 1 and comp:
+            comps[c] = [s * x for x in comp]
 
 
 def insert(cols, pivots, vec, p):
     """Strict-echelon insertion of a packed vector against a packed basis.
 
-    Eliminates vec at each basis pivot in order, returning
-    ``(None, 0, 0)`` when it dies, else ``(reduced, cont_num, cont_den)``
-    with the primitive reduction and the content that was divided out.
-    The caller appends the reduction to the basis.
+    Eliminates vec at each basis pivot in order.  Returns ``(None, False)``
+    when it dies, else ``(reduced, new)``: the primitive reduction in lowest
+    terms, and whether the content divided out was a non-unit.  The caller
+    appends the reduction to the basis.
     """
-    vec = vec_copy(vec)
-    vec_trim(vec)
-    for col, (pj, pr, cn, cd) in zip(cols, pivots):
-        comp = vec[pj - 1]
-        i = 2 * pr
-        if i >= len(comp):
+    comps, D = vec
+    comps = list(comps)
+    for (wcomps, _), (j, r, w) in zip(cols, pivots):
+        comp = comps[j - 1]
+        if r >= len(comp) or not comp[r]:
             continue
-        an = comp[i]
-        if an == 0:
-            continue
-        fn, fd = frac_div(an, comp[i + 1], cn, cd)
-        _sub_scaled(vec, col, fn, fd)
-        if vec_is_zero(vec):
-            return None, 0, 0
-    if vec_is_zero(vec):
-        return None, 0, 0
-    cn, cd = vec_content(vec, p)
-    vec_div(vec, cn, cd)
-    return vec, cn, cd
+        a = comp[r]
+        g = gcd(a, w)
+        s = w // g
+        _sub_scaled(comps, wcomps, s, a // g)
+        if s != 1:
+            g = _common_factor(comps, D)
+            if g != 1:
+                _divide(comps, g)
+                D //= g
+            D *= s
+    entries = [num for comp in comps for num in comp if num]
+    if not entries:
+        return None, False
+    best = entries[0]
+    new = False
+    if p:
+        best_v = _vp(best, p)
+        for num in entries:
+            if not best_v:
+                break
+            v = _vp(num, p)
+            if v < best_v:
+                best, best_v = num, v
+        new = best_v != _vp(D, p)
+    g = gcd(*entries)
+    if best < 0:
+        g = -g
+    if g != 1:
+        _divide(comps, g)
+    return (comps, best // g), new

@@ -159,9 +159,10 @@ def _run(engine, vectors, max_iter: int) -> SaturationResult:
         trace.append(
             _make_record(new_pivots, len(engine), d, k, coll_cur, coll_init)
         )
+    basis = engine.export_basis()
     return SaturationResult(
-        basis=engine.export_basis(),
-        generators=[engine.polyvec(i) for i in generator_idx],
+        basis=basis,
+        generators=[basis[i] for i in generator_idx],
         trace=trace,
         degree=d,
     )

@@ -1,24 +1,19 @@
-"""The packed kernel twins and the generic path must agree bit for bit."""
+"""The packed kernel and the generic path must agree bit for bit."""
 
 import random
 from fractions import Fraction
 
-import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from valsat import _ratkernel
 from valsat._engines import GenericEngine, select_engine
-from valsat._packed import PackedEngine
-from valsat.echelon import EchelonBasis, echelon_insert
+from valsat._packed import PackedEngine, _pack
+from valsat.echelon import EchelonBasis, echelon_insert, saturate_free
 from valsat.polyvec import PolyVec
 from valsat.valuation import TrivialField, Zp
 from valsat.vxsat import _run
 
-try:
-    from valsat import _speedups
-except ImportError:
-    _speedups = None
-
-speedups_only = pytest.mark.skipif(_speedups is None, reason="extension not built")
+DOMAINS = (Zp(2), Zp(3), Zp(5), TrivialField("q"))
 
 
 def rand_vec(rng, dom, n, deg):
@@ -36,7 +31,7 @@ def random_instances(seed, count):
     rng = random.Random(seed)
     produced = 0
     while produced < count:
-        dom = rng.choice((Zp(2), Zp(3), Zp(5), TrivialField("q")))
+        dom = rng.choice(DOMAINS)
         n = rng.randrange(1, 4)
         S = [rand_vec(rng, dom, n, rng.randrange(0, 3))
              for _ in range(rng.randrange(1, 4))]
@@ -59,29 +54,112 @@ def assert_same_result(a, b):
     assert a.degree == b.degree
 
 
+def plain_fold(S):
+    L = EchelonBasis()
+    for v in S:
+        _, _, L = echelon_insert(L, v)
+    return L
+
+
+def unpack(dom, packed):
+    comps, D = packed
+    return PolyVec.from_raw(dom, [[Fraction(num, D) for num in comp]
+                                  for comp in comps])
+
+
 def test_packed_pure_matches_generic():
     for dom, S in random_instances(5, 60):
         generic = run_engine(GenericEngine(dom), S)
-        packed = run_engine(PackedEngine(dom, kernel=_ratkernel), S)
+        packed = run_engine(PackedEngine(dom), S)
         assert_same_result(generic, packed)
 
 
-@speedups_only
-def test_compiled_matches_pure():
-    for dom, S in random_instances(7, 60):
-        pure = run_engine(PackedEngine(dom, kernel=_ratkernel), S)
-        fast = run_engine(PackedEngine(dom, kernel=_speedups), S)
-        assert_same_result(pure, fast)
-
-
 def test_saturate_free_engine_matches_plain_fold():
-    from valsat.echelon import saturate_free
-
     for dom, S in random_instances(11, 60):
-        L = EchelonBasis()
-        for v in S:
-            _, _, L = echelon_insert(L, v)
-        assert list(saturate_free(S)) == list(L)
+        assert list(saturate_free(S)) == list(plain_fold(S))
+
+
+# Numerators up to 2^200 over denominators that are units of every domain
+# drawn, times powers of p: unit entries such as -5/7 make the elimination
+# multiplier w/g differ from 1, and negative leading entries make the
+# content negative.
+@st.composite
+def instances(draw):
+    dom = draw(st.sampled_from(DOMAINS))
+    p = dom.packing_prime or 1
+    num = st.one_of(st.integers(-9, 9), st.integers(-2 ** 200, 2 ** 200))
+    den = st.sampled_from((1, 7, 11, 77, 13 ** 5))
+
+    def coeff():
+        return Fraction(draw(num), draw(den)) * p ** draw(st.integers(0, 2))
+
+    n = draw(st.integers(1, 3))
+    S = []
+    for _ in range(draw(st.integers(1, 3))):
+        deg = draw(st.integers(0, 2))
+        comps = [[coeff() for _ in range(draw(st.integers(0, deg + 1)))]
+                 for _ in range(n)]
+        v = PolyVec.from_raw(dom, comps)
+        if not v.is_zero():
+            S.append(v)
+    return dom, S
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(instances())
+def test_packed_matches_generic_property(inst):
+    dom, S = inst
+    assume(S)
+    assert_same_result(run_engine(GenericEngine(dom), S),
+                       run_engine(PackedEngine(dom), S))
+    assert list(saturate_free(S)) == list(plain_fold(S))
+
+
+def test_insert_with_unnormalised_unit_pivots():
+    """Pivot numerators other than D, negative ones included, eliminate exactly."""
+    rng = random.Random(17)
+    for dom, S in random_instances(17, 40):
+        p = dom.packing_prime
+        units = [u for u in (-3, -1, 5, 7) if not p or u % p]
+        scale = [dom.k_element(Fraction(rng.choice(units), rng.choice((1, 11))))
+                 for _ in S]
+        L = EchelonBasis([col.scale(u) for col, u in zip(plain_fold(S), scale)])
+        cols = [_pack(col) for col in L]
+        pivs = [_ratkernel.vec_pivot(col, p) for col in cols]
+        assert [(j, r) for j, r, _ in pivs] == list(L.pivot_indices())
+        for _ in range(5):
+            v = rand_vec(rng, dom, S[0].n, 2)
+            if v.is_zero():
+                continue
+            w, new, _ = echelon_insert(L, v)
+            reduced, packed_new = _ratkernel.insert(cols, pivs, _pack(v), p)
+            if w.is_zero():
+                assert reduced is None
+            else:
+                assert unpack(dom, reduced) == w
+                assert packed_new == new
+
+
+def test_pivot_when_p_divides_denominator():
+    # 6/2 = 3 is a unit of Z_(2) although both numerators are even.
+    assert _ratkernel.vec_pivot(([[6, 4]], 2), 2) == (1, 0, 6)
+    # 4/2 = 2 is not a unit; 6/2 = 3 is.
+    assert _ratkernel.vec_pivot(([[4, 6]], 2), 2) == (1, 1, 6)
+    assert _ratkernel.vec_pivot(([[4], [8]], 2), 2) is None
+    assert _ratkernel.vec_pivot(([[], [0, -5]], 4), 0) == (2, 1, -5)
+
+
+def test_content_when_p_divides_denominator():
+    # (2, 3): the content is 3, a unit, and (2, 3) / 3 = (2/3, 1).
+    assert _ratkernel.insert([], [], ([[4, 6]], 2), 2) == (([[2, 3]], 3), False)
+    # (2, 6): the content is the first entry, 2, which is not a unit.
+    assert _ratkernel.insert([], [], ([[4, 12]], 2), 2) == (([[1, 3]], 1), True)
+    # (-2, 6): a negative content is divided out with its sign.
+    assert _ratkernel.insert([], [], ([[-4, 12]], 2), 2) == (([[1, -3]], 1), True)
+    # Over Q the content is the first nonzero entry: (0, -4/6, 1/3) / (-2/3).
+    assert (_ratkernel.insert([], [], ([[0, -4], [2]], 6), 0)
+            == (([[0, 2], [-1]], 2), False))
 
 
 def test_select_engine_kinds():
@@ -92,39 +170,3 @@ def test_select_engine_kinds():
     assert isinstance(select_engine(TrivialField("fp", 3)), GenericEngine)
     assert isinstance(select_engine(RationalFunctionsAtZero("q")), GenericEngine)
     assert isinstance(select_engine(Zp(2), force_generic=True), GenericEngine)
-
-
-@speedups_only
-def test_kernel_primitives_agree():
-    rng = random.Random(13)
-    for _ in range(200):
-        p = rng.choice((0, 2, 3, 5))
-        n = rng.randrange(1, 4)
-        vec = [
-            [x for pair in
-             ((rng.randrange(-20, 21), rng.choice((1, 2, 3, 7))) for _ in range(rng.randrange(0, 4)))
-             for x in _norm(pair)]
-            for _ in range(n)
-        ]
-        a = _ratkernel.vec_copy(vec)
-        b = _speedups.vec_copy(vec)
-        _ratkernel.vec_trim(a)
-        _speedups.vec_trim(b)
-        assert a == b
-        assert _ratkernel.vec_pivot(a, p) == _speedups.vec_pivot(b, p)
-        if not _ratkernel.vec_is_zero(a):
-            assert _ratkernel.vec_content(a, p) == _speedups.vec_content(b, p)
-        assert _ratkernel.vec_shift(a) == _speedups.vec_shift(b)
-
-
-def _norm(pair):
-    from math import gcd
-
-    num, den = pair
-    g = gcd(num, den)
-    if g:
-        num //= g
-        den //= g
-    if den < 0:
-        num, den = -num, -den
-    return (num, den if num else 1)
