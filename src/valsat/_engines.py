@@ -44,9 +44,9 @@ class GenericEngine:
         return self.basis
 
 
-def select_engine(domain, force_generic: bool = False):
+def select_engine(domain):
     """Packed engine when the domain packs into plain rationals, else generic."""
-    if not force_generic and domain.packing_prime is not None:
+    if domain.packing_prime is not None:
         from ._packed import PackedEngine
 
         return PackedEngine(domain)

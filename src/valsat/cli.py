@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import oracle
 from .echelon import EchelonBasis, saturate_free
-from .errors import EmptyInput, ValsatError
+from .errors import EmptyInput, ParseError, ValsatError
 from .polyvec import family_degree, x_shifts
 from .syzygy import apply_columns, scaled_kernel
 from .textio import (
@@ -111,8 +111,14 @@ def main(argv=None) -> int:
         if args.task:
             inst.task = args.task
         if args.max_iter is not None:
+            if args.max_iter < 1:
+                raise ParseError(f"--max-iter must be at least 1, got {args.max_iter}")
             inst.max_iter = args.max_iter
         if args.degree_bound is not None:
+            if args.degree_bound < 0:
+                raise ParseError(
+                    f"--degree-bound must be at least 0, got {args.degree_bound}"
+                )
             inst.degree_bound = args.degree_bound
         if args.verify:
             inst.verify = True
@@ -140,6 +146,7 @@ def _replace_domain(text: str, tag: str) -> str:
 
 def _run(inst: InstanceFile, args) -> int:
     out_lines = [f"# task: {inst.task}", f"# domain: {describe_domain(inst.domain)}"]
+    max_iter = 64 if inst.max_iter is None else inst.max_iter
     diagram = None
     csv = None
     verified = None
@@ -159,7 +166,7 @@ def _run(inst: InstanceFile, args) -> int:
             reference = oracle.brute_saturation(inst.vectors, bound)
             verified = oracle.spans_equal(list(G), reference)
     elif inst.task == "saturate-vx":
-        res = saturate_vx(inst.vectors, inst.max_iter or 64)
+        res = saturate_vx(inst.vectors, max_iter)
         out_lines.append(f"# d: {res.degree}, rounds: {res.trace[-1].k}, "
                          f"basis: {len(res.basis)}, generators: {len(res.generators)}")
         out_lines.extend(render_vector(v) for v in res.generators)
@@ -172,7 +179,7 @@ def _run(inst: InstanceFile, args) -> int:
         out_lines.append(f"# kernel generators: {len(s_list)}")
         out_lines.extend(f"# s: {render_vector(s)}" for s in s_list)
         if s_list:
-            res = saturate_vx(s_list, inst.max_iter or 64)
+            res = saturate_vx(s_list, max_iter)
             out_lines.append(f"# d: {res.degree}, rounds: {res.trace[-1].k}, "
                              f"generators: {len(res.generators)}")
             out_lines.extend(render_vector(v) for v in res.generators)

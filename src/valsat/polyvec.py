@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
+from ._poly import trim
 from .errors import EmptyFamily, NotPrimitive, ZeroVector
 from .valuation import Domain, DomainElement, content
 
@@ -33,7 +34,7 @@ class PolyVec:
     __slots__ = ("domain", "n", "comps")
 
     def __init__(self, domain: Domain, comps: Iterable[Iterable[DomainElement]]):
-        comps = tuple(_trim(c) for c in comps)
+        comps = tuple(trim(c) for c in comps)
         if not comps:
             raise EmptyFamily("a PolyVec needs at least one component")
         self.domain = domain
@@ -126,13 +127,6 @@ class PolyVec:
         from .textio import render_vector
 
         return f"PolyVec({render_vector(self)})"
-
-
-def _trim(coeffs) -> tuple:
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1].is_zero():
-        coeffs.pop()
-    return tuple(coeffs)
 
 
 def zero_vec(domain: Domain, n: int) -> PolyVec:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import _poly
 from .errors import ZeroVector
 from .polyvec import PolyVec
 from .valuation import Domain, DomainElement
@@ -21,79 +22,6 @@ from .vxsat import SaturationResult, saturate_vx
 from .echelon import EchelonBasis
 
 XPoly = tuple[DomainElement, ...]
-
-
-# ---------------------------------------------------------------------------
-# Polynomial arithmetic over K.
-
-def _xtrim(c) -> XPoly:
-    c = list(c)
-    while c and c[-1].is_zero():
-        c.pop()
-    return tuple(c)
-
-
-def _xadd(domain, a: XPoly, b: XPoly) -> XPoly:
-    out = [domain.zero] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, x in enumerate(b):
-        out[i] = out[i] + x
-    return _xtrim(out)
-
-
-def _xneg(a: XPoly) -> XPoly:
-    return tuple(-x for x in a)
-
-
-def _xsub(domain, a: XPoly, b: XPoly) -> XPoly:
-    return _xadd(domain, a, _xneg(b))
-
-
-def _xmul(domain, a: XPoly, b: XPoly) -> XPoly:
-    if not a or not b:
-        return ()
-    out = [domain.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return _xtrim(out)
-
-
-def _xdivmod(domain, a: XPoly, b: XPoly) -> tuple[XPoly, XPoly]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = _xtrim(a)
-    if len(a) < len(b):
-        return (), a
-    q = [domain.zero] * (len(a) - len(b) + 1)
-    r = list(a)
-    lead = b[-1]
-    for t in range(len(a) - len(b), -1, -1):
-        c = r[t + len(b) - 1]
-        if c.is_zero():
-            continue
-        f = c / lead
-        q[t] = f
-        for i, x in enumerate(b):
-            r[t + i] = r[t + i] - f * x
-    return _xtrim(q), _xtrim(r)
-
-
-def _xmonic(a: XPoly) -> XPoly:
-    if not a or a[-1] == a[-1].domain.one:
-        return a
-    lead = a[-1]
-    return tuple(x / lead for x in a)
-
-
-def _xgcd(domain, a: XPoly, b: XPoly) -> XPoly:
-    a, b = _xtrim(a), _xtrim(b)
-    while b:
-        a, b = b, _xdivmod(domain, a, b)[1]
-    return _xmonic(a)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +41,7 @@ class KPolyMatrix:
         domain = vecs[0].domain
         k = vecs[0].n
         entries = tuple(
-            tuple(_xtrim(v.comps[i]) for v in vecs) for i in range(k)
+            tuple(v.comps[i] for v in vecs) for i in range(k)
         )
         return cls(domain, k, len(vecs), entries)
 
@@ -121,7 +49,7 @@ class KPolyMatrix:
     def from_raw(cls, domain: Domain, rows) -> "KPolyMatrix":
         """Rows of coefficient lists; coefficients may be any exact rationals."""
         entries = tuple(
-            tuple(_xtrim(tuple(domain.k_element(c) for c in e)) for e in row)
+            tuple(_poly.trim(domain.k_element(c) for c in e) for e in row)
             for row in rows
         )
         return cls(domain, len(entries), len(entries[0]) if entries else 0, entries)
@@ -134,13 +62,13 @@ def _strip_column_gcd(domain, comp_col, work_col):
     """Divide a companion column (and its image) by the gcd of its entries."""
     g: XPoly = ()
     for e in comp_col:
-        g = _xgcd(domain, g, e)
+        g = _poly.gcd(domain, g, e)
         if len(g) == 1:
             return comp_col, work_col
     if len(g) <= 1:
         return comp_col, work_col
-    comp = [_xdivmod(domain, e, g)[0] for e in comp_col]
-    work = [_xdivmod(domain, e, g)[0] for e in work_col]
+    comp = [_poly.divmod(domain, e, g)[0] for e in comp_col]
+    work = [_poly.divmod(domain, e, g)[0] for e in work_col]
     return comp, work
 
 
@@ -170,13 +98,13 @@ def kernel_kx(U: KPolyMatrix) -> list[tuple[XPoly, ...]]:
             for j in nz:
                 if j == jstar:
                     continue
-                q, _ = _xdivmod(domain, work[j][row], work[jstar][row])
+                q, _ = _poly.divmod(domain, work[j][row], work[jstar][row])
                 work[j] = [
-                    _xsub(domain, a, _xmul(domain, q, b))
+                    _poly.sub(domain, a, _poly.mul(domain, q, b))
                     for a, b in zip(work[j], work[jstar])
                 ]
                 comp[j] = [
-                    _xsub(domain, a, _xmul(domain, q, b))
+                    _poly.sub(domain, a, _poly.mul(domain, q, b))
                     for a, b in zip(comp[j], comp[jstar])
                 ]
             for j in active:
@@ -236,11 +164,11 @@ def apply_columns(U: list[PolyVec], f: PolyVec) -> list[XPoly]:
     k = U[0].n
     out: list[XPoly] = [() for _ in range(k)]
     for j, u in enumerate(U, start=1):
-        fj = _xtrim(f.comps[j - 1])
+        fj = f.comps[j - 1]
         if not fj:
             continue
         for i in range(k):
-            out[i] = _xadd(domain, out[i], _xmul(domain, fj, _xtrim(u.comps[i])))
+            out[i] = _poly.add(domain, out[i], _poly.mul(domain, fj, u.comps[i]))
     return out
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from ._polytext import format_poly
+from . import _poly
 from .errors import NotInDomain, ParseError
 from .polyvec import PolyVec
 from .valuation import (
@@ -68,33 +68,8 @@ class _Tokens:
         return tok
 
 
-# Polynomials in X over K are handled as coefficient lists during parsing.
-
-def _poly_const(c):
-    return [] if c.is_zero() else [c]
-
-def _poly_add(domain, a, b):
-    out = list(a) + [domain.zero] * max(0, len(b) - len(a))
-    for i, x in enumerate(b):
-        out[i] = out[i] + x
-    while out and out[-1].is_zero():
-        out.pop()
-    return out
-
-def _poly_mul(domain, a, b):
-    if not a or not b:
-        return []
-    out = [domain.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    while out and out[-1].is_zero():
-        out.pop()
-    return out
-
-
 class _PolyParser:
-    """Recursive-descent parser producing a coefficient list over K."""
+    """Recursive-descent parser producing a polynomial over K (see ``_poly``)."""
 
     def __init__(self, domain: Domain, toks: _Tokens):
         self.domain = domain
@@ -106,13 +81,13 @@ class _PolyParser:
             sign = -1 if self.toks.take()[0] == "-" else 1
         acc = self.parse_product()
         if sign < 0:
-            acc = [-c for c in acc]
+            acc = _poly.neg(self.domain, acc)
         while self.toks.peek() in ("+", "-"):
             op = self.toks.take()[0]
             term = self.parse_product()
             if op == "-":
-                term = [-c for c in term]
-            acc = _poly_add(self.domain, acc, term)
+                term = _poly.neg(self.domain, term)
+            acc = _poly.add(self.domain, acc, term)
         return acc
 
     def parse_product(self):
@@ -121,7 +96,7 @@ class _PolyParser:
             op, at = self.toks.take()
             rhs = self.parse_power()
             if op == "*":
-                acc = _poly_mul(self.domain, acc, rhs)
+                acc = _poly.mul(self.domain, acc, rhs)
             else:
                 if len(rhs) > 1:
                     raise ParseError(
@@ -133,7 +108,7 @@ class _PolyParser:
                     raise ParseError(
                         "division by zero", self.toks.line, self.toks.col0 + at + 1
                     )
-                acc = [c / rhs[0] for c in acc]
+                acc = tuple(c / rhs[0] for c in acc)
         return acc
 
     def parse_power(self):
@@ -147,18 +122,18 @@ class _PolyParser:
                     self.toks.line,
                     self.toks.col0 + at + 1,
                 )
-            out = [self.domain.one]
+            out = (self.domain.one,)
             for _ in range(int(tok)):
-                out = _poly_mul(self.domain, out, base)
+                out = _poly.mul(self.domain, out, base)
             return out
         return base
 
     def parse_atom(self):
         tok, at = self.toks.take()
         if tok.isdigit():
-            return _poly_const(self.domain.k_element(int(tok)))
+            return _poly.trim((self.domain.k_element(int(tok)),))
         if tok == "X":
-            return [self.domain.zero, self.domain.one]
+            return (self.domain.zero, self.domain.one)
         if tok == "t":
             if not isinstance(self.domain, RationalFunctionsAtZero):
                 raise ParseError(
@@ -166,9 +141,9 @@ class _PolyParser:
                     self.toks.line,
                     self.toks.col0 + at + 1,
                 )
-            return _poly_const(self.domain.from_polys((0, 1)))
+            return (self.domain.from_polys((0, 1)),)
         if tok == "-":
-            return [-c for c in self.parse_atom()]
+            return _poly.neg(self.domain, self.parse_atom())
         if tok == "(":
             inner = self.parse_sum()
             self.toks.expect(")")
@@ -224,15 +199,14 @@ def parse_vector(domain: Domain, text: str, line: int | None = None) -> PolyVec:
                 raise ParseError(
                     f"coefficient {c} lies outside the domain", line, col0 + 1
                 )
-        comps.append(tuple(poly))
+        comps.append(poly)
     return PolyVec(domain, comps)
 
 
 def render_vector(v: PolyVec) -> str:
     parts = []
     for comp in v.comps:
-        coeffs = [None if c.is_zero() else c for c in comp]
-        parts.append(format_poly(coeffs, "X", str))
+        parts.append(_poly.format_poly(comp, "X"))
     return ", ".join(parts)
 
 
@@ -277,6 +251,16 @@ class InstanceFile:
     verify: bool = False
 
 
+def _int_header(key: str, value: str, lineno: int, least: int) -> int:
+    try:
+        n = int(value)
+    except ValueError:
+        raise ParseError(f"{key} must be an integer, got {value!r}", lineno, 1) from None
+    if n < least:
+        raise ParseError(f"{key} must be at least {least}, got {n}", lineno, 1)
+    return n
+
+
 def parse_instance(text: str) -> InstanceFile:
     """Parse an instance document: key/value header, then one vector per line."""
     domain = None
@@ -300,9 +284,9 @@ def parse_instance(text: str) -> InstanceFile:
                     raise ParseError(f"unknown task {value!r}", lineno, 1)
                 task = value
             elif key == "max-iter":
-                max_iter = int(value)
+                max_iter = _int_header(key, value, lineno, least=1)
             elif key == "degree-bound":
-                degree_bound = int(value)
+                degree_bound = _int_header(key, value, lineno, least=0)
             elif key == "verify":
                 verify = value.lower() in ("1", "true", "yes", "on")
             else:

@@ -22,11 +22,13 @@ The residue field is never materialised; every residual question reduces to
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import _poly
+from ._poly import gcd as _pgcd  # a module global, hooked by perfbench/tracing.py
 from .errors import AllZero, NotDivisible, NotInDomain, NotPrime
-from ._polytext import format_poly
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -76,11 +78,11 @@ class _QQ:
     def coerce(x):
         return Fraction(x)
 
-    add = staticmethod(lambda a, b: a + b)
-    sub = staticmethod(lambda a, b: a - b)
-    mul = staticmethod(lambda a, b: a * b)
-    div = staticmethod(lambda a, b: a / b)
-    neg = staticmethod(lambda a: -a)
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    div = staticmethod(operator.truediv)
+    neg = staticmethod(operator.neg)
 
 
 class _GFp:
@@ -111,87 +113,6 @@ class _GFp:
 
     def neg(self, a):
         return -a % self.p
-
-
-# Dense polynomials over a base field, as trimmed tuples (index = exponent).
-
-def _ptrim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _padd(F, a, b):
-    n = max(len(a), len(b))
-    out = [F.zero] * n
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, x in enumerate(b):
-        out[i] = F.add(out[i], x)
-    return _ptrim(out)
-
-
-def _psub(F, a, b):
-    return _padd(F, a, tuple(F.neg(x) for x in b))
-
-
-def _pmul(F, a, b):
-    if not a or not b:
-        return ()
-    out = [F.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = F.add(out[i + j], F.mul(x, y))
-    return _ptrim(out)
-
-
-def _pdivmod(F, a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = _ptrim(a)
-    if len(a) < len(b):
-        return (), a
-    q = [F.zero] * (len(a) - len(b) + 1)
-    r = list(a)
-    lead = b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        c = r[k + len(b) - 1]
-        if c == 0:
-            continue
-        f = F.div(c, lead)
-        q[k] = f
-        for i, x in enumerate(b):
-            r[k + i] = F.sub(r[k + i], F.mul(f, x))
-    return _ptrim(q), _ptrim(r)
-
-
-def _pmonic(F, a):
-    if not a or a[-1] == F.one:
-        return a
-    lead = a[-1]
-    return tuple(F.div(x, lead) for x in a)
-
-
-def _pgcd(F, a, b):
-    while b:
-        a, b = b, _pdivmod(F, a, b)[1]
-    return _pmonic(F, a)
-
-
-def _porder(a):
-    """Vanishing order at t = 0 (index of first nonzero coefficient)."""
-    for i, x in enumerate(a):
-        if x != 0:
-            return i
-    return math.inf
-
-
-def _pstr(F, a):
-    coeffs = [None if x == 0 else x for x in a]
-    return format_poly(coeffs, "t", str)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +263,7 @@ class RatFuncElement(DomainElement):
             self.num, self.den = num, den
             return
         F = domain.field
-        num, den = _ptrim(num), _ptrim(den)
+        num, den = _poly.trim(num), _poly.trim(den)
         if not den:
             raise ZeroDivisionError("zero denominator polynomial")
         if not num:
@@ -350,8 +271,8 @@ class RatFuncElement(DomainElement):
             return
         g = _pgcd(F, num, den)
         if len(g) > 1:
-            num = _pdivmod(F, num, g)[0]
-            den = _pdivmod(F, den, g)[0]
+            num = _poly.divmod(F, num, g)[0]
+            den = _poly.divmod(F, den, g)[0]
         lead = den[-1]
         if lead != F.one:
             num = tuple(F.div(x, lead) for x in num)
@@ -364,18 +285,20 @@ class RatFuncElement(DomainElement):
     def valuation(self):
         if not self.num:
             return math.inf
-        ov = _porder(self.num)
-        return ov if ov else -_porder(self.den)
+        ov = _poly.order(self.num)
+        return ov if ov else -_poly.order(self.den)
 
     def __add__(self, other):
         F = self.domain.field
-        num = _padd(F, _pmul(F, self.num, other.den), _pmul(F, other.num, self.den))
-        return RatFuncElement(self.domain, num, _pmul(F, self.den, other.den))
+        num = _poly.add(
+            F, _poly.mul(F, self.num, other.den), _poly.mul(F, other.num, self.den)
+        )
+        return RatFuncElement(self.domain, num, _poly.mul(F, self.den, other.den))
 
     def __mul__(self, other):
         F = self.domain.field
         return RatFuncElement(
-            self.domain, _pmul(F, self.num, other.num), _pmul(F, self.den, other.den)
+            self.domain, _poly.mul(F, self.num, other.num), _poly.mul(F, self.den, other.den)
         )
 
     def __truediv__(self, other):
@@ -383,7 +306,7 @@ class RatFuncElement(DomainElement):
             raise ZeroDivisionError("division by zero domain element")
         F = self.domain.field
         return RatFuncElement(
-            self.domain, _pmul(F, self.num, other.den), _pmul(F, self.den, other.num)
+            self.domain, _poly.mul(F, self.num, other.den), _poly.mul(F, self.den, other.num)
         )
 
     def __neg__(self):
@@ -405,9 +328,10 @@ class RatFuncElement(DomainElement):
 
     def __str__(self):
         F = self.domain.field
+        num = _poly.format_poly(self.num, "t")
         if self.den == (F.one,):
-            return _pstr(F, self.num)
-        return f"({_pstr(F, self.num)})/({_pstr(F, self.den)})"
+            return num
+        return f"({num})/({_poly.format_poly(self.den, 't')})"
 
     def __repr__(self):
         return f"RatFuncElement({self})"
@@ -455,9 +379,19 @@ class DomainSpec:
 
 
 class Domain:
-    """Shared interface of the shipped valuation-domain instances."""
+    """Shared interface of the shipped valuation-domain instances.
+
+    A domain is also the coefficient field of K[X] for ``_poly``: with
+    ``zero``/``one`` it provides that module's field operations.
+    """
 
     spec: DomainSpec
+
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    div = staticmethod(operator.truediv)
+    neg = staticmethod(operator.neg)
 
     def element(self, raw) -> DomainElement:
         """Canonical element of V equal to ``raw``; NotInDomain if val < 0."""

@@ -77,25 +77,29 @@ def defect(H) -> int:
     return _defect_from_pivots(v.piv().pivot for v in H)
 
 
-def _make_record(h_pivots, r, d, k, coll_cur=None, coll_init=None) -> IterationRecord:
-    n = len({j for j, _ in h_pivots})
+def counters(
+    pivots, basis_size: int, d: int, k: int,
+    collisions_current: int | None = None, collisions_initial: int | None = None,
+) -> IterationRecord:
+    """Counters for round k.
+
+    ``pivots`` are the (index, exponent) pivots of the columns that round
+    added, ``basis_size`` the size of the basis after it, ``d`` the family
+    degree; the collision counts are recorded as given.
+    """
+    n = len({j for j, _ in pivots})
     u = n * (1 + d + k)
     return IterationRecord(
         k=k,
-        new_columns=len(h_pivots),
-        basis_size=r,
+        new_columns=len(pivots),
+        basis_size=basis_size,
         index_count=n,
         capacity=u,
-        defect=_defect_from_pivots(h_pivots),
-        slack=u - r,
-        collisions_current=coll_cur,
-        collisions_initial=coll_init,
+        defect=_defect_from_pivots(pivots),
+        slack=u - basis_size,
+        collisions_current=collisions_current,
+        collisions_initial=collisions_initial,
     )
-
-
-def counters(G: EchelonBasis, H, d: int, k: int) -> IterationRecord:
-    """Counters for round k, with H the suffix of G treated in that round."""
-    return _make_record([tuple(v.piv().pivot) for v in H], len(G), d, k)
 
 
 def saturate_vx(S, max_iter: int = 64) -> SaturationResult:
@@ -122,8 +126,8 @@ def _run(engine, vectors, max_iter: int) -> SaturationResult:
     generator_idx = list(range(len(engine)))
     survivors = len(engine)
     initial_size = len(engine)
-    trace = [_make_record([engine.pivot(i) for i in range(len(engine))],
-                          len(engine), d, 0)]
+    trace = [counters([engine.pivot(i) for i in range(len(engine))],
+                      len(engine), d, 0)]
     k = 0
     while True:
         start = len(engine) - survivors
@@ -157,7 +161,7 @@ def _run(engine, vectors, max_iter: int) -> SaturationResult:
             == {engine.pivot(i)[0] for i in range(len(engine))}
         )
         trace.append(
-            _make_record(new_pivots, len(engine), d, k, coll_cur, coll_init)
+            counters(new_pivots, len(engine), d, k, coll_cur, coll_init)
         )
     basis = engine.export_basis()
     return SaturationResult(

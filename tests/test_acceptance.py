@@ -51,14 +51,14 @@ def test_c1_counter_walkthrough_reproduction():
         pivots0 = [(1, 2), (1, 4), (2, 2), (3, 1), (4, 1), (4, 3)]
         cols0 = [basis_vector(Z2, 5, j, r) for j, r in pivots0]
         G0 = EchelonBasis(cols0)
-        rec0 = counters(G0, cols0, d=4, k=0)
+        rec0 = counters([v.piv().pivot for v in cols0], len(G0), d=4, k=0)
         assert (
             rec0.index_count, rec0.basis_size, rec0.capacity, rec0.defect, rec0.slack
         ) == (4, 6, 20, 2, 14)
 
         cols1 = [basis_vector(Z2, 5, j, r + 1) for j, r in pivots0]
         G1 = EchelonBasis(cols0 + cols1)
-        rec1 = counters(G1, cols1, d=4, k=1)
+        rec1 = counters([v.piv().pivot for v in cols1], len(G1), d=4, k=1)
         assert (
             rec1.index_count, rec1.defect, rec1.capacity, rec1.slack
         ) == (4, 2, 24, 12)
@@ -204,7 +204,8 @@ def test_c6_elimination_preserves_fresh_pivots():
 # -- 7 ----------------------------------------------------------------------
 
 def test_c7_kernel_rank_check():
-    from valsat.syzygy import KPolyMatrix, _xadd, _xmul, _xtrim
+    from valsat._poly import add, mul, trim
+    from valsat.syzygy import KPolyMatrix
 
     with criterion("C7 kernel-rank-check", budget=120.0):
         rng = random.Random(707)
@@ -223,7 +224,7 @@ def test_c7_kernel_rank_check():
                 for i in range(k):
                     acc = ()
                     for j in range(n):
-                        acc = _xadd(Z2, acc, _xmul(Z2, U.entries[i][j], _xtrim(s[j])))
+                        acc = add(Z2, acc, mul(Z2, U.entries[i][j], trim(s[j])))
                     assert acc == ()
 
 

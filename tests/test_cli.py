@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import pytest
+
 from valsat.cli import main, pivot_diagram, trace_csv
 from valsat.echelon import EchelonBasis, saturate_free
 from valsat.polyvec import PolyVec
@@ -149,3 +151,21 @@ def test_pivot_diagram_mixed_old_and_new():
     lines = text.splitlines()
     assert lines[1] == "i=2 | . O"
     assert lines[2] == "i=1 | o ."
+
+
+@pytest.mark.parametrize(
+    "header, flags",
+    [
+        ("max-iter: abc\n", []),
+        ("max-iter: 0\n", []),
+        ("", ["--max-iter", "0"]),
+        ("verify: true\ndegree-bound: -3\n", []),
+        ("", ["--verify", "--degree-bound", "-3"]),
+    ],
+)
+def test_bad_round_cap_or_degree_bound_is_input_error(tmp_path, capsys, header, flags):
+    text = f"domain: zp:2\ntask: saturate-vx\n{header}\nX^2 + 2\n"
+    path = write(tmp_path, "b.vsat", text)
+    assert main([path, *flags]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and "# verify" not in out

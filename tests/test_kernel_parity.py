@@ -169,4 +169,3 @@ def test_select_engine_kinds():
     assert isinstance(select_engine(TrivialField("q")), PackedEngine)
     assert isinstance(select_engine(TrivialField("fp", 3)), GenericEngine)
     assert isinstance(select_engine(RationalFunctionsAtZero("q")), GenericEngine)
-    assert isinstance(select_engine(Zp(2), force_generic=True), GenericEngine)

@@ -34,14 +34,14 @@ def xp(domain, coeffs):
 
 def eval_residual(U, sol):
     """U * sol over K[X], for kernels produced from a KPolyMatrix."""
-    from valsat.syzygy import _xadd, _xmul, _xtrim
+    from valsat._poly import add, mul, trim
 
     domain = U.domain
     out = []
     for i in range(U.rows):
         acc: tuple = ()
         for j in range(U.cols):
-            acc = _xadd(domain, acc, _xmul(domain, U.entries[i][j], _xtrim(sol[j])))
+            acc = add(domain, acc, mul(domain, U.entries[i][j], trim(sol[j])))
         out.append(acc)
     return out
 

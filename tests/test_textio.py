@@ -128,3 +128,12 @@ def test_instance_errors():
         parse_instance("domain: zp:2\ntask: dance\n1\n")
     with pytest.raises(ParseError):
         parse_instance("domain: zp:2\ntask: syzygy\n\n1, 2\n3\n")  # mixed widths
+
+
+@pytest.mark.parametrize(
+    "header", ["max-iter: abc", "max-iter: 0", "degree-bound: 1.5", "degree-bound: -3"]
+)
+def test_instance_numeric_header_errors(header):
+    with pytest.raises(ParseError) as exc:
+        parse_instance(f"domain: zp:2\ntask: saturate-vx\n{header}\n\n2\n")
+    assert exc.value.line == 3

@@ -45,7 +45,7 @@ def test_defect_examples():
 
 def test_counters_worked_configuration():
     G0 = basis_from_pivots(Z2, 5, WORKED_PIVOTS)
-    rec = counters(G0, list(G0), d=4, k=0)
+    rec = counters([v.piv().pivot for v in G0], len(G0), d=4, k=0)
     assert (rec.index_count, rec.basis_size, rec.capacity, rec.defect, rec.slack) == (
         4, 6, 20, 2, 14,
     )
@@ -55,7 +55,7 @@ def test_counters_worked_continuation():
     shifted = [(j, r + 1) for j, r in WORKED_PIVOTS]
     G1 = basis_from_pivots(Z2, 5, WORKED_PIVOTS + shifted)
     H1 = list(G1)[6:]
-    rec = counters(G1, H1, d=4, k=1)
+    rec = counters([v.piv().pivot for v in H1], len(G1), d=4, k=1)
     assert (rec.index_count, rec.defect, rec.capacity, rec.slack) == (4, 2, 24, 12)
     assert rec.basis_size == 12
 
@@ -65,7 +65,7 @@ def test_counters_alternate_configuration():
     # occupied (4,2)) with identical counter values
     pivots = [(1, 3), (2, 2), (4, 1), (4, 2), (5, 0), (5, 2)]
     G0 = basis_from_pivots(Z2, 5, pivots)
-    rec = counters(G0, list(G0), d=4, k=0)
+    rec = counters([v.piv().pivot for v in G0], len(G0), d=4, k=0)
     assert (rec.index_count, rec.basis_size, rec.capacity, rec.defect, rec.slack) == (
         4, 6, 20, 2, 14,
     )
@@ -73,7 +73,7 @@ def test_counters_alternate_configuration():
 
 def test_counters_empty_h():
     G = basis_from_pivots(Z2, 2, [(1, 0)])
-    rec = counters(G, [], d=3, k=2)
+    rec = counters([], len(G), d=3, k=2)
     assert (rec.index_count, rec.defect, rec.capacity) == (0, 0, 0)
 
 
