@@ -39,14 +39,7 @@ does not matter, as valuations ignore signs.
 
 from math import gcd
 
-
-def _vp(n: int, p: int) -> int:
-    """p-adic valuation of a nonzero integer."""
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+from .valuation import _int_val
 
 
 def vec_shift(vec):
@@ -58,10 +51,10 @@ def vec_shift(vec):
 def vec_pivot(vec, p):
     """First unit coordinate as ``(j, r, num)``, or None."""
     comps, D = vec
-    vd = _vp(D, p) if p else 0
+    vd = _int_val(D, p) if p else 0
     for j, comp in enumerate(comps, start=1):
         for r, num in enumerate(comp):
-            if num and (not p or _vp(num, p) == vd):
+            if num and (not p or _int_val(num, p) == vd):
                 return j, r, num
     return None
 
@@ -135,14 +128,14 @@ def insert(cols, pivots, vec, p):
     best = entries[0]
     new = False
     if p:
-        best_v = _vp(best, p)
+        best_v = _int_val(best, p)
         for num in entries:
             if not best_v:
                 break
-            v = _vp(num, p)
+            v = _int_val(num, p)
             if v < best_v:
                 best, best_v = num, v
-        new = best_v != _vp(D, p)
+        new = best_v != _int_val(D, p)
     g = gcd(*entries)
     if best < 0:
         g = -g

@@ -41,6 +41,10 @@ class IterationCapExceeded(ValsatError):
     """The saturation loop hit the iteration cap before the defect vanished."""
 
 
+class InvalidIterationCap(ValsatError, ValueError):
+    """A saturation round cap below 1 was requested."""
+
+
 class DegreeExceeded(ValsatError):
     """An input vector does not fit in the requested degree slice."""
 

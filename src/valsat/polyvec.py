@@ -70,12 +70,6 @@ class PolyVec:
                 return Pivot(at, c)
         raise NotPrimitive(f"{self!r} has no unit coordinate")
 
-    def index(self) -> int:
-        return self.piv().pivot.index
-
-    def prim_mon(self) -> int:
-        return self.piv().pivot.exponent
-
     def degree(self) -> int:
         """Highest exact component degree; -1 for the zero vector."""
         return max((len(c) - 1 for c in self.comps if c), default=-1)

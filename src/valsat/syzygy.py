@@ -1,7 +1,9 @@
 """Syzygy generators over V[X] via the quotient field K.
 
 Pipeline: compute a K[X]-basis of the kernel of the k-by-n polynomial matrix
-(unimodular column reduction over the Euclidean ring K[X]), scale each kernel
+U by one unimodular column reduction of U stacked on the identity over the
+Euclidean ring K[X] (the identity part records the transform, whose columns
+are coprime, so the kernel vectors need no gcd strip), scale each kernel
 vector into a primitive element of V[X]^n by a uniformizer power, then
 V-saturate the V[X]-module they generate.  The generator list of that
 saturation generates the full syzygy module of u_1..u_n over V[X].
@@ -58,65 +60,46 @@ class KPolyMatrix:
         return [self.entries[i][j] for i in range(self.rows)]
 
 
-def _strip_column_gcd(domain, comp_col, work_col):
-    """Divide a companion column (and its image) by the gcd of its entries."""
-    g: XPoly = ()
-    for e in comp_col:
-        g = _poly.gcd(domain, g, e)
-        if len(g) == 1:
-            return comp_col, work_col
-    if len(g) <= 1:
-        return comp_col, work_col
-    comp = [_poly.divmod(domain, e, g)[0] for e in comp_col]
-    work = [_poly.divmod(domain, e, g)[0] for e in work_col]
-    return comp, work
-
-
 def kernel_kx(U: KPolyMatrix) -> list[tuple[XPoly, ...]]:
     """K[X]-basis of {f in K[X]^n : U f = 0}.
 
-    Unimodular column reduction: within each row, repeatedly clear all but
-    the minimal-degree nonzero entry by polynomial division, accumulating
-    every operation on an identity companion; kernel generators are the
-    companion columns sitting under the zero columns of the reduced matrix.
-    Each generator is stripped of its entrywise gcd and scaled so its first
-    nonzero coefficient is 1.
+    Column reduction of U stacked on the n-by-n identity: within each row,
+    repeatedly clear all but the minimal-degree nonzero entry by polynomial
+    division, subtracting multiples of whole stacked columns.  The identity
+    part becomes a unimodular T with U T reduced, and the generators are the
+    identity parts ``col[k:]`` of the columns whose U part is zero.  A common
+    factor of a column of T would divide the unit det T, so no generator
+    needs a gcd strip; each is scaled so its first nonzero coefficient is 1.
     """
     domain, k, n = U.domain, U.rows, U.cols
     one = domain.one
-    work = [U.column(j) for j in range(n)]
-    comp = [
-        [(one,) if i == j else () for i in range(n)] for j in range(n)
+    cols = [
+        U.column(j) + [(one,) if i == j else () for i in range(n)]
+        for j in range(n)
     ]
     active = list(range(n))
     for row in range(k):
         while True:
-            nz = [j for j in active if work[j][row]]
+            nz = [j for j in active if cols[j][row]]
             if len(nz) <= 1:
                 break
-            jstar = min(nz, key=lambda j: (len(work[j][row]), j))
+            jstar = min(nz, key=lambda j: (len(cols[j][row]), j))
+            pivot = cols[jstar]
             for j in nz:
                 if j == jstar:
                     continue
-                q, _ = _poly.divmod(domain, work[j][row], work[jstar][row])
-                work[j] = [
+                q, _ = _poly.divmod(domain, cols[j][row], pivot[row])
+                cols[j] = [
                     _poly.sub(domain, a, _poly.mul(domain, q, b))
-                    for a, b in zip(work[j], work[jstar])
+                    for a, b in zip(cols[j], pivot)
                 ]
-                comp[j] = [
-                    _poly.sub(domain, a, _poly.mul(domain, q, b))
-                    for a, b in zip(comp[j], comp[jstar])
-                ]
-            for j in active:
-                comp[j], work[j] = _strip_column_gcd(domain, comp[j], work[j])
-        nz = [j for j in active if work[j][row]]
+        nz = [j for j in active if cols[j][row]]
         if nz:
             active.remove(nz[0])
     basis = []
     for j in active:
-        assert all(not e for e in work[j])
-        col, _ = _strip_column_gcd(domain, comp[j], work[j])
-        basis.append(tuple(_normalize_leading(col)))
+        assert not any(cols[j][:k])
+        basis.append(tuple(_normalize_leading(cols[j][k:])))
     return basis
 
 

@@ -17,7 +17,6 @@ from . import _poly
 from .errors import NotInDomain, ParseError
 from .polyvec import PolyVec
 from .valuation import (
-    KIND_RFT0,
     Domain,
     RationalFunctionsAtZero,
     TrivialField,
@@ -208,10 +207,6 @@ def render_vector(v: PolyVec) -> str:
     for comp in v.comps:
         parts.append(_poly.format_poly(comp, "X"))
     return ", ".join(parts)
-
-
-def render_element(e) -> str:
-    return str(e)
 
 
 # ---------------------------------------------------------------------------

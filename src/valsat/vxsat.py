@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from ._engines import select_engine
 from .echelon import EchelonBasis
-from .errors import EmptyInput, IterationCapExceeded
+from .errors import EmptyInput, InvalidIterationCap, IterationCapExceeded
 from .polyvec import PolyVec, family_degree
 
 
@@ -32,10 +32,7 @@ class IterationRecord:
     ``index_count`` the number of distinct pivot component-indexes among the
     new columns, ``capacity`` = index_count * (1 + degree + k), ``defect``
     the number of supernumerary new columns and ``slack`` = capacity -
-    basis_size.  The two collision counts say how many shifted pivots ran
-    into an occupied position, measured against the current basis and
-    against the initial fold (both readings are recorded for inspection;
-    the algorithm itself never consults them).
+    basis_size.
     """
 
     k: int
@@ -45,8 +42,6 @@ class IterationRecord:
     capacity: int
     defect: int
     slack: int
-    collisions_current: int | None = None
-    collisions_initial: int | None = None
 
 
 @dataclass(frozen=True)
@@ -77,15 +72,12 @@ def defect(H) -> int:
     return _defect_from_pivots(v.piv().pivot for v in H)
 
 
-def counters(
-    pivots, basis_size: int, d: int, k: int,
-    collisions_current: int | None = None, collisions_initial: int | None = None,
-) -> IterationRecord:
+def counters(pivots, basis_size: int, d: int, k: int) -> IterationRecord:
     """Counters for round k.
 
     ``pivots`` are the (index, exponent) pivots of the columns that round
     added, ``basis_size`` the size of the basis after it, ``d`` the family
-    degree; the collision counts are recorded as given.
+    degree.
     """
     n = len({j for j, _ in pivots})
     u = n * (1 + d + k)
@@ -97,8 +89,6 @@ def counters(
         capacity=u,
         defect=_defect_from_pivots(pivots),
         slack=u - basis_size,
-        collisions_current=collisions_current,
-        collisions_initial=collisions_initial,
     )
 
 
@@ -111,7 +101,7 @@ def saturate_vx(S, max_iter: int = 64) -> SaturationResult:
     diagnosable IterationCapExceeded.
     """
     if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+        raise InvalidIterationCap(f"max_iter must be at least 1, got {max_iter}")
     vectors = [v for v in S if not v.is_zero()]
     if not vectors:
         raise EmptyInput("no nonzero generators given")
@@ -125,7 +115,6 @@ def _run(engine, vectors, max_iter: int) -> SaturationResult:
         engine.insert_vector(v)
     generator_idx = list(range(len(engine)))
     survivors = len(engine)
-    initial_size = len(engine)
     trace = [counters([engine.pivot(i) for i in range(len(engine))],
                       len(engine), d, 0)]
     k = 0
@@ -141,10 +130,6 @@ def _run(engine, vectors, max_iter: int) -> SaturationResult:
                 f"defect still {_defect_from_pivots(h_pivots)} after "
                 f"{max_iter} rounds"
             )
-        current_pivots = {engine.pivot(i) for i in range(len(engine))}
-        initial_pivots = {engine.pivot(i) for i in range(initial_size)}
-        coll_cur = sum(1 for j, r in h_pivots if (j, r + 1) in current_pivots)
-        coll_init = sum(1 for j, r in h_pivots if (j, r + 1) in initial_pivots)
         survivors = 0
         for i in h_range:
             survived, is_new = engine.insert_shift_of(i)
@@ -160,9 +145,7 @@ def _run(engine, vectors, max_iter: int) -> SaturationResult:
             {j for j, _ in new_pivots}
             == {engine.pivot(i)[0] for i in range(len(engine))}
         )
-        trace.append(
-            counters(new_pivots, len(engine), d, k, coll_cur, coll_init)
-        )
+        trace.append(counters(new_pivots, len(engine), d, k))
     basis = engine.export_basis()
     return SaturationResult(
         basis=basis,

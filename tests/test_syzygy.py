@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from valsat import oracle
+from valsat import _poly, oracle
 from valsat.errors import ZeroVector
 from valsat.polyvec import PolyVec
 from valsat.syzygy import (
@@ -14,10 +14,20 @@ from valsat.syzygy import (
     scaled_kernel,
     syzygy_vx,
 )
-from valsat.valuation import Zp
+from valsat.valuation import RationalFunctionsAtZero, TrivialField, Zp
 
 Z2 = Zp(2)
 Z3 = Zp(3)
+
+# One domain of each kind with the characteristic of its quotient field K.
+KINDS = (
+    (Z2, 0),
+    (Z3, 0),
+    (TrivialField("q"), 0),
+    (TrivialField("fp", 5), 5),
+    (RationalFunctionsAtZero("q"), 0),
+    (RationalFunctionsAtZero("fp", 3), 3),
+)
 
 
 def vec(domain, *comps):
@@ -64,8 +74,8 @@ def test_kernel_single_row_examples():
 
 def test_kernel_rank_and_exactness_random():
     rng = random.Random(43)
-    for _ in range(120):
-        dom = rng.choice((Z2, Z3))
+    for _ in range(240):
+        dom, char = rng.choice(KINDS)
         k = rng.randrange(1, 4)
         n = rng.randrange(1, 5)
         rows = [
@@ -75,17 +85,22 @@ def test_kernel_rank_and_exactness_random():
         ]
         U = kx(dom, rows)
         basis = kernel_kx(U)
-        assert len(basis) == n - _poly_rank(rows)
+        assert len(basis) == n - _poly_rank(rows, char)
         for s in basis:
             assert all(not r for r in eval_residual(U, s))
+            # primitive over K[X]: the kernel basis needs no gcd strip
+            g: tuple = ()
+            for e in s:
+                g = _poly.gcd(dom, g, e)
+            assert g == (dom.one,)
 
 
-def _poly_rank(rows):
-    """Independent rank oracle: fraction-free elimination over Q[X]."""
-    import math
+def _poly_rank(rows, char=0):
+    """Independent rank oracle: fraction-free elimination over Q[X] (char 0)
+    or F_p[X] (char p, integer coefficients reduced mod p)."""
 
     def trim(p):
-        p = list(p)
+        p = [c % char for c in p] if char else list(p)
         while p and p[-1] == 0:
             p.pop()
         return p

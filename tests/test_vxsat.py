@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from valsat.echelon import EchelonBasis
-from valsat.errors import EmptyInput, IterationCapExceeded
+from valsat.errors import EmptyInput, IterationCapExceeded, ValsatError
 from valsat.polyvec import PivotIndex, PolyVec, zero_vec
-from valsat.valuation import Zp
+from valsat.valuation import TrivialField, Zp
 from valsat.vxsat import counters, defect, saturate_vx
 
 Z2 = Zp(2)
@@ -104,6 +104,8 @@ def test_saturate_empty_inputs():
         saturate_vx([])
     with pytest.raises(ValueError):
         saturate_vx([vec(Z2, [1])], max_iter=0)
+    with pytest.raises(ValsatError):
+        saturate_vx([vec(Z2, [1])], max_iter=0)
 
 
 def test_iteration_cap():
@@ -113,6 +115,32 @@ def test_iteration_cap():
         saturate_vx(S, max_iter=1)
     res = saturate_vx(S, max_iter=2)
     assert res.trace[-1].defect == 0 and res.trace[-1].k == 2
+
+
+def test_rounds_exceed_initial_slack_when_index_count_grows():
+    # Over F_5 with d = 2 the initial slack is 0, yet three rounds run.  The
+    # slack obeys slack_k = slack_{k-1} + (n_k - n_{k-1}) (d + k) - defect_k,
+    # and the index count n_k grows 1 -> 2 -> 2 -> 3, so a cap taken from the
+    # initial slack alone would stop this valid input early.
+    F5 = TrivialField("fp", 5)
+    S = [
+        vec(F5, [0, 1], [1, 4], [], []),
+        vec(F5, [1, 1, 4], [4, 1], [0, 2], []),
+        vec(F5, [1, 3], [1], [], [4]),
+    ]
+    res = saturate_vx(S)
+    assert res.degree == 2
+    assert [
+        (r.k, r.new_columns, r.basis_size, r.index_count, r.capacity,
+         r.defect, r.slack)
+        for r in res.trace
+    ] == [
+        (0, 3, 3, 1, 3, 2, 0),
+        (1, 3, 6, 2, 8, 1, 2),
+        (2, 3, 9, 2, 10, 1, 1),
+        (3, 3, 12, 3, 18, 0, 6),
+    ]
+    assert len(res.generators) == 3
 
 
 def rand_vec(rng, dom, n, deg):
