@@ -6,6 +6,13 @@ The rational-function domain additionally understands the scalar variable
 ``t``, e.g. ``(t+2)/(3)*X - 1``.  Instance files are a line-oriented
 ``key: value`` header followed by one vector per line; ``#`` starts a
 comment.  Rendering and parsing round-trip exactly.
+
+Cost model: products and powers cost O(terms) scalar operations.  A power
+of a monomial ``c*X^e`` is built as ``c^n*X^(e*n)`` with scalar products
+only, and a product with a monomial factor is a shift of the other factor,
+scaled at its nonzero entries; only a product of two polynomials that are
+not monomials, such as ``(X+1)*(X-1)`` or ``(X+1)^3``, uses dense
+multiplication.  Sums add coefficientwise through ``_poly.add``.
 """
 
 from __future__ import annotations
@@ -24,7 +31,8 @@ from .valuation import (
     describe_domain,
 )
 
-_TOKEN_RE = re.compile(r"\s*(\d+|[Xt^*/()+-])")
+# A token, or (group 2) any other non-space character, which is an error.
+_TOKEN_RE = re.compile(r"(\d+|[Xt^*/()+-])|(\S)")
 
 
 class _Tokens:
@@ -34,16 +42,10 @@ class _Tokens:
         self.col0 = col0
         self.pos = 0
         self.toks: list[tuple[str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                rest = text[pos:].strip()
-                if not rest:
-                    break
-                self._fail(f"unexpected character {rest[0]!r}", pos)
-            self.toks.append((m.group(1), m.start(1)))
-            pos = m.end()
+        for m in _TOKEN_RE.finditer(text):
+            if m.lastindex == 2:
+                self._fail(f"unexpected character {m.group(2)!r}", m.start())
+            self.toks.append((m.group(1), m.start()))
 
     def _fail(self, msg, pos):
         raise ParseError(msg, self.line, self.col0 + pos + 1)
@@ -65,6 +67,11 @@ class _Tokens:
                 f"expected {want!r}, got {tok!r}", self.line, self.col0 + at + 1
             )
         return tok
+
+
+def _is_monomial(p) -> bool:
+    """True for c*X^e with c nonzero: a trimmed polynomial with one nonzero entry."""
+    return bool(p) and not any(p[:-1])
 
 
 class _PolyParser:
@@ -95,7 +102,7 @@ class _PolyParser:
             op, at = self.toks.take()
             rhs = self.parse_power()
             if op == "*":
-                acc = _poly.mul(self.domain, acc, rhs)
+                acc = self.mul(acc, rhs)
             else:
                 if len(rhs) > 1:
                     raise ParseError(
@@ -121,11 +128,34 @@ class _PolyParser:
                     self.toks.line,
                     self.toks.col0 + at + 1,
                 )
+            return self.power(base, int(tok))
+        return base
+
+    def mul(self, a, b):
+        """a*b: a monomial factor c*X^e shifts the other by e and scales it by c."""
+        if not a or not b:
+            return ()
+        if _is_monomial(b):
+            a, b = b, a
+        if not _is_monomial(a):
+            return _poly.mul(self.domain, a, b)
+        c = a[-1]
+        if c != self.domain.one:
+            b = tuple(x * c if x else x for x in b)
+        return a[:-1] + b
+
+    def power(self, base, n):
+        """base^n, with base^0 = 1; (c*X^e)^n = c^n*X^(e*n) without K[X] products."""
+        if not _is_monomial(base):
             out = (self.domain.one,)
-            for _ in range(int(tok)):
+            for _ in range(n):
                 out = _poly.mul(self.domain, out, base)
             return out
-        return base
+        c, cn = base[-1], self.domain.one
+        if c != cn:
+            for _ in range(n):
+                cn = cn * c
+        return (self.domain.zero,) * ((len(base) - 1) * n) + (cn,)
 
     def parse_atom(self):
         tok, at = self.toks.take()

@@ -21,6 +21,7 @@ The residue field is never materialised; every residual question reduces to
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -269,10 +270,11 @@ class RatFuncElement(DomainElement):
         if not num:
             self.num, self.den = (), (F.one,)
             return
-        g = _pgcd(F, num, den)
-        if len(g) > 1:
-            num = _poly.divmod(F, num, g)[0]
-            den = _poly.divmod(F, den, g)[0]
+        if len(num) > 1 and len(den) > 1:  # a nonzero constant is coprime to all
+            g = _pgcd(F, num, den)
+            if len(g) > 1:
+                num = _poly.divmod(F, num, g)[0]
+                den = _poly.divmod(F, den, g)[0]
         lead = den[-1]
         if lead != F.one:
             num = tuple(F.div(x, lead) for x in num)
@@ -404,11 +406,12 @@ class Domain:
         """Element of the quotient field K (no valuation restriction)."""
         raise NotImplementedError
 
-    @property
+    # Elements are immutable and canonical, so every caller may share these.
+    @functools.cached_property
     def zero(self):
         return self.k_element(0)
 
-    @property
+    @functools.cached_property
     def one(self):
         return self.k_element(1)
 

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from valsat import _poly
 from valsat.errors import ParseError
 from valsat.polyvec import PolyVec
 from valsat.textio import (
@@ -15,6 +17,19 @@ from valsat.textio import (
 from valsat.valuation import RationalFunctionsAtZero, TrivialField, Zp
 
 Z2 = Zp(2)
+# One domain of each kind: zp:p, field:q, field:p, rft0:q, rft0:p.
+KINDS = [
+    Z2,
+    TrivialField("q"),
+    TrivialField("fp", 5),
+    RationalFunctionsAtZero("q"),
+    RationalFunctionsAtZero("fp", 3),
+]
+# Denominators invertible in every domain of KINDS.
+DENS = (1, 7, 11, 13)
+PROPERTY = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
 
 
 def test_parse_simple_vectors():
@@ -48,6 +63,13 @@ def test_parse_errors_have_positions():
     with pytest.raises(ParseError) as exc:
         parse_vector(Z2, "2 + $", line=3)
     assert exc.value.line == 3
+    # The column is that of the bad character, not of the whitespace before it.
+    with pytest.raises(ParseError) as exc:
+        parse_vector(Z2, "2 +   $", line=1)
+    assert exc.value.column == 7
+    with pytest.raises(ParseError) as exc:
+        parse_vector(Z2, "X, 2  @", line=1)
+    assert exc.value.column == 7
     with pytest.raises(ParseError):
         parse_vector(Z2, "X / X")
     with pytest.raises(ParseError):
@@ -137,3 +159,136 @@ def test_instance_numeric_header_errors(header):
     with pytest.raises(ParseError) as exc:
         parse_instance(f"domain: zp:2\ntask: saturate-vx\n{header}\n\n2\n")
     assert exc.value.line == 3
+
+
+# ---------------------------------------------------------------------------
+# The parser against dense K[X] arithmetic.  An expression is a tuple tree:
+# ("int", n), ("frac", a, b), ("X",), ("t",), ("()", e), ("neg", e),
+# ("^", e, n) and (op, e, f) for op in "+-*".
+
+
+def _trees(with_t):
+    leaves = [
+        st.tuples(st.just("int"), st.integers(0, 9)),
+        st.tuples(st.just("frac"), st.integers(0, 9), st.sampled_from(DENS)),
+        st.just(("X",)),
+    ]
+    if with_t:
+        leaves.append(st.just(("t",)))
+    return st.recursive(
+        st.one_of(leaves),
+        lambda sub: st.one_of(
+            st.tuples(st.sampled_from("+-*"), sub, sub),
+            st.tuples(st.sampled_from(("()", "neg")), sub),
+            st.tuples(st.just("^"), sub, st.integers(0, 3)),
+        ),
+        max_leaves=8,
+    )
+
+
+def _wrap(text, prec, least):
+    return text if prec >= least else f"({text})"
+
+
+def _text(tree):
+    """The text of a tree and its precedence: 0 sum, 1 product, 2 power, 3 atom."""
+    op = tree[0]
+    if op == "int":
+        return str(tree[1]), 3
+    if op == "frac":
+        return f"{tree[1]}/{tree[2]}", 1
+    if op in ("X", "t"):
+        return op, 3
+    if op == "()":
+        return f"({_text(tree[1])[0]})", 3
+    if op == "neg":  # a leading sign applies to the first product only
+        return f"(-{_wrap(*_text(tree[1]), 1)})", 3
+    if op == "^":
+        return f"{_wrap(*_text(tree[1]), 3)}^{tree[2]}", 2
+    a, b = _text(tree[1]), _text(tree[2])
+    if op == "*":
+        return f"{_wrap(*a, 1)}*{_wrap(*b, 1)}", 1
+    return f"{_wrap(*a, 0)} {op} {_wrap(*b, 1)}", 0
+
+
+def _dense(d, tree):
+    """The value of a tree from dense ``_poly`` sums and products only."""
+    op = tree[0]
+    if op == "int":
+        return _poly.trim((d.k_element(tree[1]),))
+    if op == "frac":
+        return _poly.trim((d.k_element(Fraction(tree[1], tree[2])),))
+    if op == "X":
+        return (d.k_element(0), d.k_element(1))
+    if op == "t":
+        return (d.from_polys((0, 1)),)
+    if op == "()":
+        return _dense(d, tree[1])
+    if op == "neg":
+        return _poly.neg(d, _dense(d, tree[1]))
+    if op == "^":
+        base, out = _dense(d, tree[1]), (d.k_element(1),)
+        for _ in range(tree[2]):
+            out = _poly.mul(d, out, base)
+        return out
+    a, b = _dense(d, tree[1]), _dense(d, tree[2])
+    return {"+": _poly.add, "-": _poly.sub, "*": _poly.mul}[op](d, a, b)
+
+
+X = ("X",)
+SPECIAL = [
+    ("^", X, 0),
+    ("^", ("()", ("int", 0)), 0),
+    ("*", ("int", 0), ("^", X, 5)),
+    ("^", ("()", ("*", ("int", 2), ("^", X, 2))), 3),
+    ("*", ("*", ("frac", 3, 7), ("^", X, 2)), ("*", ("int", 5), ("^", X, 3))),
+    ("^", ("-", ("*", ("int", 2), X), ("int", 1)), 3),
+    ("*", ("+", X, ("int", 1)), ("-", X, ("int", 1))),
+]
+
+
+@PROPERTY
+@given(
+    st.sampled_from(KINDS).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            st.lists(_trees(isinstance(d, RationalFunctionsAtZero)), min_size=1, max_size=3),
+        )
+    )
+)
+@example((KINDS[0], SPECIAL))
+@example((KINDS[1], SPECIAL))
+@example((KINDS[2], SPECIAL))
+@example((KINDS[3], SPECIAL + [("^", ("()", ("*", ("int", 3), ("t",))), 2)]))
+@example((KINDS[4], SPECIAL + [("*", ("t",), ("^", X, 2))]))
+def test_parser_matches_dense_arithmetic(case):
+    d, trees = case
+    text = ", ".join(_text(tree)[0] for tree in trees)
+    assert parse_vector(d, text) == PolyVec(d, [_dense(d, tree) for tree in trees]), text
+
+
+@st.composite
+def _vectors(draw):
+    """A random vector over one of KINDS; rft0 denominators may depend on t."""
+    d = draw(st.sampled_from(KINDS))
+    if isinstance(d, RationalFunctionsAtZero):
+        small = st.integers(-9, 9)
+        coeff = st.builds(
+            lambda num, d0, rest: d.element((num, [d0, *rest])),
+            st.lists(small, max_size=3),
+            st.sampled_from((1, 2, -1, 4)),  # nonzero at t = 0, also mod 3
+            st.lists(small, max_size=2),
+        )
+    else:
+        coeff = st.builds(
+            lambda n, den: d.element(Fraction(n, den)),
+            st.integers(-(10**6), 10**6),
+            st.sampled_from(DENS),
+        )
+    return PolyVec(d, draw(st.lists(st.lists(coeff, max_size=4), min_size=1, max_size=3)))
+
+
+@PROPERTY
+@given(_vectors())
+def test_round_trip_all_kinds(v):
+    assert parse_vector(v.domain, render_vector(v)) == v

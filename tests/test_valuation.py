@@ -3,16 +3,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from valsat import _poly
 from valsat.errors import AllZero, NotDivisible, NotInDomain, NotPrime
 from valsat.textio import parse_element
 from valsat.valuation import (
     DomainSpec,
+    RatFuncElement,
     RationalFunctionsAtZero,
     TrivialField,
     Zp,
     content,
     decide_divisibility,
+    describe_domain,
     is_prime,
     make_domain,
 )
@@ -214,3 +218,46 @@ def test_elements_are_hashable_and_immutable():
     b = Z2.element(Fraction(3, 5))
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+RFT0 = [RationalFunctionsAtZero("q"), RationalFunctionsAtZero("fp", 3)]
+
+
+def _reference_canonical(F, num, den):
+    """Divide both sides by their monic gcd, then make the denominator monic."""
+    g = _poly.gcd(F, num, den)
+    num, den = _poly.divmod(F, num, g)[0], _poly.divmod(F, den, g)[0]
+    lead = den[-1]
+    return tuple(F.div(x, lead) for x in num), tuple(F.div(x, lead) for x in den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(RFT0),
+    st.integers(-6, 6),
+    st.sampled_from((1, 2, -1, 4, -5)),  # nonzero, also mod 3
+    st.lists(st.integers(-6, 6), min_size=1, max_size=4),
+    st.booleans(),
+)
+def test_constant_side_canonicalisation(R, c, unit, poly, const_num):
+    """Without the gcd, a constant side still gives the reduced, monic-denominator form."""
+    F = R.field
+    poly = _poly.trim(tuple(F.coerce(x) for x in poly))
+    if const_num:  # c / poly
+        if not poly:
+            return
+        num, den = _poly.trim((F.coerce(c),)), poly
+    else:  # poly / unit
+        num, den = poly, (F.coerce(unit),)
+    e = RatFuncElement(R, num, den)
+    assert (e.num, e.den) == _reference_canonical(F, num, den)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [Z2, Z3, TrivialField("q"), TrivialField("fp", 5), *RFT0],
+    ids=describe_domain,
+)
+def test_zero_and_one_are_shared_constants(d):
+    assert d.zero is d.zero and d.one is d.one
+    assert d.zero == d.k_element(0) and d.one == d.k_element(1)
