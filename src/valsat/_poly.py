@@ -24,11 +24,13 @@ def trim(c) -> tuple:
 
 
 def add(F, a, b) -> tuple:
+    """a + b; a zero coefficient of b costs no field addition."""
     n = len(a)
     out = list(a) + list(b[n:])
     fadd = F.add
     for i, x in enumerate(b[:n]):
-        out[i] = fadd(out[i], x)
+        if x:
+            out[i] = fadd(out[i], x)
     return trim(out)
 
 

@@ -1,13 +1,29 @@
 """Brute-force verifiers grounded directly in the definition of saturation.
 
 Everything here works on finite degree slices of V[X]^n, viewed as plain
-free V-modules.  Saturation of a column span is computed by a two-sided
-Smith-style reduction over V (row and column operations with
-minimal-valuation pivoting): if A = U * diag * Q with U, Q invertible over
-V, the saturation of the column span of A is spanned by the first
-rank-many columns of U.  That route shares no code with the echelon
-machinery it is used to check; its whole value is independence.  The same
-reduction yields an exact membership test for arbitrary V-spans.
+free V-modules.  Saturation of a column span is computed by a Smith-style
+reduction over V with minimal-valuation pivoting: if A = U * diag * Q with
+U, Q invertible over V, the saturation of the column span of A is spanned
+by the first rank-many columns of U.  That route shares no code with the
+echelon machinery it is used to check; its whole value is independence.
+The same reduction, with the tested vectors carried along as extra
+columns, yields an exact membership test for arbitrary V-spans.
+
+The V[X]-saturation slice adds one K[X] layer in front of it.  A
+degree-<=D element of the K[X]-span of S can need witnesses of higher
+degree, so the slice is read off a weak Popov K[X]-basis of that span
+(Mulders & Storjohann, "On lattice reduction for polynomial matrices",
+2003).  By the predictable-degree property (see ``saturation_slice``), its
+X-shifts of degree <= D span the slice's K-space exactly: no search over
+ever larger shift families and no stopping rule.
+
+Cost model: a Smith reduction of an N-row matrix with s columns makes at
+most min(N, s) pivot steps, each clearing one column below the pivot; a
+row update visits only the nonzero entries of the pivot row, and U is
+built only when a saturation reads it.  The elimination over K behind
+``brute_syzygies`` and the basis clean-up skip zeros the same way, so no
+arithmetic is spent on a zero entry; sparse slices cost far below the
+dense O(N^2 s) bound.
 
 Returned bases are put into a canonical fully-reduced strict form
 (ascending pivots, pivot coefficient 1, zero at every other basis pivot),
@@ -17,8 +33,9 @@ output lists.
 
 from __future__ import annotations
 
+from . import _poly
 from .errors import DegreeExceeded
-from .polyvec import PivotIndex, PolyVec
+from .polyvec import PivotIndex, PolyVec, x_shifts
 from .valuation import content
 
 
@@ -48,91 +65,122 @@ def _from_coords(domain, n: int, positions, coords) -> PolyVec:
 
 
 # ---------------------------------------------------------------------------
-# Smith-style two-sided reduction over V.
+# Sparse updates: no arithmetic is spent on a zero entry.
 
-def _smith_left(cols, domain):
-    """Reduce the matrix with the given columns over V.
+def _nonzeros(vec) -> list:
+    """The (position, entry) pairs of the nonzero entries of vec."""
+    return [(j, x) for j, x in enumerate(vec) if x]
 
-    Returns ``(u_cols, uinv_rows, diag)`` where A = U * D * Q for invertible
-    U, Q over V, ``u_cols`` are the columns of U, ``uinv_rows`` the rows of
-    U^-1 and ``diag`` the nonzero diagonal of D (its length is the rank).
+
+def _add_multiple(dst, f, src_nonzeros) -> None:
+    """dst += f * src in place, visiting only the nonzero entries of src."""
+    for j, b in src_nonzeros:
+        a = dst[j]
+        dst[j] = a + f * b if a else f * b
+
+
+# ---------------------------------------------------------------------------
+# Smith-style reduction over V.
+
+def _saturate(cols, domain):
+    """Canonical basis of the saturation of the V-span of cols (entries in V).
+
+    With A = U * D * Q for U, Q invertible over V, the saturation of the
+    column span of A is spanned by the first rank-many columns of U.
     """
-    m = len(cols[0]) if cols else 0
-    s = len(cols)
+    m = len(cols[0])
     zero, one = domain.zero, domain.one
-    work = [[cols[c][i] for c in range(s)] for i in range(m)]
+    work = [[col[i] for col in cols] for i in range(m)]
     u_cols = [[one if i == c else zero for i in range(m)] for c in range(m)]
-    uinv_rows = [[one if i == c else zero for c in range(m)] for i in range(m)]
+    diag = _reduce(work, len(cols), domain, u_cols)
+    return _canonical_basis(u_cols[: len(diag)], domain)
+
+
+def _reduce(work, s, domain, u_cols=None) -> list:
+    """Row-reduce the rows ``work`` over V in place; return the pivots.
+
+    Step t moves an entry of minimal valuation among the first s columns of
+    the unreduced rows to (t, t) and clears column t below it, so that
+    U^-1 A = D Q with the pivots on the diagonal of D.  Each row operation
+    also acts on the columns past s, which therefore end up multiplied by
+    U^-1, and, given ``u_cols``, on the columns of U.  The column operations
+    that would clear row t right of the pivot are never carried out: they
+    touch no other row, Q is not returned, and row t is not read again.
+    """
+    zero = domain.zero
     diag = []
-    for t in range(min(m, s)):
-        pos = _min_valuation_entry(work, t)
+    for t in range(min(len(work), s)):
+        pos = _min_valuation_entry(work, t, s)
         if pos is None:
             break
         pi, pj = pos
         if pi != t:
             work[t], work[pi] = work[pi], work[t]
-            u_cols[t], u_cols[pi] = u_cols[pi], u_cols[t]
-            uinv_rows[t], uinv_rows[pi] = uinv_rows[pi], uinv_rows[t]
+            if u_cols is not None:
+                u_cols[t], u_cols[pi] = u_cols[pi], u_cols[t]
         if pj != t:
-            for row in work:
+            for row in work[t:]:
                 row[t], row[pj] = row[pj], row[t]
         pivot = work[t][t]
-        for i in range(t + 1, m):
+        pivot_row = [(j, b) for j, b in _nonzeros(work[t]) if j > t]
+        for i in range(t + 1, len(work)):
             e = work[i][t]
-            if e.is_zero():
+            if not e:
                 continue
             f = e.div_exact(pivot)
-            work[i] = [a - f * b for a, b in zip(work[i], work[t])]
-            u_cols[t] = [a + f * b for a, b in zip(u_cols[t], u_cols[i])]
-            uinv_rows[i] = [a - f * b for a, b in zip(uinv_rows[i], uinv_rows[t])]
-        for j in range(t + 1, s):
-            e = work[t][j]
-            if e.is_zero():
-                continue
-            g = e.div_exact(pivot)
-            for row in work:
-                row[j] = row[j] - g * row[t]
+            work[i][t] = zero
+            _add_multiple(work[i], -f, pivot_row)
+            if u_cols is not None:
+                _add_multiple(u_cols[t], f, _nonzeros(u_cols[i]))
         diag.append(pivot)
-    return u_cols, uinv_rows, diag
+    return diag
 
 
-def _min_valuation_entry(work, t):
-    """First (row-major) nonzero entry of minimal valuation in work[t:, t:]."""
+def _min_valuation_entry(work, t, s):
+    """First (row-major) nonzero entry of minimal valuation in work[t:, t:s].
+
+    The entries lie in V, so the first unit ends the search.
+    """
     best = None
     pos = None
     for i in range(t, len(work)):
-        for j in range(t, len(work[i])):
-            e = work[i][j]
-            if e.is_zero():
-                continue
-            if best is None or not best.divides(e):
-                best, pos = e, (i, j)
+        row = work[i]
+        for j in range(t, s):
+            e = row[j]
+            if e:
+                v = e.valuation()
+                if best is None or v < best:
+                    if v == 0:
+                        return i, j
+                    best, pos = v, (i, j)
     return pos
 
 
 def _span_contains(cols, vectors, domain) -> bool:
-    """Whether every coordinate vector in ``vectors`` lies in the V-span of cols."""
-    nz = [c for c in cols if any(not x.is_zero() for x in c)]
+    """Whether every coordinate vector in ``vectors`` lies in the V-span of cols.
+
+    The vectors ride along as extra columns of one reduction, which turns
+    them into y = U^-1 v; v is in the span iff diag[t] divides y[t] for t
+    below the rank and y vanishes beyond it.
+    """
+    nz = [c for c in cols if any(c)]
     if not nz:
-        return all(all(x.is_zero() for x in v) for v in vectors)
-    _, uinv_rows, diag = _smith_left(nz, domain)
+        return not any(any(v) for v in vectors)
+    s = len(nz)
+    work = [[c[i] for c in nz] + [v[i] for v in vectors] for i in range(len(nz[0]))]
+    diag = _reduce(work, s, domain)
     r = len(diag)
-    for v in vectors:
-        y = [sum((a * b for a, b in zip(row, v)), domain.zero) for row in uinv_rows]
-        for t, yt in enumerate(y):
-            if t < r:
-                if not diag[t].divides(yt):
-                    return False
-            elif not yt.is_zero():
-                return False
-    return True
+    return all(
+        diag[t].divides(y) if t < r else not y
+        for t, row in enumerate(work) for y in row[s:]
+    )
 
 
 def _canonical_basis(cols, domain):
     """Unique fully-reduced strict basis of the saturated span of cols.
 
     The columns must be V-independent with saturated span (as produced by
-    ``_smith_left``).  Forward insertion makes the family strictly echelon,
+    ``_saturate``).  Forward insertion makes the family strictly echelon,
     then a descending sweep scales pivot coefficients to 1 and clears every
     pivot position from all other columns.
     """
@@ -141,27 +189,75 @@ def _canonical_basis(cols, domain):
         col = list(col)
         for bcol, bpos, bcoef in basis:
             c = col[bpos]
-            if not c.is_zero():
-                f = c / bcoef
-                col = [a - f * b for a, b in zip(col, bcol)]
+            if c:
+                _add_multiple(col, -(c / bcoef), _nonzeros(bcol))
         u, _ = content(col)
-        col = [x.div_exact(u) for x in col]
+        col = [x.div_exact(u) if x else x for x in col]
         pos = next(i for i, x in enumerate(col) if x.is_unit())
         basis.append((col, pos, col[pos]))
     basis.sort(key=lambda b: b[1])
     for i in range(len(basis) - 1, -1, -1):
         col, pos, coef = basis[i]
-        col = [x.div_exact(coef) for x in col]
+        col = [x.div_exact(coef) if x else x for x in col]
         basis[i] = (col, pos, col[pos])
+        entries = _nonzeros(col)
         for j in range(len(basis)):
             if j == i:
                 continue
-            other, opos, ocoef = basis[j]
+            other, opos, _ = basis[j]
             c = other[pos]
-            if not c.is_zero():
-                other = [a - c * b for a, b in zip(other, col)]
+            if c:
+                _add_multiple(other, -c, entries)
                 basis[j] = (other, opos, other[opos])
     return [col for col, _, _ in basis]
+
+
+# ---------------------------------------------------------------------------
+# The K[X] layer: weak Popov form.
+
+def _weak_popov(S) -> list[PolyVec]:
+    """A weak Popov K[X]-basis of the K[X]-span of the nonzero vectors S.
+
+    The leading position of a nonzero vector is the last component of
+    maximal degree; a family is in weak Popov form when its leading
+    positions are pairwise distinct (Mulders & Storjohann, "On lattice
+    reduction for polynomial matrices", 2003).  Vectors are inserted one at
+    a time.  While the incoming vector a shares its leading position j with
+    a basis vector b, the one of higher degree (say a) takes the simple
+    transformation a <- a - (lc a_j / lc b_j) X^(deg a - deg b) b, which
+    lowers its degree or its leading position; a vector reduced to zero is
+    dropped.  Each step lowers one vector in a well-founded order, so the
+    loop ends, and every step is invertible over K[X], so the span is kept.
+    """
+    domain = S[0].domain
+    basis: dict[int, tuple[int, list]] = {}
+    for v in S:
+        a = list(v.comps)
+        while any(a):
+            d, j = _lead(a)
+            if j not in basis:
+                basis[j] = (d, a)
+                break
+            e, b = basis[j]
+            if e > d:
+                basis[j] = (d, a)
+                a, d, b, e = b, e, a, d
+            c = a[j][d] / b[j][e]
+            a = [_sub_shifted(domain, x, c, d - e, y) for x, y in zip(a, b)]
+    return [PolyVec(domain, b) for _, (_, b) in sorted(basis.items())]
+
+
+def _lead(comps) -> tuple[int, int]:
+    """Degree and leading position of a nonzero vector of trimmed polynomials."""
+    d = max(len(c) for c in comps) - 1
+    return d, max(i for i, c in enumerate(comps) if len(c) - 1 == d)
+
+
+def _sub_shifted(domain, a, c, k, b) -> tuple:
+    """a - c * X^k * b for trimmed coefficient tuples, skipping zeros of b."""
+    out = list(a) + [domain.zero] * (len(b) + k - len(a))
+    _add_multiple(out, -c, [(i + k, x) for i, x in _nonzeros(b)])
+    return _poly.trim(out)
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +283,7 @@ def brute_saturation(F, D: int) -> list[PolyVec]:
     cols = [_to_coords(f, positions) for f in F if not f.is_zero()]
     if not cols:
         return []
-    u_cols, _, diag = _smith_left(cols, domain)
-    canon = _canonical_basis(u_cols[: len(diag)], domain)
+    canon = _saturate(cols, domain)
     return [_from_coords(domain, n, positions, c) for c in canon]
 
 
@@ -222,11 +317,11 @@ def in_vx_span(generators, vectors, bound: int, max_extra: int = 10) -> bool:
     Realised through V-spans of bounded shift families: membership in the
     span of {X^r g : deg <= bound + extra} is an exact witness.  The bound
     is raised up to ``max_extra`` times because a V[X]-combination of total
-    degree <= bound may cancel through higher-degree shift terms; a miss at
-    every bound is reported as non-membership.
+    degree <= bound may cancel through higher-degree shift terms.  A vector
+    with no witness within ``bound + max_extra`` is still reported as not in
+    the span, although a witness of higher degree may exist: a False here is
+    not yet an exact verdict.
     """
-    from .polyvec import x_shifts
-
     gens = [g for g in generators if not g.is_zero()]
     vectors = list(vectors)
     if not vectors:
@@ -239,74 +334,38 @@ def in_vx_span(generators, vectors, bound: int, max_extra: int = 10) -> bool:
     return False
 
 
-def saturation_slice(S, D: int, max_extra: int = 24, patience: int = 3) -> list[PolyVec]:
+def saturation_slice(S, D: int) -> list[PolyVec]:
     """Canonical V-basis of Sat(V[X]-span(S)) on the degree-D slice.
 
-    The saturation of the V[X]-span of S is the K-span of all X-shifts of S
-    intersected with V[X]^n.  On a finite slice the K-span needs witnesses
-    of degree possibly above D (combinations whose high terms cancel), so
-    shifts up to D + extra are used and extra is raised until the
-    restricted K-span stops growing for ``patience`` consecutive steps;
-    the restriction is then intersected with the V-slice via the same
-    Smith-based route as ``brute_saturation``.
-    """
-    from .polyvec import x_shifts
+    The saturation of the V[X]-span of S is its K[X]-span intersected with
+    V[X]^n.  A degree-<=D element of the K[X]-span may need witnesses of
+    higher degree (combinations whose high terms cancel), so the slice is
+    not read off the shifts of S themselves.  Instead S is reduced once to
+    a weak Popov K[X]-basis b_1..b_k (``_weak_popov``).  Its leading
+    coefficient vectors are K-independent, which gives the
+    predictable-degree property deg(sum q_i b_i) = max(deg q_i + deg b_i):
+    an element of degree <= D has deg q_i <= D - deg b_i.  So the K-span of
+    the X^r b_i with r <= D - deg b_i is exactly the degree-<=D part of the
+    K[X]-span, and those vectors are K-independent.  Scaled into V, they go
+    through one Smith reduction, whose first rank-many U-columns span the
+    intersection with the V-slice, as in ``brute_saturation``.
 
+    Cost: the reduction makes at most |S| * n * (deg S + 1) simple
+    transformations of O(n * deg S) K-operations each; the Smith step works
+    on at most n(D+1) columns of length n(D+1).
+    """
     S = [v for v in S if not v.is_zero()]
     if not S:
         return []
     domain = S[0].domain
     n = S[0].n
-    inside = _slice_positions(n, D)
-    best: list | None = None
-    best_rank = -1
-    stable = 0
-    for extra in range(max_extra + 1):
-        top = D + extra
-        positions = _slice_positions(n, top)
-        fam = x_shifts(S, top)
-        cols = [_to_coords(f, positions) for f in fam]
-        outside_idx = [i for i, at in enumerate(positions) if at.exponent > D]
-        inside_idx = [i for i, at in enumerate(positions) if at.exponent <= D]
-        out_rows = [[col[i] for col in cols] for i in outside_idx]
-        if out_rows:
-            null = _nullspace_over_k(out_rows, domain)
-        else:
-            null = [[domain.one if i == j else domain.zero for i in range(len(cols))]
-                    for j in range(len(cols))]
-        restricted = []
-        for c in null:
-            w = []
-            for i in inside_idx:
-                acc = domain.zero
-                for col, cj in zip(cols, c):
-                    if not cj.is_zero():
-                        acc = acc + col[i] * cj
-                w.append(acc)
-            if any(not x.is_zero() for x in w):
-                restricted.append(w)
-        rank = _k_rank(restricted, domain)
-        if rank == best_rank:
-            stable += 1
-            if stable >= patience:
-                break
-        else:
-            best_rank = rank
-            best = restricted
-            stable = 0
-    if not best:
-        return []
-    scaled = [_scale_into_v(w, domain) for w in best]
-    u_cols, _, diag = _smith_left(scaled, domain)
-    canon = _canonical_basis(u_cols[: len(diag)], domain)
-    return [_from_coords(domain, n, inside, c) for c in canon]
-
-
-def _k_rank(cols, domain) -> int:
+    positions = _slice_positions(n, D)
+    cols = [_scale_into_v(_to_coords(f, positions), domain)
+            for f in x_shifts(_weak_popov(S), D)]
     if not cols:
-        return 0
-    rows = [[col[i] for col in cols] for i in range(len(cols[0]))]
-    return len(cols) - len(_nullspace_over_k(rows, domain))
+        return []
+    canon = _saturate(cols, domain)
+    return [_from_coords(domain, n, positions, c) for c in canon]
 
 
 def brute_syzygies(U, D: int) -> list[PolyVec]:
@@ -341,8 +400,7 @@ def brute_syzygies(U, D: int) -> list[PolyVec]:
     if not nullspace:
         return []
     scaled = [_scale_into_v(vec, domain) for vec in nullspace]
-    u_cols, _, diag = _smith_left(scaled, domain)
-    canon = _canonical_basis(u_cols[: len(diag)], domain)
+    canon = _saturate(scaled, domain)
     return [_from_coords(domain, n, positions, c) for c in canon]
 
 
@@ -356,20 +414,21 @@ def _nullspace_over_k(rows, domain):
     for j in range(s):
         pr = None
         for i in range(rank, m):
-            if not work[i][j].is_zero():
+            if work[i][j]:
                 pr = i
                 break
         if pr is None:
             continue
         work[rank], work[pr] = work[pr], work[rank]
         inv = work[rank][j]
-        work[rank] = [x / inv for x in work[rank]]
+        work[rank] = [x / inv if x else x for x in work[rank]]
+        pivot_entries = _nonzeros(work[rank])
         for i in range(m):
             if i == rank:
                 continue
             c = work[i][j]
-            if not c.is_zero():
-                work[i] = [a - c * b for a, b in zip(work[i], work[rank])]
+            if c:
+                _add_multiple(work[i], -c, pivot_entries)
         pivot_of_col[j] = rank
         rank += 1
     zero, one = domain.zero, domain.one
@@ -400,4 +459,4 @@ def _scale_into_v(coords, domain):
     step = pi if m < 0 else domain.one / pi
     for _ in range(abs(m)):
         alpha = alpha * step
-    return [c * alpha for c in coords]
+    return [c * alpha if c else c for c in coords]

@@ -12,7 +12,8 @@ of a monomial ``c*X^e`` is built as ``c^n*X^(e*n)`` with scalar products
 only, and a product with a monomial factor is a shift of the other factor,
 scaled at its nonzero entries; only a product of two polynomials that are
 not monomials, such as ``(X+1)*(X-1)`` or ``(X+1)^3``, uses dense
-multiplication.  Sums add coefficientwise through ``_poly.add``.
+multiplication.  Sums cost O(terms) field additions as well: ``_poly.add``
+skips the zero coefficients of a shifted term such as ``(c)*X^k``.
 """
 
 from __future__ import annotations

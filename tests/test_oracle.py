@@ -2,12 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from valsat import oracle
 from valsat.echelon import saturate_free
 from valsat.errors import DegreeExceeded
-from valsat.polyvec import PolyVec, zero_vec
-from valsat.valuation import RationalFunctionsAtZero, Zp
+from valsat.polyvec import PivotIndex, PolyVec, x_shifts, zero_vec
+from valsat.valuation import RationalFunctionsAtZero, TrivialField, Zp
 
 Z2 = Zp(2)
 
@@ -138,3 +139,144 @@ def test_in_v_span_edges():
     assert not oracle.in_v_span([], [vec(Z2, [1], [0])])
     assert oracle.in_v_span([vec(Z2, [2], [0])], [vec(Z2, [4], [0])])
     assert not oracle.in_v_span([vec(Z2, [2], [0])], [vec(Z2, [1], [0])])
+
+
+@pytest.mark.parametrize("d", [Z2, TrivialField("q"), RationalFunctionsAtZero("fp", 3)])
+def test_in_v_span_outside_the_k_span(d):
+    one = [d.one]
+    assert not oracle.in_v_span([PolyVec(d, [one, []])], [PolyVec(d, [[], one])])
+    cols = [PolyVec(d, [one, one]), PolyVec(d, [[d.zero, d.one], [d.zero, d.one]])]
+    assert not oracle.in_v_span(cols, [PolyVec(d, [one, []])])
+    assert oracle.in_v_span(cols, [PolyVec(d, [[d.one, d.one], [d.one, d.one]])])
+
+
+def test_saturation_slice_sees_witnesses_of_high_degree():
+    # (X^8 + 2, 1) - (X^8, 1) = (2, 0), so the K[X]-span is all of K[X]^2,
+    # but (0, 1) needs X^8-shifts: every witness of degree <= 4 has degree 16.
+    S = [vec(Z2, [0] * 8 + [1], [1]), vec(Z2, [2] + [0] * 7 + [1], [1])]
+    out = oracle.saturation_slice(S, 4)
+    units = [[0] * r + [1] for r in range(5)]
+    assert out == [vec(Z2, e, []) for e in units] + [vec(Z2, [], e) for e in units]
+
+
+# ---------------------------------------------------------------------------
+# Properties over all five domain kinds.
+
+KINDS = [
+    Z2,
+    TrivialField("q"),
+    TrivialField("fp", 5),
+    RationalFunctionsAtZero("q"),
+    RationalFunctionsAtZero("fp", 3),
+]
+PROPERTY = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@st.composite
+def _families(draw, max_len=3, max_deg=2):
+    """A family of 1..max_len nonzero vectors of width 1..2 over one of KINDS.
+
+    Coefficients carry uniformizer factors, so saturation has work to do.
+    """
+    d = draw(st.sampled_from(KINDS))
+    small = st.integers(-3, 3)
+    if isinstance(d, RationalFunctionsAtZero):
+        base = st.builds(lambda num, d0: d.element((num, [d0, 1])),
+                         st.lists(small, max_size=2), st.sampled_from((1, 2)))
+    else:
+        base = st.builds(lambda a, b: d.element(Fraction(a, b)), small, st.sampled_from((1, 7)))
+    coeff = st.builds(lambda c, k: c * _uniformizer_power(d, k), base, st.integers(0, 2))
+    n = draw(st.integers(1, 2))
+    family = [
+        PolyVec(d, [draw(st.lists(coeff, max_size=max_deg + 1)) for _ in range(n)])
+        for _ in range(draw(st.integers(1, max_len)))
+    ]
+    family = [v for v in family if not v.is_zero()]
+    assume(family)
+    return family
+
+
+def _uniformizer_power(d, k):
+    """pi^k for an integer k, with pi = 1 for a trivially valued field."""
+    pi = d.uniformizer() or d.one
+    out = d.one
+    for _ in range(abs(k)):
+        out = out * pi if k > 0 else out / pi
+    return out
+
+
+def _into_v(coords, d):
+    """coords scaled by a power of the uniformizer so that they lie in V."""
+    low = min((c.valuation() for c in coords if c), default=0)
+    return [c * _uniformizer_power(d, -low) for c in coords] if low < 0 else coords
+
+
+def shift_family_slice(S, D, E):
+    """The degree-D slice as seen through the shifts of S of degree <= D + E.
+
+    The K-span of those shifts is cut down to degree <= D by echelon
+    elimination over K with every exponent above D placed first, so the
+    echelon vectors pivoting at an exponent <= D span the cut; the cut is
+    then saturated in V by ``brute_saturation``.
+    """
+    d, n = S[0].domain, S[0].n
+    order = [PivotIndex(j, r) for r in range(D + E, -1, -1) for j in range(1, n + 1)]
+    rows = []
+    for f in x_shifts(S, D + E):
+        c = [f.coord(at) for at in order]
+        for piv, b in sorted(rows, key=lambda row: row[0]):
+            if c[piv]:
+                q = c[piv] / b[piv]
+                c = [x - q * y for x, y in zip(c, b)]
+        piv = next((i for i, x in enumerate(c) if x), None)
+        if piv is not None:
+            rows.append((piv, c))
+    low = []
+    for piv, c in rows:
+        if order[piv].exponent <= D:
+            comps = [[d.zero] * (D + 1) for _ in range(n)]
+            for (j, r), x in zip(order, _into_v(c, d)):
+                if r <= D:
+                    comps[j - 1][r] = x
+            low.append(PolyVec(d, comps))
+    return oracle.brute_saturation(low, D) if low else []
+
+
+@PROPERTY
+@given(_families(), st.integers(0, 2))
+def test_saturation_slice_matches_shift_families(S, D):
+    new = oracle.saturation_slice(S, D)
+    # Cofactor-degree bound.  Let rho = rank S <= min(n, |S|) and d = deg S.
+    # Keep rho rows of S of full rank: p solves sum p_j s_j = w on them iff
+    # on all rows.  Pick a nonsingular rho x rho block B of those rows, with
+    # deg det B <= rho*d.  Reducing the other cofactors mod det B keeps a
+    # solution polynomial and leaves them of degree < rho*d; Cramer's rule on
+    # B gives the rest degree <= max(D + (rho-1)*d, 2*rho*d - 1).  So every
+    # w of degree <= D has a witness with deg(p_j s_j) <= D + (2*rho + 1)*d.
+    n, d = S[0].n, max(v.degree() for v in S)
+    big = (2 * min(n, len(S)) + 1) * d
+    # Witnesses from finitely many shifts are K[X]-combinations, so every
+    # restricted slice lies inside the exact one ...
+    for E in range(big):
+        assert oracle.in_v_span(new, shift_family_slice(S, D, E))
+    # ... and by the bound the widest one is the exact one.
+    assert shift_family_slice(S, D, big) == new
+
+
+@PROPERTY
+@given(_families())
+def test_weak_popov_leading_positions_are_distinct(S):
+    basis = oracle._weak_popov(S)
+    leads = [oracle._lead(b.comps)[1] for b in basis]
+    assert len(set(leads)) == len(leads) <= S[0].n
+
+
+@PROPERTY
+@given(_families(max_len=4, max_deg=1))
+def test_brute_saturation_matches_saturate_free_all_kinds(F):
+    D = max(max(f.degree() for f in F), 0)
+    out = oracle.brute_saturation(F, D)
+    assert oracle.spans_equal(list(saturate_free(F)), out)
+    assert oracle.brute_saturation(out, D) == out
