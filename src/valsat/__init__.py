@@ -1,30 +1,24 @@
 """Exact saturation and syzygy computation for modules over valuation domains."""
 
 from .valuation import (
-    Divisibility,
     Domain,
     DomainElement,
-    DomainSpec,
     RationalFunctionsAtZero,
     TrivialField,
     Zp,
     content,
-    decide_divisibility,
-    make_domain,
 )
 from .polyvec import PivotIndex, Pivot, PolyVec, family_degree, red_prim
-from .echelon import EchelonBasis, echelon_insert, gauss_eliminate, member, saturate_free
+from .echelon import EchelonBasis, echelon_insert, gauss_eliminate, saturate_free
 from .vxsat import IterationRecord, SaturationResult, counters, defect, saturate_vx
-from .syzygy import KPolyMatrix, kernel_kx, primitive_scale, scaled_kernel, syzygy_vx
+from .syzygy import kernel_kx, primitive_scale, scaled_kernel, syzygy_vx
 from . import errors, oracle
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Divisibility",
     "Domain",
     "DomainElement",
-    "DomainSpec",
     "EchelonBasis",
     "IterationRecord",
     "Pivot",
@@ -36,16 +30,12 @@ __all__ = [
     "Zp",
     "content",
     "counters",
-    "decide_divisibility",
     "defect",
     "echelon_insert",
     "errors",
     "family_degree",
     "gauss_eliminate",
-    "KPolyMatrix",
     "kernel_kx",
-    "make_domain",
-    "member",
     "oracle",
     "primitive_scale",
     "red_prim",

@@ -2,8 +2,9 @@
 
 Reads an instance file (header plus one vector per line), runs one of the
 three pipelines and emits results, traces and pivot diagrams.  Exit status:
-0 on success, 1 on input errors, 2 when --verify finds a mismatch between
-the algorithm and the brute-force oracle.
+0 on success, 1 on input errors (including a file that is not UTF-8 text),
+2 when --verify finds a mismatch between the algorithm and the brute-force
+oracle, 3 when an explicit round cap (``max-iter`` or --max-iter) is hit.
 """
 
 from __future__ import annotations
@@ -14,17 +15,11 @@ from pathlib import Path
 
 from . import oracle
 from .echelon import EchelonBasis, saturate_free
-from .errors import EmptyInput, ParseError, ValsatError
+from .errors import EmptyInput, IterationCapExceeded, ParseError, ValsatError
 from .polyvec import family_degree, x_shifts
 from .syzygy import apply_columns, scaled_kernel
-from .textio import (
-    InstanceFile,
-    TASKS,
-    parse_domain_tag,
-    parse_instance,
-    render_vector,
-)
-from .valuation import describe_domain
+from .textio import InstanceFile, TASKS, parse_instance, render_vector
+from .valuation import parse_domain_tag
 from .vxsat import SaturationResult, saturate_vx
 
 TRACE_HEADER = "k,N_k,r_k,n_k,u_k,delta_k,Delta_k"
@@ -88,7 +83,7 @@ def _parser() -> argparse.ArgumentParser:
     ap.add_argument("--degree-bound", type=int, metavar="D",
                     help="slice bound used by --verify")
     ap.add_argument("--max-iter", type=int, metavar="N",
-                    help="cap on saturation rounds (default 64)")
+                    help="cap on saturation rounds, exit status 3 when hit (default: none)")
     ap.add_argument("--out", metavar="DIR",
                     help="write result/trace/diagram files instead of stdout")
     ap.add_argument("--diagram", action="store_true",
@@ -102,6 +97,9 @@ def main(argv=None) -> int:
         text = Path(args.instance).read_text(encoding="utf-8")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.instance} is not UTF-8 text: {exc}", file=sys.stderr)
         return 1
     try:
         if args.domain:
@@ -127,7 +125,7 @@ def main(argv=None) -> int:
         return _run(inst, args)
     except ValsatError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 3 if isinstance(exc, IterationCapExceeded) else 1
 
 
 def _replace_domain(text: str, tag: str) -> str:
@@ -145,8 +143,7 @@ def _replace_domain(text: str, tag: str) -> str:
 
 
 def _run(inst: InstanceFile, args) -> int:
-    out_lines = [f"# task: {inst.task}", f"# domain: {describe_domain(inst.domain)}"]
-    max_iter = 64 if inst.max_iter is None else inst.max_iter
+    out_lines = [f"# task: {inst.task}", f"# domain: {inst.domain.tag}"]
     diagram = None
     csv = None
     verified = None
@@ -166,7 +163,7 @@ def _run(inst: InstanceFile, args) -> int:
             reference = oracle.brute_saturation(inst.vectors, bound)
             verified = oracle.spans_equal(list(G), reference)
     elif inst.task == "saturate-vx":
-        res = saturate_vx(inst.vectors, max_iter)
+        res = saturate_vx(inst.vectors, inst.max_iter)
         out_lines.append(f"# d: {res.degree}, rounds: {res.trace[-1].k}, "
                          f"basis: {len(res.basis)}, generators: {len(res.generators)}")
         out_lines.extend(render_vector(v) for v in res.generators)
@@ -179,7 +176,7 @@ def _run(inst: InstanceFile, args) -> int:
         out_lines.append(f"# kernel generators: {len(s_list)}")
         out_lines.extend(f"# s: {render_vector(s)}" for s in s_list)
         if s_list:
-            res = saturate_vx(s_list, max_iter)
+            res = saturate_vx(s_list, inst.max_iter)
             out_lines.append(f"# d: {res.degree}, rounds: {res.trace[-1].k}, "
                              f"generators: {len(res.generators)}")
             out_lines.extend(render_vector(v) for v in res.generators)

@@ -10,11 +10,8 @@ column span.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .errors import ZeroVector
 from .polyvec import Pivot, PolyVec, red_prim
-from .valuation import DomainElement
 
 
 class EchelonBasis:
@@ -80,7 +77,8 @@ def gauss_eliminate(C: PolyVec, L: EchelonBasis) -> PolyVec:
 
     Each step subtracts (c_s / cpiv) times the corresponding column; the
     quotient lies in V because pivot coefficients are units.  The result is
-    congruent to C modulo the V-span of L.
+    congruent to C modulo the V-span of L; elimination stops as soon as it
+    is zero.
     """
     v = C
     for col, (at, cpiv) in zip(L.columns, L.pivots):
@@ -88,6 +86,8 @@ def gauss_eliminate(C: PolyVec, L: EchelonBasis) -> PolyVec:
         if c.is_zero():
             continue
         v = v.sub_scaled(col, c / cpiv)
+        if v.is_zero():
+            break
     return v
 
 
@@ -104,14 +104,9 @@ def echelon_insert(
     """
     if v0.is_zero():
         raise ZeroVector("cannot insert the zero vector")
-    v = v0
-    for col, (at, cpiv) in zip(L.columns, L.pivots):
-        c = v.coord(at)
-        if c.is_zero():
-            continue
-        v = v.sub_scaled(col, c / cpiv)
-        if v.is_zero():
-            return v, False, L
+    v = gauss_eliminate(v0, L)
+    if v.is_zero():
+        return v, False, L
     v, c = red_prim(v)
     return v, not c.is_unit(), EchelonBasis._appended(L, v, v.piv())
 
@@ -133,23 +128,3 @@ def saturate_free(F) -> EchelonBasis:
     for v in F:
         engine.insert_vector(v)
     return engine.export_basis()
-
-
-def member(L: EchelonBasis, v: PolyVec) -> Optional[list[DomainElement]]:
-    """Coefficients of v on the basis L, or None when v is outside its span.
-
-    Successive pivot elimination: the coefficient on each column is read off
-    at its pivot (the cofactor must lie in V) and the scaled column is
-    subtracted; membership requires an exactly zero residual.
-    """
-    coeffs = []
-    for col, (at, cpiv) in zip(L.columns, L.pivots):
-        c = v.coord(at) / cpiv
-        if not c.in_domain:
-            return None
-        coeffs.append(c)
-        if not c.is_zero():
-            v = v.sub_scaled(col, c)
-    if not v.is_zero():
-        return None
-    return coeffs

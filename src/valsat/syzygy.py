@@ -14,8 +14,6 @@ vector is a tuple of n such polynomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import _poly
 from .errors import ZeroVector
 from .polyvec import PolyVec
@@ -26,42 +24,8 @@ from .echelon import EchelonBasis
 XPoly = tuple[DomainElement, ...]
 
 
-# ---------------------------------------------------------------------------
-# The k-by-n matrix over K[X].
-
-@dataclass(frozen=True)
-class KPolyMatrix:
-    """Row-major matrix of K[X] entries, columns u_1..u_n of V[X]^k."""
-
-    domain: Domain
-    rows: int
-    cols: int
-    entries: tuple[tuple[XPoly, ...], ...]
-
-    @classmethod
-    def from_columns(cls, vecs: list[PolyVec]) -> "KPolyMatrix":
-        domain = vecs[0].domain
-        k = vecs[0].n
-        entries = tuple(
-            tuple(v.comps[i] for v in vecs) for i in range(k)
-        )
-        return cls(domain, k, len(vecs), entries)
-
-    @classmethod
-    def from_raw(cls, domain: Domain, rows) -> "KPolyMatrix":
-        """Rows of coefficient lists; coefficients may be any exact rationals."""
-        entries = tuple(
-            tuple(_poly.trim(domain.k_element(c) for c in e) for e in row)
-            for row in rows
-        )
-        return cls(domain, len(entries), len(entries[0]) if entries else 0, entries)
-
-    def column(self, j: int) -> list[XPoly]:
-        return [self.entries[i][j] for i in range(self.rows)]
-
-
-def kernel_kx(U: KPolyMatrix) -> list[tuple[XPoly, ...]]:
-    """K[X]-basis of {f in K[X]^n : U f = 0}.
+def kernel_kx(U: list[PolyVec]) -> list[tuple[XPoly, ...]]:
+    """K[X]-basis of {f in K[X]^n : sum_j f_j u_j = 0} for the columns u_j of U.
 
     Column reduction of U stacked on the n-by-n identity: within each row,
     repeatedly clear all but the minimal-degree nonzero entry by polynomial
@@ -71,11 +35,11 @@ def kernel_kx(U: KPolyMatrix) -> list[tuple[XPoly, ...]]:
     factor of a column of T would divide the unit det T, so no generator
     needs a gcd strip; each is scaled so its first nonzero coefficient is 1.
     """
-    domain, k, n = U.domain, U.rows, U.cols
+    domain, k, n = U[0].domain, U[0].n, len(U)
     one = domain.one
     cols = [
-        U.column(j) + [(one,) if i == j else () for i in range(n)]
-        for j in range(n)
+        list(u.comps) + [(one,) if i == j else () for i in range(n)]
+        for j, u in enumerate(U)
     ]
     active = list(range(n))
     for row in range(k):
@@ -161,17 +125,16 @@ def scaled_kernel(U: list[PolyVec]) -> list[PolyVec]:
     if not U:
         return []
     domain = U[0].domain
-    return [
-        primitive_scale(g, domain) for g in kernel_kx(KPolyMatrix.from_columns(U))
-    ]
+    return [primitive_scale(g, domain) for g in kernel_kx(U)]
 
 
-def syzygy_vx(U: list[PolyVec], max_iter: int = 64) -> SaturationResult:
+def syzygy_vx(U: list[PolyVec], max_iter: int | None = None) -> SaturationResult:
     """Finite V[X]-generating set of the syzygy module of u_1..u_n.
 
     Composes kernel_kx, primitive_scale and saturate_vx; the generator list
     of the result spans {f in V[X]^n : sum_j f_j u_j = 0} over V[X].  An
-    injective matrix yields the empty result.
+    injective matrix yields the empty result.  ``max_iter`` is the optional
+    round cap of ``saturate_vx``.
     """
     S = scaled_kernel(U)
     if not S:

@@ -24,13 +24,7 @@ from dataclasses import dataclass
 from . import _poly
 from .errors import NotInDomain, ParseError
 from .polyvec import PolyVec
-from .valuation import (
-    Domain,
-    RationalFunctionsAtZero,
-    TrivialField,
-    Zp,
-    describe_domain,
-)
+from .valuation import Domain, RationalFunctionsAtZero, parse_domain_tag
 
 # A token, or (group 2) any other non-space character, which is an error.
 _TOKEN_RE = re.compile(r"(\d+|[Xt^*/()+-])|(\S)")
@@ -241,26 +235,7 @@ def render_vector(v: PolyVec) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Domain tags and instance files.
-
-def parse_domain_tag(tag: str) -> Domain:
-    """CLI-style tags: zp:<p>, rft0:q, rft0:<p>, field:q, field:<p>."""
-    kind, sep, arg = tag.partition(":")
-    if not sep:
-        raise ParseError(f"malformed domain tag {tag!r}")
-    if kind == "zp":
-        if not arg.isdigit():
-            raise ParseError(f"zp wants a prime, got {arg!r}")
-        return Zp(int(arg))
-    if kind in ("rft0", "field"):
-        cls = RationalFunctionsAtZero if kind == "rft0" else TrivialField
-        if arg == "q":
-            return cls("q")
-        if arg.isdigit():
-            return cls("fp", int(arg))
-        raise ParseError(f"{kind} wants 'q' or a prime, got {arg!r}")
-    raise ParseError(f"unknown domain kind {kind!r}")
-
+# Instance files.
 
 TASKS = ("saturate-free", "saturate-vx", "syzygy")
 
@@ -332,7 +307,7 @@ def parse_instance(text: str) -> InstanceFile:
 
 
 def render_instance(inst: InstanceFile) -> str:
-    lines = [f"domain: {describe_domain(inst.domain)}", f"task: {inst.task}"]
+    lines = [f"domain: {inst.domain.tag}", f"task: {inst.task}"]
     if inst.max_iter is not None:
         lines.append(f"max-iter: {inst.max_iter}")
     if inst.degree_bound is not None:

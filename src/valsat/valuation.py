@@ -24,12 +24,11 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _poly
 from ._poly import gcd as _pgcd  # a module global, hooked by perfbench/tracing.py
-from .errors import AllZero, NotDivisible, NotInDomain, NotPrime
+from .errors import AllZero, NotDivisible, NotInDomain, NotPrime, ParseError
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -250,7 +249,7 @@ class FieldElement(DomainElement):
         return str(self.value)
 
     def __repr__(self):
-        return f"FieldElement({self.domain.spec.base}, {self.value})"
+        return f"FieldElement({self.domain.field.name}, {self.value})"
 
 
 class RatFuncElement(DomainElement):
@@ -340,44 +339,24 @@ class RatFuncElement(DomainElement):
 
 
 # ---------------------------------------------------------------------------
-# Domain specifications and the three shipped instances.
+# The three shipped instances.  A domain is identified by its tag, e.g.
+# ``zp:3``, ``rft0:q`` or ``field:5``; ``parse_domain_tag`` reads it back.
 
-KIND_ZP = "zp"
-KIND_RFT0 = "rational-function-at-zero"
-KIND_FIELD = "trivial-field"
+def _check_prime(p) -> None:
+    if not isinstance(p, int) or not is_prime(p):
+        raise NotPrime(f"{p!r} is not prime")
 
 
-@dataclass(frozen=True)
-class DomainSpec:
-    """Description of a shipped domain instance.
-
-    ``kind`` is one of ``zp``, ``rational-function-at-zero``,
-    ``trivial-field``; ``p`` is the prime for zp and for F_p base fields;
-    ``base`` is ``"q"`` or ``"fp"`` for the two non-zp kinds.
-    """
-
-    kind: str
-    p: int | None = None
-    base: str | None = None
-
-    def __post_init__(self):
-        if self.kind == KIND_ZP:
-            if self.base is not None:
-                raise NotPrime("zp takes no base field")
-            self._check_p()
-        elif self.kind in (KIND_RFT0, KIND_FIELD):
-            if self.base not in ("q", "fp"):
-                raise NotPrime(f"base must be 'q' or 'fp', got {self.base!r}")
-            if self.base == "fp":
-                self._check_p()
-            elif self.p is not None:
-                raise NotPrime("base 'q' takes no prime")
-        else:
-            raise NotPrime(f"unknown domain kind {self.kind!r}")
-
-    def _check_p(self):
-        if not isinstance(self.p, int) or not is_prime(self.p):
-            raise NotPrime(f"{self.p!r} is not prime")
+def _base_field(base: str, p: int | None):
+    """The checked base field Q (``base == "q"``) or F_p (``"fp"``)."""
+    if base == "q":
+        if p is not None:
+            raise NotPrime("base 'q' takes no prime")
+        return _QQ()
+    if base == "fp":
+        _check_prime(p)
+        return _GFp(p)
+    raise NotPrime(f"base must be 'q' or 'fp', got {base!r}")
 
 
 class Domain:
@@ -387,7 +366,7 @@ class Domain:
     ``zero``/``one`` it provides that module's field operations.
     """
 
-    spec: DomainSpec
+    tag: str
 
     add = staticmethod(operator.add)
     sub = staticmethod(operator.sub)
@@ -425,21 +404,22 @@ class Domain:
         return None
 
     def __eq__(self, other):
-        return isinstance(other, Domain) and self.spec == other.spec
+        return isinstance(other, Domain) and self.tag == other.tag
 
     def __hash__(self):
-        return hash(self.spec)
+        return hash(self.tag)
 
     def __repr__(self):
-        return f"<domain {describe_domain(self)}>"
+        return f"<domain {self.tag}>"
 
 
 class Zp(Domain):
     """Rationals of nonnegative p-adic valuation."""
 
     def __init__(self, p: int):
-        self.spec = DomainSpec(KIND_ZP, p=p)
+        _check_prime(p)
         self.p = p
+        self.tag = f"zp:{p}"
 
     def k_element(self, raw):
         if isinstance(raw, ZpElement):
@@ -460,8 +440,8 @@ class RationalFunctionsAtZero(Domain):
     """Rational functions in t over Q or F_p that are regular at t = 0."""
 
     def __init__(self, base: str = "q", p: int | None = None):
-        self.spec = DomainSpec(KIND_RFT0, p=p, base=base)
-        self.field = _QQ() if base == "q" else _GFp(p)
+        self.field = _base_field(base, p)
+        self.tag = f"rft0:{p or 'q'}"
 
     def k_element(self, raw):
         if isinstance(raw, RatFuncElement):
@@ -491,8 +471,8 @@ class TrivialField(Domain):
     """Q or F_p carrying the trivial valuation."""
 
     def __init__(self, base: str = "q", p: int | None = None):
-        self.spec = DomainSpec(KIND_FIELD, p=p, base=base)
-        self.field = _QQ() if base == "q" else _GFp(p)
+        self.field = _base_field(base, p)
+        self.tag = f"field:{p or 'q'}"
 
     def k_element(self, raw):
         if isinstance(raw, FieldElement):
@@ -503,63 +483,26 @@ class TrivialField(Domain):
 
     @property
     def packing_prime(self):
-        return 0 if self.spec.base == "q" else None
+        return 0 if self.field.name == "q" else None
 
 
-def make_domain(spec: DomainSpec) -> Domain:
-    if spec.kind == KIND_ZP:
-        return Zp(spec.p)
-    if spec.kind == KIND_RFT0:
-        return RationalFunctionsAtZero(spec.base, spec.p)
-    return TrivialField(spec.base, spec.p)
-
-
-def describe_domain(domain: Domain) -> str:
-    """Short CLI-style tag, e.g. ``zp:3`` or ``rft0:q`` or ``field:5``."""
-    spec = domain.spec
-    if spec.kind == KIND_ZP:
-        return f"zp:{spec.p}"
-    tag = "rft0" if spec.kind == KIND_RFT0 else "field"
-    return f"{tag}:q" if spec.base == "q" else f"{tag}:{spec.p}"
-
-
-# ---------------------------------------------------------------------------
-# The Context 1.4 decision procedures.
-
-@dataclass(frozen=True)
-class Divisibility:
-    """Outcome of the divisibility decision for a pair (a, b).
-
-    ``b_over_a`` is x with b = x*a whenever a divides b, and symmetrically
-    for ``a_over_b``.  Both cofactors are present (and are units) exactly
-    when a and b are associates.
-    """
-
-    a_divides_b: bool
-    b_divides_a: bool
-    b_over_a: DomainElement | None
-    a_over_b: DomainElement | None
-
-
-def decide_divisibility(a: DomainElement, b: DomainElement) -> Divisibility:
-    """Decide which of a | b and b | a holds, with explicit cofactors.
-
-    Total by the valuation-domain axiom.  Convention: every element divides
-    zero, and zero divides only zero.
-    """
-    if a.is_zero() and b.is_zero():
-        one = a.domain.one
-        return Divisibility(True, True, one, one)
-    if a.is_zero():
-        return Divisibility(False, True, None, a.domain.zero)
-    if b.is_zero():
-        return Divisibility(True, False, a.domain.zero, None)
-    va, vb = a.valuation(), b.valuation()
-    if va < vb:
-        return Divisibility(True, False, b / a, None)
-    if vb < va:
-        return Divisibility(False, True, None, a / b)
-    return Divisibility(True, True, b / a, a / b)
+def parse_domain_tag(tag: str) -> Domain:
+    """The domain of a tag: zp:<p>, rft0:q, rft0:<p>, field:q or field:<p>."""
+    kind, sep, arg = tag.partition(":")
+    if not sep:
+        raise ParseError(f"malformed domain tag {tag!r}")
+    if kind == "zp":
+        if not arg.isdigit():
+            raise ParseError(f"zp wants a prime, got {arg!r}")
+        return Zp(int(arg))
+    if kind in ("rft0", "field"):
+        cls = RationalFunctionsAtZero if kind == "rft0" else TrivialField
+        if arg == "q":
+            return cls("q")
+        if arg.isdigit():
+            return cls("fp", int(arg))
+        raise ParseError(f"{kind} wants 'q' or a prime, got {arg!r}")
+    raise ParseError(f"unknown domain kind {kind!r}")
 
 
 def content(coeffs) -> tuple[DomainElement, int]:

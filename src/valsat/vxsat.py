@@ -9,8 +9,8 @@ every later column whose insertion divided by a non-unit content.  At
 termination the V[X]-span of B is the V-saturation of M.
 
 Every round is recorded as an ``IterationRecord``; the counters drive both
-the termination argument (the defect is nonincreasing and reaches 0) and the
-diagnostic diagrams emitted by the CLI.
+the termination argument (see ``saturate_vx``) and the diagnostic diagrams
+emitted by the CLI.
 """
 
 from __future__ import annotations
@@ -92,15 +92,34 @@ def counters(pivots, basis_size: int, d: int, k: int) -> IterationRecord:
     )
 
 
-def saturate_vx(S, max_iter: int = 64) -> SaturationResult:
+def saturate_vx(S, max_iter: int | None = None) -> SaturationResult:
     """Compute V[X]-generators of the V-saturation of the span of S.
 
     Zero vectors in S are dropped; EmptyInput is raised when nothing is
-    left.  Termination is guaranteed (the defect sequence is nonincreasing
-    and reaches 0), so the cap only turns implementation bugs into a
-    diagnosable IterationCapExceeded.
+    left.  ``max_iter`` is an optional cap on the number of rounds, raising
+    IterationCapExceeded when hit; by default there is none, because the
+    loop provably ends.
+
+    Termination.  For round k write n_k, delta_k and Delta_k for the index
+    count, defect and slack of its ``IterationRecord``, N_k for the number
+    of new columns and r_k for the basis size.  Then delta_k = N_k - n_k,
+    r_k = r_{k-1} + N_k and Delta_k = n_k (1 + d + k) - r_k, so that
+
+        Delta_k = Delta_{k-1} + (n_k - n_{k-1}) (d + k) - delta_k.
+
+    After every round two facts are checked, and RuntimeError is raised if
+    either fails: n_k >= n_{k-1} (the pivot indexes of the new columns are
+    those of the whole basis, which only grows) and Delta_k >= 0 (the r_k
+    pivots are distinct cells among n_k indexes times 1 + d + k exponents).
+    Round k + 1 runs only when delta_k >= 1.  Then either n_k > n_{k-1}, or
+    n_k = n_{k-1} and Delta_k = Delta_{k-1} - delta_k < Delta_{k-1}.  So
+    with every round after which the loop goes on, the pair of nonnegative
+    integers (n - n_k, Delta_k), n >= n_k the vector width, falls strictly
+    in lexicographic order, and the loop ends after finitely many rounds:
+    at most n - n_0 rounds raise the index count, and after round k at most
+    Delta_k + 1 rounds run that keep it at n_k.
     """
-    if max_iter < 1:
+    if max_iter is not None and max_iter < 1:
         raise InvalidIterationCap(f"max_iter must be at least 1, got {max_iter}")
     vectors = [v for v in S if not v.is_zero()]
     if not vectors:
@@ -109,7 +128,7 @@ def saturate_vx(S, max_iter: int = 64) -> SaturationResult:
     return _run(engine, vectors, max_iter)
 
 
-def _run(engine, vectors, max_iter: int) -> SaturationResult:
+def _run(engine, vectors, max_iter: int | None) -> SaturationResult:
     d = family_degree(vectors)
     for v in vectors:
         engine.insert_vector(v)
@@ -117,19 +136,14 @@ def _run(engine, vectors, max_iter: int) -> SaturationResult:
     survivors = len(engine)
     trace = [counters([engine.pivot(i) for i in range(len(engine))],
                       len(engine), d, 0)]
-    k = 0
-    while True:
-        start = len(engine) - survivors
-        h_range = range(start, len(engine))
-        h_pivots = [engine.pivot(i) for i in h_range]
-        if _defect_from_pivots(h_pivots) == 0:
-            break
-        k += 1
-        if k > max_iter:
+    while trace[-1].defect:
+        prev = trace[-1]
+        k = prev.k + 1
+        if max_iter is not None and k > max_iter:
             raise IterationCapExceeded(
-                f"defect still {_defect_from_pivots(h_pivots)} after "
-                f"{max_iter} rounds"
+                f"defect still {prev.defect} after {max_iter} rounds"
             )
+        h_range = range(len(engine) - survivors, len(engine))
         survivors = 0
         for i in h_range:
             survived, is_new = engine.insert_shift_of(i)
@@ -145,7 +159,13 @@ def _run(engine, vectors, max_iter: int) -> SaturationResult:
             {j for j, _ in new_pivots}
             == {engine.pivot(i)[0] for i in range(len(engine))}
         )
-        trace.append(counters(new_pivots, len(engine), d, k))
+        rec = counters(new_pivots, len(engine), d, k)
+        if rec.index_count < prev.index_count or rec.slack < 0:
+            raise RuntimeError(
+                f"round {k} breaks the termination invariants: index count "
+                f"{prev.index_count} -> {rec.index_count}, slack {rec.slack}"
+            )
+        trace.append(rec)
     basis = engine.export_basis()
     return SaturationResult(
         basis=basis,

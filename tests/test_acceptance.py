@@ -205,7 +205,6 @@ def test_c6_elimination_preserves_fresh_pivots():
 
 def test_c7_kernel_rank_check():
     from valsat._poly import add, mul, trim
-    from valsat.syzygy import KPolyMatrix
 
     with criterion("C7 kernel-rank-check", budget=120.0):
         rng = random.Random(707)
@@ -217,14 +216,15 @@ def test_c7_kernel_rank_check():
                  for _ in range(n)]
                 for _ in range(k)
             ]
-            U = KPolyMatrix.from_raw(Z2, rows)
+            U = [PolyVec(Z2, [[Z2.k_element(c) for c in row[j]] for row in rows])
+                 for j in range(n)]
             basis = kernel_kx(U)
             assert len(basis) == n - _rank_bareiss(rows)
             for s in basis:
                 for i in range(k):
                     acc = ()
                     for j in range(n):
-                        acc = add(Z2, acc, mul(Z2, U.entries[i][j], trim(s[j])))
+                        acc = add(Z2, acc, mul(Z2, U[j].comps[i], trim(s[j])))
                     assert acc == ()
 
 

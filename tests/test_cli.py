@@ -169,3 +169,30 @@ def test_bad_round_cap_or_degree_bound_is_input_error(tmp_path, capsys, header, 
     assert main([path, *flags]) == 1
     out, err = capsys.readouterr()
     assert err.startswith("error: ") and "# verify" not in out
+
+
+REPRO = "domain: zp:2\ntask: saturate-vx\n{header}\nX^70 + 2\n4\n"
+
+
+def test_input_needing_70_rounds_verifies(tmp_path, capsys):
+    path = write(tmp_path, "r.vsat", REPRO.format(header=""))
+    assert main([path, "--verify"]) == 0
+    out = capsys.readouterr().out
+    assert "# d: 70, rounds: 70, basis: 141, generators: 2" in out
+    assert "# verify: ok" in out
+
+
+@pytest.mark.parametrize("header, flags", [("max-iter: 64\n", []), ("", ["--max-iter", "64"])])
+def test_round_cap_hit_exits_3(tmp_path, capsys, header, flags):
+    path = write(tmp_path, "c.vsat", REPRO.format(header=header))
+    assert main([path, *flags]) == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: defect still 1 after 64 rounds\n")
+
+
+def test_non_utf8_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "bad.vsat"
+    path.write_bytes(b"domain: zp:2\ntask: saturate-vx\n\n\xff\n")
+    assert main([str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} is not UTF-8 text: ")

@@ -8,7 +8,9 @@ from valsat import oracle
 from valsat.echelon import saturate_free
 from valsat.errors import DegreeExceeded
 from valsat.polyvec import PivotIndex, PolyVec, x_shifts, zero_vec
+from valsat.syzygy import apply_columns, syzygy_vx
 from valsat.valuation import RationalFunctionsAtZero, TrivialField, Zp
+from valsat.vxsat import saturate_vx
 
 Z2 = Zp(2)
 
@@ -175,12 +177,13 @@ PROPERTY = settings(
 
 
 @st.composite
-def _families(draw, max_len=3, max_deg=2):
-    """A family of 1..max_len nonzero vectors of width 1..2 over one of KINDS.
+def _families(draw, max_len=3, max_deg=2, domain=None):
+    """A family of 1..max_len nonzero vectors of width 1..2 over ``domain``,
+    or over one of KINDS when it is None.
 
     Coefficients carry uniformizer factors, so saturation has work to do.
     """
-    d = draw(st.sampled_from(KINDS))
+    d = domain or draw(st.sampled_from(KINDS))
     small = st.integers(-3, 3)
     if isinstance(d, RationalFunctionsAtZero):
         base = st.builds(lambda num, d0: d.element((num, [d0, 1])),
@@ -280,3 +283,40 @@ def test_brute_saturation_matches_saturate_free_all_kinds(F):
     out = oracle.brute_saturation(F, D)
     assert oracle.spans_equal(list(saturate_free(F)), out)
     assert oracle.brute_saturation(out, D) == out
+
+
+# Differential tests: the algorithms against the oracle, in both directions,
+# on every kind.  ``saturate_vx`` is checked as ``cli --verify`` checks it.
+DIFFERENTIAL = settings(
+    max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@pytest.mark.parametrize("d", KINDS, ids=lambda d: d.tag)
+@DIFFERENTIAL
+@given(data=st.data())
+def test_saturate_vx_matches_saturation_slice(d, data):
+    S = data.draw(_families(max_deg=1, domain=d))
+    res = saturate_vx(S)
+    D = res.degree + res.trace[-1].k + 2
+    reference = oracle.saturation_slice(S, D)
+    assert oracle.in_v_span(reference, x_shifts(res.generators, D))
+    assert oracle.in_vx_span(res.generators, reference, D)
+
+
+@pytest.mark.parametrize("d", KINDS, ids=lambda d: d.tag)
+@DIFFERENTIAL
+@given(data=st.data())
+def test_syzygy_vx_matches_brute_syzygies(d, data):
+    U = data.draw(_families(max_deg=1, domain=d))
+    res = syzygy_vx(U)
+    for f in res.generators:
+        assert not any(apply_columns(U, f))
+    if not res.generators:
+        assert oracle.brute_syzygies(U, 2) == []
+        return
+    D = res.degree + res.trace[-1].k + 2
+    reference = oracle.brute_syzygies(U, D)
+    top = max([v.degree() for v in reference] + [D])
+    assert oracle.in_vx_span(res.generators, reference, top)
+    assert oracle.in_v_span(reference, res.generators)

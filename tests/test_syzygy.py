@@ -7,7 +7,6 @@ from valsat import _poly, oracle
 from valsat.errors import ZeroVector
 from valsat.polyvec import PolyVec
 from valsat.syzygy import (
-    KPolyMatrix,
     apply_columns,
     kernel_kx,
     primitive_scale,
@@ -35,7 +34,11 @@ def vec(domain, *comps):
 
 
 def kx(domain, rows):
-    return KPolyMatrix.from_raw(domain, rows)
+    """Columns u_1..u_n of the matrix whose rows list the coefficients of each entry."""
+    return [
+        PolyVec(domain, [[domain.k_element(c) for c in row[j]] for row in rows])
+        for j in range(len(rows[0]))
+    ]
 
 
 def xp(domain, coeffs):
@@ -43,15 +46,15 @@ def xp(domain, coeffs):
 
 
 def eval_residual(U, sol):
-    """U * sol over K[X], for kernels produced from a KPolyMatrix."""
+    """sum_j sol_j u_j over K[X], one component polynomial per row."""
     from valsat._poly import add, mul, trim
 
-    domain = U.domain
+    domain = U[0].domain
     out = []
-    for i in range(U.rows):
+    for i in range(U[0].n):
         acc: tuple = ()
-        for j in range(U.cols):
-            acc = add(domain, acc, mul(domain, U.entries[i][j], trim(sol[j])))
+        for u, s in zip(U, sol):
+            acc = add(domain, acc, mul(domain, u.comps[i], trim(s)))
         out.append(acc)
     return out
 

@@ -6,19 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from valsat import _poly
-from valsat.errors import AllZero, NotDivisible, NotInDomain, NotPrime
+from valsat.errors import AllZero, NotDivisible, NotInDomain, NotPrime, ParseError
 from valsat.textio import parse_element
 from valsat.valuation import (
-    DomainSpec,
     RatFuncElement,
     RationalFunctionsAtZero,
     TrivialField,
     Zp,
     content,
-    decide_divisibility,
-    describe_domain,
     is_prime,
-    make_domain,
+    parse_domain_tag,
 )
 
 Z2 = Zp(2)
@@ -43,11 +40,21 @@ def test_bad_specs():
     with pytest.raises(NotPrime):
         Zp(1)
     with pytest.raises(NotPrime):
-        DomainSpec("zp", p=None)
+        Zp(None)
+    for cls in (RationalFunctionsAtZero, TrivialField):
+        with pytest.raises(NotPrime):
+            cls("fp", 10)
+        with pytest.raises(NotPrime):
+            cls("fp")
+        with pytest.raises(NotPrime):
+            cls("q", 5)
+        with pytest.raises(NotPrime):
+            cls("nope")
     with pytest.raises(NotPrime):
-        DomainSpec("nope")
-    with pytest.raises(NotPrime):
-        DomainSpec("trivial-field", base="fp", p=10)
+        parse_domain_tag("field:10")
+    for tag in ("zp", "zp:q", "rft0:fp", "nope:3"):
+        with pytest.raises(ParseError):
+            parse_domain_tag(tag)
 
 
 def test_is_prime_small():
@@ -55,15 +62,21 @@ def test_is_prime_small():
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
 
 
-def test_make_domain_round_trip():
-    for spec in (
-        DomainSpec("zp", p=5),
-        DomainSpec("rational-function-at-zero", base="q"),
-        DomainSpec("rational-function-at-zero", base="fp", p=3),
-        DomainSpec("trivial-field", base="q"),
-        DomainSpec("trivial-field", base="fp", p=7),
-    ):
-        assert make_domain(spec).spec == spec
+def test_domain_tag_round_trip():
+    domains = (
+        Zp(5),
+        RationalFunctionsAtZero("q"),
+        RationalFunctionsAtZero("fp", 3),
+        TrivialField("q"),
+        TrivialField("fp", 7),
+    )
+    assert [d.tag for d in domains] == ["zp:5", "rft0:q", "rft0:3", "field:q", "field:7"]
+    for d in domains:
+        assert parse_domain_tag(d.tag) == d
+        assert hash(parse_domain_tag(d.tag)) == hash(d)
+        assert repr(d) == f"<domain {d.tag}>"
+    assert len(set(domains) | {parse_domain_tag(d.tag) for d in domains}) == 5
+    assert TrivialField("q") != RationalFunctionsAtZero("q")
 
 
 def test_valuation_zp():
@@ -74,26 +87,24 @@ def test_valuation_zp():
 
 
 def test_divisibility_examples():
-    v = decide_divisibility(Z2.element(6), Z2.element(4))
-    assert v.a_divides_b and not v.b_divides_a
-    assert v.b_over_a.value == Fraction(2, 3)
-    assert v.b_over_a * Z2.element(6) == Z2.element(4)
+    six, four, three, five = (Z2.element(x) for x in (6, 4, 3, 5))
+    assert six.divides(four) and not four.divides(six)
+    assert four.div_exact(six).value == Fraction(2, 3)
+    assert four.div_exact(six) * six == four
 
-    v = decide_divisibility(Z2.element(3), Z2.element(5))
-    assert v.a_divides_b and v.b_divides_a
-    assert v.b_over_a.value == Fraction(5, 3)
-    assert v.a_over_b.value == Fraction(3, 5)
-    assert v.b_over_a.is_unit() and v.a_over_b.is_unit()
+    # associates: both cofactors exist and are units
+    assert three.divides(five) and five.divides(three)
+    assert five.div_exact(three).value == Fraction(5, 3)
+    assert three.div_exact(five).value == Fraction(3, 5)
+    assert five.div_exact(three).is_unit() and three.div_exact(five).is_unit()
 
-    v = decide_divisibility(Z2.element(0), Z2.element(7))
-    assert v.b_divides_a and not v.a_divides_b
-    assert v.a_over_b.is_zero()
-
-    v = decide_divisibility(Z2.element(7), Z2.element(0))
-    assert v.a_divides_b and v.b_over_a.is_zero()
-
-    v = decide_divisibility(Z2.element(0), Z2.element(0))
-    assert v.a_divides_b and v.b_divides_a
+    # every element divides zero, and zero divides only zero
+    zero, seven = Z2.element(0), Z2.element(7)
+    assert seven.divides(zero) and not zero.divides(seven)
+    assert zero.div_exact(seven).is_zero()
+    assert zero.divides(zero)
+    with pytest.raises(ZeroDivisionError):
+        seven.div_exact(zero)
 
 
 def test_divisibility_random_consistency():
@@ -102,16 +113,16 @@ def test_divisibility_random_consistency():
         dom = Zp(rng.choice((2, 3, 5)))
         a = dom.element(Fraction(rng.randrange(0, 60), rng.choice((1, 7, 11, 13))))
         b = dom.element(Fraction(rng.randrange(0, 60), rng.choice((1, 7, 11, 13))))
-        v = decide_divisibility(a, b)
-        assert v.a_divides_b or v.b_divides_a
+        assert a.divides(b) or b.divides(a)
         if not a.is_zero() and not b.is_zero():
-            assert v.a_divides_b == (a.valuation() <= b.valuation())
-        if v.a_divides_b:
-            assert v.b_over_a.in_domain
-            assert v.b_over_a * a == b
-        if v.b_divides_a:
-            assert v.a_over_b.in_domain
-            assert v.a_over_b * b == a
+            assert a.divides(b) == (a.valuation() <= b.valuation())
+        for x, y in ((a, b), (b, a)):
+            if x.divides(y) and not x.is_zero():
+                assert y.div_exact(x).in_domain
+                assert y.div_exact(x) * x == y
+            elif not x.is_zero():
+                with pytest.raises(NotDivisible):
+                    y.div_exact(x)
 
 
 def test_is_unit():
@@ -125,8 +136,9 @@ def test_is_unit_means_divides_one():
     one = Z2.element(1)
     for raw in (1, 2, 3, 4, Fraction(3, 5), Fraction(6, 7), 0):
         a = Z2.element(raw)
-        v = decide_divisibility(a, one)
-        assert a.is_unit() == (v.a_divides_b and v.b_over_a.in_domain)
+        assert a.is_unit() == a.divides(one)
+        if a.is_unit():
+            assert one.div_exact(a).in_domain
 
 
 def test_content_examples():
@@ -190,8 +202,9 @@ def test_trivial_field():
     F = TrivialField("q")
     assert F.element(Fraction(-7, 3)).is_unit()
     assert not F.element(0).is_unit()
-    v = decide_divisibility(F.element(Fraction(1, 2)), F.element(5))
-    assert v.a_divides_b and v.b_divides_a
+    half, five = F.element(Fraction(1, 2)), F.element(5)
+    assert half.divides(five) and five.divides(half)
+    assert five.div_exact(half) == F.element(10)
     G = TrivialField("fp", 5)
     assert G.element(7).value == 2
     assert G.element(7).is_unit()
@@ -256,7 +269,7 @@ def test_constant_side_canonicalisation(R, c, unit, poly, const_num):
 @pytest.mark.parametrize(
     "d",
     [Z2, Z3, TrivialField("q"), TrivialField("fp", 5), *RFT0],
-    ids=describe_domain,
+    ids=lambda d: d.tag,
 )
 def test_zero_and_one_are_shared_constants(d):
     assert d.zero is d.zero and d.one is d.one

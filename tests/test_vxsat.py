@@ -117,6 +117,35 @@ def test_iteration_cap():
     assert res.trace[-1].defect == 0 and res.trace[-1].k == 2
 
 
+def test_no_default_round_cap():
+    # (X^70 + 2, 4) over Z_(2): the slack starts at 69 and the index count
+    # stays 1, so the slack falls by the defect 1 each round until round 70.
+    S = [vec(Z2, [2] + [0] * 69 + [1]), vec(Z2, [4])]
+    res = saturate_vx(S)
+    assert (res.trace[0].slack, res.trace[-1].k, res.trace[-1].defect) == (69, 70, 0)
+    assert res.generators == [S[0], vec(Z2, [1])]
+    with pytest.raises(IterationCapExceeded):
+        saturate_vx(S, max_iter=64)
+    assert saturate_vx(S, max_iter=70).trace == res.trace
+
+
+@pytest.mark.parametrize("field, value", [("slack", -1), ("index_count", 0)])
+def test_broken_termination_invariant_raises(monkeypatch, field, value):
+    import dataclasses
+
+    import valsat.vxsat as vxsat
+
+    real = vxsat.counters
+
+    def broken(pivots, basis_size, d, k):
+        rec = real(pivots, basis_size, d, k)
+        return rec if k == 0 else dataclasses.replace(rec, **{field: value})
+
+    monkeypatch.setattr(vxsat, "counters", broken)
+    with pytest.raises(RuntimeError, match="termination invariants"):
+        saturate_vx([vec(Z2, [2]), vec(Z2, [0, 1])])
+
+
 def test_rounds_exceed_initial_slack_when_index_count_grows():
     # Over F_5 with d = 2 the initial slack is 0, yet three rounds run.  The
     # slack obeys slack_k = slack_{k-1} + (n_k - n_{k-1}) (d + k) - defect_k,
