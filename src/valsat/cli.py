@@ -16,7 +16,7 @@ from pathlib import Path
 from . import oracle
 from .echelon import EchelonBasis, saturate_free
 from .errors import EmptyInput, IterationCapExceeded, ParseError, ValsatError
-from .polyvec import family_degree, x_shifts
+from .polyvec import family_degree
 from .syzygy import apply_columns, scaled_kernel
 from .textio import InstanceFile, TASKS, parse_instance, render_vector
 from .valuation import parse_domain_tag
@@ -188,8 +188,7 @@ def _run(inst: InstanceFile, args) -> int:
             res = None
             out_lines.append("# syzygy module is zero")
             if inst.verify:
-                bound = inst.degree_bound if inst.degree_bound is not None else 4
-                verified = not oracle.brute_syzygies(inst.vectors, bound)
+                verified = not oracle.brute_syzygies(inst.vectors, _zero_syzygy_bound(inst))
 
     if verified is not None:
         out_lines.append(f"# verify: {'ok' if verified else 'MISMATCH'}")
@@ -227,9 +226,26 @@ def _verify_vx(inst: InstanceFile, res: SaturationResult) -> bool:
     bound = (inst.degree_bound if inst.degree_bound is not None
              else res.degree + k_final + 2)
     reference = oracle.saturation_slice(inst.vectors, bound)
-    return oracle.in_v_span(
-        reference, x_shifts(res.generators, bound)
-    ) and oracle.in_vx_span(res.generators, reference, bound)
+    # The reference is all of Sat(M) in degree <= bound, which X maps into
+    # itself within the bound, so the shifts of the generators need no check.
+    low = [g for g in res.generators if g.degree() <= bound]
+    return oracle.in_v_span(reference, low) and oracle.in_vx_span(
+        res.generators, reference, bound)
+
+
+def _zero_syzygy_bound(inst: InstanceFile) -> int:
+    """Slice bound that exposes any nonzero syzygy of the n vectors in V[X]^k.
+
+    If the K[X]-kernel is nonzero, the matrix has rank r <= min(k, n - 1).
+    Cramer's rule on r independent rows and r + 1 columns, r of them
+    independent, gives a nonzero kernel vector in V[X]^n whose entries are
+    r x r minors, each of degree <= r * d_U, so it lies in the slice
+    ``brute_syzygies`` searches at D = min(k, n - 1) * d_U.
+    """
+    if inst.degree_bound is not None:
+        return inst.degree_bound
+    d_u = max([v.degree() for v in inst.vectors] + [0])
+    return min(inst.vectors[0].n, len(inst.vectors) - 1) * d_u
 
 
 def _verify_syzygy(inst: InstanceFile, res: SaturationResult) -> bool:

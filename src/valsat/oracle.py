@@ -263,6 +263,10 @@ def _sub_shifted(domain, a, c, k, b) -> tuple:
 # ---------------------------------------------------------------------------
 # Public oracles.
 
+# How far ``in_vx_span`` raises its shift bound before reporting a miss.
+_MAX_EXTRA = 10
+
+
 def brute_saturation(F, D: int) -> list[PolyVec]:
     """V-basis of (K-span of F) intersected with the degree-D slice of V[X]^n.
 
@@ -311,16 +315,16 @@ def spans_equal(A, B) -> bool:
     return in_v_span(B, A) and in_v_span(A, B)
 
 
-def in_vx_span(generators, vectors, bound: int, max_extra: int = 10) -> bool:
+def in_vx_span(generators, vectors, bound: int) -> bool:
     """Whether every vector lies in the V[X]-span of the generators.
 
     Realised through V-spans of bounded shift families: membership in the
     span of {X^r g : deg <= bound + extra} is an exact witness.  The bound
-    is raised up to ``max_extra`` times because a V[X]-combination of total
+    is raised up to ``_MAX_EXTRA`` times because a V[X]-combination of total
     degree <= bound may cancel through higher-degree shift terms.  A vector
-    with no witness within ``bound + max_extra`` is still reported as not in
-    the span, although a witness of higher degree may exist: a False here is
-    not yet an exact verdict.
+    with no witness within ``bound + _MAX_EXTRA`` is still reported as not
+    in the span, although a witness of higher degree may exist: a False here
+    is not yet an exact verdict.
     """
     gens = [g for g in generators if not g.is_zero()]
     vectors = list(vectors)
@@ -328,7 +332,7 @@ def in_vx_span(generators, vectors, bound: int, max_extra: int = 10) -> bool:
         return True
     if not gens:
         return all(v.is_zero() for v in vectors)
-    for extra in range(max_extra + 1):
+    for extra in range(_MAX_EXTRA + 1):
         if in_v_span(x_shifts(gens, bound + extra), vectors):
             return True
     return False
@@ -376,7 +380,10 @@ def brute_syzygies(U, D: int) -> list[PolyVec]:
     (d_U the largest degree in U), i.e. every product stays within degree
     D + d_U.  The K-solution space of the resulting exact linear system is
     intersected with the V-slice via the same Smith-based saturation used by
-    ``brute_saturation``.
+    ``brute_saturation``.  One Smith reduction of the shift rows with the
+    identity riding along would give the same saturated kernel in one pass,
+    but its unit-only pivots let rational-function entries grow far faster
+    than the free pivots over K do: over rft0:q it turns seconds into minutes.
     """
     U = list(U)
     if not U:
@@ -446,15 +453,10 @@ def _nullspace_over_k(rows, domain):
 
 def _scale_into_v(coords, domain):
     """Scale a K-coordinate vector by a uniformizer power into a V-vector."""
-    vals = [c.valuation() for c in coords if not c.is_zero()]
-    if not vals:
-        return list(coords)
-    m = min(vals)
+    m = min((c.valuation() for c in coords if c), default=0)
     if m == 0:
-        return list(coords)
+        return coords
     pi = domain.uniformizer()
-    if pi is None:
-        return list(coords)
     alpha = domain.one
     step = pi if m < 0 else domain.one / pi
     for _ in range(abs(m)):

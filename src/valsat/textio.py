@@ -239,6 +239,8 @@ def render_vector(v: PolyVec) -> str:
 
 TASKS = ("saturate-free", "saturate-vx", "syzygy")
 
+_FLAGS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
 _HEADER_RE = re.compile(r"^\s*([a-z][a-z-]*)\s*:\s*(.*?)\s*$")
 
 
@@ -289,7 +291,10 @@ def parse_instance(text: str) -> InstanceFile:
             elif key == "degree-bound":
                 degree_bound = _int_header(key, value, lineno, least=0)
             elif key == "verify":
-                verify = value.lower() in ("1", "true", "yes", "on")
+                verify = _FLAGS.get(value.lower())
+                if verify is None:
+                    raise ParseError(f"verify must be one of {'/'.join(_FLAGS)}, "
+                                     f"got {value!r}", lineno, 1)
             else:
                 raise ParseError(f"unknown header key {key!r}", lineno, 1)
             continue

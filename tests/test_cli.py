@@ -74,6 +74,26 @@ def test_verification_mismatch_exits_2(tmp_path, capsys, monkeypatch):
     assert "# verify: MISMATCH" in capsys.readouterr().out
 
 
+def test_zero_syzygy_verdict_sees_high_degree_syzygies(tmp_path, capsys, monkeypatch):
+    # (X^5 + 2, -(X^5 + 1)) is a syzygy of degree 5; the default slice bound
+    # min(k, n - 1) * d_U = 5 must reach it when the kernel comes back empty.
+    import valsat.cli as cli
+
+    path = write(tmp_path, "z.vsat", "domain: zp:3\ntask: syzygy\n\nX^5 + 1\nX^5 + 2\n")
+    monkeypatch.setattr(cli, "scaled_kernel", lambda vectors: [])
+    assert main([path, "--verify"]) == 2
+    out = capsys.readouterr().out
+    assert "# syzygy module is zero" in out and "# verify: MISMATCH" in out
+
+
+@pytest.mark.parametrize("text", ["X^3 + 2\n", "1, X\nX^2, 3\n", "0, X^4\n2, X\n"])
+def test_injective_family_verifies_zero_syzygies(tmp_path, capsys, text):
+    path = write(tmp_path, "i.vsat", f"domain: zp:3\ntask: syzygy\n\n{text}")
+    assert main([path, "--verify"]) == 0
+    out = capsys.readouterr().out
+    assert "# syzygy module is zero" in out and "# verify: ok" in out
+
+
 def test_run_empty_vectors_is_input_error(tmp_path, capsys):
     path = write(tmp_path, "e.vsat", "domain: zp:2\ntask: saturate-vx\n")
     assert main([path]) == 1

@@ -320,3 +320,37 @@ def test_syzygy_vx_matches_brute_syzygies(d, data):
     top = max([v.degree() for v in reference] + [D])
     assert oracle.in_vx_span(res.generators, reference, top)
     assert oracle.in_v_span(reference, res.generators)
+
+
+def _k_rank(rows):
+    """Rank over K of a list of coordinate rows, by plain elimination."""
+    rank = 0
+    while rows:
+        pivot, *rows = rows
+        j = next((j for j, x in enumerate(pivot) if x), None)
+        if j is None:
+            continue
+        rank += 1
+        rows = [[x - r[j] / pivot[j] * y for x, y in zip(r, pivot)] if r[j] else r
+                for r in rows]
+    return rank
+
+
+@pytest.mark.parametrize("d", KINDS, ids=lambda d: d.tag)
+@DIFFERENTIAL
+@given(data=st.data())
+def test_brute_syzygies_is_the_saturated_kernel(d, data):
+    U = data.draw(_families(max_deg=1, domain=d))
+    D = data.draw(st.integers(0, 2))
+    out = oracle.brute_syzygies(U, D)
+    for f in out:
+        assert not any(apply_columns(U, f))
+    deg = max([f.degree() for f in out] + [0])
+    assert oracle.brute_saturation(out, deg) == out
+    # The kernel of the shift system has K-dimension |positions| - rank.
+    d_u = max(u.degree() for u in U)
+    positions = [(j, r) for j, u in enumerate(U) for r in range(D + d_u - u.degree() + 1)]
+    image = [(i, e) for i in range(1, U[0].n + 1) for e in range(D + d_u + 1)]
+    shifts = [[U[j].coord(PivotIndex(i, e - r)) if e >= r else d.zero for i, e in image]
+              for j, r in positions]
+    assert len(out) == len(positions) - _k_rank(shifts)

@@ -161,6 +161,22 @@ def test_instance_numeric_header_errors(header):
     assert exc.value.line == 3
 
 
+@pytest.mark.parametrize("value, flag", [
+    ("1", True), ("true", True), ("Yes", True), ("ON", True),
+    ("0", False), ("false", False), ("No", False), ("OFF", False),
+])
+def test_verify_header_values(value, flag):
+    inst = parse_instance(f"domain: zp:2\ntask: saturate-vx\nverify: {value}\n\n2\n")
+    assert inst.verify is flag
+
+
+@pytest.mark.parametrize("value", ["ture", "maybe", "2", ""])
+def test_verify_header_rejects_unknown_values(value):
+    with pytest.raises(ParseError) as exc:
+        parse_instance(f"domain: zp:2\ntask: saturate-vx\nverify: {value}\n\n2\n")
+    assert exc.value.line == 3
+
+
 # ---------------------------------------------------------------------------
 # The parser against dense K[X] arithmetic.  An expression is a tuple tree:
 # ("int", n), ("frac", a, b), ("X",), ("t",), ("()", e), ("neg", e),
