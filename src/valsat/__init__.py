@@ -8,7 +8,7 @@ from .valuation import (
     Zp,
     content,
 )
-from .polyvec import PivotIndex, Pivot, PolyVec, family_degree, red_prim
+from .polyvec import PivotIndex, PolyVec, family_degree, red_prim
 from .echelon import EchelonBasis, echelon_insert, gauss_eliminate, saturate_free
 from .vxsat import IterationRecord, SaturationResult, counters, defect, saturate_vx
 from .syzygy import kernel_kx, primitive_scale, scaled_kernel, syzygy_vx
@@ -21,7 +21,6 @@ __all__ = [
     "DomainElement",
     "EchelonBasis",
     "IterationRecord",
-    "Pivot",
     "PivotIndex",
     "PolyVec",
     "RationalFunctionsAtZero",

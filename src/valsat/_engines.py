@@ -5,43 +5,45 @@ protocol (insert a vector, insert the X-shift of a held column, read a
 column's pivot, export columns) so that one driver loop runs over either
 the generic DomainElement path, valid for every domain, or the packed
 rational kernel (``_packed``/``_ratkernel``) for domains whose elements are
-plain rationals.  Both engines produce bit-identical bases.
+plain rationals.  Both engines hold their basis as a list of columns and a
+list of pivot positions, which their kernel appends to in place under the
+contract of ``echelon``, and build one ``EchelonBasis`` only on export.
+Both produce bit-identical bases.
 """
 
 from __future__ import annotations
 
 from .echelon import EchelonBasis, echelon_insert
-from .polyvec import PolyVec
+from .polyvec import PivotIndex, PolyVec
 
 
 class GenericEngine:
-    """Engine over PolyVec/EchelonBasis, valid for every domain."""
+    """Engine over PolyVec columns, valid for every domain."""
 
     name = "generic"
 
     def __init__(self, domain):
         self.domain = domain
-        self.basis = EchelonBasis()
+        self.cols: list[PolyVec] = []
+        self.pivs: list[PivotIndex] = []
 
     def __len__(self):
-        return len(self.basis)
+        return len(self.cols)
 
     def insert_vector(self, v: PolyVec) -> tuple[bool, bool]:
-        w, new, self.basis = echelon_insert(self.basis, v)
-        return not w.is_zero(), new
+        return echelon_insert(self.cols, self.pivs, v)
 
     def insert_shift_of(self, i: int) -> tuple[bool, bool]:
-        return self.insert_vector(self.basis[i].shift_x())
+        return self.insert_vector(self.cols[i].shift_x())
 
     def pivot(self, i: int) -> tuple[int, int]:
-        p = self.basis.pivots[i].pivot
-        return (p.index, p.exponent)
+        return self.pivs[i]
 
     def polyvec(self, i: int) -> PolyVec:
-        return self.basis[i]
+        return self.cols[i]
 
     def export_basis(self) -> EchelonBasis:
-        return self.basis
+        return EchelonBasis(self.cols, self.pivs, _trusted=True)
 
 
 def select_engine(domain):

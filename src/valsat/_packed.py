@@ -3,9 +3,11 @@
 Usable whenever the domain's elements are plain rationals (Z_(p), and Q with
 the trivial valuation).  Columns are held as ``_ratkernel`` packed vectors,
 integer numerators over one denominator per column in lowest terms, and are
-turned into reduced fractions only on export.  Results are bit-identical to
-the generic engine: same elimination order, same content rule, and the
-exported fractions are canonical.
+turned into reduced fractions only on export.  ``_ratkernel.insert`` keeps
+the column contract of ``echelon``: it appends each reduction, monic at its
+content position, and that position to the engine's lists.  Results are
+bit-identical to the generic engine: same elimination order, same content
+rule, and the exported fractions are canonical.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from fractions import Fraction
 from math import lcm
 
 from . import _ratkernel
+from ._engines import GenericEngine
 from .echelon import EchelonBasis
-from .polyvec import Pivot, PivotIndex, PolyVec
+from .polyvec import PivotIndex, PolyVec
 from .valuation import FieldElement, ZpElement
 
 
@@ -26,38 +29,22 @@ def _pack(v: PolyVec):
             for comp in v.comps], D
 
 
-class PackedEngine:
-    """Engine over packed rational vectors."""
+class PackedEngine(GenericEngine):
+    """Engine over packed rational vectors; ``pivs`` holds plain (j, r) pairs."""
 
     name = "packed"
 
     def __init__(self, domain):
-        self.domain = domain
+        super().__init__(domain)
         self.p = domain.packing_prime
         self._element = ZpElement if self.p else FieldElement
-        self.cols: list = []
-        self.pivs: list = []
-
-    def __len__(self):
-        return len(self.cols)
 
     def insert_vector(self, v: PolyVec) -> tuple[bool, bool]:
-        return self._insert(_pack(v))
+        return _ratkernel.insert(self.cols, self.pivs, _pack(v), self.p)
 
     def insert_shift_of(self, i: int) -> tuple[bool, bool]:
-        return self._insert(_ratkernel.vec_shift(self.cols[i]))
-
-    def _insert(self, packed) -> tuple[bool, bool]:
-        reduced, new = _ratkernel.insert(self.cols, self.pivs, packed, self.p)
-        if reduced is None:
-            return False, False
-        self.cols.append(reduced)
-        self.pivs.append(_ratkernel.vec_pivot(reduced, self.p))
-        return True, new
-
-    def pivot(self, i: int) -> tuple[int, int]:
-        j, r, _ = self.pivs[i]
-        return (j, r)
+        shifted = _ratkernel.vec_shift(self.cols[i])
+        return _ratkernel.insert(self.cols, self.pivs, shifted, self.p)
 
     def polyvec(self, i: int) -> PolyVec:
         """Column i with its entries as reduced fractions."""
@@ -68,6 +55,5 @@ class PackedEngine:
 
     def export_basis(self) -> EchelonBasis:
         columns = [self.polyvec(i) for i in range(len(self.cols))]
-        pivots = [Pivot(PivotIndex(j, r), col.comps[j - 1][r])
-                  for col, (j, r, _) in zip(columns, self.pivs)]
+        pivots = [PivotIndex(j, r) for j, r in self.pivs]
         return EchelonBasis(columns, pivots, _trusted=True)

@@ -20,8 +20,9 @@ column:
     V/D - (a Dw / (D w)) (W / Dw) = (w V - a W) / (D w),
 
 so Dw cancels.  With g = gcd(a, w), s = w/g and t = a/g, the new vector
-is (s V - t W, s D): one gcd per step.  (Columns built here have their
-pivot at the content position, so w = Dw > 0; the step relies on neither.)
+is (s V - t W, s D): one gcd per step.  Every basis column is monic at its
+pivot, which is its content position (see ``echelon``), so w = Dw > 0:
+the step reads w as the column's D, and a pivot is stored as (j, r) alone.
 
 Swell control.  After a step with s != 1 the common factor of D and the
 numerators is divided out, the gcd chain stopping once it reaches 1.  It
@@ -33,8 +34,9 @@ Content division.  The content of V/D is its first coefficient of minimal
 valuation, c/D, and (V/D) / (c/D) = V/c: dividing by the content replaces
 the denominator by c.  Dividing V and c by +-gcd(V), with the sign of c,
 then gives lowest terms with a positive denominator (c is one of the
-numerators, so gcd(V) divides it).  The sign of D before this division
-does not matter, as valuations ignore signs.
+numerators, so gcd(V) divides it).  The numerator at the content position
+then equals the new denominator, which makes the column monic there.  The
+sign of D before this division does not matter, as valuations ignore signs.
 """
 
 from math import gcd
@@ -48,15 +50,21 @@ def vec_shift(vec):
     return [[0] + comp if comp else [] for comp in comps], D
 
 
-def vec_pivot(vec, p):
-    """First unit coordinate as ``(j, r, num)``, or None."""
-    comps, D = vec
-    vd = _int_val(D, p) if p else 0
+def _content(comps, p):
+    """First numerator of minimal valuation as ``(num, v_p(num), (j, r))``.
+
+    None when every numerator is zero; a numerator of valuation 0 ends the scan.
+    """
+    found = None
     for j, comp in enumerate(comps, start=1):
         for r, num in enumerate(comp):
-            if num and (not p or _int_val(num, p) == vd):
-                return j, r, num
-    return None
+            if num:
+                v = _int_val(num, p) if p else 0
+                if found is None or v < found[1]:
+                    found = num, v, (j, r)
+                    if not v:
+                        return found
+    return found
 
 
 def _common_factor(comps, g):
@@ -101,14 +109,15 @@ def _sub_scaled(comps, wcomps, s, t):
 def insert(cols, pivots, vec, p):
     """Strict-echelon insertion of a packed vector against a packed basis.
 
-    Eliminates vec at each basis pivot in order.  Returns ``(None, False)``
-    when it dies, else ``(reduced, new)``: the primitive reduction in lowest
-    terms, and whether the content divided out was a non-unit.  The caller
-    appends the reduction to the basis.
+    Eliminates vec at each basis pivot in order.  Returns ``(False, False)``
+    when it dies.  Otherwise appends its primitive reduction in lowest terms
+    to ``cols`` and the reduction's pivot (j, r), the content position, to
+    ``pivots``, and returns ``(True, new)``, ``new`` telling whether the
+    content divided out was a non-unit.
     """
     comps, D = vec
     comps = list(comps)
-    for (wcomps, _), (j, r, w) in zip(cols, pivots):
+    for (wcomps, w), (j, r) in zip(cols, pivots):
         comp = comps[j - 1]
         if r >= len(comp) or not comp[r]:
             continue
@@ -122,23 +131,15 @@ def insert(cols, pivots, vec, p):
                 _divide(comps, g)
                 D //= g
             D *= s
-    entries = [num for comp in comps for num in comp if num]
-    if not entries:
-        return None, False
-    best = entries[0]
-    new = False
-    if p:
-        best_v = _int_val(best, p)
-        for num in entries:
-            if not best_v:
-                break
-            v = _int_val(num, p)
-            if v < best_v:
-                best, best_v = num, v
-        new = best_v != _int_val(D, p)
-    g = gcd(*entries)
-    if best < 0:
+    found = _content(comps, p)
+    if found is None:
+        return False, False
+    c, c_val, at = found
+    g = gcd(*[num for comp in comps for num in comp])
+    if c < 0:
         g = -g
     if g != 1:
         _divide(comps, g)
-    return (comps, best // g), new
+    cols.append((comps, c // g))
+    pivots.append(at)
+    return True, bool(p) and c_val != _int_val(D, p)

@@ -33,8 +33,8 @@ def pivot_diagram(G: EchelonBasis, H, n: int, max_exp: int) -> str:
     supernumerary current column, ``o`` pivot of an older basis column,
     ``#`` cell of a fully unoccupied row, ``.`` otherwise.
     """
-    h_pivots = [v.piv().pivot for v in H]
-    g_pivots = {p.pivot for p in G.pivots}
+    h_pivots = [v.piv() for v in H]
+    g_pivots = set(G.pivots)
     max_mon = {}
     for j, r in h_pivots:
         max_mon[j] = max(max_mon.get(j, -1), r)
@@ -70,7 +70,7 @@ def trace_csv(trace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="valsat",
         description="Exact saturation and syzygy computation over valuation domains.",
@@ -91,8 +91,12 @@ def _parser() -> argparse.ArgumentParser:
     return ap
 
 
+# Built once at import, not on every ``main`` call.
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         text = Path(args.instance).read_text(encoding="utf-8")
     except OSError as exc:
@@ -153,7 +157,7 @@ def _run(inst: InstanceFile, args) -> int:
         out_lines.append(f"# basis size: {len(G)}")
         out_lines.extend(render_vector(v) for v in G)
         if args.diagram:
-            max_exp = max((p.pivot.exponent for p in G.pivots), default=0)
+            max_exp = max((at.exponent for at in G.pivots), default=0)
             n = inst.vectors[0].n
             diagram = pivot_diagram(G, list(G), n, max_exp)
         if inst.verify:

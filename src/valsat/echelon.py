@@ -6,52 +6,49 @@ of the columns before it.  Such a family is a V-basis of the module it
 generates, and that module is V-saturated; folding ``echelon_insert`` over
 the columns of any matrix therefore produces a basis of the saturation of its
 column span.
+
+Both insertion kernels, ``echelon_insert`` and ``_ratkernel.insert``, keep
+one contract: eliminate at every stored pivot in order, then append the
+primitive reduction and its pivot to the caller's column and pivot lists.
+That pivot is the content position and the column is monic there, so
+elimination never divides.  Engines export an ``EchelonBasis`` once.
 """
 
 from __future__ import annotations
 
 from .errors import ZeroVector
-from .polyvec import Pivot, PolyVec, red_prim
+from .polyvec import PivotIndex, PolyVec, red_prim
 
 
 class EchelonBasis:
-    """Immutable snapshot of a strict echelon family."""
+    """Immutable strict echelon family with the PivotIndex of each column."""
 
     __slots__ = ("columns", "pivots")
 
     def __init__(self, columns=(), pivots=None, *, _trusted=False):
-        columns = tuple(columns)
+        self.columns = tuple(columns)
         if pivots is None:
-            pivots = tuple(v.piv() for v in columns)
-        else:
-            pivots = tuple(pivots)
-        self.columns = columns
-        self.pivots = pivots
+            pivots = [v.piv() for v in self.columns]
+        self.pivots = tuple(pivots)
         if not _trusted:
             self.validate()
 
-    @classmethod
-    def _appended(cls, basis: "EchelonBasis", col: PolyVec, piv: Pivot):
-        return cls(basis.columns + (col,), basis.pivots + (piv,), _trusted=True)
-
     def validate(self) -> None:
-        """Assert both echelon invariants (distinct pivots, strictness)."""
+        """Check the invariants: distinct pivots, monic at each, strictness."""
         seen = set()
-        for p in self.pivots:
-            if p.pivot in seen:
-                raise ValueError(f"duplicate pivot {p.pivot}")
-            seen.add(p.pivot)
+        for at in self.pivots:
+            if at in seen:
+                raise ValueError(f"duplicate pivot {at}")
+            seen.add(at)
         for k, col in enumerate(self.columns):
-            if not col.piv() == self.pivots[k]:
+            at = self.pivots[k]
+            if col.piv() != at:
                 raise ValueError(f"stored pivot of column {k} is stale")
+            if col.coord(at) != col.domain.one:
+                raise ValueError(f"column {k} is not monic at its pivot {at}")
             for j in range(k):
-                if not col.coord(self.pivots[j].pivot).is_zero():
-                    raise ValueError(
-                        f"column {k} is nonzero at pivot {self.pivots[j].pivot}"
-                    )
-
-    def pivot_indices(self):
-        return tuple(p.pivot for p in self.pivots)
+                if not col.coord(self.pivots[j]).is_zero():
+                    raise ValueError(f"column {k} is nonzero at pivot {self.pivots[j]}")
 
     def __len__(self):
         return len(self.columns)
@@ -72,43 +69,44 @@ class EchelonBasis:
         return f"EchelonBasis({list(self.columns)!r})"
 
 
-def gauss_eliminate(C: PolyVec, L: EchelonBasis) -> PolyVec:
-    """Clear the coordinates of C at every pivot of L, in column order.
+def gauss_eliminate(C: PolyVec, cols, pivots) -> PolyVec:
+    """Clear the coordinates of C at every pivot, in column order.
 
-    Each step subtracts (c_s / cpiv) times the corresponding column; the
-    quotient lies in V because pivot coefficients are units.  The result is
-    congruent to C modulo the V-span of L; elimination stops as soon as it
-    is zero.
+    Each column is monic at its pivot, so each step subtracts the current
+    coordinate times the column.  The result is congruent to C modulo the
+    V-span of the columns; elimination stops as soon as it is zero.
     """
     v = C
-    for col, (at, cpiv) in zip(L.columns, L.pivots):
+    for col, at in zip(cols, pivots):
         c = v.coord(at)
         if c.is_zero():
             continue
-        v = v.sub_scaled(col, c / cpiv)
+        v = v.sub_scaled(col, c)
         if v.is_zero():
             break
     return v
 
 
-def echelon_insert(
-    L: EchelonBasis, v0: PolyVec
-) -> tuple[PolyVec, bool, EchelonBasis]:
-    """Treat one new column, keeping the family in strict echelon form.
+def echelon_insert(cols: list[PolyVec], pivots: list[PivotIndex],
+                   v0: PolyVec) -> tuple[bool, bool]:
+    """Treat one new column, keeping ``cols``/``pivots`` in strict echelon form.
 
-    Returns ``(v, new_generator, L')``.  When the eliminated column vanishes,
-    v0 was already in the V-span of L and ``(zero, False, L)`` comes back.
-    Otherwise v is the primitive reduction of the eliminated column, L' has it
-    appended, and ``new_generator`` is True exactly when the reduction divided
-    by a non-unit content (v lies outside V.L + V.v0).
+    Returns ``(survived, new)``.  When the eliminated column vanishes, v0 was
+    already in the V-span of the columns and ``(False, False)`` comes back.
+    Otherwise its primitive reduction and that reduction's pivot, the
+    content position, are appended, and ``new`` is True exactly when the
+    content divided out was a non-unit (the reduction lies outside the
+    V-span of the old columns and v0).
     """
     if v0.is_zero():
         raise ZeroVector("cannot insert the zero vector")
-    v = gauss_eliminate(v0, L)
+    v = gauss_eliminate(v0, cols, pivots)
     if v.is_zero():
-        return v, False, L
+        return False, False
     v, c = red_prim(v)
-    return v, not c.is_unit(), EchelonBasis._appended(L, v, v.piv())
+    cols.append(v)
+    pivots.append(v.piv())
+    return True, not c.is_unit()
 
 
 def saturate_free(F) -> EchelonBasis:

@@ -272,10 +272,12 @@ def brute_saturation(F, D: int) -> list[PolyVec]:
 
     Every column of F must fit in the slice (DegreeExceeded otherwise); D is
     a pure slice bound and no X-shifting happens here; callers verifying
-    the V[X]-saturation pass the shifted family explicitly.  The result is
-    canonical, hence independent of the presentation of the span.
+    the V[X]-saturation pass the shifted family explicitly.  Columns may
+    have entries in K: each is scaled into V by a uniformizer power, which
+    changes no saturation.  The result is canonical, hence independent of
+    the presentation of the span.
     """
-    F = list(F)
+    F = [f for f in F if not f.is_zero()]
     if not F:
         return []
     domain = F[0].domain
@@ -284,9 +286,7 @@ def brute_saturation(F, D: int) -> list[PolyVec]:
         if f.degree() > D:
             raise DegreeExceeded(f"degree {f.degree()} exceeds slice bound {D}")
     positions = _slice_positions(n, D)
-    cols = [_to_coords(f, positions) for f in F if not f.is_zero()]
-    if not cols:
-        return []
+    cols = [_scale_into_v(_to_coords(f, positions), domain) for f in F]
     canon = _saturate(cols, domain)
     return [_from_coords(domain, n, positions, c) for c in canon]
 
@@ -350,9 +350,9 @@ def saturation_slice(S, D: int) -> list[PolyVec]:
     predictable-degree property deg(sum q_i b_i) = max(deg q_i + deg b_i):
     an element of degree <= D has deg q_i <= D - deg b_i.  So the K-span of
     the X^r b_i with r <= D - deg b_i is exactly the degree-<=D part of the
-    K[X]-span, and those vectors are K-independent.  Scaled into V, they go
-    through one Smith reduction, whose first rank-many U-columns span the
-    intersection with the V-slice, as in ``brute_saturation``.
+    K[X]-span, and those vectors are K-independent.  ``brute_saturation``
+    scales them into V, and the first rank-many U-columns of its Smith
+    reduction span the intersection with the V-slice.
 
     Cost: the reduction makes at most |S| * n * (deg S + 1) simple
     transformations of O(n * deg S) K-operations each; the Smith step works
@@ -361,15 +361,7 @@ def saturation_slice(S, D: int) -> list[PolyVec]:
     S = [v for v in S if not v.is_zero()]
     if not S:
         return []
-    domain = S[0].domain
-    n = S[0].n
-    positions = _slice_positions(n, D)
-    cols = [_scale_into_v(_to_coords(f, positions), domain)
-            for f in x_shifts(_weak_popov(S), D)]
-    if not cols:
-        return []
-    canon = _saturate(cols, domain)
-    return [_from_coords(domain, n, positions, c) for c in canon]
+    return brute_saturation(x_shifts(_weak_popov(S), D), D)
 
 
 def brute_syzygies(U, D: int) -> list[PolyVec]:

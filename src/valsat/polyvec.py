@@ -23,11 +23,6 @@ class PivotIndex(NamedTuple):
     exponent: int
 
 
-class Pivot(NamedTuple):
-    pivot: PivotIndex
-    coeff: DomainElement
-
-
 class PolyVec:
     """Immutable vector of n dense polynomials over one domain."""
 
@@ -63,11 +58,11 @@ class PolyVec:
             for r, c in enumerate(comp):
                 yield PivotIndex(j, r), c
 
-    def piv(self) -> Pivot:
-        """Smallest residually nonzero coordinate position and coefficient."""
+    def piv(self) -> PivotIndex:
+        """Smallest residually nonzero coordinate position."""
         for at, c in self.iter_coords():
             if c.is_unit():
-                return Pivot(at, c)
+                return at
         raise NotPrimitive(f"{self!r} has no unit coordinate")
 
     def degree(self) -> int:
@@ -131,8 +126,9 @@ def red_prim(v: PolyVec) -> tuple[PolyVec, DomainElement]:
     """Divide a nonzero vector by its coordinate content, making it primitive.
 
     The content is the first coefficient of minimal valuation in increasing
-    PivotIndex order; when that position is the pivot of the result, the
-    reduced pivot coefficient is exactly 1.
+    PivotIndex order.  Its position becomes the pivot of the result, with
+    coefficient exactly 1: every earlier coordinate had a larger valuation,
+    so its quotient is not a unit.
     """
     if v.is_zero():
         raise ZeroVector("red_prim of the zero vector")

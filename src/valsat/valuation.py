@@ -30,13 +30,25 @@ from . import _poly
 from ._poly import gcd as _pgcd  # a module global, hooked by perfbench/tracing.py
 from .errors import AllZero, NotDivisible, NotInDomain, NotPrime, ParseError
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13, the least strong pseudoprime to every base above (Sorenson &
+# Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_CERTIFIED_BELOW = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for anything we will ever see."""
+    """Deterministic Miller-Rabin to the prime bases up to 41.
+
+    Exact for n < psi_13 = 3317044064679887385961981; from there on the test
+    certifies nothing, and NotPrime is raised instead of an answer.
+    """
     if n < 2:
         return False
+    if n >= _CERTIFIED_BELOW:
+        raise NotPrime(
+            f"{n} is at least psi_13 = {_CERTIFIED_BELOW}, above which "
+            "primality is not certified"
+        )
     for q in _SMALL_PRIMES:
         if n % q == 0:
             return n == q

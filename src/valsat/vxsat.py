@@ -69,7 +69,7 @@ def defect(H) -> int:
     pivots are pairwise distinct, that is one less than the column count on
     each occupied index.
     """
-    return _defect_from_pivots(v.piv().pivot for v in H)
+    return _defect_from_pivots(v.piv() for v in H)
 
 
 def counters(pivots, basis_size: int, d: int, k: int) -> IterationRecord:

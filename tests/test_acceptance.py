@@ -51,14 +51,14 @@ def test_c1_counter_walkthrough_reproduction():
         pivots0 = [(1, 2), (1, 4), (2, 2), (3, 1), (4, 1), (4, 3)]
         cols0 = [basis_vector(Z2, 5, j, r) for j, r in pivots0]
         G0 = EchelonBasis(cols0)
-        rec0 = counters([v.piv().pivot for v in cols0], len(G0), d=4, k=0)
+        rec0 = counters([v.piv() for v in cols0], len(G0), d=4, k=0)
         assert (
             rec0.index_count, rec0.basis_size, rec0.capacity, rec0.defect, rec0.slack
         ) == (4, 6, 20, 2, 14)
 
         cols1 = [basis_vector(Z2, 5, j, r + 1) for j, r in pivots0]
         G1 = EchelonBasis(cols0 + cols1)
-        rec1 = counters([v.piv().pivot for v in cols1], len(G1), d=4, k=1)
+        rec1 = counters([v.piv() for v in cols1], len(G1), d=4, k=1)
         assert (
             rec1.index_count, rec1.defect, rec1.capacity, rec1.slack
         ) == (4, 2, 24, 12)
@@ -194,10 +194,10 @@ def test_c6_elimination_preserves_fresh_pivots():
                 piv = C.piv()
             except Exception:
                 continue
-            if piv.pivot in L.pivot_indices():
+            if piv in L.pivots:
                 continue
-            out = gauss_eliminate(C, L)
-            assert out.piv().pivot == piv.pivot
+            out = gauss_eliminate(C, L.columns, L.pivots)
+            assert out.piv() == piv
             done += 1
 
 

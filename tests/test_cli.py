@@ -107,6 +107,25 @@ def test_run_parse_error(tmp_path, capsys):
     assert "line 4" in err
 
 
+@pytest.mark.parametrize("tag", ["zp:318665857834031151167461",
+                                 "field:318665857834031151167461"])
+def test_strong_pseudoprime_domain_is_input_error(tmp_path, capsys, tag):
+    path = write(tmp_path, "s.vsat", f"domain: {tag}\ntask: saturate-vx\n\n2, X\n")
+    assert main([path, "--verify"]) == 1
+    captured = capsys.readouterr()
+    assert "is not prime" in captured.err and "# verify" not in captured.out
+
+
+def test_repeated_calls_share_no_flags(tmp_path, capsys):
+    path = write(tmp_path, "r.vsat", "domain: zp:2\ntask: saturate-vx\n\n2\nX\n")
+    assert main([path, "--verify", "--diagram"]) == 0
+    out = capsys.readouterr().out
+    assert "# verify: ok" in out and "# diagram" in out
+    assert main([path]) == 0
+    out = capsys.readouterr().out
+    assert "# verify" not in out and "# diagram" not in out
+
+
 def test_run_missing_file(capsys):
     assert main(["/nonexistent/foo.vsat"]) == 1
 

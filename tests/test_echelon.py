@@ -27,31 +27,41 @@ def rand_vec(rng, dom, n, deg, span=8):
 
 def test_gauss_eliminate_examples():
     L = saturate_free([vec(Z2, [1], [0])])
-    out = gauss_eliminate(vec(Z2, [3], [1]), L)
+    out = gauss_eliminate(vec(Z2, [3], [1]), L.columns, L.pivots)
     assert out == vec(Z2, [0], [1])
 
-    out = gauss_eliminate(vec(Z2, [0], [5]), L)
+    out = gauss_eliminate(vec(Z2, [0], [5]), L.columns, L.pivots)
     assert out == vec(Z2, [0], [5])  # pivot coordinate already zero
 
     L = saturate_free([vec(Z2, [0, 1])])  # X in V[X]^1
-    assert gauss_eliminate(vec(Z2, [0, 1]), L).is_zero()
+    assert gauss_eliminate(vec(Z2, [0, 1]), L.columns, L.pivots).is_zero()
 
 
 def test_echelon_insert_examples():
-    v, new, L = echelon_insert(EchelonBasis(), vec(Z2, [2]))
-    assert v == vec(Z2, [1]) and new is True
-    assert list(L) == [vec(Z2, [1])]
+    cols, pivots = [], []
+    assert echelon_insert(cols, pivots, vec(Z2, [2])) == (True, True)
+    assert cols == [vec(Z2, [1])] and pivots == [(1, 0)]
 
-    v, new, L2 = echelon_insert(L, vec(Z2, [0, 1]))
-    assert v == vec(Z2, [0, 1]) and new is False
-    assert list(L2) == [vec(Z2, [1]), vec(Z2, [0, 1])]
+    assert echelon_insert(cols, pivots, vec(Z2, [0, 1])) == (True, False)
+    assert cols == [vec(Z2, [1]), vec(Z2, [0, 1])] and pivots == [(1, 0), (1, 1)]
 
-    L = saturate_free([vec(Z2, [0, 1])])
-    v, new, L3 = echelon_insert(L, vec(Z2, [0, 1]))
-    assert v.is_zero() and new is False and L3 is L
+    # a vector already in the span dies and leaves both lists alone
+    assert echelon_insert(cols, pivots, vec(Z2, [6, 3])) == (False, False)
+    assert len(cols) == len(pivots) == 2
 
     with pytest.raises(ZeroVector):
-        echelon_insert(L, zero_vec(Z2, 1))
+        echelon_insert(cols, pivots, zero_vec(Z2, 1))
+
+
+def test_validate_rejects_a_non_monic_pivot():
+    G = saturate_free([vec(Z2, [2], [4]), vec(Z2, [0], [1])])
+    assert list(G) == [vec(Z2, [1], [2]), vec(Z2, [0], [1])]
+    # Scaled by the unit 3, the first column keeps its pivot (1, 0) and the
+    # family stays strictly echelon, but it reads 3 there, not 1.
+    scaled = [G[0].scale(Z2.element(3)), G[1]]
+    assert [v.piv() for v in scaled] == list(G.pivots)
+    with pytest.raises(ValueError, match="not monic"):
+        EchelonBasis(scaled)
 
 
 def test_saturate_free_examples():
@@ -84,13 +94,13 @@ def test_insert_keeps_invariants():
     for _ in range(60):
         dom = Zp(rng.choice((2, 3, 5)))
         n = rng.randrange(1, 4)
-        L = EchelonBasis()
+        cols, pivots = [], []
         for _ in range(rng.randrange(1, 6)):
             v = rand_vec(rng, dom, n, 2)
             if v.is_zero():
                 continue
-            _, _, L = echelon_insert(L, v)
-            L.validate()
+            echelon_insert(cols, pivots, v)
+            EchelonBasis(cols, pivots)  # raises unless the invariants hold
 
 
 def test_saturatedness_by_scaling():
@@ -131,10 +141,10 @@ def test_elimination_preserves_fresh_pivot():
             piv = C.piv()
         except Exception:
             continue
-        if piv.pivot in G.pivot_indices():
+        if piv in G.pivots:
             continue
-        out = gauss_eliminate(C, G)
-        assert out.piv().pivot == piv.pivot
+        out = gauss_eliminate(C, G.columns, G.pivots)
+        assert out.piv() == piv
         checked += 1
 
 

@@ -8,9 +8,9 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from valsat import _ratkernel
 from valsat._engines import GenericEngine, select_engine
 from valsat._packed import PackedEngine, _pack
-from valsat.echelon import EchelonBasis, echelon_insert, saturate_free
+from valsat.echelon import EchelonBasis, echelon_insert, gauss_eliminate, saturate_free
 from valsat.polyvec import PolyVec
-from valsat.valuation import TrivialField, Zp
+from valsat.valuation import RationalFunctionsAtZero, TrivialField, Zp, content
 from valsat.vxsat import _run
 
 DOMAINS = (Zp(2), Zp(3), Zp(5), TrivialField("q"))
@@ -55,10 +55,10 @@ def assert_same_result(a, b):
 
 
 def plain_fold(S):
-    L = EchelonBasis()
+    cols, pivots = [], []
     for v in S:
-        _, _, L = echelon_insert(L, v)
-    return L
+        echelon_insert(cols, pivots, v)
+    return EchelonBasis(cols, pivots)
 
 
 def unpack(dom, packed):
@@ -116,50 +116,108 @@ def test_packed_matches_generic_property(inst):
     assert list(saturate_free(S)) == list(plain_fold(S))
 
 
-def test_insert_with_unnormalised_unit_pivots():
-    """Pivot numerators other than D, negative ones included, eliminate exactly."""
-    rng = random.Random(17)
-    for dom, S in random_instances(17, 40):
-        p = dom.packing_prime
-        units = [u for u in (-3, -1, 5, 7) if not p or u % p]
-        scale = [dom.k_element(Fraction(rng.choice(units), rng.choice((1, 11))))
-                 for _ in S]
-        L = EchelonBasis([col.scale(u) for col, u in zip(plain_fold(S), scale)])
-        cols = [_pack(col) for col in L]
-        pivs = [_ratkernel.vec_pivot(col, p) for col in cols]
-        assert [(j, r) for j, r, _ in pivs] == list(L.pivot_indices())
-        for _ in range(5):
-            v = rand_vec(rng, dom, S[0].n, 2)
-            if v.is_zero():
-                continue
-            w, new, _ = echelon_insert(L, v)
-            reduced, packed_new = _ratkernel.insert(cols, pivs, _pack(v), p)
-            if w.is_zero():
-                assert reduced is None
-            else:
-                assert unpack(dom, reduced) == w
-                assert packed_new == new
+# The column contract shared by both kernels, on all five kinds.
+FIVE_KINDS = (Zp(3), TrivialField("q"), TrivialField("fp", 5),
+              RationalFunctionsAtZero("q"), RationalFunctionsAtZero("fp", 3))
+
+
+@st.composite
+def five_kind_families(draw):
+    """1-4 nonzero vectors of width 1-3 and degree <= 2 over one of FIVE_KINDS.
+
+    Coefficients carry uniformizer factors, so contents are often non-units.
+    """
+    dom = draw(st.sampled_from(FIVE_KINDS))
+    pi = dom.uniformizer() or dom.one
+    powers = (dom.one, pi, pi * pi)
+    if isinstance(dom, RationalFunctionsAtZero):
+        base = st.builds(lambda num, d0: dom.element((num, [d0, 1])),
+                         st.lists(st.integers(-3, 3), max_size=2), st.sampled_from((1, 2)))
+    else:
+        base = st.builds(lambda a, b: dom.element(Fraction(a, b)),
+                         st.integers(-9, 9), st.sampled_from((1, 7)))
+    coeff = st.builds(lambda c, u: c * u, base, st.sampled_from(powers))
+    n = draw(st.integers(1, 3))
+    S = [PolyVec(dom, [draw(st.lists(coeff, max_size=3)) for _ in range(n)])
+         for _ in range(draw(st.integers(1, 4)))]
+    S = [v for v in S if not v.is_zero()]
+    assume(S)
+    return dom, S
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(five_kind_families())
+def test_appended_columns_are_monic_at_their_content_position(inst):
+    """Each kernel appends a column monic at its stored pivot, which is
+    ``PolyVec.piv()`` and the content position of the eliminated vector;
+    where the packed kernel applies, both folds stay identical."""
+    dom, S = inst
+    p = dom.packing_prime
+    cols, pivots, pcols, ppivs = [], [], [], []
+
+    def insert(v, packed):
+        w = gauss_eliminate(v, cols, pivots)
+        survived, new = echelon_insert(cols, pivots, v)
+        assert survived == (not w.is_zero()) and len(cols) == len(pivots)
+        if survived:
+            coords = list(w.iter_coords())
+            u, i = content([c for _, c in coords])
+            assert pivots[-1] == coords[i][0] == cols[-1].piv()
+            assert cols[-1].coord(pivots[-1]) == dom.one
+            assert cols[-1] == w.div_by(u) and new == (not u.is_unit())
+        if p is not None:
+            assert _ratkernel.insert(pcols, ppivs, packed, p) == (survived, new)
+            assert ppivs == pivots
+            if survived:
+                (comps, D), (j, r) = pcols[-1], ppivs[-1]
+                assert comps[j - 1][r] == D > 0
+                assert unpack(dom, pcols[-1]) == cols[-1]
+
+    for v in S:
+        insert(v, _pack(v) if p is not None else None)
+    # One round of X-shifts, as the saturation driver runs them.
+    for i in range(len(cols)):
+        insert(cols[i].shift_x(),
+               _ratkernel.vec_shift(pcols[i]) if p is not None else None)
+    EchelonBasis(cols, pivots)  # raises unless the fold is strictly echelon
 
 
 def test_pivot_when_p_divides_denominator():
-    # 6/2 = 3 is a unit of Z_(2) although both numerators are even.
-    assert _ratkernel.vec_pivot(([[6, 4]], 2), 2) == (1, 0, 6)
-    # 4/2 = 2 is not a unit; 6/2 = 3 is.
-    assert _ratkernel.vec_pivot(([[4, 6]], 2), 2) == (1, 1, 6)
-    assert _ratkernel.vec_pivot(([[4], [8]], 2), 2) is None
-    assert _ratkernel.vec_pivot(([[], [0, -5]], 4), 0) == (2, 1, -5)
+    # 6/2 = 3 is a unit of Z_(2) although both numerators are even: the
+    # content 6/2 sits at (1, 0), and (3, 2) / 3 = (1, 2/3).
+    cols, pivots = [], []
+    assert _ratkernel.insert(cols, pivots, ([[6, 4]], 2), 2) == (True, False)
+    assert pivots == [(1, 0)] and cols == [([[3, 2]], 3)]
+    # 4/2 = 2 is not a unit; 6/2 = 3 is: (2, 3) / 3 = (2/3, 1).
+    cols, pivots = [], []
+    assert _ratkernel.insert(cols, pivots, ([[4, 6]], 2), 2) == (True, False)
+    assert pivots == [(1, 1)] and cols == [([[2, 3]], 3)]
+    # (2, 4) has no unit entry: dividing out the content 2 puts the pivot
+    # on its position (1, 0).
+    cols, pivots = [], []
+    assert _ratkernel.insert(cols, pivots, ([[4], [8]], 2), 2) == (True, True)
+    assert pivots == [(1, 0)] and cols == [([[1], [2]], 1)]
+    # Over Q the pivot is the first nonzero entry: (0, -5/4) / (-5/4).
+    cols, pivots = [], []
+    assert _ratkernel.insert(cols, pivots, ([[], [0, -5]], 4), 0) == (True, False)
+    assert pivots == [(2, 1)] and cols == [([[], [0, 1]], 1)]
 
 
 def test_content_when_p_divides_denominator():
+    def insert_one(vec, p):
+        cols, pivots = [], []
+        return _ratkernel.insert(cols, pivots, vec, p), cols
+
     # (2, 3): the content is 3, a unit, and (2, 3) / 3 = (2/3, 1).
-    assert _ratkernel.insert([], [], ([[4, 6]], 2), 2) == (([[2, 3]], 3), False)
+    assert insert_one(([[4, 6]], 2), 2) == ((True, False), [([[2, 3]], 3)])
     # (2, 6): the content is the first entry, 2, which is not a unit.
-    assert _ratkernel.insert([], [], ([[4, 12]], 2), 2) == (([[1, 3]], 1), True)
+    assert insert_one(([[4, 12]], 2), 2) == ((True, True), [([[1, 3]], 1)])
     # (-2, 6): a negative content is divided out with its sign.
-    assert _ratkernel.insert([], [], ([[-4, 12]], 2), 2) == (([[1, -3]], 1), True)
+    assert insert_one(([[-4, 12]], 2), 2) == ((True, True), [([[1, -3]], 1)])
     # Over Q the content is the first nonzero entry: (0, -4/6, 1/3) / (-2/3).
-    assert (_ratkernel.insert([], [], ([[0, -4], [2]], 6), 0)
-            == (([[0, 2], [-1]], 2), False))
+    assert insert_one(([[0, -4], [2]], 6), 0) == ((True, False), [([[0, 2], [-1]], 2)])
+    # A vector that is all zeros dies and appends nothing.
+    assert insert_one(([[0], []], 3), 3) == ((False, False), [])
 
 
 def test_select_engine_kinds():

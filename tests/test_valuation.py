@@ -62,6 +62,32 @@ def test_is_prime_small():
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
 
 
+# psi_12 = 399165290221 * 798330580441 is a strong pseudoprime to every prime
+# base up to 37, and psi_13 to every one up to 41.
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+@pytest.mark.parametrize("n", [PSI_12, PSI_13])
+def test_strong_pseudoprimes_are_rejected(n):
+    for make in (Zp, lambda n: TrivialField("fp", n), lambda n: RationalFunctionsAtZero("fp", n)):
+        with pytest.raises(NotPrime):
+            make(n)
+    for kind in ("zp", "field", "rft0"):
+        with pytest.raises(NotPrime):
+            parse_domain_tag(f"{kind}:{n}")
+
+
+def test_primality_above_psi_13_is_not_certified():
+    assert PSI_12 == 399165290221 * 798330580441 and not is_prime(PSI_12)
+    with pytest.raises(NotPrime, match="not certified"):
+        is_prime(PSI_13)
+    with pytest.raises(NotPrime, match="not certified"):
+        Zp(2 ** 89 - 1)  # a prime, but above psi_13
+    assert is_prime(2 ** 61 - 1) and Zp(2 ** 61 - 1).p == 2 ** 61 - 1
+    assert parse_domain_tag(f"field:{2 ** 61 - 1}") == TrivialField("fp", 2 ** 61 - 1)
+
+
 def test_domain_tag_round_trip():
     domains = (
         Zp(5),

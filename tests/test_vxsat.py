@@ -45,7 +45,7 @@ def test_defect_examples():
 
 def test_counters_worked_configuration():
     G0 = basis_from_pivots(Z2, 5, WORKED_PIVOTS)
-    rec = counters([v.piv().pivot for v in G0], len(G0), d=4, k=0)
+    rec = counters([v.piv() for v in G0], len(G0), d=4, k=0)
     assert (rec.index_count, rec.basis_size, rec.capacity, rec.defect, rec.slack) == (
         4, 6, 20, 2, 14,
     )
@@ -55,7 +55,7 @@ def test_counters_worked_continuation():
     shifted = [(j, r + 1) for j, r in WORKED_PIVOTS]
     G1 = basis_from_pivots(Z2, 5, WORKED_PIVOTS + shifted)
     H1 = list(G1)[6:]
-    rec = counters([v.piv().pivot for v in H1], len(G1), d=4, k=1)
+    rec = counters([v.piv() for v in H1], len(G1), d=4, k=1)
     assert (rec.index_count, rec.defect, rec.capacity, rec.slack) == (4, 2, 24, 12)
     assert rec.basis_size == 12
 
@@ -65,7 +65,7 @@ def test_counters_alternate_configuration():
     # occupied (4,2)) with identical counter values
     pivots = [(1, 3), (2, 2), (4, 1), (4, 2), (5, 0), (5, 2)]
     G0 = basis_from_pivots(Z2, 5, pivots)
-    rec = counters([v.piv().pivot for v in G0], len(G0), d=4, k=0)
+    rec = counters([v.piv() for v in G0], len(G0), d=4, k=0)
     assert (rec.index_count, rec.basis_size, rec.capacity, rec.defect, rec.slack) == (
         4, 6, 20, 2, 14,
     )
@@ -227,7 +227,7 @@ def test_pivot_shift_property():
         res = saturate_vx(S)
         runs += 1
         cols = list(res.basis)
-        pivots = [v.piv().pivot for v in cols]
+        pivots = [v.piv() for v in cols]
         bounds = [0]
         for rec in res.trace:
             bounds.append(rec.basis_size)
