@@ -2,12 +2,14 @@
 
 Usable whenever the domain's elements are plain rationals (Z_(p), and Q with
 the trivial valuation).  Columns are held as ``_ratkernel`` packed vectors,
-integer numerators over one denominator per column in lowest terms, and are
-turned into reduced fractions only on export.  ``_ratkernel.insert`` keeps
-the column contract of ``echelon``: it appends each reduction, monic at its
-content position, and that position to the engine's lists.  Results are
-bit-identical to the generic engine: same elimination order, same content
-rule, and the exported fractions are canonical.
+integer numerators over one denominator per column in lowest terms.  Only on
+export do they become reduced fractions in ``ScalarElement``, the one element
+class of Z_(p), Q and F_p, so the engine makes no per-domain class choice.
+``_ratkernel.insert`` keeps the column contract of ``echelon``: it appends
+each reduction, monic at its content position, and that position to the
+engine's lists.  Results are bit-identical to the generic engine: same
+elimination order, same content rule, and the exported fractions are
+canonical.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from . import _ratkernel
 from ._engines import GenericEngine
 from .echelon import EchelonBasis
 from .polyvec import PivotIndex, PolyVec
-from .valuation import FieldElement, ZpElement
+from .valuation import ScalarElement
 
 
 def _pack(v: PolyVec):
@@ -37,7 +39,6 @@ class PackedEngine(GenericEngine):
     def __init__(self, domain):
         super().__init__(domain)
         self.p = domain.packing_prime
-        self._element = ZpElement if self.p else FieldElement
 
     def insert_vector(self, v: PolyVec) -> tuple[bool, bool]:
         return _ratkernel.insert(self.cols, self.pivs, _pack(v), self.p)
@@ -49,8 +50,8 @@ class PackedEngine(GenericEngine):
     def polyvec(self, i: int) -> PolyVec:
         """Column i with its entries as reduced fractions."""
         comps, D = self.cols[i]
-        dom, make, zero = self.domain, self._element, self.domain.zero
-        return PolyVec(dom, [[make(dom, Fraction(num, D)) if num else zero
+        dom, zero = self.domain, self.domain.zero
+        return PolyVec(dom, [[ScalarElement(dom, Fraction(num, D)) if num else zero
                               for num in comp] for comp in comps])
 
     def export_basis(self) -> EchelonBasis:

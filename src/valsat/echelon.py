@@ -11,12 +11,13 @@ Both insertion kernels, ``echelon_insert`` and ``_ratkernel.insert``, keep
 one contract: eliminate at every stored pivot in order, then append the
 primitive reduction and its pivot to the caller's column and pivot lists.
 That pivot is the content position and the column is monic there, so
-elimination never divides.  Engines export an ``EchelonBasis`` once.
+elimination never divides.  A vector that eliminates to zero, the zero
+vector included, returns ``(False, False)`` and leaves both lists as they
+were.  Engines export an ``EchelonBasis`` once.
 """
 
 from __future__ import annotations
 
-from .errors import ZeroVector
 from .polyvec import PivotIndex, PolyVec, red_prim
 
 
@@ -92,14 +93,13 @@ def echelon_insert(cols: list[PolyVec], pivots: list[PivotIndex],
     """Treat one new column, keeping ``cols``/``pivots`` in strict echelon form.
 
     Returns ``(survived, new)``.  When the eliminated column vanishes, v0 was
-    already in the V-span of the columns and ``(False, False)`` comes back.
+    already in the V-span of the columns (the zero vector always is) and
+    ``(False, False)`` comes back.
     Otherwise its primitive reduction and that reduction's pivot, the
     content position, are appended, and ``new`` is True exactly when the
     content divided out was a non-unit (the reduction lies outside the
     V-span of the old columns and v0).
     """
-    if v0.is_zero():
-        raise ZeroVector("cannot insert the zero vector")
     v = gauss_eliminate(v0, cols, pivots)
     if v.is_zero():
         return False, False

@@ -35,6 +35,8 @@ def kernel_kx(U: list[PolyVec]) -> list[tuple[XPoly, ...]]:
     factor of a column of T would divide the unit det T, so no generator
     needs a gcd strip; each is scaled so its first nonzero coefficient is 1.
     """
+    if not U:
+        return []
     domain, k, n = U[0].domain, U[0].n, len(U)
     one = domain.one
     cols = [
@@ -93,10 +95,8 @@ def primitive_scale(v, domain: Domain) -> PolyVec:
     if not vals:
         raise ZeroVector("primitive_scale of the zero vector")
     m = min(vals)
-    if m != 0:
+    if m != 0:  # never with a trivial valuation, where every nonzero value is 0
         pi = domain.uniformizer()
-        if pi is None:
-            raise ValueError("domain has trivial valuation but nonzero min valuation")
         alpha = domain.one
         step = pi if m < 0 else domain.one / pi
         for _ in range(abs(m)):
@@ -122,10 +122,7 @@ def apply_columns(U: list[PolyVec], f: PolyVec) -> list[XPoly]:
 def scaled_kernel(U: list[PolyVec]) -> list[PolyVec]:
     """Primitive V[X]^n representatives of a K[X]-kernel basis of u_1..u_n."""
     U = list(U)
-    if not U:
-        return []
-    domain = U[0].domain
-    return [primitive_scale(g, domain) for g in kernel_kx(U)]
+    return [primitive_scale(g, U[0].domain) for g in kernel_kx(U)]
 
 
 def syzygy_vx(U: list[PolyVec], max_iter: int | None = None) -> SaturationResult:

@@ -9,11 +9,12 @@ Three concrete instances are shipped:
 * ``TrivialField(base)`` -- Q or F_p with the trivial valuation, where every
   nonzero element is a unit.
 
-Elements are immutable canonical reduced fractions (positive integer
-denominator for Zp, monic denominator for rational functions), so structural
-equality is semantic equality and every operation is exact.  The quotient
-field K is represented by the same element classes: ``Domain.element`` insists
-on nonnegative valuation, ``Domain.k_element`` does not.
+Zp and the trivial-valuation fields share one element class, ``ScalarElement``
+(a reduced fraction, or a residue mod p over F_p); rational functions are
+``RatFuncElement``s with a monic denominator.  Elements are immutable and
+canonical, so structural equality is semantic equality and every operation is
+exact.  The quotient field K uses the same classes: ``Domain.element`` insists
+on nonnegative valuation, the shared ``Domain.k_element`` does not.
 
 The residue field is never materialised; every residual question reduces to
 ``is_unit``.  The valuation of zero is the ``math.inf`` sentinel.
@@ -172,54 +173,12 @@ class DomainElement:
         return not self.is_zero()
 
 
-class ZpElement(DomainElement):
-    __slots__ = ("domain", "value")
+class ScalarElement(DomainElement):
+    """Element of Zp, Q or F_p: a Fraction, or a residue mod p over F_p.
 
-    def __init__(self, domain, value: Fraction):
-        self.domain = domain
-        self.value = value
-
-    def is_zero(self):
-        return self.value == 0
-
-    def valuation(self):
-        if self.value == 0:
-            return math.inf
-        p = self.domain.p
-        v = _int_val(self.value.numerator, p)
-        return v if v else -_int_val(self.value.denominator, p)
-
-    def __add__(self, other):
-        return ZpElement(self.domain, self.value + other.value)
-
-    def __mul__(self, other):
-        return ZpElement(self.domain, self.value * other.value)
-
-    def __truediv__(self, other):
-        return ZpElement(self.domain, self.value / other.value)
-
-    def __neg__(self):
-        return ZpElement(self.domain, -self.value)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ZpElement)
-            and self.domain == other.domain
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.domain, self.value))
-
-    def __str__(self):
-        return str(self.value)
-
-    def __repr__(self):
-        return f"ZpElement({self.domain.p}, {self.value})"
-
-
-class FieldElement(DomainElement):
-    """Element of a trivial-valuation field (Q or F_p)."""
+    Arithmetic goes through ``domain.field``; the valuation is p-adic in the
+    domain's valued prime ``domain.p``, and trivial when that is 0.
+    """
 
     __slots__ = ("domain", "value")
 
@@ -231,25 +190,31 @@ class FieldElement(DomainElement):
         return self.value == 0
 
     def valuation(self):
-        return math.inf if self.value == 0 else 0
+        if self.value == 0:
+            return math.inf
+        p = self.domain.p
+        if not p:
+            return 0
+        v = _int_val(self.value.numerator, p)
+        return v if v else -_int_val(self.value.denominator, p)
 
     def __add__(self, other):
-        return FieldElement(self.domain, self.domain.field.add(self.value, other.value))
+        return ScalarElement(self.domain, self.domain.field.add(self.value, other.value))
 
     def __mul__(self, other):
-        return FieldElement(self.domain, self.domain.field.mul(self.value, other.value))
+        return ScalarElement(self.domain, self.domain.field.mul(self.value, other.value))
 
     def __truediv__(self, other):
         if other.value == 0:
             raise ZeroDivisionError("division by zero domain element")
-        return FieldElement(self.domain, self.domain.field.div(self.value, other.value))
+        return ScalarElement(self.domain, self.domain.field.div(self.value, other.value))
 
     def __neg__(self):
-        return FieldElement(self.domain, self.domain.field.neg(self.value))
+        return ScalarElement(self.domain, self.domain.field.neg(self.value))
 
     def __eq__(self, other):
         return (
-            isinstance(other, FieldElement)
+            isinstance(other, ScalarElement)
             and self.domain == other.domain
             and self.value == other.value
         )
@@ -261,7 +226,7 @@ class FieldElement(DomainElement):
         return str(self.value)
 
     def __repr__(self):
-        return f"FieldElement({self.domain.field.name}, {self.value})"
+        return f"ScalarElement({self.domain.tag}, {self.value})"
 
 
 class RatFuncElement(DomainElement):
@@ -394,7 +359,18 @@ class Domain:
         return e
 
     def k_element(self, raw) -> DomainElement:
-        """Element of the quotient field K (no valuation restriction)."""
+        """Element of the quotient field K (no valuation restriction).
+
+        An element of this domain comes back unchanged, one of another domain
+        raises NotInDomain, and raw input goes to the subclass's ``_from_raw``.
+        """
+        if isinstance(raw, DomainElement):
+            if raw.domain != self:
+                raise NotInDomain("element from a different domain")
+            return raw
+        return self._from_raw(raw)
+
+    def _from_raw(self, raw) -> DomainElement:
         raise NotImplementedError
 
     # Elements are immutable and canonical, so every caller may share these.
@@ -428,20 +404,18 @@ class Domain:
 class Zp(Domain):
     """Rationals of nonnegative p-adic valuation."""
 
+    field = _QQ()
+
     def __init__(self, p: int):
         _check_prime(p)
         self.p = p
         self.tag = f"zp:{p}"
 
-    def k_element(self, raw):
-        if isinstance(raw, ZpElement):
-            if raw.domain != self:
-                raise NotInDomain("element from a different domain")
-            return raw
-        return ZpElement(self, Fraction(raw))
+    def _from_raw(self, raw):
+        return ScalarElement(self, Fraction(raw))
 
     def uniformizer(self):
-        return ZpElement(self, Fraction(self.p))
+        return ScalarElement(self, Fraction(self.p))
 
     @property
     def packing_prime(self):
@@ -455,11 +429,7 @@ class RationalFunctionsAtZero(Domain):
         self.field = _base_field(base, p)
         self.tag = f"rft0:{p or 'q'}"
 
-    def k_element(self, raw):
-        if isinstance(raw, RatFuncElement):
-            if raw.domain != self:
-                raise NotInDomain("element from a different domain")
-            return raw
+    def _from_raw(self, raw):
         if isinstance(raw, tuple) and len(raw) == 2:
             num, den = raw
             return self.from_polys(num, den)
@@ -482,16 +452,14 @@ class RationalFunctionsAtZero(Domain):
 class TrivialField(Domain):
     """Q or F_p carrying the trivial valuation."""
 
+    p = 0  # the valued prime: none; the characteristic of F_p is field.p
+
     def __init__(self, base: str = "q", p: int | None = None):
         self.field = _base_field(base, p)
         self.tag = f"field:{p or 'q'}"
 
-    def k_element(self, raw):
-        if isinstance(raw, FieldElement):
-            if raw.domain != self:
-                raise NotInDomain("element from a different domain")
-            return raw
-        return FieldElement(self, self.field.coerce(Fraction(raw)))
+    def _from_raw(self, raw):
+        return ScalarElement(self, self.field.coerce(Fraction(raw)))
 
     @property
     def packing_prime(self):

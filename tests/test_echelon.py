@@ -5,7 +5,6 @@ import pytest
 
 from valsat import oracle
 from valsat.echelon import EchelonBasis, echelon_insert, gauss_eliminate, saturate_free
-from valsat.errors import ZeroVector
 from valsat.polyvec import PolyVec, zero_vec
 from valsat.valuation import Zp
 
@@ -49,8 +48,9 @@ def test_echelon_insert_examples():
     assert echelon_insert(cols, pivots, vec(Z2, [6, 3])) == (False, False)
     assert len(cols) == len(pivots) == 2
 
-    with pytest.raises(ZeroVector):
-        echelon_insert(cols, pivots, zero_vec(Z2, 1))
+    # so does the zero vector
+    assert echelon_insert(cols, pivots, zero_vec(Z2, 1)) == (False, False)
+    assert cols == [vec(Z2, [1]), vec(Z2, [0, 1])] and pivots == [(1, 0), (1, 1)]
 
 
 def test_validate_rejects_a_non_monic_pivot():

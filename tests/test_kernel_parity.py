@@ -3,13 +3,14 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from valsat import _ratkernel
 from valsat._engines import GenericEngine, select_engine
 from valsat._packed import PackedEngine, _pack
 from valsat.echelon import EchelonBasis, echelon_insert, gauss_eliminate, saturate_free
-from valsat.polyvec import PolyVec
+from valsat.polyvec import PolyVec, zero_vec
 from valsat.valuation import RationalFunctionsAtZero, TrivialField, Zp, content
 from valsat.vxsat import _run
 
@@ -227,3 +228,17 @@ def test_select_engine_kinds():
     assert isinstance(select_engine(TrivialField("q")), PackedEngine)
     assert isinstance(select_engine(TrivialField("fp", 3)), GenericEngine)
     assert isinstance(select_engine(RationalFunctionsAtZero("q")), GenericEngine)
+
+
+@pytest.mark.parametrize("dom", FIVE_KINDS, ids=lambda d: d.tag)
+def test_zero_vector_dies_on_every_engine(dom):
+    """Every engine returns (False, False) on the zero vector, before and
+    after a column is held, and appends nothing."""
+    for engine in (select_engine(dom), GenericEngine(dom)):
+        assert engine.insert_vector(zero_vec(dom, 2)) == (False, False)
+        assert engine.cols == engine.pivs == []
+        assert engine.insert_vector(PolyVec(dom, [[dom.one], []])) == (True, False)
+        before = list(engine.export_basis())
+        assert engine.insert_vector(zero_vec(dom, 2)) == (False, False)
+        assert len(engine.cols) == len(engine.pivs) == 1
+        assert list(engine.export_basis()) == before

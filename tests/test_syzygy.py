@@ -75,6 +75,11 @@ def test_kernel_single_row_examples():
     assert basis == [(xp(Z2, [1]), xp(Z2, [-1]))]
 
 
+def test_kernel_of_no_columns_is_empty():
+    assert kernel_kx([]) == []
+    assert scaled_kernel([]) == []
+
+
 def test_kernel_rank_and_exactness_random():
     rng = random.Random(43)
     for _ in range(240):

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from valsat import _poly
 from valsat.errors import AllZero, NotDivisible, NotInDomain, NotPrime, ParseError
@@ -11,8 +11,10 @@ from valsat.textio import parse_element
 from valsat.valuation import (
     RatFuncElement,
     RationalFunctionsAtZero,
+    ScalarElement,
     TrivialField,
     Zp,
+    _int_val,
     content,
     is_prime,
     parse_domain_tag,
@@ -259,6 +261,76 @@ def test_elements_are_hashable_and_immutable():
     assert len({a, b}) == 1
 
 
+SCALAR_KINDS = (Z2, Z3, TrivialField("q"), TrivialField("fp", 5))
+
+
+def _reference(d, x: Fraction):
+    """x as a plain Fraction, or as a residue mod p over F_p."""
+    if d.tag == "field:5":
+        return x.numerator * pow(x.denominator, -1, 5) % 5
+    return x
+
+
+def _reference_valuation(d, x: Fraction):
+    if _reference(d, x) == 0:
+        return math.inf
+    if d.tag.startswith("field:"):
+        return 0
+    return _int_val(x.numerator, d.p) - _int_val(x.denominator, d.p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(SCALAR_KINDS),
+    st.integers(-40, 40), st.integers(1, 40),
+    st.integers(-40, 40), st.integers(1, 40),
+)
+def test_scalar_element_matches_plain_arithmetic(d, a, b, c, e):
+    """ScalarElement arithmetic, valuation and divisibility against plain
+    Fraction or mod-p arithmetic and the multiplicities of p in num and den."""
+    if d.tag == "field:5":
+        assume(b % 5 and e % 5)
+    x, y = Fraction(a, b), Fraction(c, e)
+    rx, ry = _reference(d, x), _reference(d, y)
+    ex, ey = d.k_element(x), d.k_element(y)
+    assert isinstance(ex, ScalarElement) and ex.value == rx
+    if d.tag == "field:5":
+        assert (ex + ey).value == (rx + ry) % 5
+        assert (ex - ey).value == (rx - ry) % 5
+        assert (ex * ey).value == rx * ry % 5
+        assert (-ex).value == -rx % 5
+        if ry:
+            assert (ex / ey).value == rx * pow(ry, -1, 5) % 5
+    else:
+        assert (ex + ey).value == x + y
+        assert (ex - ey).value == x - y
+        assert (ex * ey).value == x * y
+        assert (-ex).value == -x
+        if y:
+            assert (ex / ey).value == x / y
+    vx, vy = _reference_valuation(d, x), _reference_valuation(d, y)
+    assert ex.valuation() == vx and ey.valuation() == vy
+    assert ey.divides(ex) == (vx >= vy)
+    if not ry:
+        with pytest.raises(ZeroDivisionError):
+            ex / ey
+        with pytest.raises(ZeroDivisionError):
+            ex.div_exact(ey)
+    elif vx >= vy:
+        assert ex.div_exact(ey) == ex / ey
+    else:
+        with pytest.raises(NotDivisible):
+            ex.div_exact(ey)
+
+
+@given(st.integers(0, 2))
+def test_equal_values_in_different_domains_are_distinct(c):
+    elems = [Z3.k_element(c), TrivialField("fp", 3).k_element(c), TrivialField("q").k_element(c)]
+    assert elems[0].value == elems[1].value == elems[2].value
+    assert all(a != b for i, a in enumerate(elems) for b in elems[i + 1:])
+    assert len({hash(a) for a in elems}) == 3 and len(set(elems)) == 3
+
+
 RFT0 = [RationalFunctionsAtZero("q"), RationalFunctionsAtZero("fp", 3)]
 
 
@@ -300,3 +372,16 @@ def test_constant_side_canonicalisation(R, c, unit, poly, const_num):
 def test_zero_and_one_are_shared_constants(d):
     assert d.zero is d.zero and d.one is d.one
     assert d.zero == d.k_element(0) and d.one == d.k_element(1)
+
+
+ALL_KINDS = [Z2, Z3, TrivialField("q"), TrivialField("fp", 3), *RFT0]
+
+
+@pytest.mark.parametrize("d", ALL_KINDS, ids=lambda d: d.tag)
+def test_k_element_keeps_own_elements_and_rejects_foreign_ones(d):
+    e = d.k_element(2)
+    assert d.k_element(e) is e and d.element(e) is e
+    for other in ALL_KINDS:
+        if other != d:
+            with pytest.raises(NotInDomain):
+                d.k_element(other.k_element(2))
