@@ -44,10 +44,18 @@ from math import gcd
 from .valuation import _int_val
 
 
+def shift_comps(comps, s):
+    """Multiply every component by X^s, into fresh lists; ``comps`` when s is 0."""
+    if not s:
+        return comps
+    pad = [0] * s
+    return [pad + comp if comp else [] for comp in comps]
+
+
 def vec_shift(vec):
     """Multiply every component by X."""
     comps, D = vec
-    return [[0] + comp if comp else [] for comp in comps], D
+    return shift_comps(comps, 1), D
 
 
 def _content(comps, p):
@@ -82,11 +90,13 @@ def _divide(comps, g):
         comps[c] = [num // g for num in comp]
 
 
-def _sub_scaled(comps, wcomps, s, t):
+def _sub_scaled(comps, wcomps, s, t, p=0):
     """comps <- s * comps - t * wcomps, trailing zeros trimmed.
 
-    Writes fresh component lists into ``comps`` and mutates none, so the
-    caller's vector and the basis columns stay intact.
+    With a prime ``p`` the numerators are residues mod p, s must be 1, and
+    every changed entry is reduced mod p.  Writes fresh component lists into
+    ``comps`` and mutates none, so the caller's vector and the basis columns
+    stay intact.
     """
     for c, wcomp in enumerate(wcomps):
         comp = comps[c]
@@ -94,7 +104,9 @@ def _sub_scaled(comps, wcomps, s, t):
             m = len(wcomp)
             if len(comp) < m:
                 comp = comp + [0] * (m - len(comp))
-            if s == 1:
+            if p:
+                new = [(x - t * y) % p for x, y in zip(comp, wcomp)] + comp[m:]
+            elif s == 1:
                 new = [x - t * y for x, y in zip(comp, wcomp)] + comp[m:]
             else:
                 new = [s * x - t * y for x, y in zip(comp, wcomp)]

@@ -10,6 +10,34 @@ saturation generates the full syzygy module of u_1..u_n over V[X].
 
 K[X] polynomials are trimmed tuples of quotient-field elements; a kernel
 vector is a tuple of n such polynomials.
+
+One loop, ``_reduce_columns``, runs the reduction over three column
+representations, each with its own division step (the two packed ones are
+``_packed.kernel_kx_packed``):
+
+* generic (``rft0`` kinds): polynomials of domain elements, Euclidean
+  division in K[X];
+* Z (``zp:p``, ``field:q``): integer polynomials.  Each stacked column
+  [u_j; e_j] is cleared of denominators, so its identity part starts as
+  D_j e_j, and each quotient step is the fraction-free
+  ``(lb/g) col - (la/g) X^s pivot`` with la, lb the leading coefficients
+  of the row entries, g = gcd(la, lb) and s their degree difference,
+  repeated while the row entry's degree is at least the pivot's; the
+  integer content is stripped after each such column update
+  (``_ratkernel``'s ``_sub_scaled``, ``_common_factor`` and ``_divide``);
+* F_p (``field:p``): residues, each step ``col - (la/lb mod p) X^s pivot``
+  reduced mod p (``_sub_scaled`` with the modulus), which is Euclidean
+  division itself.
+
+The three return the same basis.  The pseudo-remainder of a by b is
+c (a mod b) for a nonzero scalar c, so after every column update a Z column
+is a nonzero scalar multiple of the column that Euclidean division leaves,
+and stripping the content only changes that scalar.  Scaling a column
+changes no degree and no zero pattern, so every pivot choice and every
+removal from the active set is the same on all paths, and the final
+division of each generator by its first nonzero coefficient removes the
+scalar: over Z the entries become ``Fraction(v, lead)``, over F_p the
+residues ``v / lead mod p``.
 """
 
 from __future__ import annotations
@@ -17,7 +45,7 @@ from __future__ import annotations
 from . import _poly
 from .errors import ZeroVector
 from .polyvec import PolyVec
-from .valuation import Domain, DomainElement
+from .valuation import Domain, DomainElement, ScalarElement
 from .vxsat import SaturationResult, saturate_vx
 from .echelon import EchelonBasis
 
@@ -34,16 +62,36 @@ def kernel_kx(U: list[PolyVec]) -> list[tuple[XPoly, ...]]:
     identity parts ``col[k:]`` of the columns whose U part is zero.  A common
     factor of a column of T would divide the unit det T, so no generator
     needs a gcd strip; each is scaled so its first nonzero coefficient is 1.
+
+    Over ``zp:p`` and ``field:q`` the columns are integer polynomials and
+    each division step is fraction-free, ``(lb/g) col - (la/g) X^s pivot``
+    with the content stripped after it; over ``field:p`` they are residues
+    mod p.  Either leaves each column a nonzero scalar multiple of its
+    Euclidean reduction, with the same degrees and zero pattern, so every
+    pivot choice is the one the generic path makes, and the final
+    normalisation gives the same basis (see the module docstring).
     """
     if not U:
         return []
-    domain, k, n = U[0].domain, U[0].n, len(U)
-    one = domain.one
-    cols = [
-        list(u.comps) + [(one,) if i == j else () for i in range(n)]
-        for j, u in enumerate(U)
-    ]
-    active = list(range(n))
+    if isinstance(U[0].domain.one, ScalarElement):
+        # Imported on first use, so that importing valsat does not load
+        # (and, with no cached bytecode, compile) the packed modules.
+        from ._packed import kernel_kx_packed
+
+        return kernel_kx_packed(U)
+    return _kernel_kx_generic(U)
+
+
+def _reduce_columns(cols, k, step):
+    """Column-reduce the stacked columns in place; the indices of the kernel part.
+
+    Row by row, while two active columns are nonzero in the row, the one of
+    least degree there (lowest index on ties) becomes the pivot and
+    ``step(col, pivot, row)`` returns each other column reduced below the
+    pivot's degree in that row.  Afterwards the first column still nonzero
+    in the row leaves the active set.
+    """
+    active = list(range(len(cols)))
     for row in range(k):
         while True:
             nz = [j for j in active if cols[j][row]]
@@ -52,21 +100,31 @@ def kernel_kx(U: list[PolyVec]) -> list[tuple[XPoly, ...]]:
             jstar = min(nz, key=lambda j: (len(cols[j][row]), j))
             pivot = cols[jstar]
             for j in nz:
-                if j == jstar:
-                    continue
-                q, _ = _poly.divmod(domain, cols[j][row], pivot[row])
-                cols[j] = [
-                    _poly.sub(domain, a, _poly.mul(domain, q, b))
-                    for a, b in zip(cols[j], pivot)
-                ]
+                if j != jstar:
+                    cols[j] = step(cols[j], pivot, row)
         nz = [j for j in active if cols[j][row]]
         if nz:
             active.remove(nz[0])
-    basis = []
-    for j in active:
-        assert not any(cols[j][:k])
-        basis.append(tuple(_normalize_leading(cols[j][k:])))
-    return basis
+    assert not any(cols[j][row] for j in active for row in range(k))
+    return active
+
+
+def _kernel_kx_generic(U):
+    """``kernel_kx`` over domain elements by Euclidean division; every kind."""
+    domain, k, n = U[0].domain, U[0].n, len(U)
+    one = domain.one
+
+    def step(col, pivot, row):
+        q, _ = _poly.divmod(domain, col[row], pivot[row])
+        return [_poly.sub(domain, a, _poly.mul(domain, q, b))
+                for a, b in zip(col, pivot)]
+
+    cols = [
+        list(u.comps) + [(one,) if i == j else () for i in range(n)]
+        for j, u in enumerate(U)
+    ]
+    return [tuple(_normalize_leading(cols[j][k:]))
+            for j in _reduce_columns(cols, k, step)]
 
 
 def _normalize_leading(col):

@@ -11,6 +11,7 @@ from valsat._engines import GenericEngine, select_engine
 from valsat._packed import PackedEngine, _pack
 from valsat.echelon import EchelonBasis, echelon_insert, gauss_eliminate, saturate_free
 from valsat.polyvec import PolyVec, zero_vec
+from valsat.syzygy import _kernel_kx_generic, kernel_kx
 from valsat.valuation import RationalFunctionsAtZero, TrivialField, Zp, content
 from valsat.vxsat import _run
 
@@ -242,3 +243,55 @@ def test_zero_vector_dies_on_every_engine(dom):
         assert engine.insert_vector(zero_vec(dom, 2)) == (False, False)
         assert len(engine.cols) == len(engine.pivs) == 1
         assert list(engine.export_basis()) == before
+
+
+# The packed kernel_kx paths against the generic column reduction: the Z path
+# (zp:p, field:q) and the residue path (field:p).
+KERNEL_DOMAINS = (Zp(2), Zp(3), TrivialField("q"), TrivialField("fp", 5),
+                  TrivialField("fp", 7))
+
+
+@st.composite
+def kernel_matrices(draw):
+    """k-by-n matrices over K for k in 1-3 and n in 1-4, as columns u_1..u_n.
+
+    Denominators include 2, 3, 4 and 9, so over zp:2 and zp:3 many entries
+    lie in K but not in V; numerators are often 0 and sometimes above 2^80;
+    entries are often the zero polynomial; k >= n is common; and a column
+    may repeat an earlier one, as it is or times a scalar.
+    """
+    dom = draw(st.sampled_from(KERNEL_DOMAINS))
+    char = dom.field.p if dom.packing_prime is None else 0
+    dens = [d for d in (1, 2, 3, 4, 7, 9, 11) if not char or d % char]
+    num = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-2 ** 80, 2 ** 80))
+
+    def coeff():
+        return dom.k_element(Fraction(draw(num), draw(st.sampled_from(dens))))
+
+    k, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    U = []
+    for _ in range(n):
+        if U and draw(st.integers(0, 3)) == 0:
+            c = coeff()
+            U.append(U[draw(st.integers(0, len(U) - 1))].scale(c if c else dom.one))
+        else:
+            U.append(PolyVec(dom, [[coeff() for _ in range(draw(st.integers(0, 3)))]
+                                   for _ in range(k)]))
+    return dom, U
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(kernel_matrices())
+def test_packed_kernel_kx_matches_generic(inst):
+    dom, U = inst
+    basis = kernel_kx(U)
+    assert basis == _kernel_kx_generic(U)
+    char = dom.field.p if dom.packing_prime is None else 0
+    for gen in basis:
+        for c in (c for poly in gen for c in poly):
+            assert c.domain == dom
+            if char:
+                assert type(c.value) is int and 0 <= c.value < char
+            else:
+                assert type(c.value) is Fraction

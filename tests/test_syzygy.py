@@ -7,6 +7,7 @@ from valsat import _poly, oracle
 from valsat.errors import ZeroVector
 from valsat.polyvec import PolyVec
 from valsat.syzygy import (
+    _kernel_kx_generic,
     apply_columns,
     kernel_kx,
     primitive_scale,
@@ -78,6 +79,53 @@ def test_kernel_single_row_examples():
 def test_kernel_of_no_columns_is_empty():
     assert kernel_kx([]) == []
     assert scaled_kernel([]) == []
+
+
+# One domain per packed kernel_kx path: integers (zp:p, field:q) and residues.
+PACKED = (Z2, TrivialField("q"), TrivialField("fp", 5))
+
+
+def _same_as_generic(U):
+    basis = kernel_kx(U)
+    assert basis == _kernel_kx_generic(U)
+    return basis
+
+
+@pytest.mark.parametrize("dom", PACKED, ids=lambda d: d.tag)
+def test_kernel_of_zero_matrix_is_the_identity(dom):
+    U = kx(dom, [[[], [], []], [[], [], []]])
+    one, zero = xp(dom, [1]), xp(dom, [])
+    assert _same_as_generic(U) == [(one, zero, zero), (zero, one, zero),
+                                   (zero, zero, one)]
+
+
+@pytest.mark.parametrize("dom", PACKED, ids=lambda d: d.tag)
+def test_kernel_of_one_zero_column_is_its_unit_vector(dom):
+    U = kx(dom, [[[1], [], [0, 1]], [[0, 1], [], [3]]])  # [1 0 X; X 0 3]
+    assert _same_as_generic(U) == [(xp(dom, []), xp(dom, [1]), xp(dom, []))]
+
+
+@pytest.mark.parametrize("dom", PACKED, ids=lambda d: d.tag)
+def test_kernel_of_injective_tall_matrix_is_empty(dom):
+    U = kx(dom, [[[1], [0, 1]], [[], [1]], [[0, 1], []]])  # k = 3 > n = 2
+    assert _same_as_generic(U) == []
+
+
+@pytest.mark.parametrize("dom", (Z2, TrivialField("q"), TrivialField("fp", 2 ** 64 + 13)),
+                         ids=lambda d: d.tag)
+def test_kernel_with_numerators_above_2_64(dom):
+    # [a X + b  c] with a, b, c above 2^64 and a common factor 2^70 + 1: the
+    # kernel is (1, -(a X + b)/c), whatever content the reduction strips.
+    big = 2 ** 70 + 1
+    a, b, c = big * (2 ** 65 + 3), big * 3 ** 45, big * 5 ** 30
+    U = kx(dom, [[[b, a], [c]]])
+    ratio = [-dom.k_element(b) / dom.k_element(c), -dom.k_element(a) / dom.k_element(c)]
+    assert _same_as_generic(U) == [(xp(dom, [1]), tuple(ratio))]
+    # Two rows and a third column make the steps scale and strip repeatedly.
+    U = kx(dom, [[[b, a], [c], [a, 0, c]], [[c, 1], [a, b], [b]]])
+    basis = _same_as_generic(U)
+    assert len(basis) == 1
+    assert all(not r for r in eval_residual(U, basis[0]))
 
 
 def test_kernel_rank_and_exactness_random():
