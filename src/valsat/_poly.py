@@ -8,11 +8,22 @@ the base fields of ``valuation`` (``_QQ``, ``_GFp``) over plain numbers,
 and every ``Domain`` over its own elements.  Coefficients are tested for
 zero by truthiness, which holds for ``int``, ``Fraction`` and
 ``DomainElement`` alike.
+
+The gcd over Q does not run Euclid on ``Fraction`` coefficients: every
+remainder step there reduces each coefficient by an integer gcd, and the
+numerators and denominators of the remainders still grow far beyond those
+of the inputs and of the gcd (Knuth, TAOCP vol. 2, section 4.6.1).  It runs
+the primitive polynomial remainder sequence over Z instead (Collins 1967;
+Brown & Traub 1971): clear the denominators, and take pseudo-remainders of
+integer polynomials, stripping their integer content at each step, so the
+coefficients stay as small as the primitive associates of the remainders.
+Over F_p, and over every ``Domain``, the gcd is Euclid's.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 
 def trim(c) -> tuple:
@@ -65,12 +76,13 @@ def divmod(F, a, b) -> tuple[tuple, tuple]:
     q = [F.zero] * (len(a) - len(b) + 1)
     r = list(a)
     lead = b[-1]
+    lead_is_one = lead == F.one
     fsub, fmul = F.sub, F.mul
     for k in range(len(a) - len(b), -1, -1):
         c = r[k + len(b) - 1]
         if not c:
             continue
-        f = F.div(c, lead)
+        f = c if lead_is_one else F.div(c, lead)
         q[k] = f
         for i, x in enumerate(b):
             r[k + i] = fsub(r[k + i], fmul(f, x))
@@ -86,10 +98,58 @@ def monic(F, a) -> tuple:
 
 
 def gcd(F, a, b) -> tuple:
-    """Monic greatest common divisor of two trimmed polynomials."""
+    """Monic greatest common divisor of two trimmed polynomials.
+
+    Over Q (``F.zero`` a ``Fraction``) by the primitive PRS over Z, else by
+    Euclid; both return the same monic polynomial.
+    """
+    if isinstance(F.zero, Fraction):
+        return _gcd_q(F, a, b)
     while b:
         a, b = b, divmod(F, a, b)[1]
     return monic(F, a)
+
+
+def _primitive(c) -> list:
+    """c divided by the gcd of its integer entries."""
+    g = math.gcd(*c)
+    return [x // g for x in c] if g > 1 else c
+
+
+def _cleared(c) -> list:
+    """Primitive integer associate of a list of ``Fraction``s."""
+    den = math.lcm(*(x.denominator for x in c))
+    return _primitive([x.numerator * (den // x.denominator) for x in c])
+
+
+def _gcd_q(F, a, b) -> tuple:
+    """Monic gcd over Q of two trimmed polynomials, by the primitive PRS."""
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return monic(F, a)
+    if len(b) == 1:
+        return (F.one,)
+    a, b = _cleared(a), _cleared(b)
+    while len(b) > 1:
+        # a <- prem(a, b) up to a constant factor, one leading term at a time
+        n, lb = len(b), b[-1]
+        while len(a) >= n:
+            la = a[-1]
+            g = math.gcd(la, lb)
+            s, t = lb // g, la // g
+            k = len(a) - n
+            head = a[:k] if s == 1 else [s * x for x in a[:k]]
+            a = head + [s * x - t * y for x, y in zip(a[k:], b)]
+            while a and not a[-1]:
+                a.pop()
+        if not a:
+            break
+        a, b = b, _primitive(a)
+    if len(b) == 1:
+        return (F.one,)
+    lead = b[-1]
+    return tuple(Fraction(x, lead) for x in b)
 
 
 def order(a):

@@ -18,6 +18,16 @@ on nonnegative valuation, the shared ``Domain.k_element`` does not.
 
 The residue field is never materialised; every residual question reduces to
 ``is_unit``.  The valuation of zero is the ``math.inf`` sentinel.
+
+Cost model of ``RatFuncElement``.  Polynomial gcds dominate the cost of
+rational-function arithmetic, so each operation runs only the gcds that can
+find a common factor, by Henrici's rule (Knuth, TAOCP vol. 2, section
+4.5.1): the inputs are reduced, so a factor can only be shared where two of
+their parts meet.  A sum runs gcd(b, d) of the denominators and then at most
+gcd(numerator, gcd(b, d)); a product or quotient runs two cross gcds of a
+numerator against a denominator.  A constant polynomial takes part in no
+gcd.  Every gcd goes through the module global ``_pgcd`` (``_poly.gcd``:
+the primitive PRS over Q, Euclid over F_p).
 """
 
 from __future__ import annotations
@@ -229,8 +239,55 @@ class ScalarElement(DomainElement):
         return f"ScalarElement({self.domain.tag}, {self.value})"
 
 
+def _quo(F, a, g):
+    """Exact quotient a / g of polynomials over F."""
+    return _poly.divmod(F, a, g)[0]
+
+
+def _times(F, a, b):
+    """a * b, with no coefficient products when either factor is 1."""
+    one = (F.one,)
+    if b == one:
+        return a
+    if a == one:
+        return b
+    return _poly.mul(F, a, b)
+
+
+def _cancel(F, a, b):
+    """a and b divided by their monic gcd; no gcd when either is constant,
+    as a nonzero constant is coprime to every polynomial."""
+    if len(a) > 1 and len(b) > 1:
+        g = _pgcd(F, a, b)
+        if len(g) > 1:
+            return _quo(F, a, g), _quo(F, b, g)
+    return a, b
+
+
+def _monic_den(F, num, den):
+    """num and den divided by the leading coefficient of den."""
+    lead = den[-1]
+    if lead == F.one:
+        return num, den
+    return tuple(F.div(x, lead) for x in num), tuple(F.div(x, lead) for x in den)
+
+
 class RatFuncElement(DomainElement):
-    """Reduced fraction a(t)/b(t) with monic denominator."""
+    """Reduced fraction a(t)/b(t) with monic denominator.
+
+    Arithmetic keeps that form without reducing a full numerator against a
+    full denominator.  With reduced inputs a/b and c/d:
+
+    * a/b + c/d: with g = gcd(b, d), b = g b1 and d = g d1, the sum is
+      (a d1 + c b1) / (b d1).  Its numerator is prime to b1 and d1, so only
+      g can share a factor with it: one more gcd, with g, when g != 1.  A
+      denominator 1 needs no gcd at all.
+    * (a/b) (c/d) = (a/gcd(a, d)) (c/gcd(c, b)) / ((b/gcd(c, b)) (d/gcd(a, d))).
+    * (a/b) / (c/d) = (a/gcd(a, c)) (d/gcd(d, b)) / ((b/gcd(d, b)) (c/gcd(a, c))),
+      then scaled to a monic denominator.
+
+    All gcds are monic, so quotients of monic denominators stay monic.
+    """
 
     __slots__ = ("domain", "num", "den")
 
@@ -246,16 +303,7 @@ class RatFuncElement(DomainElement):
         if not num:
             self.num, self.den = (), (F.one,)
             return
-        if len(num) > 1 and len(den) > 1:  # a nonzero constant is coprime to all
-            g = _pgcd(F, num, den)
-            if len(g) > 1:
-                num = _poly.divmod(F, num, g)[0]
-                den = _poly.divmod(F, den, g)[0]
-        lead = den[-1]
-        if lead != F.one:
-            num = tuple(F.div(x, lead) for x in num)
-            den = tuple(F.div(x, lead) for x in den)
-        self.num, self.den = num, den
+        self.num, self.den = _monic_den(F, *_cancel(F, num, den))
 
     def is_zero(self):
         return not self.num
@@ -267,25 +315,49 @@ class RatFuncElement(DomainElement):
         return ov if ov else -_poly.order(self.den)
 
     def __add__(self, other):
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not a:
+            return other
+        if not c:
+            return self
         F = self.domain.field
-        num = _poly.add(
-            F, _poly.mul(F, self.num, other.den), _poly.mul(F, other.num, self.den)
-        )
-        return RatFuncElement(self.domain, num, _poly.mul(F, self.den, other.den))
+        g = _pgcd(F, b, d) if len(b) > 1 and len(d) > 1 else (F.one,)
+        if len(g) == 1:
+            b1, d1 = b, d
+        else:
+            b1, d1 = _quo(F, b, g), _quo(F, d, g)
+        num = _poly.add(F, _times(F, a, d1), _times(F, c, b1))
+        if len(g) > 1 and len(num) > 1:
+            h = _pgcd(F, num, g)
+            if len(h) > 1:
+                return self._canon(_quo(F, num, h), _times(F, b1, _quo(F, d, h)))
+        return self._canon(num, _times(F, b, d1))
 
     def __mul__(self, other):
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not a or not c:
+            return self.domain.zero
         F = self.domain.field
-        return RatFuncElement(
-            self.domain, _poly.mul(F, self.num, other.num), _poly.mul(F, self.den, other.den)
-        )
+        a, d = _cancel(F, a, d)
+        c, b = _cancel(F, c, b)
+        return self._canon(_times(F, a, c), _times(F, b, d))
 
     def __truediv__(self, other):
-        if not other.num:
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not c:
             raise ZeroDivisionError("division by zero domain element")
+        if not a:
+            return self
         F = self.domain.field
-        return RatFuncElement(
-            self.domain, _poly.mul(F, self.num, other.den), _poly.mul(F, self.den, other.num)
-        )
+        a, c = _cancel(F, a, c)
+        d, b = _cancel(F, d, b)
+        return self._canon(*_monic_den(F, _times(F, a, d), _times(F, c, b)))
+
+    def _canon(self, num, den):
+        """The element num/den of this domain, already in canonical form."""
+        if not num:
+            return self.domain.zero
+        return RatFuncElement(self.domain, num, den, _canonical=True)
 
     def __neg__(self):
         F = self.domain.field
@@ -433,9 +505,9 @@ class RationalFunctionsAtZero(Domain):
         if isinstance(raw, tuple) and len(raw) == 2:
             num, den = raw
             return self.from_polys(num, den)
-        x = Fraction(raw)
         F = self.field
-        return RatFuncElement(self, (F.coerce(x),), (F.one,))
+        x = F.coerce(Fraction(raw))
+        return RatFuncElement(self, (x,) if x else (), (F.one,), _canonical=True)
 
     def from_polys(self, num, den=(1,)) -> RatFuncElement:
         """Build a(t)/b(t) from coefficient sequences (ascending exponent)."""

@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+import valsat
 from valsat import oracle
 from valsat.echelon import saturate_free
 from valsat.errors import DegreeExceeded
@@ -17,6 +22,25 @@ Z2 = Zp(2)
 
 def vec(domain, *comps):
     return PolyVec.from_raw(domain, comps)
+
+
+def test_oracle_is_imported_on_first_use():
+    """``import valsat`` leaves the oracle unloaded; the attribute loads it."""
+    code = (
+        "import sys, valsat\n"
+        "assert 'valsat.oracle' not in sys.modules\n"
+        "assert 'oracle' in valsat.__all__\n"
+        "m = valsat.oracle\n"
+        "assert m is sys.modules['valsat.oracle'] and m.__name__ == 'valsat.oracle'\n"
+        "from valsat import oracle\n"
+        "assert oracle is m\n"
+    )
+    src = str(Path(valsat.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_brute_saturation_examples():

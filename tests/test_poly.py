@@ -7,6 +7,7 @@ field K of K[X]: Z_(3) and F_5(t) at zero.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from valsat import _poly
@@ -105,3 +106,59 @@ def test_gcd_is_monic_common_divisor(fp):
     # greatest: every common divisor, c among them, divides g
     assert _poly.divmod(F, g, c)[1] == ()
 
+
+QQ = _QQ()
+
+
+def euclid_gcd(F, a, b):
+    """Monic gcd by Euclid's algorithm over the coefficient field F."""
+    while b:
+        a, b = b, _poly.divmod(F, a, b)[1]
+    return _poly.monic(F, a)
+
+
+def qpoly(*coeffs):
+    return _poly.trim(tuple(Fraction(c) for c in coeffs))
+
+
+BIG = 2**64 + 13
+Q_GCD_CASES = {
+    "both zero": ((), ()),
+    "zero and constant": ((), qpoly(-3)),
+    "zero and linear": (qpoly(2, -4), ()),
+    "constants": (qpoly(6), qpoly("-4/9")),
+    "constant and cubic": (qpoly(5), qpoly(1, 2, 0, 3)),
+    "equal": (qpoly(1, "2/3", -1), qpoly(1, "2/3", -1)),
+    "associates": (qpoly(2, 0, -6), qpoly("-1/3", 0, 1)),
+    "coprime": (qpoly(1, 0, 1), qpoly(-1, 1)),
+    "negative leads": (qpoly(2, -3, -1), qpoly(1, 1, -7, -5)),
+    "big shared factor": (
+        _poly.mul(QQ, qpoly(BIG, -3 * BIG + 1), qpoly(1, 1)),
+        _poly.mul(QQ, qpoly(Fraction(BIG, 7), -3 * BIG + 1), qpoly(1, 1)),
+    ),
+    "big coprime": (qpoly(BIG, 1, -BIG), qpoly(Fraction(1, BIG), BIG**2)),
+}
+
+
+@pytest.mark.parametrize("a, b", Q_GCD_CASES.values(), ids=Q_GCD_CASES.keys())
+def test_q_gcd_examples_match_euclid(a, b):
+    g = _poly.gcd(QQ, a, b)
+    assert g == euclid_gcd(QQ, a, b) == _poly.gcd(QQ, b, a)
+    assert all(type(x) is Fraction for x in g)
+
+
+big = st.integers(-(2**70), 2**70)
+q_coeff = st.one_of(
+    st.builds(Fraction, small, st.integers(1, 4)),
+    st.builds(Fraction, big, st.integers(1, 2**66)),
+)
+
+
+@PROPERTY
+@given(*(st.lists(q_coeff, max_size=4) for _ in range(3)))
+def test_q_gcd_matches_euclid(a, b, c):
+    """The primitive PRS over Z agrees with Euclid over Fractions, common
+    factors, negative leading coefficients and huge coefficients included."""
+    a, b, c = (_poly.trim(p) for p in (a, b, c))
+    a, b = _poly.mul(QQ, a, c), _poly.mul(QQ, b, c)
+    assert _poly.gcd(QQ, a, b) == euclid_gcd(QQ, a, b)

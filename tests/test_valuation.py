@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -334,9 +335,16 @@ def test_equal_values_in_different_domains_are_distinct(c):
 RFT0 = [RationalFunctionsAtZero("q"), RationalFunctionsAtZero("fp", 3)]
 
 
+def _euclid_gcd(F, a, b):
+    """Monic gcd by Euclid over F, the reference for ``_poly.gcd``."""
+    while b:
+        a, b = b, _poly.divmod(F, a, b)[1]
+    return _poly.monic(F, a)
+
+
 def _reference_canonical(F, num, den):
     """Divide both sides by their monic gcd, then make the denominator monic."""
-    g = _poly.gcd(F, num, den)
+    g = _euclid_gcd(F, num, den)
     num, den = _poly.divmod(F, num, g)[0], _poly.divmod(F, den, g)[0]
     lead = den[-1]
     return tuple(F.div(x, lead) for x in num), tuple(F.div(x, lead) for x in den)
@@ -385,3 +393,87 @@ def test_k_element_keeps_own_elements_and_rejects_foreign_ones(d):
         if other != d:
             with pytest.raises(NotInDomain):
                 d.k_element(other.k_element(2))
+
+
+# Small factors; over F_3 and F_5 some coincide or split, which only adds
+# shared factors.
+FACTORS = [(1, 1), (2, 1), (-1, 1), (0, 1), (1, 0, 1), (3, 2), (1, 1, 1)]
+ARITH_KINDS = [RationalFunctionsAtZero("q"), RationalFunctionsAtZero("fp", 5),
+               RationalFunctionsAtZero("fp", 3)]
+
+
+@st.composite
+def rational_function_pairs(draw):
+    """Two canonical elements of K whose parts often share factors.
+
+    ``x`` is a constant times a product of FACTORS over another product.  The
+    denominators of ``y`` may share factors with that of ``x``, the numerator
+    of ``y`` may be a multiple of the denominator of ``x``, and ``y`` may be
+    const - x, so that x + y cancels to a constant (zero when const is 0).
+    """
+    R = draw(st.sampled_from(ARITH_KINDS))
+    F = R.field
+    factors = st.lists(st.integers(0, len(FACTORS) - 1), max_size=3)
+    const = st.builds(Fraction, st.integers(-7, 7), st.sampled_from((1, 2, 7)))
+
+    def product(idx, c):
+        out = _poly.trim((F.coerce(c),))
+        for i in idx:
+            out = _poly.mul(F, out, tuple(F.coerce(x) for x in FACTORS[i]))
+        return out
+
+    def element(num, den):
+        return RatFuncElement(R, *_reference_canonical(F, num, den), _canonical=True)
+
+    xn, xd = product(draw(factors), draw(const)), product(draw(factors), 1)
+    assume(xd)
+    x = element(xn, xd)
+    kind = draw(st.sampled_from(("free", "shared den", "num over den", "const - x")))
+    yd = product(draw(factors), 1)
+    if kind == "const - x":
+        k = product((), draw(const))
+        y = element(_poly.sub(F, _poly.mul(F, k, x.den), x.num), x.den)
+    else:
+        yn = product(draw(factors), draw(const))
+        if kind == "shared den":
+            yd = _poly.mul(F, yd, x.den)
+        elif kind == "num over den":
+            yn = _poly.mul(F, yn, x.den)
+        y = element(yn, yd)
+    return R, x, y
+
+
+def _assert_canonical(e):
+    F = e.domain.field
+    if not e.num:
+        assert (e.num, e.den) == ((), (F.one,))
+        return
+    assert e.den[-1] == F.one
+    assert _euclid_gcd(F, e.num, e.den) == (F.one,)
+
+
+@settings(max_examples=400, deadline=None)
+@given(rational_function_pairs())
+def test_rational_function_arithmetic_matches_product_then_reduce(pair):
+    """+, -, * and / against the full product reduced by one Euclidean gcd."""
+    R, x, y = pair
+    F = R.field
+    mul = functools.partial(_poly.mul, F)
+    (a, b), (c, d) = (x.num, x.den), (y.num, y.den)
+    expected = {
+        "+": (_poly.add(F, mul(a, d), mul(c, b)), mul(b, d)),
+        "-": (_poly.sub(F, mul(a, d), mul(c, b)), mul(b, d)),
+        "*": (mul(a, c), mul(b, d)),
+    }
+    got = {"+": x + y, "-": x - y, "*": x * y}
+    if c:
+        expected["/"] = (mul(a, d), mul(b, c))
+        got["/"] = x / y
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    for op, (num, den) in expected.items():
+        e = got[op]
+        _assert_canonical(e)
+        assert (e.num, e.den) == _reference_canonical(F, num, den), op
+        assert e == R.k_element((num, den)), op
