@@ -3,18 +3,19 @@
 The drivers in ``echelon``/``vxsat`` are written against a tiny engine
 protocol (insert a vector, insert the X-shift of a held column, read a
 column's pivot, export columns) so that one driver loop runs over either
-the generic DomainElement path, valid for every domain, or the packed
-rational kernel (``_packed``/``_ratkernel``) for domains whose elements are
-plain rationals.  Both engines hold their basis as a list of columns and a
-list of pivot positions, which their kernel appends to in place under the
-contract of ``echelon``, and build one ``EchelonBasis`` only on export.
-Both produce bit-identical bases.
+the generic DomainElement path, the reference, or the packed kernel
+(``_packed``/``_ratkernel``), which ``packs`` picks for every domain of
+``ScalarElement``s, here and in ``syzygy.kernel_kx``.  Both engines hold
+their basis as a list of columns and a list of pivot positions, which their
+kernel appends to in place under the contract of ``echelon``, and build one
+``EchelonBasis`` only on export.  Both produce bit-identical bases.
 """
 
 from __future__ import annotations
 
 from .echelon import EchelonBasis, echelon_insert
 from .polyvec import PivotIndex, PolyVec
+from .valuation import ScalarElement
 
 
 class GenericEngine:
@@ -46,9 +47,14 @@ class GenericEngine:
         return EchelonBasis(self.cols, self.pivs, _trusted=True)
 
 
+def packs(domain) -> bool:
+    """Whether the domain runs the packed kernels: rationals or residues mod p."""
+    return isinstance(domain.one, ScalarElement)
+
+
 def select_engine(domain):
-    """Packed engine when the domain packs into plain rationals, else generic."""
-    if domain.packing_prime is not None:
+    """Packed engine when the domain packs, else generic."""
+    if packs(domain):
         from ._packed import PackedEngine
 
         return PackedEngine(domain)

@@ -1,14 +1,13 @@
 """Packed engine and packed ``kernel_kx``: the clients of the rational kernel.
 
-The engine is usable whenever the domain's elements are plain rationals
-(Z_(p), and Q with the trivial valuation).  Columns are held as ``_ratkernel`` packed vectors,
-integer numerators over one denominator per column in lowest terms.  Only on
-export do they become reduced fractions in ``ScalarElement``, the one element
-class of Z_(p), Q and F_p, so the engine makes no per-domain class choice.
+Both run on every domain of ``ScalarElement``s (``_engines.packs``).  Columns
+are ``_ratkernel`` packed vectors: integer numerators over one denominator
+per column in lowest terms, or over F_p (``mod``, the characteristic, not 0)
+residues over 1.  Only on export do they become ``ScalarElement``s again.
 ``_ratkernel.insert`` keeps the column contract of ``echelon``: it appends
 each reduction, monic at its content position, and that position to the
 engine's lists.  Results are bit-identical to the generic engine: same
-elimination order, same content rule, and the exported fractions are
+elimination order, same content rule, and the exported elements are
 canonical.
 
 ``kernel_kx_packed`` runs ``syzygy``'s column reduction on packed columns:
@@ -30,53 +29,52 @@ from .syzygy import _reduce_columns
 from .valuation import ScalarElement
 
 
-def _pack(v: PolyVec):
-    """Lowest-terms packing: D is the lcm of the reduced denominators."""
+def _pack(v: PolyVec, mod):
+    """Lowest-terms packing: D is the lcm of the reduced denominators, or 1 mod p."""
+    if mod:
+        return [[c.value for c in comp] for comp in v.comps], 1
     D = lcm(*(c.value.denominator for comp in v.comps for c in comp))
     return [[c.value.numerator * (D // c.value.denominator) for c in comp]
             for comp in v.comps], D
 
 
+def _unpack(domain, comps, D, mod):
+    """The entries num / D as elements: reduced fractions, or residues mod p."""
+    zero = domain.zero
+    if mod:
+        inv = pow(D, -1, mod)
+        return [[ScalarElement(domain, num * inv % mod) if num else zero
+                 for num in comp] for comp in comps]
+    return [[ScalarElement(domain, Fraction(num, D)) if num else zero
+             for num in comp] for comp in comps]
+
+
 class PackedEngine(GenericEngine):
-    """Engine over packed rational vectors; ``pivs`` holds plain (j, r) pairs."""
+    """Engine over packed vectors; ``pivs`` holds plain (j, r) pairs."""
 
     name = "packed"
 
     def __init__(self, domain):
         super().__init__(domain)
-        self.p = domain.packing_prime
+        self.p, self.mod = domain.p, domain.field.p
 
     def insert_vector(self, v: PolyVec) -> tuple[bool, bool]:
-        return _ratkernel.insert(self.cols, self.pivs, _pack(v), self.p)
+        return _ratkernel.insert(self.cols, self.pivs, _pack(v, self.mod),
+                                 self.p, self.mod)
 
     def insert_shift_of(self, i: int) -> tuple[bool, bool]:
         shifted = _ratkernel.vec_shift(self.cols[i])
-        return _ratkernel.insert(self.cols, self.pivs, shifted, self.p)
+        return _ratkernel.insert(self.cols, self.pivs, shifted, self.p, self.mod)
 
     def polyvec(self, i: int) -> PolyVec:
-        """Column i with its entries as reduced fractions."""
+        """Column i with its entries as reduced fractions or residues."""
         comps, D = self.cols[i]
-        dom, zero = self.domain, self.domain.zero
-        return PolyVec(dom, [[ScalarElement(dom, Fraction(num, D)) if num else zero
-                              for num in comp] for comp in comps])
+        return PolyVec(self.domain, _unpack(self.domain, comps, D, self.mod))
 
     def export_basis(self) -> EchelonBasis:
         columns = [self.polyvec(i) for i in range(len(self.cols))]
         pivots = [PivotIndex(j, r) for j, r in self.pivs]
         return EchelonBasis(columns, pivots, _trusted=True)
-
-
-def kernel_kx_packed(U: list[PolyVec]):
-    """``syzygy.kernel_kx`` of a nonempty U over ``zp:p``, ``field:q`` or ``field:p``."""
-    domain, k = U[0].domain, U[0].n
-    if domain.packing_prime is not None:
-        return _kernel_kx_z(U, domain, k)
-    return _kernel_kx_fp(U, domain, k)
-
-
-def _first_nonzero(comps):
-    """First nonzero entry, component-major, of a nonzero packed column part."""
-    return next(x for comp in comps for x in comp if x)
 
 
 def _z_step(col, pivot, row):
@@ -92,22 +90,6 @@ def _z_step(col, pivot, row):
     if g != 1:
         _ratkernel._divide(col, g)
     return col
-
-
-def _kernel_kx_z(U, domain, k):
-    """``kernel_kx`` over integer polynomials, for ``zp:p`` and ``field:q``."""
-    n = len(U)
-    cols = []
-    for j, u in enumerate(U):
-        comps, D = _pack(u)
-        cols.append(comps + [[D] if i == j else [] for i in range(n)])
-    basis = []
-    for j in _reduce_columns(cols, k, _z_step):
-        ident = cols[j][k:]
-        lead = _first_nonzero(ident)
-        basis.append(tuple(tuple(ScalarElement(domain, Fraction(v, lead)) for v in comp)
-                           for comp in ident))
-    return basis
 
 
 def _fp_step(p):
@@ -126,16 +108,21 @@ def _fp_step(p):
     return step
 
 
-def _kernel_kx_fp(U, domain, k):
-    """``kernel_kx`` over residues mod p, for ``field:p``."""
-    p, n = domain.field.p, len(U)
-    cols = [[[c.value for c in comp] for comp in u.comps]
-            + [[1] if i == j else [] for i in range(n)]
-            for j, u in enumerate(U)]
+def kernel_kx_packed(U: list[PolyVec]):
+    """``syzygy.kernel_kx`` of a nonempty U over a domain that ``packs``.
+
+    Each stacked column [u_j; e_j] is packed, so its identity part starts
+    as D_j e_j; each generator is divided by its first nonzero entry.
+    """
+    domain, k, n = U[0].domain, U[0].n, len(U)
+    mod = domain.field.p
+    cols = []
+    for j, u in enumerate(U):
+        comps, D = _pack(u, mod)
+        cols.append(comps + [[D] if i == j else [] for i in range(n)])
     basis = []
-    for j in _reduce_columns(cols, k, _fp_step(p)):
+    for j in _reduce_columns(cols, k, _fp_step(mod) if mod else _z_step):
         ident = cols[j][k:]
-        inv = pow(_first_nonzero(ident), -1, p)
-        basis.append(tuple(tuple(ScalarElement(domain, v * inv % p) for v in comp)
-                           for comp in ident))
+        lead = next(x for comp in ident for x in comp if x)
+        basis.append(tuple(map(tuple, _unpack(domain, ident, lead, mod))))
     return basis

@@ -6,7 +6,7 @@ a denominator common to every coefficient: the coefficient of X^r in
 component j is ``comps[j - 1][r] / D``.  Basis columns are kept in lowest
 terms with D > 0, gcd(numerators, D) = 1, which makes their packing
 unique; vectors in the middle of an elimination need only D != 0.  ``p`` is
-the residue prime of Z_(p), or 0 for the trivial valuation on Q.
+the residue prime of Z_(p), or 0 for the trivial valuation on Q and F_p.
 
 The valuation of an entry ``num / D`` is v_p(num) - v_p(D), so every
 comparison of valuations inside one vector compares numerators only, and
@@ -37,6 +37,10 @@ then gives lowest terms with a positive denominator (c is one of the
 numerators, so gcd(V) divides it).  The numerator at the content position
 then equals the new denominator, which makes the column monic there.  The
 sign of D before this division does not matter, as valuations ignore signs.
+
+Over F_p, ``mod`` = p and the numerators are residues over D = 1, so w = 1,
+s = 1 and each step is V - a W mod p; the content is the first nonzero
+residue, divided out by multiplying with its inverse mod p.
 """
 
 from math import gcd
@@ -118,7 +122,7 @@ def _sub_scaled(comps, wcomps, s, t, p=0):
             comps[c] = [s * x for x in comp]
 
 
-def insert(cols, pivots, vec, p):
+def insert(cols, pivots, vec, p, mod=0):
     """Strict-echelon insertion of a packed vector against a packed basis.
 
     Eliminates vec at each basis pivot in order.  Returns ``(False, False)``
@@ -136,7 +140,7 @@ def insert(cols, pivots, vec, p):
         a = comp[r]
         g = gcd(a, w)
         s = w // g
-        _sub_scaled(comps, wcomps, s, a // g)
+        _sub_scaled(comps, wcomps, s, a // g, mod)
         if s != 1:
             g = _common_factor(comps, D)
             if g != 1:
@@ -147,11 +151,16 @@ def insert(cols, pivots, vec, p):
     if found is None:
         return False, False
     c, c_val, at = found
-    g = gcd(*[num for comp in comps for num in comp])
-    if c < 0:
-        g = -g
-    if g != 1:
-        _divide(comps, g)
-    cols.append((comps, c // g))
+    if mod:
+        inv = pow(c, -1, mod)
+        comps, c = [[x * inv % mod for x in comp] for comp in comps], 1
+    else:
+        g = gcd(*[num for comp in comps for num in comp])
+        if c < 0:
+            g = -g
+        if g != 1:
+            _divide(comps, g)
+        c //= g
+    cols.append((comps, c))
     pivots.append(at)
     return True, bool(p) and c_val != _int_val(D, p)

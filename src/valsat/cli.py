@@ -2,9 +2,10 @@
 
 Reads an instance file (header plus one vector per line), runs one of the
 three pipelines and emits results, traces and pivot diagrams.  Exit status:
-0 on success, 1 on input errors (including a file that is not UTF-8 text),
-2 when --verify finds a mismatch between the algorithm and the brute-force
-oracle, 3 when an explicit round cap (``max-iter`` or --max-iter) is hit.
+0 on success, 1 on input errors (including a file that is not UTF-8 text)
+and on an --out path that cannot be written, 2 when --verify finds a
+mismatch between the algorithm and the brute-force oracle, 3 when an
+explicit round cap (``max-iter`` or --max-iter) is hit.
 """
 
 from __future__ import annotations
@@ -200,12 +201,16 @@ def _run(inst: InstanceFile, args) -> int:
     body = "\n".join(out_lines) + "\n"
     if args.out:
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "result.txt").write_text(body, encoding="utf-8")
-        if csv is not None:
-            (out_dir / "trace.csv").write_text(csv, encoding="utf-8")
-        if diagram is not None:
-            (out_dir / "diagram.txt").write_text(diagram + "\n", encoding="utf-8")
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            (out_dir / "result.txt").write_text(body, encoding="utf-8")
+            if csv is not None:
+                (out_dir / "trace.csv").write_text(csv, encoding="utf-8")
+            if diagram is not None:
+                (out_dir / "diagram.txt").write_text(diagram + "\n", encoding="utf-8")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(body)
         if csv is not None:

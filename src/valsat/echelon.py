@@ -18,7 +18,7 @@ were.  Engines export an ``EchelonBasis`` once.
 
 from __future__ import annotations
 
-from .polyvec import PivotIndex, PolyVec, red_prim
+from .polyvec import PivotIndex, PolyVec, red_prim, uniform_family
 
 
 class EchelonBasis:
@@ -112,14 +112,15 @@ def echelon_insert(cols: list[PolyVec], pivots: list[PivotIndex],
 def saturate_free(F) -> EchelonBasis:
     """Fold the columns of F into a basis of the saturation of their span.
 
-    Zero columns are skipped.  Processing a prefix of F yields a prefix of
-    the result, so the computation is incremental.  Domains whose elements
-    are plain rationals run through the packed kernel; the result is
-    bit-identical to the generic fold.
+    MixedFamily is raised unless the columns share one domain and one
+    width.  Zero columns are skipped.  Processing a prefix of F yields a
+    prefix of the result, so the computation is incremental.  The
+    ``ScalarElement`` kinds (``zp:p``, ``field:q``, ``field:p``) run through
+    the packed kernel; the result is bit-identical to the generic fold.
     """
     from ._engines import select_engine
 
-    F = [v for v in F if not v.is_zero()]
+    F = [v for v in uniform_family(F) if not v.is_zero()]
     if not F:
         return EchelonBasis()
     engine = select_engine(F[0].domain)

@@ -33,6 +33,10 @@ class EmptyFamily(ValsatError):
     """A nonempty family of vectors was expected."""
 
 
+class MixedFamily(ValsatError):
+    """A family of vectors mixes domains or widths."""
+
+
 class EmptyInput(ValsatError):
     """No nonzero generators were supplied."""
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from ._poly import trim
-from .errors import EmptyFamily, NotPrimitive, ZeroVector
+from .errors import EmptyFamily, MixedFamily, NotPrimitive, ZeroVector
 from .valuation import Domain, DomainElement, content
 
 
@@ -120,6 +120,18 @@ class PolyVec:
 
 def zero_vec(domain: Domain, n: int) -> PolyVec:
     return PolyVec(domain, [()] * n)
+
+
+def uniform_family(vectors) -> list[PolyVec]:
+    """The vectors as a list; MixedFamily unless they share one domain and width."""
+    vectors = list(vectors)
+    for v in vectors[1:]:
+        if v.domain != vectors[0].domain or v.n != vectors[0].n:
+            raise MixedFamily(
+                f"vectors over {vectors[0].domain.tag} of width {vectors[0].n} "
+                f"and over {v.domain.tag} of width {v.n} in one family"
+            )
+    return vectors
 
 
 def red_prim(v: PolyVec) -> tuple[PolyVec, DomainElement]:

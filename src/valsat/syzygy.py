@@ -12,8 +12,9 @@ K[X] polynomials are trimmed tuples of quotient-field elements; a kernel
 vector is a tuple of n such polynomials.
 
 One loop, ``_reduce_columns``, runs the reduction over three column
-representations, each with its own division step (the two packed ones are
-``_packed.kernel_kx_packed``):
+representations, each with its own division step.  The two packed ones are
+``_packed.kernel_kx_packed``, which runs on the domains the packed engine
+takes (``_engines.packs``):
 
 * generic (``rft0`` kinds): polynomials of domain elements, Euclidean
   division in K[X];
@@ -25,9 +26,9 @@ representations, each with its own division step (the two packed ones are
   repeated while the row entry's degree is at least the pivot's; the
   integer content is stripped after each such column update
   (``_ratkernel``'s ``_sub_scaled``, ``_common_factor`` and ``_divide``);
-* F_p (``field:p``): residues, each step ``col - (la/lb mod p) X^s pivot``
-  reduced mod p (``_sub_scaled`` with the modulus), which is Euclidean
-  division itself.
+* F_p (``field:p``): residues over the denominator 1, each step
+  ``col - (la/lb mod p) X^s pivot`` reduced mod p (``_sub_scaled`` with
+  the modulus), which is Euclidean division itself.
 
 The three return the same basis.  The pseudo-remainder of a by b is
 c (a mod b) for a nonzero scalar c, so after every column update a Z column
@@ -43,9 +44,10 @@ residues ``v / lead mod p``.
 from __future__ import annotations
 
 from . import _poly
+from ._engines import packs
 from .errors import ZeroVector
-from .polyvec import PolyVec
-from .valuation import Domain, DomainElement, ScalarElement
+from .polyvec import PolyVec, uniform_family
+from .valuation import Domain, DomainElement
 from .vxsat import SaturationResult, saturate_vx
 from .echelon import EchelonBasis
 
@@ -70,10 +72,12 @@ def kernel_kx(U: list[PolyVec]) -> list[tuple[XPoly, ...]]:
     Euclidean reduction, with the same degrees and zero pattern, so every
     pivot choice is the one the generic path makes, and the final
     normalisation gives the same basis (see the module docstring).
+    MixedFamily is raised unless the u_j share one domain and one width.
     """
+    U = uniform_family(U)
     if not U:
         return []
-    if isinstance(U[0].domain.one, ScalarElement):
+    if packs(U[0].domain):
         # Imported on first use, so that importing valsat does not load
         # (and, with no cached bytecode, compile) the packed modules.
         from ._packed import kernel_kx_packed

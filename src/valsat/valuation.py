@@ -94,6 +94,7 @@ def _int_val(n: int, p: int) -> int:
 
 class _QQ:
     name = "q"
+    p = 0  # the characteristic
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -458,11 +459,6 @@ class Domain:
         """A generator of the maximal ideal, None for trivial valuations."""
         return None
 
-    @property
-    def packing_prime(self) -> int | None:
-        """Prime for the packed rational kernel; 0 for trivial Q; else None."""
-        return None
-
     def __eq__(self, other):
         return isinstance(other, Domain) and self.tag == other.tag
 
@@ -488,10 +484,6 @@ class Zp(Domain):
 
     def uniformizer(self):
         return ScalarElement(self, Fraction(self.p))
-
-    @property
-    def packing_prime(self):
-        return self.p
 
 
 class RationalFunctionsAtZero(Domain):
@@ -524,7 +516,7 @@ class RationalFunctionsAtZero(Domain):
 class TrivialField(Domain):
     """Q or F_p carrying the trivial valuation."""
 
-    p = 0  # the valued prime: none; the characteristic of F_p is field.p
+    p = 0  # the valued prime: none; the characteristic is field.p
 
     def __init__(self, base: str = "q", p: int | None = None):
         self.field = _base_field(base, p)
@@ -532,10 +524,6 @@ class TrivialField(Domain):
 
     def _from_raw(self, raw):
         return ScalarElement(self, self.field.coerce(Fraction(raw)))
-
-    @property
-    def packing_prime(self):
-        return 0 if self.field.name == "q" else None
 
 
 def parse_domain_tag(tag: str) -> Domain:

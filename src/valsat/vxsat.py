@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from ._engines import select_engine
 from .echelon import EchelonBasis
 from .errors import EmptyInput, InvalidIterationCap, IterationCapExceeded
-from .polyvec import PolyVec, family_degree
+from .polyvec import PolyVec, family_degree, uniform_family
 
 
 @dataclass(frozen=True)
@@ -95,8 +95,9 @@ def counters(pivots, basis_size: int, d: int, k: int) -> IterationRecord:
 def saturate_vx(S, max_iter: int | None = None) -> SaturationResult:
     """Compute V[X]-generators of the V-saturation of the span of S.
 
-    Zero vectors in S are dropped; EmptyInput is raised when nothing is
-    left.  ``max_iter`` is an optional cap on the number of rounds, raising
+    MixedFamily is raised unless S shares one domain and one width.  Zero
+    vectors in S are dropped; EmptyInput is raised when nothing is left.
+    ``max_iter`` is an optional cap on the number of rounds, raising
     IterationCapExceeded when hit; by default there is none, because the
     loop provably ends.
 
@@ -121,7 +122,7 @@ def saturate_vx(S, max_iter: int | None = None) -> SaturationResult:
     """
     if max_iter is not None and max_iter < 1:
         raise InvalidIterationCap(f"max_iter must be at least 1, got {max_iter}")
-    vectors = [v for v in S if not v.is_zero()]
+    vectors = [v for v in uniform_family(S) if not v.is_zero()]
     if not vectors:
         raise EmptyInput("no nonzero generators given")
     engine = select_engine(vectors[0].domain)

@@ -148,6 +148,15 @@ def test_out_directory(tmp_path):
     assert (out_dir / "diagram.txt").exists()
 
 
+def test_out_to_an_existing_file_is_an_error(tmp_path, capsys):
+    path = write(tmp_path, "a.vsat", "domain: zp:2\ntask: saturate-vx\n\n2\nX\n")
+    taken = write(tmp_path, "taken", "")
+    assert main([path, "--out", taken]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert Path(taken).read_text() == ""
+
+
 def test_trace_csv_matches_records():
     res = saturate_vx([vec(Z2, [2]), vec(Z2, [0, 1])])
     csv = trace_csv(res.trace)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from valsat import _ratkernel
-from valsat._engines import GenericEngine, select_engine
+from valsat._engines import GenericEngine, packs, select_engine
 from valsat._packed import PackedEngine, _pack
 from valsat.echelon import EchelonBasis, echelon_insert, gauss_eliminate, saturate_free
 from valsat.polyvec import PolyVec, zero_vec
@@ -15,11 +15,14 @@ from valsat.syzygy import _kernel_kx_generic, kernel_kx
 from valsat.valuation import RationalFunctionsAtZero, TrivialField, Zp, content
 from valsat.vxsat import _run
 
-DOMAINS = (Zp(2), Zp(3), Zp(5), TrivialField("q"))
+# The denominators of the test coefficients below (7, 11, 77, 13^5) are
+# units mod 3 and mod 5.
+DOMAINS = (Zp(2), Zp(3), Zp(5), TrivialField("q"), TrivialField("fp", 3),
+           TrivialField("fp", 5))
 
 
 def rand_vec(rng, dom, n, deg):
-    p = dom.packing_prime or 1
+    p = dom.p or 1
     comps = [
         [Fraction(rng.randrange(-9, 10), rng.choice((1, 7, 11)))
          * p ** rng.randrange(0, 3)
@@ -88,7 +91,7 @@ def test_saturate_free_engine_matches_plain_fold():
 @st.composite
 def instances(draw):
     dom = draw(st.sampled_from(DOMAINS))
-    p = dom.packing_prime or 1
+    p = dom.p or 1
     num = st.one_of(st.integers(-9, 9), st.integers(-2 ** 200, 2 ** 200))
     den = st.sampled_from((1, 7, 11, 77, 13 ** 5))
 
@@ -154,7 +157,8 @@ def test_appended_columns_are_monic_at_their_content_position(inst):
     ``PolyVec.piv()`` and the content position of the eliminated vector;
     where the packed kernel applies, both folds stay identical."""
     dom, S = inst
-    p = dom.packing_prime
+    packed_kernel = packs(dom)
+    mod = dom.field.p
     cols, pivots, pcols, ppivs = [], [], [], []
 
     def insert(v, packed):
@@ -167,8 +171,9 @@ def test_appended_columns_are_monic_at_their_content_position(inst):
             assert pivots[-1] == coords[i][0] == cols[-1].piv()
             assert cols[-1].coord(pivots[-1]) == dom.one
             assert cols[-1] == w.div_by(u) and new == (not u.is_unit())
-        if p is not None:
-            assert _ratkernel.insert(pcols, ppivs, packed, p) == (survived, new)
+        if packed_kernel:
+            inserted = _ratkernel.insert(pcols, ppivs, packed, dom.p, mod)
+            assert inserted == (survived, new)
             assert ppivs == pivots
             if survived:
                 (comps, D), (j, r) = pcols[-1], ppivs[-1]
@@ -176,11 +181,11 @@ def test_appended_columns_are_monic_at_their_content_position(inst):
                 assert unpack(dom, pcols[-1]) == cols[-1]
 
     for v in S:
-        insert(v, _pack(v) if p is not None else None)
+        insert(v, _pack(v, mod) if packed_kernel else None)
     # One round of X-shifts, as the saturation driver runs them.
     for i in range(len(cols)):
         insert(cols[i].shift_x(),
-               _ratkernel.vec_shift(pcols[i]) if p is not None else None)
+               _ratkernel.vec_shift(pcols[i]) if packed_kernel else None)
     EchelonBasis(cols, pivots)  # raises unless the fold is strictly echelon
 
 
@@ -222,12 +227,31 @@ def test_content_when_p_divides_denominator():
     assert insert_one(([[0], []], 3), 3) == ((False, False), [])
 
 
+def test_insert_residues_mod_p():
+    # Over F_5 the pivot is the first nonzero residue, 3 at (1, 1), and the
+    # column is multiplied by 3^-1 = 2: (0, 3, 4) becomes (0, 1, 3).
+    cols, pivots = [], []
+    assert _ratkernel.insert(cols, pivots, ([[0, 3, 4]], 1), 0, 5) == (True, False)
+    assert pivots == [(1, 1)] and cols == [([[0, 1, 3]], 1)]
+    # (1, 2) - 2 (0, 1, 3) = (1, 0, 4) mod 5, monic at its pivot (1, 0).
+    assert _ratkernel.insert(cols, pivots, ([[1, 2]], 1), 0, 5) == (True, False)
+    assert pivots == [(1, 1), (1, 0)] and cols[1] == ([[1, 0, 4]], 1)
+    # (2, 4) = 2 (1, 0, 4) + 4 (0, 1, 3) mod 5 lies in the span: it dies and
+    # appends nothing.
+    assert _ratkernel.insert(cols, pivots, ([[2, 4]], 1), 0, 5) == (False, False)
+    assert len(cols) == len(pivots) == 2
+    # Over F_3 an empty first component is skipped: (0, 2X, 1) times 2^-1 = 2.
+    cols, pivots = [], []
+    assert _ratkernel.insert(cols, pivots, ([[], [0, 2], [1]], 1), 0, 3) == (True, False)
+    assert pivots == [(2, 1)] and cols == [([[], [0, 1], [2]], 1)]
+
+
 def test_select_engine_kinds():
     from valsat.valuation import RationalFunctionsAtZero
 
     assert isinstance(select_engine(Zp(2)), PackedEngine)
     assert isinstance(select_engine(TrivialField("q")), PackedEngine)
-    assert isinstance(select_engine(TrivialField("fp", 3)), GenericEngine)
+    assert isinstance(select_engine(TrivialField("fp", 3)), PackedEngine)
     assert isinstance(select_engine(RationalFunctionsAtZero("q")), GenericEngine)
 
 
@@ -261,7 +285,7 @@ def kernel_matrices(draw):
     may repeat an earlier one, as it is or times a scalar.
     """
     dom = draw(st.sampled_from(KERNEL_DOMAINS))
-    char = dom.field.p if dom.packing_prime is None else 0
+    char = dom.field.p
     dens = [d for d in (1, 2, 3, 4, 7, 9, 11) if not char or d % char]
     num = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-2 ** 80, 2 ** 80))
 
@@ -287,7 +311,7 @@ def test_packed_kernel_kx_matches_generic(inst):
     dom, U = inst
     basis = kernel_kx(U)
     assert basis == _kernel_kx_generic(U)
-    char = dom.field.p if dom.packing_prime is None else 0
+    char = dom.field.p
     for gen in basis:
         for c in (c for poly in gen for c in poly):
             assert c.domain == dom

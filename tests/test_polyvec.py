@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from valsat.errors import EmptyFamily, NotPrimitive, ZeroVector
+from valsat.echelon import saturate_free
+from valsat.errors import EmptyFamily, MixedFamily, NotPrimitive, ZeroVector
 from valsat.polyvec import PivotIndex, PolyVec, family_degree, red_prim, zero_vec
+from valsat.syzygy import kernel_kx, syzygy_vx
 from valsat.valuation import Zp
+from valsat.vxsat import saturate_vx
 
 Z2 = Zp(2)
 
@@ -123,3 +126,16 @@ def test_trailing_zeros_trimmed():
     assert v.comps[0] == (Z2.element(1),)
     assert v.comps[1] == ()
     assert v.degree() == 0
+
+
+@pytest.mark.parametrize("entry", [saturate_free, saturate_vx, kernel_kx, syzygy_vx],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("family", [
+    [vec(Z2, [1]), vec(Z2, [1], [1])],
+    [vec(Z2, [1], [1]), vec(Z2, [1])],
+    [vec(Z2, [1], [2]), vec(Zp(3), [3], [1])],
+    [vec(Z2, [1]), zero_vec(Z2, 2)],
+], ids=["widths-1-2", "widths-2-1", "zp2-zp3", "zero-of-width-2"])
+def test_entry_points_reject_mixed_families(entry, family):
+    with pytest.raises(MixedFamily):
+        entry(family)
