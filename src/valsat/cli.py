@@ -193,7 +193,7 @@ def _run(inst: InstanceFile, args) -> int:
             res = None
             out_lines.append("# syzygy module is zero")
             if inst.verify:
-                verified = not oracle.brute_syzygies(inst.vectors, _zero_syzygy_bound(inst))
+                verified = not oracle.kx_kernel(inst.vectors)
 
     if verified is not None:
         out_lines.append(f"# verify: {'ok' if verified else 'MISMATCH'}")
@@ -240,21 +240,6 @@ def _verify_vx(inst: InstanceFile, res: SaturationResult) -> bool:
     low = [g for g in res.generators if g.degree() <= bound]
     return oracle.in_v_span(reference, low) and oracle.in_vx_span(
         res.generators, reference, bound)
-
-
-def _zero_syzygy_bound(inst: InstanceFile) -> int:
-    """Slice bound that exposes any nonzero syzygy of the n vectors in V[X]^k.
-
-    If the K[X]-kernel is nonzero, the matrix has rank r <= min(k, n - 1).
-    Cramer's rule on r independent rows and r + 1 columns, r of them
-    independent, gives a nonzero kernel vector in V[X]^n whose entries are
-    r x r minors, each of degree <= r * d_U, so it lies in the slice
-    ``brute_syzygies`` searches at D = min(k, n - 1) * d_U.
-    """
-    if inst.degree_bound is not None:
-        return inst.degree_bound
-    d_u = max([v.degree() for v in inst.vectors] + [0])
-    return min(inst.vectors[0].n, len(inst.vectors) - 1) * d_u
 
 
 def _verify_syzygy(inst: InstanceFile, res: SaturationResult) -> bool:

@@ -9,21 +9,24 @@ echelon machinery it is used to check; its whole value is independence.
 The same reduction, with the tested vectors carried along as extra
 columns, yields an exact membership test for arbitrary V-spans.
 
-The V[X]-saturation slice adds one K[X] layer in front of it.  A
-degree-<=D element of the K[X]-span of S can need witnesses of higher
-degree, so the slice is read off a weak Popov K[X]-basis of that span
-(Mulders & Storjohann, "On lattice reduction for polynomial matrices",
-2003).  By the predictable-degree property (see ``saturation_slice``), its
-X-shifts of degree <= D span the slice's K-space exactly: no search over
-ever larger shift families and no stopping rule.
+One K[X] layer sits in front of it, the shifted weak Popov reduction
+``_weak_popov`` (Mulders & Storjohann, "On lattice reduction for polynomial
+matrices", 2003).  With the identity carried behind U, it yields a
+K[X]-basis of the kernel (``kx_kernel``).  Under a per-component degree
+shift, the X-shifts of its basis that fit a slice are a K-basis of the
+slice of the K[X]-span (``_kx_slice``), although a slice element may need
+witnesses of higher degree.  So the slices of ``saturation_slice`` and
+``brute_syzygies`` are exact, with no search over ever larger shift
+families and no stopping rule.
 
 Cost model: a Smith reduction of an N-row matrix with s columns makes at
 most min(N, s) pivot steps, each clearing one column below the pivot; a
 row update visits only the nonzero entries of the pivot row, and U is
-built only when a saturation reads it.  The elimination over K behind
-``brute_syzygies`` and the basis clean-up skip zeros the same way, so no
-arithmetic is spent on a zero entry; sparse slices cost far below the
-dense O(N^2 s) bound.
+built only when a saturation reads it.  The basis clean-up skips zeros the
+same way, so no arithmetic is spent on a zero entry; sparse slices cost
+far below the dense O(N^2 s) bound.  In the K[X] layer, each simple
+transformation costs one K multiply-add per nonzero coefficient of the
+basis row it subtracts, tails included.
 
 Returned bases are put into a canonical fully-reduced strict form
 (ascending pivots, pivot coefficient 1, zero at every other basis pivot),
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 from . import _poly
 from .errors import DegreeExceeded
-from .polyvec import PivotIndex, PolyVec, x_shifts
+from .polyvec import PivotIndex, PolyVec, uniform_family
 from .valuation import content
 
 
@@ -213,55 +216,112 @@ def _canonical_basis(cols, domain):
 
 
 # ---------------------------------------------------------------------------
-# The K[X] layer: weak Popov form.
+# The K[X] layer: shifted weak Popov form.
 
-def _weak_popov(S) -> list[PolyVec]:
-    """A weak Popov K[X]-basis of the K[X]-span of the nonzero vectors S.
+def _weak_popov(domain, rows, shift):
+    """Shifted weak Popov form of the K[X]-span of ``rows``, tails carried.
 
-    The leading position of a nonzero vector is the last component of
-    maximal degree; a family is in weak Popov form when its leading
-    positions are pairwise distinct (Mulders & Storjohann, "On lattice
-    reduction for polynomial matrices", 2003).  Vectors are inserted one at
-    a time.  While the incoming vector a shares its leading position j with
-    a basis vector b, the one of higher degree (say a) takes the simple
-    transformation a <- a - (lc a_j / lc b_j) X^(deg a - deg b) b, which
-    lowers its degree or its leading position; a vector reduced to zero is
-    dropped.  Each step lowers one vector in a well-founded order, so the
-    loop ends, and every step is invertible over K[X], so the span is kept.
+    A row is a list of trimmed coefficient tuples: its first len(shift)
+    components are its head, the rest its tail, which is carried through
+    every step but never decides one.  The shifted degree of a nonzero head
+    is the largest deg a_j + shift[j], and its leading position the last j
+    attaining it (``_lead``); a family is in shifted weak Popov form when
+    the leading positions are pairwise distinct.  Rows are inserted one at
+    a time.  While the incoming row a
+    shares its leading position j with a basis row b, the one of higher
+    shifted degree (say a) takes the simple transformation
+    a <- a - (lc a_j / lc b_j) X^(d - e) b, with d, e the shifted degrees
+    and lc the last coefficient of the component; this lowers its shifted
+    degree or its leading position.  Each step lowers one row in a
+    well-founded order, so the loop ends, and every step is invertible over
+    K[X], so the rows keep spanning the same module.
+
+    Returns the rows with a nonzero head, in the order of their leading
+    positions, and the rows whose head reduced to zero.
     """
-    domain = S[0].domain
     basis: dict[int, tuple[int, list]] = {}
-    for v in S:
-        a = list(v.comps)
-        while any(a):
-            d, j = _lead(a)
-            if j not in basis:
-                basis[j] = (d, a)
-                break
+    zero_heads = []
+    for a in rows:
+        a = list(a)
+        while (lead := _lead(a, shift)) and lead[1] in basis:
+            d, j = lead
             e, b = basis[j]
             if e > d:
                 basis[j] = (d, a)
                 a, d, b, e = b, e, a, d
-            c = a[j][d] / b[j][e]
+            c = a[j][-1] / b[j][-1]
             a = [_sub_shifted(domain, x, c, d - e, y) for x, y in zip(a, b)]
-    return [PolyVec(domain, b) for _, (_, b) in sorted(basis.items())]
+        if lead:
+            basis[lead[1]] = (lead[0], a)
+        else:
+            zero_heads.append(a)
+    return [b for _, (_, b) in sorted(basis.items())], zero_heads
 
 
-def _lead(comps) -> tuple[int, int]:
-    """Degree and leading position of a nonzero vector of trimmed polynomials."""
-    d = max(len(c) for c in comps) - 1
-    return d, max(i for i, c in enumerate(comps) if len(c) - 1 == d)
+def _lead(row, shift):
+    """Shifted degree and leading position of the head of a row; None if it is zero."""
+    return max(((len(c) - 1 + s, j) for j, (c, s) in enumerate(zip(row, shift)) if c),
+               default=None)
 
 
 def _sub_shifted(domain, a, c, k, b) -> tuple:
     """a - c * X^k * b for trimmed coefficient tuples, skipping zeros of b."""
+    if not b:
+        return a
     out = list(a) + [domain.zero] * (len(b) + k - len(a))
     _add_multiple(out, -c, [(i + k, x) for i, x in _nonzeros(b)])
     return _poly.trim(out)
 
 
+def _x_shifts(vectors, bound) -> list[PolyVec]:
+    """The X-shifts X^r v of the vectors with deg (X^r v)_j <= bound_j for every j.
+
+    ``bound`` is one int for every component or a per-component list.
+    """
+    out = []
+    for v in vectors:
+        bounds = [bound] * v.n if isinstance(bound, int) else bound
+        top = min((b - len(c) + 1 for b, c in zip(bounds, v.comps) if c), default=-1)
+        for _ in range(top + 1):
+            out.append(v)
+            v = v.shift_x()
+    return out
+
+
+def _kx_slice(domain, rows, bounds) -> list[PolyVec]:
+    """Canonical V-basis of the saturated K[X]-span of rows on deg f_j <= bounds[j].
+
+    Under the shift -bounds a vector's shifted degree is at most 0 exactly
+    when it lies in the slice.  A shifted weak Popov basis b_1..b_k has
+    K-independent leading coefficient vectors, which gives the shifted
+    predictable-degree property sdeg(sum q_i b_i) = max(deg q_i + sdeg b_i):
+    an element of the slice has deg q_i <= -sdeg b_i.  So the X^r b_i with
+    r <= -sdeg b_i, the ``_x_shifts`` within the bounds, are a K-basis of the
+    K[X]-span's part in the slice, and one Smith reduction (``_slice_basis``)
+    intersects it with V[X]^n.
+    """
+    basis, _ = _weak_popov(domain, rows, [-b for b in bounds])
+    return _slice_basis(_x_shifts([PolyVec(domain, b) for b in basis], bounds), bounds)
+
+
+def _slice_basis(F, bound) -> list[PolyVec]:
+    """Canonical V-basis of (K-span of F) on a slice that holds every f in F.
+
+    ``bound`` is one degree bound or a per-component list.  Each vector is
+    scaled into V by a uniformizer power, which changes no saturation.
+    """
+    F = [f for f in F if not f.is_zero()]
+    if not F:
+        return []
+    domain, n = F[0].domain, F[0].n
+    positions = _slice_positions(n, bound)
+    cols = [_scale_into_v(_to_coords(f, positions), domain) for f in F]
+    return [_from_coords(domain, n, positions, c) for c in _saturate(cols, domain)]
+
+
 # ---------------------------------------------------------------------------
-# Public oracles.
+# Public oracles.  Each passes its vectors, taken together, through
+# ``uniform_family``, so a mixed family raises MixedFamily.
 
 # How far ``in_vx_span`` raises its shift bound before reporting a miss.
 _MAX_EXTRA = 10
@@ -277,24 +337,18 @@ def brute_saturation(F, D: int) -> list[PolyVec]:
     changes no saturation.  The result is canonical, hence independent of
     the presentation of the span.
     """
-    F = [f for f in F if not f.is_zero()]
-    if not F:
-        return []
-    domain = F[0].domain
-    n = F[0].n
+    F = uniform_family(F)
     for f in F:
         if f.degree() > D:
             raise DegreeExceeded(f"degree {f.degree()} exceeds slice bound {D}")
-    positions = _slice_positions(n, D)
-    cols = [_scale_into_v(_to_coords(f, positions), domain) for f in F]
-    canon = _saturate(cols, domain)
-    return [_from_coords(domain, n, positions, c) for c in canon]
+    return _slice_basis(F, D)
 
 
 def in_v_span(cols, vectors) -> bool:
     """Whether every vector lies in the V-span of the given PolyVec columns."""
     cols = list(cols)
     vectors = list(vectors)
+    uniform_family(cols + vectors)
     if not vectors:
         return True
     if not cols:
@@ -326,14 +380,16 @@ def in_vx_span(generators, vectors, bound: int) -> bool:
     in the span, although a witness of higher degree may exist: a False here
     is not yet an exact verdict.
     """
-    gens = [g for g in generators if not g.is_zero()]
+    generators = list(generators)
     vectors = list(vectors)
+    uniform_family(generators + vectors)
+    gens = [g for g in generators if not g.is_zero()]
     if not vectors:
         return True
     if not gens:
         return all(v.is_zero() for v in vectors)
     for extra in range(_MAX_EXTRA + 1):
-        if in_v_span(x_shifts(gens, bound + extra), vectors):
+        if in_v_span(_x_shifts(gens, bound + extra), vectors):
             return True
     return False
 
@@ -344,103 +400,58 @@ def saturation_slice(S, D: int) -> list[PolyVec]:
     The saturation of the V[X]-span of S is its K[X]-span intersected with
     V[X]^n.  A degree-<=D element of the K[X]-span may need witnesses of
     higher degree (combinations whose high terms cancel), so the slice is
-    not read off the shifts of S themselves.  Instead S is reduced once to
-    a weak Popov K[X]-basis b_1..b_k (``_weak_popov``).  Its leading
-    coefficient vectors are K-independent, which gives the
-    predictable-degree property deg(sum q_i b_i) = max(deg q_i + deg b_i):
-    an element of degree <= D has deg q_i <= D - deg b_i.  So the K-span of
-    the X^r b_i with r <= D - deg b_i is exactly the degree-<=D part of the
-    K[X]-span, and those vectors are K-independent.  ``brute_saturation``
-    scales them into V, and the first rank-many U-columns of its Smith
-    reduction span the intersection with the V-slice.
+    not read off the shifts of S themselves but off those of its weak Popov
+    K[X]-basis (``_kx_slice`` with the bound D on every component).
 
     Cost: the reduction makes at most |S| * n * (deg S + 1) simple
     transformations of O(n * deg S) K-operations each; the Smith step works
     on at most n(D+1) columns of length n(D+1).
     """
-    S = [v for v in S if not v.is_zero()]
+    S = [v for v in uniform_family(S) if not v.is_zero()]
     if not S:
         return []
-    return brute_saturation(x_shifts(_weak_popov(S), D), D)
+    return _kx_slice(S[0].domain, [v.comps for v in S], [D] * S[0].n)
+
+
+def kx_kernel(U) -> list[PolyVec]:
+    """K[X]-basis of the syzygies {f in K[X]^n : sum_j f_j u_j = 0} of u_1..u_n.
+
+    Each row (u_j | e_j) of U beside the n-by-n identity is reduced to weak
+    Popov form on its u part (``_weak_popov`` with the zero shift), the e
+    part riding along as the tail.  The steps are invertible over K[X], so
+    the tails stay a K[X]-basis of K[X]^n, and the heads left nonzero are
+    K[X]-independent.  A kernel vector is a combination of the tails whose
+    heads combine to zero, so of the rows whose head reduced to zero alone:
+    their tails are the kernel basis returned.
+    """
+    U = uniform_family(U)
+    if not U:
+        return []
+    domain, k, n = U[0].domain, U[0].n, len(U)
+    rows = [list(u.comps) + [(domain.one,) if i == j else () for i in range(n)]
+            for j, u in enumerate(U)]
+    _, kernel = _weak_popov(domain, rows, [0] * k)
+    return [PolyVec(domain, row[k:]) for row in kernel]
 
 
 def brute_syzygies(U, D: int) -> list[PolyVec]:
     """Canonical V-basis of the degree-bounded slice of the syzygy module.
 
-    U is the family u_1..u_n in V[X]^k; solutions f with sum f_j u_j = 0 are
-    enumerated with per-component bounds deg(f_j) <= D + d_U - deg(u_j)
-    (d_U the largest degree in U), i.e. every product stays within degree
-    D + d_U.  The K-solution space of the resulting exact linear system is
-    intersected with the V-slice via the same Smith-based saturation used by
-    ``brute_saturation``.  One Smith reduction of the shift rows with the
-    identity riding along would give the same saturated kernel in one pass,
-    but its unit-only pivots let rational-function entries grow far faster
-    than the free pivots over K do: over rft0:q it turns seconds into minutes.
+    U is the family u_1..u_n in V[X]^k.  The slice holds the syzygies f
+    with deg(f_j) <= B_j = D + d_U - deg(u_j) (d_U the largest degree in U),
+    i.e. every product stays within degree D + d_U.  The syzygy module is
+    the saturation of the K[X]-kernel, so the slice is that of
+    ``kx_kernel(U)`` under the per-component bounds B (``_kx_slice``): its
+    weak Popov form under the shift -B, whose X-shifts within the bounds are
+    a K-basis of the kernel's slice, then one Smith reduction over V.
     """
-    U = list(U)
-    if not U:
+    U = uniform_family(U)
+    kernel = kx_kernel(U)
+    if not kernel:
         return []
-    domain = U[0].domain
-    n = len(U)
-    k = U[0].n
-    d_u = max((u.degree() for u in U if not u.is_zero()), default=0)
-    bounds = [D + d_u - (u.degree() if not u.is_zero() else 0) for u in U]
-    positions = _slice_positions(n, bounds)
-    e_max = D + d_u
-    rows = []
-    for i in range(1, k + 1):
-        for e in range(e_max + 1):
-            row = []
-            for (j, r) in positions:
-                row.append(U[j - 1].coord(PivotIndex(i, e - r))
-                           if 0 <= e - r else domain.zero)
-            rows.append(row)
-    nullspace = _nullspace_over_k(rows, domain)
-    if not nullspace:
-        return []
-    scaled = [_scale_into_v(vec, domain) for vec in nullspace]
-    canon = _saturate(scaled, domain)
-    return [_from_coords(domain, n, positions, c) for c in canon]
-
-
-def _nullspace_over_k(rows, domain):
-    """K-basis of the nullspace of the matrix, by plain reduced elimination."""
-    m = len(rows)
-    s = len(rows[0]) if m else 0
-    work = [list(r) for r in rows]
-    pivot_of_col: dict[int, int] = {}
-    rank = 0
-    for j in range(s):
-        pr = None
-        for i in range(rank, m):
-            if work[i][j]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        work[rank], work[pr] = work[pr], work[rank]
-        inv = work[rank][j]
-        work[rank] = [x / inv if x else x for x in work[rank]]
-        pivot_entries = _nonzeros(work[rank])
-        for i in range(m):
-            if i == rank:
-                continue
-            c = work[i][j]
-            if c:
-                _add_multiple(work[i], -c, pivot_entries)
-        pivot_of_col[j] = rank
-        rank += 1
-    zero, one = domain.zero, domain.one
-    basis = []
-    for j in range(s):
-        if j in pivot_of_col:
-            continue
-        vec = [zero] * s
-        vec[j] = one
-        for pj, pi in pivot_of_col.items():
-            vec[pj] = -work[pi][j]
-        basis.append(vec)
-    return basis
+    d_u = max(max(u.degree(), 0) for u in U)
+    bounds = [D + d_u - max(u.degree(), 0) for u in U]
+    return _kx_slice(U[0].domain, [f.comps for f in kernel], bounds)
 
 
 def _scale_into_v(coords, domain):

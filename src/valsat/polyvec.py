@@ -149,19 +149,6 @@ def red_prim(v: PolyVec) -> tuple[PolyVec, DomainElement]:
     return v.div_by(u), u
 
 
-def x_shifts(vectors, bound: int) -> list[PolyVec]:
-    """All X-shifts X^r v of the given vectors with degree at most bound."""
-    out = []
-    for v in vectors:
-        if v.is_zero():
-            continue
-        w = v
-        while w.degree() <= bound:
-            out.append(w)
-            w = w.shift_x()
-    return out
-
-
 def family_degree(vectors) -> int:
     """Highest exact coordinate degree over a nonempty family of nonzero vectors."""
     vectors = list(vectors)

@@ -12,7 +12,8 @@ from fractions import Fraction
 
 from valsat import oracle
 from valsat.echelon import EchelonBasis, gauss_eliminate, saturate_free
-from valsat.polyvec import PolyVec, x_shifts
+from valsat.oracle import _x_shifts
+from valsat.polyvec import PolyVec
 from valsat.syzygy import apply_columns, kernel_kx, syzygy_vx
 from valsat.valuation import Zp
 from valsat.vxsat import counters, saturate_vx
@@ -156,7 +157,7 @@ def test_c4_vx_saturation_oracle_equivalence():
             # module equality on the slice: every bounded shift of B lies in
             # the oracle span, and every oracle vector is V[X]-generated by B
             # (exact witnesses via adaptively extended shift families)
-            assert oracle.in_v_span(reference, x_shifts(res.generators, D))
+            assert oracle.in_v_span(reference, _x_shifts(res.generators, D))
             assert oracle.in_vx_span(res.generators, reference, D)
 
 

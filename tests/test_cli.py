@@ -75,11 +75,24 @@ def test_verification_mismatch_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_zero_syzygy_verdict_sees_high_degree_syzygies(tmp_path, capsys, monkeypatch):
-    # (X^5 + 2, -(X^5 + 1)) is a syzygy of degree 5; the default slice bound
-    # min(k, n - 1) * d_U = 5 must reach it when the kernel comes back empty.
+    # (X^5 + 2, -(X^5 + 1)) is a syzygy of degree 5; the oracle's own K[X]
+    # kernel must see it when the library's kernel comes back empty.
     import valsat.cli as cli
 
     path = write(tmp_path, "z.vsat", "domain: zp:3\ntask: syzygy\n\nX^5 + 1\nX^5 + 2\n")
+    monkeypatch.setattr(cli, "scaled_kernel", lambda vectors: [])
+    assert main([path, "--verify"]) == 2
+    out = capsys.readouterr().out
+    assert "# syzygy module is zero" in out and "# verify: MISMATCH" in out
+
+
+def test_zero_syzygy_verdict_ignores_the_degree_bound(tmp_path, capsys, monkeypatch):
+    # No syzygy has degree <= 0 here, so a verdict read off the degree-0
+    # slice would pass the empty kernel; the verdict must not depend on it.
+    import valsat.cli as cli
+
+    path = write(tmp_path, "z.vsat",
+                 "domain: zp:3\ntask: syzygy\ndegree-bound: 0\n\nX^5 + 1\nX^5 + 2\n")
     monkeypatch.setattr(cli, "scaled_kernel", lambda vectors: [])
     assert main([path, "--verify"]) == 2
     out = capsys.readouterr().out

@@ -4,7 +4,8 @@ import random
 
 from valsat import oracle
 from valsat.echelon import saturate_free
-from valsat.polyvec import PolyVec, x_shifts
+from valsat.oracle import _x_shifts
+from valsat.polyvec import PolyVec
 from valsat.syzygy import apply_columns, syzygy_vx
 from valsat.valuation import RationalFunctionsAtZero, TrivialField
 from valsat.vxsat import saturate_vx
@@ -21,7 +22,7 @@ def test_vx_saturation_over_rational_functions():
     assert res.generators[0] == PolyVec(R, [(one,)])
     D = res.degree + res.trace[-1].k + 2
     reference = oracle.saturation_slice(S, D)
-    assert oracle.in_v_span(reference, x_shifts(res.generators, D))
+    assert oracle.in_v_span(reference, _x_shifts(res.generators, D))
     assert oracle.in_vx_span(res.generators, reference, D)
 
 

@@ -11,9 +11,10 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 import valsat
 from valsat import oracle
 from valsat.echelon import saturate_free
-from valsat.errors import DegreeExceeded
-from valsat.polyvec import PivotIndex, PolyVec, x_shifts, zero_vec
-from valsat.syzygy import apply_columns, syzygy_vx
+from valsat.errors import DegreeExceeded, MixedFamily
+from valsat.oracle import _x_shifts
+from valsat.polyvec import PivotIndex, PolyVec, zero_vec
+from valsat.syzygy import apply_columns, kernel_kx, syzygy_vx
 from valsat.valuation import RationalFunctionsAtZero, TrivialField, Zp
 from valsat.vxsat import saturate_vx
 
@@ -167,6 +168,36 @@ def test_in_v_span_edges():
     assert not oracle.in_v_span([vec(Z2, [2], [0])], [vec(Z2, [1], [0])])
 
 
+_ONE, _PAIR = vec(Z2, [1]), vec(Z2, [1], [1])  # widths 1 and 2
+
+
+@pytest.mark.parametrize("call", [
+    lambda: oracle.in_v_span([_ONE], [_PAIR]),
+    lambda: oracle.spans_equal([_ONE], [_PAIR]),
+    lambda: oracle.in_vx_span([_ONE], [_PAIR], 1),
+    lambda: oracle.brute_saturation([_ONE, _PAIR], 1),
+    lambda: oracle.saturation_slice([_ONE, _PAIR], 1),
+    lambda: oracle.brute_syzygies([_ONE, _PAIR], 1),
+    lambda: oracle.kx_kernel([_ONE, _PAIR]),
+    lambda: oracle.in_v_span([_ONE], [vec(Zp(3), [1])]),
+], ids=["in_v_span", "spans_equal", "in_vx_span", "brute_saturation",
+        "saturation_slice", "brute_syzygies", "kx_kernel", "in_v_span-domains"])
+def test_public_oracles_reject_mixed_families(call):
+    with pytest.raises(MixedFamily):
+        call()
+
+
+def test_kx_kernel_examples():
+    assert oracle.kx_kernel([]) == []
+    assert oracle.kx_kernel([vec(Z2, [1])]) == []
+    # u = (X, 2): X * 1 + 2 * (-X/2) = 0.
+    U = [vec(Z2, [0, 1]), vec(Z2, [2])]
+    (f,) = oracle.kx_kernel(U)
+    assert f.scale(Z2.element(2)) == vec(Z2, [2], [0, -1])
+    # A zero column is its own syzygy.
+    assert oracle.kx_kernel([vec(Z2, [1]), vec(Z2, [])]) == [vec(Z2, [], [1])]
+
+
 @pytest.mark.parametrize("d", [Z2, TrivialField("q"), RationalFunctionsAtZero("fp", 3)])
 def test_in_v_span_outside_the_k_span(d):
     one = [d.one]
@@ -251,7 +282,7 @@ def shift_family_slice(S, D, E):
     d, n = S[0].domain, S[0].n
     order = [PivotIndex(j, r) for r in range(D + E, -1, -1) for j in range(1, n + 1)]
     rows = []
-    for f in x_shifts(S, D + E):
+    for f in _x_shifts(S, D + E):
         c = [f.coord(at) for at in order]
         for piv, b in sorted(rows, key=lambda row: row[0]):
             if c[piv]:
@@ -293,11 +324,24 @@ def test_saturation_slice_matches_shift_families(S, D):
 
 
 @PROPERTY
-@given(_families())
-def test_weak_popov_leading_positions_are_distinct(S):
-    basis = oracle._weak_popov(S)
-    leads = [oracle._lead(b.comps)[1] for b in basis]
+@given(_families(), st.lists(st.integers(-3, 3), min_size=2, max_size=2))
+def test_weak_popov_leading_positions_are_distinct(S, shift):
+    shift = shift[:S[0].n]
+    basis, _ = oracle._weak_popov(S[0].domain, [v.comps for v in S], shift)
+    leads = [oracle._lead(b, shift)[1] for b in basis]
     assert len(set(leads)) == len(leads) <= S[0].n
+
+
+@pytest.mark.parametrize("d", KINDS, ids=lambda d: d.tag)
+@PROPERTY
+@given(data=st.data())
+def test_kx_kernel_is_a_kernel_basis(d, data):
+    U = data.draw(_families(max_len=4, domain=d))
+    kernel = oracle.kx_kernel(U)
+    for f in kernel:
+        assert not f.is_zero() and not any(apply_columns(U, f))
+    # Both are bases of the same free K[X]-module, computed by independent code.
+    assert len(kernel) == len(kernel_kx(U))
 
 
 @PROPERTY
@@ -324,7 +368,7 @@ def test_saturate_vx_matches_saturation_slice(d, data):
     res = saturate_vx(S)
     D = res.degree + res.trace[-1].k + 2
     reference = oracle.saturation_slice(S, D)
-    assert oracle.in_v_span(reference, x_shifts(res.generators, D))
+    assert oracle.in_v_span(reference, _x_shifts(res.generators, D))
     assert oracle.in_vx_span(res.generators, reference, D)
 
 
