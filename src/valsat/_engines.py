@@ -8,7 +8,10 @@ the generic DomainElement path, the reference, or the packed kernel
 ``ScalarElement``s, here and in ``syzygy.kernel_kx``.  Both engines hold
 their basis as a list of columns and a list of pivot positions, which their
 kernel appends to in place under the contract of ``echelon``, and build one
-``EchelonBasis`` only on export.  Both produce bit-identical bases.
+``EchelonBasis`` only on export.  ``polyvec`` hands out a single column, so
+a caller that needs only some columns (``vxsat`` takes the generators)
+pays for those alone, and ``export_basis`` reuses the columns it is given.
+Both produce bit-identical bases.
 """
 
 from __future__ import annotations
@@ -43,7 +46,9 @@ class GenericEngine:
     def polyvec(self, i: int) -> PolyVec:
         return self.cols[i]
 
-    def export_basis(self) -> EchelonBasis:
+    def export_basis(self, known=None) -> EchelonBasis:
+        """The basis; ``known`` maps indexes to columns already taken out,
+        which here are the stored columns themselves."""
         return EchelonBasis(self.cols, self.pivs, _trusted=True)
 
 

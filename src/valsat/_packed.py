@@ -3,7 +3,9 @@
 Both run on every domain of ``ScalarElement``s (``_engines.packs``).  Columns
 are ``_ratkernel`` packed vectors: integer numerators over one denominator
 per column in lowest terms, or over F_p (``mod``, the characteristic, not 0)
-residues over 1.  Only on export do they become ``ScalarElement``s again.
+residues over 1.  They become ``ScalarElement``s again only when a column is
+taken out (``polyvec``): ``vxsat`` takes the generators, and the whole basis
+only when it is read.
 ``_ratkernel.insert`` keeps the column contract of ``echelon``: it appends
 each reduction, monic at its content position, and that position to the
 engine's lists.  Results are bit-identical to the generic engine: same
@@ -71,8 +73,12 @@ class PackedEngine(GenericEngine):
         comps, D = self.cols[i]
         return PolyVec(self.domain, _unpack(self.domain, comps, D, self.mod))
 
-    def export_basis(self) -> EchelonBasis:
-        columns = [self.polyvec(i) for i in range(len(self.cols))]
+    def export_basis(self, known=None) -> EchelonBasis:
+        """The basis; ``known`` maps indexes to columns already unpacked,
+        which it shares instead of unpacking them again."""
+        known = known or {}
+        columns = [known[i] if i in known else self.polyvec(i)
+                   for i in range(len(self.cols))]
         pivots = [PivotIndex(j, r) for j, r in self.pivs]
         return EchelonBasis(columns, pivots, _trusted=True)
 

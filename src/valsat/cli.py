@@ -14,7 +14,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import oracle
 from .echelon import EchelonBasis, saturate_free
 from .errors import EmptyInput, IterationCapExceeded, ParseError, ValsatError
 from .polyvec import family_degree
@@ -148,6 +147,8 @@ def _replace_domain(text: str, tag: str) -> str:
 
 
 def _run(inst: InstanceFile, args) -> int:
+    if inst.verify:
+        from . import oracle  # only --verify loads the oracle
     out_lines = [f"# task: {inst.task}", f"# domain: {inst.domain.tag}"]
     diagram = None
     csv = None
@@ -170,7 +171,8 @@ def _run(inst: InstanceFile, args) -> int:
     elif inst.task == "saturate-vx":
         res = saturate_vx(inst.vectors, inst.max_iter)
         out_lines.append(f"# d: {res.degree}, rounds: {res.trace[-1].k}, "
-                         f"basis: {len(res.basis)}, generators: {len(res.generators)}")
+                         f"basis: {res.trace[-1].basis_size}, "
+                         f"generators: {len(res.generators)}")
         out_lines.extend(render_vector(v) for v in res.generators)
         csv = trace_csv(res.trace)
         diagram = _final_diagram(inst, res) if args.diagram else None
@@ -231,6 +233,7 @@ def _final_diagram(inst: InstanceFile, res: SaturationResult) -> str:
 
 
 def _verify_vx(inst: InstanceFile, res: SaturationResult) -> bool:
+    from . import oracle
     k_final = res.trace[-1].k
     bound = (inst.degree_bound if inst.degree_bound is not None
              else res.degree + k_final + 2)
@@ -243,6 +246,7 @@ def _verify_vx(inst: InstanceFile, res: SaturationResult) -> bool:
 
 
 def _verify_syzygy(inst: InstanceFile, res: SaturationResult) -> bool:
+    from . import oracle
     for f in res.generators:
         if any(poly for poly in apply_columns(inst.vectors, f)):
             return False

@@ -13,7 +13,12 @@ only, and a product with a monomial factor is a shift of the other factor,
 scaled at its nonzero entries; only a product of two polynomials that are
 not monomials, such as ``(X+1)*(X-1)`` or ``(X+1)^3``, uses dense
 multiplication.  Sums cost O(terms) field additions as well: ``_poly.add``
-skips the zero coefficients of a shifted term such as ``(c)*X^k``.
+skips the zero coefficients of a shifted term such as ``(c)*X^k``.  Over
+``zp:p``, ``field:q`` and ``field:p`` every one of these operations is on a
+raw value of the domain's field (a ``Fraction``, or a residue mod p), and
+each final coefficient is wrapped in a ``ScalarElement`` once, before its
+valuation is checked; the ``rft0`` kinds compute on their elements, with
+one ``t`` element per parser.
 """
 
 from __future__ import annotations
@@ -22,9 +27,10 @@ import re
 from dataclasses import dataclass
 
 from . import _poly
+from ._engines import packs
 from .errors import NotInDomain, ParseError
 from .polyvec import PolyVec
-from .valuation import Domain, RationalFunctionsAtZero, parse_domain_tag
+from .valuation import Domain, RationalFunctionsAtZero, ScalarElement, parse_domain_tag
 
 # A token, or (group 2) any other non-space character, which is an error.
 _TOKEN_RE = re.compile(r"(\d+|[Xt^*/()+-])|(\S)")
@@ -70,11 +76,35 @@ def _is_monomial(p) -> bool:
 
 
 class _PolyParser:
-    """Recursive-descent parser producing a polynomial over K (see ``_poly``)."""
+    """Recursive-descent parser producing a polynomial over K (see ``_poly``).
+
+    It computes over ``F``: the raw values of ``domain.field`` (Fractions
+    over Z_(p) and Q, residues over F_p) when the domain's elements are
+    ``ScalarElement``s, else the domain's own elements, a field for
+    ``_poly`` too.  ``parse`` turns each final coefficient into an element.
+    """
 
     def __init__(self, domain: Domain, toks: _Tokens):
         self.domain = domain
         self.toks = toks
+        if packs(domain):
+            self.F, self._literal = domain.field, domain.field.coerce
+        else:
+            self.F, self._literal = domain, domain.k_element
+        self._t = (domain.uniformizer()
+                   if isinstance(domain, RationalFunctionsAtZero) else None)
+
+    def parse(self) -> tuple:
+        """All of the input as a polynomial with coefficients in K."""
+        poly = self.parse_sum()
+        if self.toks.peek() is not None:
+            tok, at = self.toks.toks[self.toks.pos]
+            raise ParseError(f"trailing input {tok!r}", self.toks.line,
+                             self.toks.col0 + at + 1)
+        if self.F is self.domain:  # rft0: the coefficients are elements already
+            return poly
+        domain, zero = self.domain, self.domain.zero
+        return tuple(ScalarElement(domain, c) if c else zero for c in poly)
 
     def parse_sum(self):
         sign = 1
@@ -82,13 +112,13 @@ class _PolyParser:
             sign = -1 if self.toks.take()[0] == "-" else 1
         acc = self.parse_product()
         if sign < 0:
-            acc = _poly.neg(self.domain, acc)
+            acc = _poly.neg(self.F, acc)
         while self.toks.peek() in ("+", "-"):
             op = self.toks.take()[0]
             term = self.parse_product()
             if op == "-":
-                term = _poly.neg(self.domain, term)
-            acc = _poly.add(self.domain, acc, term)
+                term = _poly.neg(self.F, term)
+            acc = _poly.add(self.F, acc, term)
         return acc
 
     def parse_product(self):
@@ -109,7 +139,8 @@ class _PolyParser:
                     raise ParseError(
                         "division by zero", self.toks.line, self.toks.col0 + at + 1
                     )
-                acc = tuple(c / rhs[0] for c in acc)
+                d, div = rhs[0], self.F.div
+                acc = tuple(div(c, d) if c else c for c in acc)
         return acc
 
     def parse_power(self):
@@ -133,41 +164,42 @@ class _PolyParser:
         if _is_monomial(b):
             a, b = b, a
         if not _is_monomial(a):
-            return _poly.mul(self.domain, a, b)
-        c = a[-1]
-        if c != self.domain.one:
-            b = tuple(x * c if x else x for x in b)
+            return _poly.mul(self.F, a, b)
+        c, F = a[-1], self.F
+        if c != F.one:
+            b = tuple(F.mul(x, c) if x else x for x in b)
         return a[:-1] + b
 
     def power(self, base, n):
         """base^n, with base^0 = 1; (c*X^e)^n = c^n*X^(e*n) without K[X] products."""
+        F = self.F
         if not _is_monomial(base):
-            out = (self.domain.one,)
+            out = (F.one,)
             for _ in range(n):
-                out = _poly.mul(self.domain, out, base)
+                out = _poly.mul(F, out, base)
             return out
-        c, cn = base[-1], self.domain.one
+        c, cn = base[-1], F.one
         if c != cn:
             for _ in range(n):
-                cn = cn * c
-        return (self.domain.zero,) * ((len(base) - 1) * n) + (cn,)
+                cn = F.mul(cn, c)
+        return (F.zero,) * ((len(base) - 1) * n) + (cn,)
 
     def parse_atom(self):
         tok, at = self.toks.take()
         if tok.isdigit():
-            return _poly.trim((self.domain.k_element(int(tok)),))
+            return _poly.trim((self._literal(int(tok)),))
         if tok == "X":
-            return (self.domain.zero, self.domain.one)
+            return (self.F.zero, self.F.one)
         if tok == "t":
-            if not isinstance(self.domain, RationalFunctionsAtZero):
+            if self._t is None:
                 raise ParseError(
                     "the variable t only exists in the rational-function domain",
                     self.toks.line,
                     self.toks.col0 + at + 1,
                 )
-            return (self.domain.from_polys((0, 1)),)
+            return (self._t,)
         if tok == "-":
-            return _poly.neg(self.domain, self.parse_atom())
+            return _poly.neg(self.F, self.parse_atom())
         if tok == "(":
             inner = self.parse_sum()
             self.toks.expect(")")
@@ -196,11 +228,7 @@ def _split_components(text: str):
 
 def parse_element(domain: Domain, text: str, line: int | None = None):
     """One element of V: integers, fractions, t-polynomial fractions."""
-    toks = _Tokens(text, line)
-    poly = _PolyParser(domain, toks).parse_sum()
-    if toks.peek() is not None:
-        tok, at = toks.toks[toks.pos]
-        raise ParseError(f"trailing input {tok!r}", line, at + 1)
+    poly = _PolyParser(domain, _Tokens(text, line)).parse()
     if len(poly) > 1:
         raise ParseError("expected a scalar, found X", line, 1)
     e = poly[0] if poly else domain.zero
@@ -213,11 +241,7 @@ def parse_vector(domain: Domain, text: str, line: int | None = None) -> PolyVec:
     """A vector of V[X]^n from comma-separated polynomial components."""
     comps = []
     for chunk, col0 in _split_components(text):
-        toks = _Tokens(chunk, line, col0)
-        poly = _PolyParser(domain, toks).parse_sum()
-        if toks.peek() is not None:
-            tok, at = toks.toks[toks.pos]
-            raise ParseError(f"trailing input {tok!r}", line, col0 + at + 1)
+        poly = _PolyParser(domain, _Tokens(chunk, line, col0)).parse()
         for c in poly:
             if not c.in_domain:
                 raise ParseError(

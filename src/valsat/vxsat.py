@@ -8,6 +8,11 @@ the columns that matter as V[X]-generators: all of the initial fold, plus
 every later column whose insertion divided by a non-unit content.  At
 termination the V[X]-span of B is the V-saturation of M.
 
+B is the answer and G the certificate behind it, so ``_run`` takes only
+the columns of B out of the engine (``engine.polyvec``, which turns packed
+columns into elements).  G is built on the first read of
+``SaturationResult.basis``, sharing B's columns.
+
 Every round is recorded as an ``IterationRecord``; the counters drive both
 the termination argument (see ``saturate_vx``) and the diagnostic diagrams
 emitted by the CLI.
@@ -44,14 +49,37 @@ class IterationRecord:
     slack: int
 
 
-@dataclass(frozen=True)
 class SaturationResult:
-    """Outcome of ``saturate_vx``: V-basis G, V[X]-generators B, trace, degree."""
+    """Outcome of ``saturate_vx``: V-basis G, V[X]-generators B, trace, degree.
 
-    basis: EchelonBasis
-    generators: list[PolyVec]
-    trace: list[IterationRecord]
-    degree: int
+    ``generators`` (B), ``trace`` and ``degree`` are plain attributes.  The
+    strict echelon V-basis ``basis`` (G) is built from the engine the first
+    time it is read, with the generators' own ``PolyVec``s as its columns
+    at their indexes, so no column is unpacked twice; the result then drops
+    the engine.  A result made with a basis, such as the empty
+    ``SaturationResult(EchelonBasis(), [], [], 0)``, holds no engine.
+    """
+
+    __slots__ = ("_basis", "_export", "generators", "trace", "degree")
+
+    def __init__(self, basis: EchelonBasis | None, generators: list[PolyVec],
+                 trace: list[IterationRecord], degree: int, *, _export=None):
+        self._basis = basis
+        self._export = _export  # builds the basis when ``basis`` is None
+        self.generators = generators
+        self.trace = trace
+        self.degree = degree
+
+    @property
+    def basis(self) -> EchelonBasis:
+        if self._basis is None:
+            self._basis = self._export()
+            self._export = None
+        return self._basis
+
+    def __repr__(self):
+        return (f"SaturationResult(generators={self.generators!r}, "
+                f"trace={self.trace!r}, degree={self.degree})")
 
 
 def _defect_from_pivots(pivots) -> int:
@@ -167,10 +195,7 @@ def _run(engine, vectors, max_iter: int | None) -> SaturationResult:
                 f"{prev.index_count} -> {rec.index_count}, slack {rec.slack}"
             )
         trace.append(rec)
-    basis = engine.export_basis()
-    return SaturationResult(
-        basis=basis,
-        generators=[basis[i] for i in generator_idx],
-        trace=trace,
-        degree=d,
-    )
+    generators = [engine.polyvec(i) for i in generator_idx]
+    known = dict(zip(generator_idx, generators))
+    return SaturationResult(None, generators, trace, d,
+                            _export=lambda: engine.export_basis(known))

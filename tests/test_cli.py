@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import valsat
 from valsat.cli import main, pivot_diagram, trace_csv
 from valsat.echelon import EchelonBasis, saturate_free
 from valsat.polyvec import PolyVec
@@ -25,6 +29,17 @@ def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
     return str(p)
+
+
+def test_cli_import_leaves_the_oracle_unloaded():
+    """Only --verify needs the oracle, so ``import valsat.cli`` does not load it."""
+    code = "import sys, valsat.cli\nsys.exit('valsat.oracle' in sys.modules)\n"
+    src = str(Path(valsat.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr or "valsat.oracle was loaded"
 
 
 def test_run_saturate_vx(tmp_path, capsys):

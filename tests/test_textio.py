@@ -5,16 +5,17 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from valsat import _poly
-from valsat.errors import ParseError
+from valsat.errors import NotInDomain, ParseError
 from valsat.polyvec import PolyVec
 from valsat.textio import (
     parse_domain_tag,
+    parse_element,
     parse_instance,
     parse_vector,
     render_instance,
     render_vector,
 )
-from valsat.valuation import RationalFunctionsAtZero, TrivialField, Zp
+from valsat.valuation import RationalFunctionsAtZero, ScalarElement, TrivialField, Zp
 
 Z2 = Zp(2)
 # One domain of each kind: zp:p, field:q, field:p, rft0:q, rft0:p.
@@ -308,3 +309,29 @@ def _vectors(draw):
 @given(_vectors())
 def test_round_trip_all_kinds(v):
     assert parse_vector(v.domain, render_vector(v)) == v
+
+
+# ---------------------------------------------------------------------------
+# Over zp:p, field:q and field:p the parser computes on raw field values and
+# wraps each final coefficient once, before its valuation is checked.
+
+
+def test_raw_value_errors_and_edge_cases():
+    with pytest.raises(ParseError, match="division by zero"):
+        parse_vector(TrivialField("fp", 5), "1/5")  # 5 is 0 in F_5
+    with pytest.raises(ParseError, match="outside the domain"):
+        parse_vector(Z2, "(1/2)*X")
+    with pytest.raises(NotInDomain):
+        parse_element(Zp(3), "1/3")
+    assert parse_vector(Z2, "(1/2)^0") == PolyVec.from_raw(Z2, [[1]])
+    assert parse_element(Z2, "(1/2)^0") == Z2.one
+
+
+@PROPERTY
+@given(st.sampled_from(KINDS[:3]), st.lists(_trees(False), min_size=1, max_size=3))
+def test_parsed_coefficients_are_wrapped_field_values(d, trees):
+    v = parse_vector(d, ", ".join(_text(tree)[0] for tree in trees))
+    want = int if d.field.p else Fraction  # a residue over F_p, else a fraction
+    coeffs = [c for comp in v.comps for c in comp] + [parse_element(d, "3/7")]
+    for c in coeffs:
+        assert type(c) is ScalarElement and type(c.value) is want

@@ -1,12 +1,15 @@
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
+from valsat._engines import select_engine
 from valsat.echelon import EchelonBasis
 from valsat.errors import EmptyInput, IterationCapExceeded, ValsatError
 from valsat.polyvec import PivotIndex, PolyVec, zero_vec
-from valsat.valuation import TrivialField, Zp
+from valsat.syzygy import syzygy_vx
+from valsat.valuation import RationalFunctionsAtZero, TrivialField, Zp
 from valsat.vxsat import counters, defect, saturate_vx
 
 Z2 = Zp(2)
@@ -271,3 +274,52 @@ def test_b_subset_of_g_and_strictness():
         cols = list(res.basis)
         for b in res.generators:
             assert b in cols
+
+
+# ---------------------------------------------------------------------------
+# The basis G is built on its first read, from the generators' own columns.
+
+KINDS = [Z2, TrivialField("q"), TrivialField("fp", 5), RationalFunctionsAtZero("q"),
+         RationalFunctionsAtZero("fp", 3)]
+
+
+def _lazy_inputs(d):
+    """A saturate_vx family and a syzygy_vx matrix with columns left over."""
+    c = d.uniformizer() or d.k_element(2)
+    z, o = d.zero, d.one
+    S = [PolyVec(d, [(c, z, z, o)]), PolyVec(d, [(c * c,)]), PolyVec(d, [(c * c * c, o)])]
+    U = [PolyVec(d, [(c, z, z, o)]), PolyVec(d, [(c * c,)]), PolyVec(d, [(z, o)])]
+    return {"saturate_vx": lambda: saturate_vx(S), "syzygy_vx": lambda: syzygy_vx(U)}
+
+
+@pytest.mark.parametrize("task", ["saturate_vx", "syzygy_vx"])
+@pytest.mark.parametrize("d", KINDS, ids=lambda d: d.tag)
+def test_basis_is_built_on_first_read(monkeypatch, d, task):
+    cls = type(select_engine(d))
+    original = cls.polyvec
+    calls, engines = [], []
+
+    def counted(self, i):
+        calls.append(i)
+        engines.append(weakref.ref(self))
+        return original(self, i)
+
+    monkeypatch.setattr(cls, "polyvec", counted)
+    res = _lazy_inputs(d)[task]()
+    assert len(calls) == len(res.generators) > 0
+    assert res.trace[-1].basis_size >= len(res.generators)
+    assert engines[0]() is not None  # held until the basis is read
+    basis = res.basis
+    assert res.basis is basis
+    basis.validate()
+    assert len(basis) == res.trace[-1].basis_size
+    assert len(set(calls)) == len(calls)  # no column unpacked twice
+    columns = {id(v) for v in basis}
+    assert all(id(g) in columns for g in res.generators)
+    assert engines[0]() is None  # and dropped once it is built
+
+
+def test_empty_syzygy_result_has_an_empty_basis():
+    res = syzygy_vx([vec(Z2, [1], [0]), vec(Z2, [0], [1])])
+    assert res.generators == [] and res.trace == [] and res.degree == 0
+    assert res.basis == EchelonBasis()
