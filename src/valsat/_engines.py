@@ -3,22 +3,26 @@
 The drivers in ``echelon``/``vxsat`` are written against a tiny engine
 protocol (insert a vector, insert the X-shift of a held column, read a
 column's pivot, export columns) so that one driver loop runs over either
-the generic DomainElement path, the reference, or the packed kernel
-(``_packed``/``_ratkernel``), which ``packs`` picks for every domain of
-``ScalarElement``s, here and in ``syzygy.kernel_kx``.  Both engines hold
-their basis as a list of columns and a list of pivot positions, which their
-kernel appends to in place under the contract of ``echelon``, and build one
-``EchelonBasis`` only on export.  ``polyvec`` hands out a single column, so
-a caller that needs only some columns (``vxsat`` takes the generators)
-pays for those alone, and ``export_basis`` reuses the columns it is given.
-Both produce bit-identical bases.
+the generic DomainElement path or the packed kernel (``_packed``/
+``_ratkernel``).  ``select_engine`` picks the packed engine for every
+shipped kind, each over its numerator ring, so the generic engine serves
+as the tests' reference and as the fallback for any other ``Domain``.
+``packs`` is narrower: the domains of ``ScalarElement``s, whose
+``syzygy.kernel_kx`` is packed and whose parser computes on raw field
+values.  Both engines hold their basis as a list of columns and a list of
+pivot positions, which their kernel appends to in place under the contract
+of ``echelon``, and build one ``EchelonBasis`` only on export.  ``polyvec``
+hands out a single column, so a caller that needs only some columns
+(``vxsat`` takes the generators) pays for those alone, and
+``export_basis`` reuses the columns it is given.  Both produce
+bit-identical bases.
 """
 
 from __future__ import annotations
 
 from .echelon import EchelonBasis, echelon_insert
 from .polyvec import PivotIndex, PolyVec
-from .valuation import ScalarElement
+from .valuation import RatFuncElement, ScalarElement
 
 
 class GenericEngine:
@@ -53,13 +57,15 @@ class GenericEngine:
 
 
 def packs(domain) -> bool:
-    """Whether the domain runs the packed kernels: rationals or residues mod p."""
+    """Whether the domain's elements are ``ScalarElement``s (rationals or
+    residues mod p): such domains run the packed ``kernel_kx``, and the
+    parser computes on their raw field values."""
     return isinstance(domain.one, ScalarElement)
 
 
 def select_engine(domain):
-    """Packed engine when the domain packs, else generic."""
-    if packs(domain):
+    """Packed engine for every shipped kind, generic for any other domain."""
+    if isinstance(domain.one, (ScalarElement, RatFuncElement)):
         from ._packed import PackedEngine
 
         return PackedEngine(domain)

@@ -1,19 +1,25 @@
-"""Packed engine and packed ``kernel_kx``: the clients of the rational kernel.
+"""Packed engine and packed ``kernel_kx``: the clients of the packed kernel.
 
-Both run on every domain of ``ScalarElement``s (``_engines.packs``).  Columns
-are ``_ratkernel`` packed vectors: integer numerators over one denominator
-per column in lowest terms, or over F_p (``mod``, the characteristic, not 0)
-residues over 1.  They become ``ScalarElement``s again only when a column is
-taken out (``polyvec``): ``vxsat`` takes the generators, and the whole basis
-only when it is read.
+The packed engine runs every shipped kind, over the numerator ring that
+``numerator_ring`` picks: Z for ``zp:p`` and ``field:q``, residues mod p
+for ``field:p``, Z[t] for ``rft0:q`` and F_p[t] for ``rft0:p``.  Columns
+are ``_ratkernel`` packed vectors, numerators over one denominator per
+column in lowest terms (over F_p, residues over 1).  ``_pack`` builds them
+from elements: over ``rft0`` the denominator is the lcm of the entries'
+denominators, each cleared to Z[t] over Q.  They become elements again only
+when a column is taken out (``polyvec``): ``vxsat`` takes the generators,
+and the whole basis only when it is read.  Over ``rft0`` that costs one
+gcd of each entry's numerator against D, then a division by the leading
+coefficient of what is left of D.
 ``_ratkernel.insert`` keeps the column contract of ``echelon``: it appends
 each reduction, monic at its content position, and that position to the
 engine's lists.  Results are bit-identical to the generic engine: same
 elimination order, same content rule, and the exported elements are
 canonical.
 
-``kernel_kx_packed`` runs ``syzygy``'s column reduction on packed columns:
-integer polynomials over Z_(p) and Q, with the fraction-free step
+``kernel_kx_packed`` runs ``syzygy``'s column reduction on packed columns
+over the domains of ``ScalarElement``s (``_engines.packs``): integer
+polynomials over Z_(p) and Q, with the fraction-free step
 ``(lb/g) col - (la/g) X^s pivot``, and residues over F_p.  Why its basis is
 the generic one is in the ``syzygy`` module docstring.
 """
@@ -25,30 +31,86 @@ from math import gcd, lcm
 
 from . import _ratkernel
 from ._engines import GenericEngine
+from ._poly import igcd, imul, iquo
 from .echelon import EchelonBasis
 from .polyvec import PivotIndex, PolyVec
 from .syzygy import _reduce_columns
-from .valuation import ScalarElement
+from .valuation import RatFuncElement, ScalarElement
 
 
-def _pack(v: PolyVec, mod):
-    """Lowest-terms packing: D is the lcm of the reduced denominators, or 1 mod p."""
+def numerator_ring(domain):
+    """The ring of the domain's packed numerators (see ``_ratkernel``)."""
+    if isinstance(domain.one, RatFuncElement):
+        return _ratkernel.Polynomials(domain.field.p)
+    return _ratkernel.Integers(domain.p, domain.field.p)
+
+
+def _pack(v: PolyVec, ring):
+    """A packing with D the lcm of the entries' denominators, 1 mod p.
+
+    Over Q and Z_(p) this is the lowest-terms packing.  A rational function
+    over Q is first cleared to a quotient of integer polynomials.
+    """
+    mod = ring.mod
+    if isinstance(ring, _ratkernel.Integers):
+        if mod:
+            return [[c.value for c in comp] for comp in v.comps], 1
+        D = lcm(*(c.value.denominator for comp in v.comps for c in comp))
+        return [[c.value.numerator * (D // c.value.denominator) for c in comp]
+                for comp in v.comps], D
+    pairs = [[_integral(c, mod) for c in comp] for comp in v.comps]
+    D = (1,)
+    for comp in pairs:
+        for num, den in comp:
+            if num and den != D and den != (1,):
+                D = imul(D, iquo(den, igcd(D, den, mod), mod), mod)
+    return [[imul(num, iquo(D, den, mod), mod) if num else () for num, den in comp]
+            for comp in pairs], D
+
+
+def _integral(c, mod):
+    """A rational function as (numerator, denominator) over Z[t] or F_p[t]."""
     if mod:
-        return [[c.value for c in comp] for comp in v.comps], 1
-    D = lcm(*(c.value.denominator for comp in v.comps for c in comp))
-    return [[c.value.numerator * (D // c.value.denominator) for c in comp]
-            for comp in v.comps], D
+        return c.num, c.den
+    k = lcm(*(x.denominator for x in c.num), *(x.denominator for x in c.den))
+    return (tuple(x.numerator * (k // x.denominator) for x in c.num),
+            tuple(x.numerator * (k // x.denominator) for x in c.den))
 
 
-def _unpack(domain, comps, D, mod):
-    """The entries num / D as elements: reduced fractions, or residues mod p."""
-    zero = domain.zero
+def _unpack(domain, comps, D, ring):
+    """The entries num / D as canonical elements: reduced fractions, residues
+    mod p, or rational functions in lowest terms with a monic denominator."""
+    zero, mod = domain.zero, ring.mod
+    if isinstance(ring, _ratkernel.Polynomials):
+        return [[_ratfunc(domain, num, D, mod) if num else zero for num in comp]
+                for comp in comps]
     if mod:
         inv = pow(D, -1, mod)
         return [[ScalarElement(domain, num * inv % mod) if num else zero
                  for num in comp] for comp in comps]
     return [[ScalarElement(domain, Fraction(num, D)) if num else zero
              for num in comp] for comp in comps]
+
+
+def _ratfunc(domain, num, den, mod):
+    """num / den for nonzero polynomials over Z or F_p, as a RatFuncElement:
+    one gcd when both are nonconstant, then a monic denominator."""
+    if num == den:  # the pivot entry of a column
+        return domain.one
+    if len(num) > 1 and len(den) > 1:
+        g = igcd(num, den, mod)
+        if len(g) > 1:
+            num, den = iquo(num, g, mod), iquo(den, g, mod)
+    lead = den[-1]
+    if mod:
+        if lead != 1:
+            inv = pow(lead, -1, mod)
+            num = tuple(x * inv % mod for x in num)
+            den = tuple(x * inv % mod for x in den)
+    else:
+        num = tuple(Fraction(x, lead) for x in num)
+        den = tuple(Fraction(x, lead) for x in den)
+    return RatFuncElement(domain, num, den, _canonical=True)
 
 
 class PackedEngine(GenericEngine):
@@ -58,20 +120,19 @@ class PackedEngine(GenericEngine):
 
     def __init__(self, domain):
         super().__init__(domain)
-        self.p, self.mod = domain.p, domain.field.p
+        self.ring = numerator_ring(domain)
 
     def insert_vector(self, v: PolyVec) -> tuple[bool, bool]:
-        return _ratkernel.insert(self.cols, self.pivs, _pack(v, self.mod),
-                                 self.p, self.mod)
+        return _ratkernel.insert(self.cols, self.pivs, _pack(v, self.ring), self.ring)
 
     def insert_shift_of(self, i: int) -> tuple[bool, bool]:
-        shifted = _ratkernel.vec_shift(self.cols[i])
-        return _ratkernel.insert(self.cols, self.pivs, shifted, self.p, self.mod)
+        shifted = _ratkernel.vec_shift(self.cols[i], self.ring.zero)
+        return _ratkernel.insert(self.cols, self.pivs, shifted, self.ring)
 
     def polyvec(self, i: int) -> PolyVec:
-        """Column i with its entries as reduced fractions or residues."""
+        """Column i with its entries as canonical elements."""
         comps, D = self.cols[i]
-        return PolyVec(self.domain, _unpack(self.domain, comps, D, self.mod))
+        return PolyVec(self.domain, _unpack(self.domain, comps, D, self.ring))
 
     def export_basis(self, known=None) -> EchelonBasis:
         """The basis; ``known`` maps indexes to columns already unpacked,
@@ -121,14 +182,15 @@ def kernel_kx_packed(U: list[PolyVec]):
     as D_j e_j; each generator is divided by its first nonzero entry.
     """
     domain, k, n = U[0].domain, U[0].n, len(U)
-    mod = domain.field.p
+    ring = numerator_ring(domain)
+    mod = ring.mod
     cols = []
     for j, u in enumerate(U):
-        comps, D = _pack(u, mod)
+        comps, D = _pack(u, ring)
         cols.append(comps + [[D] if i == j else [] for i in range(n)])
     basis = []
     for j in _reduce_columns(cols, k, _fp_step(mod) if mod else _z_step):
         ident = cols[j][k:]
         lead = next(x for comp in ident for x in comp if x)
-        basis.append(tuple(map(tuple, _unpack(domain, ident, lead, mod))))
+        basis.append(tuple(map(tuple, _unpack(domain, ident, lead, ring))))
     return basis

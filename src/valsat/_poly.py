@@ -18,6 +18,12 @@ Brown & Traub 1971): clear the denominators, and take pseudo-remainders of
 integer polynomials, stripping their integer content at each step, so the
 coefficients stay as small as the primitive associates of the remainders.
 Over F_p, and over every ``Domain``, the gcd is Euclid's.
+
+The last section computes on tuples of plain ints with no field object:
+polynomials over Z, and over F_p as residues.  These are the numerator
+rings Z[t] and F_p[t] of the packed kernel (``_ratkernel``).  Their gcd
+over Z keeps the content, and runs the same PRS loop on the primitive
+parts; over F_p it is Euclid, which ``gcd`` also uses over ``_GFp``.
 """
 
 from __future__ import annotations
@@ -100,11 +106,15 @@ def monic(F, a) -> tuple:
 def gcd(F, a, b) -> tuple:
     """Monic greatest common divisor of two trimmed polynomials.
 
-    Over Q (``F.zero`` a ``Fraction``) by the primitive PRS over Z, else by
-    Euclid; both return the same monic polynomial.
+    Over Q (``F.zero`` a ``Fraction``) by the primitive PRS over Z, over F_p
+    (``F.zero`` an ``int``) by Euclid on residues (``igcd``), over every
+    ``Domain`` by Euclid through its field operations; all return the same
+    monic polynomial.
     """
     if isinstance(F.zero, Fraction):
         return _gcd_q(F, a, b)
+    if type(F.zero) is int:
+        return igcd(a, b, F.p)
     while b:
         a, b = b, divmod(F, a, b)[1]
     return monic(F, a)
@@ -122,15 +132,11 @@ def _cleared(c) -> list:
     return _primitive([x.numerator * (den // x.denominator) for x in c])
 
 
-def _gcd_q(F, a, b) -> tuple:
-    """Monic gcd over Q of two trimmed polynomials, by the primitive PRS."""
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
-        return monic(F, a)
-    if len(b) == 1:
-        return (F.one,)
-    a, b = _cleared(a), _cleared(b)
+def _prs(a, b) -> list:
+    """Primitive gcd, up to sign, of primitive integer lists with len(a) >= len(b) >= 2.
+
+    A constant result means the two are coprime over Q.
+    """
     while len(b) > 1:
         # a <- prem(a, b) up to a constant factor, one leading term at a time
         n, lb = len(b), b[-1]
@@ -146,10 +152,143 @@ def _gcd_q(F, a, b) -> tuple:
         if not a:
             break
         a, b = b, _primitive(a)
+    return b
+
+
+def _gcd_q(F, a, b) -> tuple:
+    """Monic gcd over Q of two trimmed polynomials, by the primitive PRS."""
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return monic(F, a)
+    if len(b) == 1:
+        return (F.one,)
+    b = _prs(_cleared(a), _cleared(b))
     if len(b) == 1:
         return (F.one,)
     lead = b[-1]
     return tuple(Fraction(x, lead) for x in b)
+
+
+# ---------------------------------------------------------------------------
+# Polynomials over Z (p = 0) and over F_p as tuples of plain ints: the
+# numerator rings F_p[t] and Z[t] of the packed kernel.  Over F_p every
+# coefficient is a residue in [0, p).  These run on ints directly, with no
+# field object in between.
+
+def imul(a, b, p=0) -> tuple:
+    """a * b."""
+    if not a or not b:
+        return ()
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        c = a[0]
+        if c == 1:
+            return b
+        return tuple(c * y % p for y in b) if p else tuple(c * y for y in b)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b, i):
+                out[k] += x * y
+    return tuple(c % p for c in out) if p else tuple(out)
+
+
+def ilin(s, x, t, y, p=0) -> tuple:
+    """s * x - t * y, trimmed."""
+    if not y:
+        return imul(s, x, p)
+    out = [0] * (max(len(s) + len(x), len(t) + len(y)) - 1)
+    if x:
+        for i, c in enumerate(s):
+            if c:
+                for k, v in enumerate(x, i):
+                    out[k] += c * v
+    for i, c in enumerate(t):
+        if c:
+            for k, v in enumerate(y, i):
+                out[k] -= c * v
+    if p:
+        out = [c % p for c in out]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def iquo(a, b, p=0) -> tuple:
+    """The exact quotient a / b; b must divide a."""
+    n, lb = len(b), b[-1]
+    if n == 1:
+        if lb == 1:
+            return a
+        if p:
+            inv = pow(lb, -1, p)
+            return tuple(x * inv % p for x in a)
+        return tuple(x // lb for x in a)
+    inv = pow(lb, -1, p) if p else 0
+    r = list(a)
+    q = [0] * (len(a) - n + 1)
+    for i in range(len(q) - 1, -1, -1):
+        c = r[i + n - 1]
+        if p:
+            c = c * inv % p
+        elif c:
+            c //= lb
+        if c:
+            q[i] = c
+            for k, y in enumerate(b, i):
+                r[k] -= c * y
+    return tuple(q)
+
+
+def _rem_mod(a, b, p) -> tuple:
+    """The remainder of a by the nonzero b over F_p."""
+    r, n = list(a), len(b)
+    inv = pow(b[-1], -1, p)
+    while len(r) >= n:
+        f = r[-1] * inv % p
+        if f:
+            for k, y in enumerate(b, len(r) - n):
+                r[k] -= f * y
+        r.pop()
+        while r and not r[-1] % p:
+            r.pop()
+    return tuple(x % p for x in r)
+
+
+def igcd(a, b, p=0) -> tuple:
+    """gcd over F_p, monic, or over Z, content included and leading coefficient > 0.
+
+    Over F_p by Euclid; over Z the gcd of the contents times the primitive
+    PRS gcd of the primitive parts (``_prs``, the loop of the gcd over Q).
+    """
+    if p:
+        if (len(a) == 1 and b) or (len(b) == 1 and a):
+            return (1,)
+        if len(a) < len(b):
+            a, b = b, a
+        while b:
+            a, b = b, _rem_mod(a, b, p)
+        if not a or a[-1] == 1:
+            return a
+        inv = pow(a[-1], -1, p)
+        return tuple(x * inv % p for x in a)
+    if not a or not b:
+        c = tuple(a or b)
+        return tuple(-x for x in c) if c and c[-1] < 0 else c
+    ca, cb = math.gcd(*a), math.gcd(*b)
+    c = math.gcd(ca, cb)
+    if len(a) == 1 or len(b) == 1:
+        return (c,)
+    if len(a) < len(b):
+        a, b, ca, cb = b, a, cb, ca
+    g = _prs([x // ca for x in a], [x // cb for x in b])
+    if len(g) == 1:
+        return (c,)
+    if g[-1] < 0:
+        c = -c
+    return tuple(c * x for x in g)
 
 
 def order(a):

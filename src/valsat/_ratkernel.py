@@ -1,16 +1,31 @@
-"""Packed rational echelon kernel: integer numerators over one denominator.
+"""Packed echelon kernel: numerators in a ring, over one denominator.
 
 A packed vector is a pair ``(comps, D)``.  ``comps`` holds one list of
-integer numerators per component, trailing zeros trimmed, and ``D != 0`` is
-a denominator common to every coefficient: the coefficient of X^r in
-component j is ``comps[j - 1][r] / D``.  Basis columns are kept in lowest
-terms with D > 0, gcd(numerators, D) = 1, which makes their packing
-unique; vectors in the middle of an elimination need only D != 0.  ``p`` is
-the residue prime of Z_(p), or 0 for the trivial valuation on Q and F_p.
+numerators per component, trailing zeros trimmed, and ``D != 0`` is a
+denominator common to every coefficient: the coefficient of X^r in
+component j is ``comps[j - 1][r] / D``.  Numerators and D lie in a
+numerator ring R whose fractions hold the entries, and the kernel does all
+its arithmetic through a ring object (the last argument of ``insert``):
 
-The valuation of an entry ``num / D`` is v_p(num) - v_p(D), so every
+* ``Integers(p)``: Z, for Z_(p) with the p-adic valuation and for Q with
+  the trivial one (p = 0); ``Integers(0, mod)``: residues mod a prime, for
+  F_p, over D = 1.
+* ``Polynomials(mod)``: Z[t] (mod = 0) for ``rft0:q`` and F_p[t] for
+  ``rft0:p``, valued by the t-adic order, its integer tuples handled by
+  ``_poly``'s ``imul``, ``ilin``, ``iquo`` and ``igcd``.
+
+A ring supplies ``zero``, ``mod`` (the modulus of its coefficient
+arithmetic, else 0), ``gcd``, the exact quotient ``quo``, ``sub_scaled``
+over a component list, the valuation ``val`` of a numerator (None for the
+trivial valuation) and ``normalise``, which divides a column by its content
+and puts it in lowest terms.  Basis columns are kept in lowest
+terms, gcd(numerators, D) = 1 with D normalised (positive over Z, a
+positive leading coefficient over Z[t], monic over F_p[t]), which makes
+their packing unique; a vector to insert needs only D != 0.
+
+The valuation of an entry ``num / D`` is v(num) - v(D), so every
 comparison of valuations inside one vector compares numerators only, and
-an entry is a unit iff v_p(num) = v_p(D).
+an entry is a unit iff v(num) = v(D).
 
 Elimination step (fraction-free, after Bareiss).  Let V/D be the vector and
 W/Dw a basis column whose pivot entry is w/Dw, and let a/D be the vector's
@@ -20,58 +35,76 @@ column:
     V/D - (a Dw / (D w)) (W / Dw) = (w V - a W) / (D w),
 
 so Dw cancels.  With g = gcd(a, w), s = w/g and t = a/g, the new vector
-is (s V - t W, s D): one gcd per step.  Every basis column is monic at its
-pivot, which is its content position (see ``echelon``), so w = Dw > 0:
-the step reads w as the column's D, and a pivot is stored as (j, r) alone.
+is (s V - t W, s D): one ring gcd per step.  Every basis column is monic at
+its pivot, which is its content position (see ``echelon``), so w = Dw: the
+step reads w as the column's D, and a pivot is stored as (j, r) alone.
 
-Swell control.  After a step with s != 1 the common factor of D and the
-numerators is divided out, the gcd chain stopping once it reaches 1.  It
-starts from the old D, not from s D: a prime q of s would have to divide
-t W_i for every i, but gcd(s, t) = 1 and a column in lowest terms has some
-W_i prime to q.
+The step leaves v(D) as it is.  Every basis column's D is a unit: its
+content c has the least valuation of its numerators, so their gcd takes
+all of it (see below).  Hence s = w/g is a unit, v(s D) = v(D), and the
+kernel need not form s D at all: the content division below replaces D,
+and the vector's own v(D) decides whether the content was a unit.  Nor is
+a common factor of the numerators divided out between steps; the content
+division removes it once, with one gcd chain.  A gcd chain after every step
+with s != 1, dividing D and the numerators by their common factor, cost
+more than it saved on every benchmark family (Python 3.11.7, 2 vCPUs):
+leaving it out took the solve from 1.61-1.71 s to 1.10-1.12 s on
+``vx-rational`` seed 9 (best of 5, three runs each) and 12-15% off on
+``vx-rft0`` seeds 7 and 8, and the ``slow:rft0:q`` case from 34.2 s to
+26.5 s (one run each).
 
 Content division.  The content of V/D is its first coefficient of minimal
 valuation, c/D, and (V/D) / (c/D) = V/c: dividing by the content replaces
-the denominator by c.  Dividing V and c by +-gcd(V), with the sign of c,
-then gives lowest terms with a positive denominator (c is one of the
-numerators, so gcd(V) divides it).  The numerator at the content position
-then equals the new denominator, which makes the column monic there.  The
-sign of D before this division does not matter, as valuations ignore signs.
+the denominator by c, with no division in K.  Dividing V and c by the gcd
+h of the numerators (c is one of them), taken as the associate of h that
+normalises c/h, gives lowest terms with a normalised denominator.  The
+numerator at the content position then equals the new denominator, which
+makes the column monic there.
 
 Over F_p, ``mod`` = p and the numerators are residues over D = 1, so w = 1,
 s = 1 and each step is V - a W mod p; the content is the first nonzero
 residue, divided out by multiplying with its inverse mod p.
+
+Cost model.  One ring gcd per elimination step, and one gcd chain per
+appended column for its content (one ``math.gcd`` call over Z).  Entries
+are reduced one by one, with one gcd each, only when a client takes a
+column out (``_packed``).
 """
 
+import operator
 from math import gcd
 
+from ._poly import igcd, imul, ilin, iquo, order
 from .valuation import _int_val
 
 
-def shift_comps(comps, s):
+def shift_comps(comps, s, zero=0):
     """Multiply every component by X^s, into fresh lists; ``comps`` when s is 0."""
     if not s:
         return comps
-    pad = [0] * s
+    pad = [zero] * s
     return [pad + comp if comp else [] for comp in comps]
 
 
-def vec_shift(vec):
-    """Multiply every component by X."""
+def vec_shift(vec, zero=0):
+    """Multiply every component by X; ``zero`` is the ring's zero."""
     comps, D = vec
-    return shift_comps(comps, 1), D
+    return shift_comps(comps, 1, zero), D
 
 
-def _content(comps, p):
-    """First numerator of minimal valuation as ``(num, v_p(num), (j, r))``.
+def _content(comps, val):
+    """First numerator of minimal valuation as ``(num, v(num), (j, r))``.
 
-    None when every numerator is zero; a numerator of valuation 0 ends the scan.
+    None when every numerator is zero; a numerator of valuation 0 ends the
+    scan, and with no valuation (``val`` None) the first nonzero one does.
     """
     found = None
     for j, comp in enumerate(comps, start=1):
         for r, num in enumerate(comp):
             if num:
-                v = _int_val(num, p) if p else 0
+                if val is None:
+                    return num, 0, (j, r)
+                v = val(num)
                 if found is None or v < found[1]:
                     found = num, v, (j, r)
                     if not v:
@@ -122,45 +155,120 @@ def _sub_scaled(comps, wcomps, s, t, p=0):
             comps[c] = [s * x for x in comp]
 
 
-def insert(cols, pivots, vec, p, mod=0):
-    """Strict-echelon insertion of a packed vector against a packed basis.
+class Integers:
+    """Z with the p-adic valuation (trivial when p = 0), or residues mod ``mod``."""
 
-    Eliminates vec at each basis pivot in order.  Returns ``(False, False)``
-    when it dies.  Otherwise appends its primitive reduction in lowest terms
-    to ``cols`` and the reduction's pivot (j, r), the content position, to
-    ``pivots``, and returns ``(True, new)``, ``new`` telling whether the
-    content divided out was a non-unit.
-    """
-    comps, D = vec
-    comps = list(comps)
-    for (wcomps, w), (j, r) in zip(cols, pivots):
-        comp = comps[j - 1]
-        if r >= len(comp) or not comp[r]:
-            continue
-        a = comp[r]
-        g = gcd(a, w)
-        s = w // g
-        _sub_scaled(comps, wcomps, s, a // g, mod)
-        if s != 1:
-            g = _common_factor(comps, D)
-            if g != 1:
-                _divide(comps, g)
-                D //= g
-            D *= s
-    found = _content(comps, p)
-    if found is None:
-        return False, False
-    c, c_val, at = found
-    if mod:
-        inv = pow(c, -1, mod)
-        comps, c = [[x * inv % mod for x in comp] for comp in comps], 1
-    else:
+    zero = 0
+    quo = staticmethod(operator.floordiv)
+
+    def __init__(self, p=0, mod=0):
+        self.mod = mod
+        # Read from the module globals when the ring is made, so that calls
+        # go through ``_ratkernel.gcd`` and ``_ratkernel._sub_scaled`` as
+        # they stand then, wrapped or not.
+        self.gcd, self.sub_scaled = gcd, _sub_scaled
+        self.val = (lambda n: _int_val(n, p)) if p else None
+
+    def normalise(self, comps, c):
+        """Divide comps by their content c, in lowest terms; the new D."""
+        if self.mod:
+            mod = self.mod
+            inv = pow(c, -1, mod)
+            comps[:] = [[x * inv % mod for x in comp] for comp in comps]
+            return 1
         g = gcd(*[num for comp in comps for num in comp])
         if c < 0:
             g = -g
         if g != 1:
             _divide(comps, g)
-        c //= g
-    cols.append((comps, c))
+        return c // g
+
+
+class Polynomials:
+    """Z[t] (``mod`` 0) or F_p[t] (``mod`` p), valued by the order at t = 0.
+
+    A numerator is a trimmed tuple of ints, residues mod p over F_p.
+    """
+
+    zero = ()
+    val = staticmethod(order)
+
+    def __init__(self, mod=0):
+        self.mod = mod
+
+    def gcd(self, a, b):
+        return igcd(a, b, self.mod)
+
+    def quo(self, a, b):
+        return iquo(a, b, self.mod)
+
+    def sub_scaled(self, comps, wcomps, s, t, p):
+        """comps <- s * comps - t * wcomps, as ``_sub_scaled`` does over Z."""
+        one = (1,)
+        for c, wcomp in enumerate(wcomps):
+            comp = comps[c]
+            if wcomp:
+                m = len(wcomp)
+                if len(comp) < m:
+                    comp = comp + [()] * (m - len(comp))
+                new = [ilin(s, x, t, y, p) for x, y in zip(comp, wcomp)]
+                new += comp[m:] if s == one else [imul(s, x, p) for x in comp[m:]]
+                while new and not new[-1]:
+                    new.pop()
+                comps[c] = new
+            elif s != one and comp:
+                comps[c] = [imul(s, x, p) for x in comp]
+
+    def normalise(self, comps, c):
+        """Divide comps by their content c, in lowest terms; the new D.
+
+        h is the gcd of the numerators, the chain stopping once it reaches
+        1, scaled so that c / h is monic over F_p and has a positive leading
+        coefficient over Z.
+        """
+        p, h = self.mod, c
+        for x in (x for comp in comps for x in comp if x):
+            if x is not c:
+                h = igcd(h, x, p)
+                if h == (1,):
+                    break
+        if p:
+            u = c[-1] * pow(h[-1], -1, p) % p
+            if u != 1:
+                h = imul((u,), h, p)
+        elif (c[-1] < 0) != (h[-1] < 0):
+            h = tuple(-x for x in h)
+        if h != (1,):
+            for i, comp in enumerate(comps):
+                comps[i] = [iquo(x, h, p) if x else () for x in comp]
+        return iquo(c, h, p)
+
+
+def insert(cols, pivots, vec, ring):
+    """Strict-echelon insertion of a packed vector against a packed basis.
+
+    Eliminates vec at each basis pivot in order, over the numerator ring
+    ``ring``.  Returns ``(False, False)`` when it dies.  Otherwise appends
+    its primitive reduction in lowest terms to ``cols`` and the reduction's
+    pivot (j, r), the content position, to ``pivots``, and returns
+    ``(True, new)``, ``new`` telling whether the content divided out was a
+    non-unit.
+    """
+    comps, D = vec
+    comps = list(comps)
+    rgcd, quo, sub_scaled, mod = ring.gcd, ring.quo, ring.sub_scaled, ring.mod
+    for (wcomps, w), (j, r) in zip(cols, pivots):
+        comp = comps[j - 1]
+        if r >= len(comp) or not comp[r]:
+            continue
+        a = comp[r]
+        g = rgcd(a, w)
+        sub_scaled(comps, wcomps, quo(w, g), quo(a, g), mod)
+    val = ring.val
+    found = _content(comps, val)
+    if found is None:
+        return False, False
+    c, c_val, at = found
+    cols.append((comps, ring.normalise(comps, c)))
     pivots.append(at)
-    return True, bool(p) and c_val != _int_val(D, p)
+    return True, val is not None and c_val != val(D)

@@ -114,9 +114,11 @@ def saturate_free(F) -> EchelonBasis:
 
     MixedFamily is raised unless the columns share one domain and one
     width.  Zero columns are skipped.  Processing a prefix of F yields a
-    prefix of the result, so the computation is incremental.  The
-    ``ScalarElement`` kinds (``zp:p``, ``field:q``, ``field:p``) run through
-    the packed kernel; the result is bit-identical to the generic fold.
+    prefix of the result, so the computation is incremental.  Every shipped
+    kind runs through the packed kernel, over integer numerators (``zp:p``,
+    ``field:q``), residues (``field:p``) or polynomial numerators in t
+    (``rft0:q``, ``rft0:p``); the result is bit-identical to the generic
+    fold, which other domains take.
     """
     from ._engines import select_engine
 

@@ -13,11 +13,12 @@ vector is a tuple of n such polynomials.
 
 One loop, ``_reduce_columns``, runs the reduction over three column
 representations, each with its own division step.  The two packed ones are
-``_packed.kernel_kx_packed``, which runs on the domains the packed engine
-takes (``_engines.packs``):
+``_packed.kernel_kx_packed``, which runs on the domains of
+``ScalarElement``s (``_engines.packs``):
 
 * generic (``rft0`` kinds): polynomials of domain elements, Euclidean
-  division in K[X];
+  division in K[X].  Their saturation runs packed over Z[t] and F_p[t],
+  but this reduction does not yet;
 * Z (``zp:p``, ``field:q``): integer polynomials.  Each stacked column
   [u_j; e_j] is cleared of denominators, so its identity part starts as
   D_j e_j, and each quotient step is the fraction-free

@@ -8,10 +8,14 @@ the columns that matter as V[X]-generators: all of the initial fold, plus
 every later column whose insertion divided by a non-unit content.  At
 termination the V[X]-span of B is the V-saturation of M.
 
-B is the answer and G the certificate behind it, so ``_run`` takes only
-the columns of B out of the engine (``engine.polyvec``, which turns packed
-columns into elements).  G is built on the first read of
-``SaturationResult.basis``, sharing B's columns.
+Every shipped kind runs the packed engine (``_engines.select_engine``):
+the columns of G are numerators over one denominator per column, in Z, in
+the residues mod p, or in Z[t] or F_p[t] for ``rft0``, and each insertion
+costs one numerator-ring gcd per elimination step (``_ratkernel``).  B is
+the answer and G the certificate behind it, so ``_run`` takes only the
+columns of B out of the engine (``engine.polyvec``, which turns packed
+columns into elements, with one gcd per entry over ``rft0``).  G is built
+on the first read of ``SaturationResult.basis``, sharing B's columns.
 
 Every round is recorded as an ``IterationRecord``; the counters drive both
 the termination argument (see ``saturate_vx``) and the diagnostic diagrams

@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from valsat import _ratkernel
+from valsat import _poly, _ratkernel
 from valsat._engines import GenericEngine, packs, select_engine
-from valsat._packed import PackedEngine, _pack
+from valsat._packed import PackedEngine, _pack, numerator_ring
 from valsat.echelon import EchelonBasis, echelon_insert, gauss_eliminate, saturate_free
 from valsat.polyvec import PolyVec, zero_vec
 from valsat.syzygy import _kernel_kx_generic, kernel_kx
@@ -18,10 +18,25 @@ from valsat.vxsat import _run
 # The denominators of the test coefficients below (7, 11, 77, 13^5) are
 # units mod 3 and mod 5.
 DOMAINS = (Zp(2), Zp(3), Zp(5), TrivialField("q"), TrivialField("fp", 3),
-           TrivialField("fp", 5))
+           TrivialField("fp", 5), RationalFunctionsAtZero("q"),
+           RationalFunctionsAtZero("fp", 3), RationalFunctionsAtZero("fp", 5))
+
+# Denominators 1 + c t share the factors 1 + t and 1 - t, and their squares,
+# so packed columns get common denominators of higher degree.
+RFT_DENS = ((1,), (1, 1), (1, -1), (1, 2), (1, 2, 1), (1, 0, -1))
+
+
+def rand_ratfunc(rng, dom):
+    """(a + b t + c t^2)/(1 + ...) t^k: numerators are often nonconstant at
+    a unit entry, so pivot numerators are, and t^k makes contents non-units."""
+    num = [rng.randrange(-5, 6) for _ in range(rng.randrange(0, 4))]
+    return dom.element(([0] * rng.randrange(0, 3) + num, rng.choice(RFT_DENS)))
 
 
 def rand_vec(rng, dom, n, deg):
+    if isinstance(dom, RationalFunctionsAtZero):
+        return PolyVec(dom, [[rand_ratfunc(rng, dom) for _ in range(rng.randrange(0, deg + 2))]
+                             for _ in range(n)])
     p = dom.p or 1
     comps = [
         [Fraction(rng.randrange(-9, 10), rng.choice((1, 7, 11)))
@@ -67,50 +82,62 @@ def plain_fold(S):
 
 
 def unpack(dom, packed):
+    """A packed vector as elements, each reduced by the domain itself."""
     comps, D = packed
+    if isinstance(dom, RationalFunctionsAtZero):
+        return PolyVec(dom, [[dom.k_element((num, D)) for num in comp]
+                             for comp in comps])
     return PolyVec.from_raw(dom, [[Fraction(num, D) for num in comp]
                                   for comp in comps])
 
 
 def test_packed_pure_matches_generic():
-    for dom, S in random_instances(5, 60):
+    for dom, S in random_instances(5, 90):
         generic = run_engine(GenericEngine(dom), S)
         packed = run_engine(PackedEngine(dom), S)
         assert_same_result(generic, packed)
 
 
 def test_saturate_free_engine_matches_plain_fold():
-    for dom, S in random_instances(11, 60):
+    for dom, S in random_instances(11, 90):
         assert list(saturate_free(S)) == list(plain_fold(S))
 
 
 # Numerators up to 2^200 over denominators that are units of every domain
 # drawn, times powers of p: unit entries such as -5/7 make the elimination
 # multiplier w/g differ from 1, and negative leading entries make the
-# content negative.
+# content negative.  Over rft0 the coefficients are (a + b t)/(1 + c t)
+# times powers of t, with a, b up to 2^70 and shared factors 1 + c t.
 @st.composite
 def instances(draw):
     dom = draw(st.sampled_from(DOMAINS))
-    p = dom.p or 1
-    num = st.one_of(st.integers(-9, 9), st.integers(-2 ** 200, 2 ** 200))
-    den = st.sampled_from((1, 7, 11, 77, 13 ** 5))
+    if isinstance(dom, RationalFunctionsAtZero):
+        small = st.integers(-3, 3)
+        big = st.one_of(small, st.integers(-2 ** 70, 2 ** 70))
 
-    def coeff():
-        return Fraction(draw(num), draw(den)) * p ** draw(st.integers(0, 2))
+        def coeff():
+            num = [0] * draw(st.integers(0, 2)) + [draw(big), draw(big)]
+            return dom.element((num, (1, draw(small))))
+    else:
+        p = dom.p or 1
+        num = st.one_of(st.integers(-9, 9), st.integers(-2 ** 200, 2 ** 200))
+        den = st.sampled_from((1, 7, 11, 77, 13 ** 5))
+
+        def coeff():
+            return dom.element(Fraction(draw(num), draw(den)) * p ** draw(st.integers(0, 2)))
 
     n = draw(st.integers(1, 3))
     S = []
     for _ in range(draw(st.integers(1, 3))):
         deg = draw(st.integers(0, 2))
-        comps = [[coeff() for _ in range(draw(st.integers(0, deg + 1)))]
-                 for _ in range(n)]
-        v = PolyVec.from_raw(dom, comps)
+        v = PolyVec(dom, [[coeff() for _ in range(draw(st.integers(0, deg + 1)))]
+                          for _ in range(n)])
         if not v.is_zero():
             S.append(v)
     return dom, S
 
 
-@settings(max_examples=60, deadline=None,
+@settings(max_examples=90, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(instances())
 def test_packed_matches_generic_property(inst):
@@ -154,11 +181,10 @@ def five_kind_families(draw):
 @given(five_kind_families())
 def test_appended_columns_are_monic_at_their_content_position(inst):
     """Each kernel appends a column monic at its stored pivot, which is
-    ``PolyVec.piv()`` and the content position of the eliminated vector;
-    where the packed kernel applies, both folds stay identical."""
+    ``PolyVec.piv()`` and the content position of the eliminated vector,
+    and the packed kernel's fold stays identical to the generic one."""
     dom, S = inst
-    packed_kernel = packs(dom)
-    mod = dom.field.p
+    ring = numerator_ring(dom)
     cols, pivots, pcols, ppivs = [], [], [], []
 
     def insert(v, packed):
@@ -171,49 +197,58 @@ def test_appended_columns_are_monic_at_their_content_position(inst):
             assert pivots[-1] == coords[i][0] == cols[-1].piv()
             assert cols[-1].coord(pivots[-1]) == dom.one
             assert cols[-1] == w.div_by(u) and new == (not u.is_unit())
-        if packed_kernel:
-            inserted = _ratkernel.insert(pcols, ppivs, packed, dom.p, mod)
-            assert inserted == (survived, new)
-            assert ppivs == pivots
-            if survived:
-                (comps, D), (j, r) = pcols[-1], ppivs[-1]
-                assert comps[j - 1][r] == D > 0
-                assert unpack(dom, pcols[-1]) == cols[-1]
+        inserted = _ratkernel.insert(pcols, ppivs, packed, ring)
+        assert inserted == (survived, new)
+        assert ppivs == pivots
+        if survived:
+            (comps, D), (j, r) = pcols[-1], ppivs[-1]
+            assert comps[j - 1][r] == D
+            if isinstance(ring, _ratkernel.Polynomials):
+                # Normalised: monic over F_p[t], positive lead over Z[t].
+                assert D[-1] == 1 if ring.mod else D[-1] > 0
+            else:
+                assert D > 0
+            assert unpack(dom, pcols[-1]) == cols[-1]
 
     for v in S:
-        insert(v, _pack(v, mod) if packed_kernel else None)
+        insert(v, _pack(v, ring))
     # One round of X-shifts, as the saturation driver runs them.
     for i in range(len(cols)):
-        insert(cols[i].shift_x(),
-               _ratkernel.vec_shift(pcols[i]) if packed_kernel else None)
+        insert(cols[i].shift_x(), _ratkernel.vec_shift(pcols[i], ring.zero))
     EchelonBasis(cols, pivots)  # raises unless the fold is strictly echelon
+
+
+# The integer rings of the hand-worked examples: Z for Z_(2) and for Q, and
+# the residues mod 5 and mod 3.
+Z2, QQ = _ratkernel.Integers(2), _ratkernel.Integers(0)
+F5, F3 = _ratkernel.Integers(0, 5), _ratkernel.Integers(0, 3)
 
 
 def test_pivot_when_p_divides_denominator():
     # 6/2 = 3 is a unit of Z_(2) although both numerators are even: the
     # content 6/2 sits at (1, 0), and (3, 2) / 3 = (1, 2/3).
     cols, pivots = [], []
-    assert _ratkernel.insert(cols, pivots, ([[6, 4]], 2), 2) == (True, False)
+    assert _ratkernel.insert(cols, pivots, ([[6, 4]], 2), Z2) == (True, False)
     assert pivots == [(1, 0)] and cols == [([[3, 2]], 3)]
     # 4/2 = 2 is not a unit; 6/2 = 3 is: (2, 3) / 3 = (2/3, 1).
     cols, pivots = [], []
-    assert _ratkernel.insert(cols, pivots, ([[4, 6]], 2), 2) == (True, False)
+    assert _ratkernel.insert(cols, pivots, ([[4, 6]], 2), Z2) == (True, False)
     assert pivots == [(1, 1)] and cols == [([[2, 3]], 3)]
     # (2, 4) has no unit entry: dividing out the content 2 puts the pivot
     # on its position (1, 0).
     cols, pivots = [], []
-    assert _ratkernel.insert(cols, pivots, ([[4], [8]], 2), 2) == (True, True)
+    assert _ratkernel.insert(cols, pivots, ([[4], [8]], 2), Z2) == (True, True)
     assert pivots == [(1, 0)] and cols == [([[1], [2]], 1)]
     # Over Q the pivot is the first nonzero entry: (0, -5/4) / (-5/4).
     cols, pivots = [], []
-    assert _ratkernel.insert(cols, pivots, ([[], [0, -5]], 4), 0) == (True, False)
+    assert _ratkernel.insert(cols, pivots, ([[], [0, -5]], 4), QQ) == (True, False)
     assert pivots == [(2, 1)] and cols == [([[], [0, 1]], 1)]
 
 
 def test_content_when_p_divides_denominator():
     def insert_one(vec, p):
         cols, pivots = [], []
-        return _ratkernel.insert(cols, pivots, vec, p), cols
+        return _ratkernel.insert(cols, pivots, vec, _ratkernel.Integers(p)), cols
 
     # (2, 3): the content is 3, a unit, and (2, 3) / 3 = (2/3, 1).
     assert insert_one(([[4, 6]], 2), 2) == ((True, False), [([[2, 3]], 3)])
@@ -231,28 +266,57 @@ def test_insert_residues_mod_p():
     # Over F_5 the pivot is the first nonzero residue, 3 at (1, 1), and the
     # column is multiplied by 3^-1 = 2: (0, 3, 4) becomes (0, 1, 3).
     cols, pivots = [], []
-    assert _ratkernel.insert(cols, pivots, ([[0, 3, 4]], 1), 0, 5) == (True, False)
+    assert _ratkernel.insert(cols, pivots, ([[0, 3, 4]], 1), F5) == (True, False)
     assert pivots == [(1, 1)] and cols == [([[0, 1, 3]], 1)]
     # (1, 2) - 2 (0, 1, 3) = (1, 0, 4) mod 5, monic at its pivot (1, 0).
-    assert _ratkernel.insert(cols, pivots, ([[1, 2]], 1), 0, 5) == (True, False)
+    assert _ratkernel.insert(cols, pivots, ([[1, 2]], 1), F5) == (True, False)
     assert pivots == [(1, 1), (1, 0)] and cols[1] == ([[1, 0, 4]], 1)
     # (2, 4) = 2 (1, 0, 4) + 4 (0, 1, 3) mod 5 lies in the span: it dies and
     # appends nothing.
-    assert _ratkernel.insert(cols, pivots, ([[2, 4]], 1), 0, 5) == (False, False)
+    assert _ratkernel.insert(cols, pivots, ([[2, 4]], 1), F5) == (False, False)
     assert len(cols) == len(pivots) == 2
     # Over F_3 an empty first component is skipped: (0, 2X, 1) times 2^-1 = 2.
     cols, pivots = [], []
-    assert _ratkernel.insert(cols, pivots, ([[], [0, 2], [1]], 1), 0, 3) == (True, False)
+    assert _ratkernel.insert(cols, pivots, ([[], [0, 2], [1]], 1), F3) == (True, False)
     assert pivots == [(2, 1)] and cols == [([[], [0, 1], [2]], 1)]
 
 
-def test_select_engine_kinds():
-    from valsat.valuation import RationalFunctionsAtZero
+def test_insert_over_polynomial_numerators():
+    """Numerators in Z[t] (rft0:q) and F_5[t] (rft0:5), as tuples of ints."""
+    ZT, F5T = _ratkernel.Polynomials(), _ratkernel.Polynomials(5)
+    # (-2t/3, -4t^2/3) has the non-unit content -2t/3, t-adic order 1: it
+    # is divided out with its sign, giving (1, 2t) over D = 1.
+    cols, pivots = [], []
+    assert _ratkernel.insert(cols, pivots, ([[(0, -2), (0, 0, -4)]], (3,)), ZT) == (True, True)
+    assert pivots == [(1, 0)] and cols == [([[(1,), (0, 2)]], (1,))]
+    # Over F_5, (3t, t) has the content 3t and becomes (1, 2): t / 3t = 2.
+    cols, pivots = [], []
+    assert _ratkernel.insert(cols, pivots, ([[(0, 3), (0, 1)]], (1,)), F5T) == (True, True)
+    assert pivots == [(1, 0)] and cols == [([[(1,), (2,)]], (1,))]
+    for ring, top in ((ZT, -2), (F5T, 3)):
+        # (1 + t, 2) is primitive at its unit entry 1 + t: stored as
+        # (1 + t, 2) over D = 1 + t, a pivot numerator that is not constant.
+        cols, pivots = [], []
+        assert _ratkernel.insert(cols, pivots, ([[(1, 1), (2,)]], (1,)), ring) == (True, False)
+        assert pivots == [(1, 0)] and cols == [([[(1, 1), (2,)]], (1, 1))]
+        # (1, t) against it: a = 1, w = 1 + t, g = 1, so the step multiplies
+        # by w/g = 1 + t: (1 + t)(1, t) - 1 (1 + t, 2) = (0, t^2 + t - 2),
+        # whose unit content t^2 + t - 2 leaves (0, 1) over D = 1.
+        assert _ratkernel.insert(cols, pivots, ([[(1,), (0, 1)]], (1,)), ring) == (True, False)
+        assert pivots == [(1, 0), (1, 1)] and cols[1] == ([[(), (1,)]], (1,))
+        # (top, 1, 1) is t^2 + t - 2, its constant reduced mod 5 over F_5.
+        assert _poly.ilin((1, 1), (0, 1), (1,), (2,), ring.mod) == (top, 1, 1)
+        # (1 + t, 2) itself lies in the span: w/g = 1 and it dies.
+        assert _ratkernel.insert(cols, pivots, ([[(1, 1), (2,)]], (1,)), ring) == (False, False)
+        assert len(cols) == len(pivots) == 2
 
-    assert isinstance(select_engine(Zp(2)), PackedEngine)
-    assert isinstance(select_engine(TrivialField("q")), PackedEngine)
-    assert isinstance(select_engine(TrivialField("fp", 3)), PackedEngine)
-    assert isinstance(select_engine(RationalFunctionsAtZero("q")), GenericEngine)
+
+def test_select_engine_kinds():
+    for dom in FIVE_KINDS + (RationalFunctionsAtZero("fp", 5),):
+        assert type(select_engine(dom)) is PackedEngine
+    # packs() keeps its narrower meaning: the packed kernel_kx and the
+    # parser's raw field values serve only the ScalarElement kinds.
+    assert [packs(dom) for dom in FIVE_KINDS] == [True, True, True, False, False]
 
 
 @pytest.mark.parametrize("dom", FIVE_KINDS, ids=lambda d: d.tag)

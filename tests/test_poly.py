@@ -2,15 +2,18 @@
 
 The coefficient fields are the two base fields of the rational-function
 domain (plain ``Fraction`` and ``int`` mod 5) and two domains used as the
-field K of K[X]: Z_(3) and F_5(t) at zero.
+field K of K[X]: Z_(3) and F_5(t) at zero.  The last tests cover the int
+tuples of the packed kernel's numerator rings Z[t] and F_p[t].
 """
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from valsat import _poly
+from valsat._ratkernel import Polynomials
 from valsat.valuation import _GFp, _QQ, RationalFunctionsAtZero, Zp
 
 Z3 = Zp(3)
@@ -162,3 +165,110 @@ def test_q_gcd_matches_euclid(a, b, c):
     a, b, c = (_poly.trim(p) for p in (a, b, c))
     a, b = _poly.mul(QQ, a, c), _poly.mul(QQ, b, c)
     assert _poly.gcd(QQ, a, b) == euclid_gcd(QQ, a, b)
+
+
+# ---------------------------------------------------------------------------
+# The numerator rings Z[t] and F_p[t] of the packed kernel: tuples of ints.
+
+P64 = 2**64 + 13  # a prime above 2^64
+INT_GCD_CASES = {
+    "both zero": ((), ()),
+    "zero and constant": ((), (-3,)),
+    "zero and linear": ((2, -4), ()),
+    "constants": ((6,), (-4,)),
+    "constant and cubic": ((5,), (1, 2, 0, 3)),
+    "equal": ((3, 2, -3), (3, 2, -3)),
+    "associates": ((2, 0, -6), (-1, 0, 3)),
+    "coprime": ((1, 0, 1), (-1, 1)),
+    "negative leads": ((2, -3, -1), (1, 1, -7, -5)),
+    "shared factor and contents": (_poly.imul((4, 6), (1, 0, -1)),
+                                   _poly.imul((-6, 9), (1, -1))),
+    "big shared factor": (_poly.imul((BIG, -3 * BIG + 1), (1, 1)),
+                          _poly.imul((7 * BIG, -3 * BIG + 1), (1, 1, 1))),
+    "big coprime": ((BIG, 1, -BIG), (1, BIG**2)),
+}
+
+
+def zcontent(a):
+    return math.gcd(*a)
+
+
+def as_q(a):
+    return tuple(Fraction(x) for x in a)
+
+
+@pytest.mark.parametrize("a, b", INT_GCD_CASES.values(), ids=INT_GCD_CASES.keys())
+def test_z_gcd_examples(a, b):
+    """Over Z[t]: the monic gcd over Q times the gcd of the contents, with a
+    positive leading coefficient, dividing both exactly."""
+    g = _poly.igcd(a, b)
+    assert g == _poly.igcd(b, a)
+    if not a and not b:
+        assert g == ()
+        return
+    assert g[-1] > 0 and zcontent(g) == math.gcd(zcontent(a or b), zcontent(b or a))
+    assert _poly.monic(QQ, as_q(g)) == _poly.gcd(QQ, as_q(a), as_q(b))
+    for x in (a, b):
+        assert _poly.imul(_poly.iquo(x, g), g) == x
+
+
+@pytest.mark.parametrize("p", (5, P64))
+@pytest.mark.parametrize("a, b", INT_GCD_CASES.values(), ids=INT_GCD_CASES.keys())
+def test_fp_gcd_examples(a, b, p):
+    """Over F_p[t]: Euclid's monic gcd, through the field object or not."""
+    a, b = (_poly.trim(x % p for x in c) for c in (a, b))
+    g = _poly.igcd(a, b, p)
+    F = _GFp(p)
+    assert g == euclid_gcd(F, a, b) == _poly.gcd(F, a, b) == _poly.igcd(b, a, p)
+    for x in (a, b):
+        assert _poly.imul(_poly.iquo(x, g, p), g, p) == x if g else not x
+
+
+zint = st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70))
+zpoly = st.lists(zint, max_size=4).map(_poly.trim)
+
+
+@PROPERTY
+@given(zpoly, zpoly, zpoly, st.sampled_from((0, 3, 5, P64)))
+def test_int_ring_arithmetic(a, b, c, p):
+    """imul, ilin, iquo and igcd over Z (p = 0) and F_p against ``_poly``
+    over Q and through ``_GFp``."""
+    if p:
+        a, b, c = (_poly.trim(x % p for x in y) for y in (a, b, c))
+        F, lift = _GFp(p), tuple
+    else:
+        F, lift = QQ, as_q
+    assert lift(_poly.imul(a, b, p)) == _poly.mul(F, lift(a), lift(b))
+    assert lift(_poly.ilin(a, b, c, a, p)) == _poly.sub(
+        F, _poly.mul(F, lift(a), lift(b)), _poly.mul(F, lift(c), lift(a)))
+    if c:
+        assert _poly.iquo(_poly.imul(a, c, p), c, p) == a
+        ac, bc = _poly.imul(a, c, p), _poly.imul(b, c, p)
+        g = _poly.igcd(ac, bc, p)
+        assert _poly.monic(F, lift(g)) == _poly.gcd(F, lift(ac), lift(bc))
+        # greatest: c divides it
+        assert _poly.imul(_poly.iquo(g, c, p), c, p) == g
+
+
+NORMALISE_CASES = {
+    # Z[t]: -2t/3 and -4t^2/3 over the content -2t: h = -2t, so (1, 2t).
+    "Z, negative content": (0, [[(0, -2), (0, 0, -4)]], (0, -2), [[(1,), (0, 2)]], (1,)),
+    # Z[t]: (2 + 2t, 4) over the content 2 + 2t: h = 2, D = 1 + t.
+    "Z, integer gcd": (0, [[(2, 2), (4,)]], (2, 2), [[(1, 1), (2,)]], (1, 1)),
+    # Z[t]: (-1 - t, t^2 - 1) over -1 - t: h = -(1 + t), so (1, 1 - t).
+    "Z, polynomial gcd": (0, [[(-1, -1)], [(-1, 0, 1)]], (-1, -1),
+                          [[(1,)], [(1, -1)]], (1,)),
+    # F_5[t]: (3t, t) over 3t: h = 3t, and t / 3t = 2.
+    "F_5, monic": (5, [[(0, 3), (0, 1)]], (0, 3), [[(1,), (2,)]], (1,)),
+    # F_5[t]: (2 + t, 3) over 2 + t: coprime, D = 2 + t stays.
+    "F_5, coprime": (5, [[(2, 1), (3,)]], (2, 1), [[(2, 1), (3,)]], (2, 1)),
+}
+
+
+@pytest.mark.parametrize("p, comps, c, want, want_d", NORMALISE_CASES.values(),
+                         ids=NORMALISE_CASES.keys())
+def test_lowest_terms_and_sign(p, comps, c, want, want_d):
+    comps = [list(comp) for comp in comps]
+    c = next(x for comp in comps for x in comp if x == c)
+    assert Polynomials(p).normalise(comps, c) == want_d
+    assert comps == want
