@@ -7,14 +7,13 @@ the generic DomainElement path or the packed kernel (``_packed``/
 ``_ratkernel``).  ``select_engine`` picks the packed engine for every
 shipped kind, each over its numerator ring, so the generic engine serves
 as the tests' reference and as the fallback for any other ``Domain``.
-``packs`` is narrower: the domains of ``ScalarElement``s, whose
-``syzygy.kernel_kx`` is packed and whose parser computes on raw field
-values.  Both engines hold their basis as a list of columns and a list of
-pivot positions, which their kernel appends to in place under the contract
-of ``echelon``, and build one ``EchelonBasis`` only on export.  ``polyvec``
-hands out a single column, so a caller that needs only some columns
-(``vxsat`` takes the generators) pays for those alone, and
-``export_basis`` reuses the columns it is given.  Both produce
+``syzygy.kernel_kx`` decides between its packed and generic reductions by
+the same predicate, ``packable``.  Both engines hold their basis as a list
+of columns and a list of pivot positions, which their kernel appends to in
+place under the contract of ``echelon``, and build one ``EchelonBasis``
+only on export.  ``polyvec`` hands out a single column, so a caller that
+needs only some columns (``vxsat`` takes the generators) pays for those
+alone, and ``export_basis`` reuses the columns it is given.  Both produce
 bit-identical bases.
 """
 
@@ -56,16 +55,15 @@ class GenericEngine:
         return EchelonBasis(self.cols, self.pivs, _trusted=True)
 
 
-def packs(domain) -> bool:
-    """Whether the domain's elements are ``ScalarElement``s (rationals or
-    residues mod p): such domains run the packed ``kernel_kx``, and the
-    parser computes on their raw field values."""
-    return isinstance(domain.one, ScalarElement)
+def packable(domain) -> bool:
+    """Whether the packed kernels run the domain: its elements are those of
+    a shipped kind, which have a numerator ring (``_packed``)."""
+    return isinstance(domain.one, (ScalarElement, RatFuncElement))
 
 
 def select_engine(domain):
     """Packed engine for every shipped kind, generic for any other domain."""
-    if isinstance(domain.one, (ScalarElement, RatFuncElement)):
+    if packable(domain):
         from ._packed import PackedEngine
 
         return PackedEngine(domain)

@@ -18,16 +18,18 @@ elimination order, same content rule, and the exported elements are
 canonical.
 
 ``kernel_kx_packed`` runs ``syzygy``'s column reduction on packed columns
-over the domains of ``ScalarElement``s (``_engines.packs``): integer
-polynomials over Z_(p) and Q, with the fraction-free step
-``(lb/g) col - (la/g) X^s pivot``, and residues over F_p.  Why its basis is
-the generic one is in the ``syzygy`` module docstring.
+over the same numerator rings, with one fraction-free step written against
+the ring: ``(lb/g) col - (la/g) X^s pivot`` for g the ring gcd of the
+leading numerators, then a content strip (``strip``).  Over F_p the ring's
+gcd is lb, so the step is Euclidean division itself and nothing is
+stripped.  Why its basis is the generic one is in the ``syzygy`` module
+docstring.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from . import _ratkernel
 from ._engines import GenericEngine
@@ -144,52 +146,44 @@ class PackedEngine(GenericEngine):
         return EchelonBasis(columns, pivots, _trusted=True)
 
 
-def _z_step(col, pivot, row):
-    """Fraction-free pseudo-division of col by pivot at row, content stripped."""
-    b = pivot[row]
-    lb, db = b[-1], len(b)
-    while len(col[row]) >= db:
-        a = col[row]
-        g = gcd(a[-1], lb)
-        _ratkernel._sub_scaled(col, _ratkernel.shift_comps(pivot, len(a) - db),
-                               lb // g, a[-1] // g)
-    g = _ratkernel._common_factor(col, 0)
-    if g != 1:
-        _ratkernel._divide(col, g)
-    return col
+def _step(ring):
+    """``syzygy``'s division step on packed columns over ``ring``.
 
-
-def _fp_step(p):
-    """The Euclidean division step on residue columns mod p."""
+    With la, lb the X-leading numerators of the row entries of col and
+    pivot and g their ring gcd, col <- (lb/g) col - (la/g) X^s pivot while
+    the row entry's degree is at least the pivot's; then the column is
+    divided by the gcd of its numerators (``ring.strip``).
+    """
+    gcd, quo, sub_scaled, mod, zero = ring.gcd, ring.quo, ring.sub_scaled, ring.mod, ring.zero
 
     def step(col, pivot, row):
         b = pivot[row]
-        db = len(b)
-        inv = pow(b[-1], -1, p)
+        lb, db = b[-1], len(b)
         while len(col[row]) >= db:
             a = col[row]
-            _ratkernel._sub_scaled(col, _ratkernel.shift_comps(pivot, len(a) - db),
-                                   1, a[-1] * inv % p, p)
+            g = gcd(a[-1], lb)
+            sub_scaled(col, _ratkernel.shift_comps(pivot, len(a) - db, zero),
+                       quo(lb, g), quo(a[-1], g), mod)
+        ring.strip(col)
         return col
 
     return step
 
 
 def kernel_kx_packed(U: list[PolyVec]):
-    """``syzygy.kernel_kx`` of a nonempty U over a domain that ``packs``.
+    """``syzygy.kernel_kx`` of a nonempty U over a shipped kind.
 
     Each stacked column [u_j; e_j] is packed, so its identity part starts
     as D_j e_j; each generator is divided by its first nonzero entry.
     """
     domain, k, n = U[0].domain, U[0].n, len(U)
     ring = numerator_ring(domain)
-    mod = ring.mod
     cols = []
     for j, u in enumerate(U):
         comps, D = _pack(u, ring)
         cols.append(comps + [[D] if i == j else [] for i in range(n)])
     basis = []
-    for j in _reduce_columns(cols, k, _fp_step(mod) if mod else _z_step):
+    for j in _reduce_columns(cols, k, _step(ring)):
         ident = cols[j][k:]
         lead = next(x for comp in ident for x in comp if x)
         basis.append(tuple(map(tuple, _unpack(domain, ident, lead, ring))))

@@ -15,11 +15,13 @@ its arithmetic through a ring object (the last argument of ``insert``):
   ``_poly``'s ``imul``, ``ilin``, ``iquo`` and ``igcd``.
 
 A ring supplies ``zero``, ``mod`` (the modulus of its coefficient
-arithmetic, else 0), ``gcd``, the exact quotient ``quo``, ``sub_scaled``
-over a component list, the valuation ``val`` of a numerator (None for the
-trivial valuation) and ``normalise``, which divides a column by its content
-and puts it in lowest terms.  Basis columns are kept in lowest
-terms, gcd(numerators, D) = 1 with D normalised (positive over Z, a
+arithmetic, else 0), ``gcd`` (over F_p its second argument, as in any
+field), the exact quotient ``quo``, ``sub_scaled`` over a component list,
+the valuation ``val`` of a numerator (None for the trivial valuation),
+``normalise``, which divides a column by its content and puts it in lowest
+terms, and ``strip``, which divides a column by a common factor of its
+numerators (for ``_packed``'s K[X] reduction).  Basis columns are kept in
+lowest terms, gcd(numerators, D) = 1 with D normalised (positive over Z, a
 positive leading coefficient over Z[t], monic over F_p[t]), which makes
 their packing unique; a vector to insert needs only D != 0.
 
@@ -112,15 +114,6 @@ def _content(comps, val):
     return found
 
 
-def _common_factor(comps, g):
-    """gcd of g and every numerator, stopping once it reaches 1."""
-    for comp in comps:
-        g = gcd(g, *comp)
-        if g == 1:
-            break
-    return g
-
-
 def _divide(comps, g):
     """Exact division of every numerator by g, into fresh lists."""
     for c, comp in enumerate(comps):
@@ -168,6 +161,18 @@ class Integers:
         # they stand then, wrapped or not.
         self.gcd, self.sub_scaled = gcd, _sub_scaled
         self.val = (lambda n: _int_val(n, p)) if p else None
+        if mod:
+            # In a field every nonzero b is a gcd of a and b; taking it makes
+            # every step's s = b / b = 1, as ``_sub_scaled`` mod p requires.
+            self.gcd = lambda a, b: b
+            self.quo = lambda a, b: a if b == 1 else a * pow(b, -1, mod) % mod
+
+    def strip(self, comps):
+        """Divide comps by the gcd of their numerators; by nothing over F_p."""
+        if not self.mod:
+            g = gcd(*[num for comp in comps for num in comp])
+            if g != 1:
+                _divide(comps, g)
 
     def normalise(self, comps, c):
         """Divide comps by their content c, in lowest terms; the new D."""
@@ -218,6 +223,17 @@ class Polynomials:
                 comps[c] = new
             elif s != one and comp:
                 comps[c] = [imul(s, x, p) for x in comp]
+
+    def strip(self, comps):
+        """Divide comps by the gcd of their numerators, the chain stopping
+        once it reaches 1."""
+        p, h = self.mod, ()
+        for x in (x for comp in comps for x in comp if x):
+            h = igcd(h, x, p)
+            if h == (1,):
+                return
+        for i, comp in enumerate(comps):
+            comps[i] = [iquo(x, h, p) if x else () for x in comp]
 
     def normalise(self, comps, c):
         """Divide comps by their content c, in lowest terms; the new D.

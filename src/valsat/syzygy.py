@@ -11,41 +11,36 @@ saturation generates the full syzygy module of u_1..u_n over V[X].
 K[X] polynomials are trimmed tuples of quotient-field elements; a kernel
 vector is a tuple of n such polynomials.
 
-One loop, ``_reduce_columns``, runs the reduction over three column
-representations, each with its own division step.  The two packed ones are
-``_packed.kernel_kx_packed``, which runs on the domains of
-``ScalarElement``s (``_engines.packs``):
+One loop, ``_reduce_columns``, runs the reduction with a division step.
+Every shipped kind takes one packed step, ``_packed.kernel_kx_packed``,
+over its numerator ring R (Z for ``zp:p`` and ``field:q``, residues for
+``field:p``, Z[t] for ``rft0:q``, F_p[t] for ``rft0:p``; see
+``_ratkernel``).  Each stacked column [u_j; e_j] is cleared of
+denominators, so its identity part starts as D_j e_j, and each quotient
+step is the fraction-free ``(lb/g) col - (la/g) X^s pivot``, with la, lb
+the leading numerators of the row entries, g their ring gcd and s their
+degree difference, repeated while the row entry's degree is at least the
+pivot's; then the column is divided by a common factor of its numerators
+(``strip``).  Over F_p the ring's gcd is lb itself, so each step is
+``col - (la/lb mod p) X^s pivot``, Euclidean division, and nothing is
+stripped.  ``_kernel_kx_generic`` runs Euclidean division on polynomials
+of domain elements: the tests' reference, and the reduction of any other
+``Domain``.
 
-* generic (``rft0`` kinds): polynomials of domain elements, Euclidean
-  division in K[X].  Their saturation runs packed over Z[t] and F_p[t],
-  but this reduction does not yet;
-* Z (``zp:p``, ``field:q``): integer polynomials.  Each stacked column
-  [u_j; e_j] is cleared of denominators, so its identity part starts as
-  D_j e_j, and each quotient step is the fraction-free
-  ``(lb/g) col - (la/g) X^s pivot`` with la, lb the leading coefficients
-  of the row entries, g = gcd(la, lb) and s their degree difference,
-  repeated while the row entry's degree is at least the pivot's; the
-  integer content is stripped after each such column update
-  (``_ratkernel``'s ``_sub_scaled``, ``_common_factor`` and ``_divide``);
-* F_p (``field:p``): residues over the denominator 1, each step
-  ``col - (la/lb mod p) X^s pivot`` reduced mod p (``_sub_scaled`` with
-  the modulus), which is Euclidean division itself.
-
-The three return the same basis.  The pseudo-remainder of a by b is
-c (a mod b) for a nonzero scalar c, so after every column update a Z column
-is a nonzero scalar multiple of the column that Euclidean division leaves,
-and stripping the content only changes that scalar.  Scaling a column
-changes no degree and no zero pattern, so every pivot choice and every
-removal from the active set is the same on all paths, and the final
-division of each generator by its first nonzero coefficient removes the
-scalar: over Z the entries become ``Fraction(v, lead)``, over F_p the
-residues ``v / lead mod p``.
+Both return the same basis.  Each step multiplies the column by the nonzero
+lb/g of R, a subring of K, and each strip divides it by a nonzero element
+of R, so after every column update a packed column is a nonzero K-multiple
+of the column that Euclidean division leaves (the pseudo-remainder of a by
+b is c (a mod b) for a nonzero c).  Scaling a column changes no degree and
+no zero pattern, so every pivot choice and every removal from the active
+set is the same on both paths, and the final division of each generator by
+its first nonzero coefficient removes the multiple.
 """
 
 from __future__ import annotations
 
 from . import _poly
-from ._engines import packs
+from ._engines import packable
 from .errors import ZeroVector
 from .polyvec import PolyVec, uniform_family
 from .valuation import Domain, DomainElement
@@ -66,19 +61,18 @@ def kernel_kx(U: list[PolyVec]) -> list[tuple[XPoly, ...]]:
     factor of a column of T would divide the unit det T, so no generator
     needs a gcd strip; each is scaled so its first nonzero coefficient is 1.
 
-    Over ``zp:p`` and ``field:q`` the columns are integer polynomials and
-    each division step is fraction-free, ``(lb/g) col - (la/g) X^s pivot``
-    with the content stripped after it; over ``field:p`` they are residues
-    mod p.  Either leaves each column a nonzero scalar multiple of its
-    Euclidean reduction, with the same degrees and zero pattern, so every
-    pivot choice is the one the generic path makes, and the final
-    normalisation gives the same basis (see the module docstring).
+    Every shipped kind runs it packed over its numerator ring, each division
+    step fraction-free with a content strip after it.  That leaves each
+    column a nonzero K-multiple of its Euclidean reduction, with the same
+    degrees and zero pattern, so every pivot choice is the one the generic
+    path makes, and the final normalisation gives the same basis (see the
+    module docstring).
     MixedFamily is raised unless the u_j share one domain and one width.
     """
     U = uniform_family(U)
     if not U:
         return []
-    if packs(U[0].domain):
+    if packable(U[0].domain):
         # Imported on first use, so that importing valsat does not load
         # (and, with no cached bytecode, compile) the packed modules.
         from ._packed import kernel_kx_packed
@@ -115,7 +109,8 @@ def _reduce_columns(cols, k, step):
 
 
 def _kernel_kx_generic(U):
-    """``kernel_kx`` over domain elements by Euclidean division; every kind."""
+    """``kernel_kx`` over domain elements by Euclidean division: valid for
+    every domain, the tests' reference and the path of any other ``Domain``."""
     domain, k, n = U[0].domain, U[0].n, len(U)
     one = domain.one
 

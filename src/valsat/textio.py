@@ -27,7 +27,6 @@ import re
 from dataclasses import dataclass
 
 from . import _poly
-from ._engines import packs
 from .errors import NotInDomain, ParseError
 from .polyvec import PolyVec
 from .valuation import Domain, RationalFunctionsAtZero, ScalarElement, parse_domain_tag
@@ -87,7 +86,7 @@ class _PolyParser:
     def __init__(self, domain: Domain, toks: _Tokens):
         self.domain = domain
         self.toks = toks
-        if packs(domain):
+        if isinstance(domain.one, ScalarElement):
             self.F, self._literal = domain.field, domain.field.coerce
         else:
             self.F, self._literal = domain, domain.k_element

@@ -2,17 +2,19 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from valsat import _poly, _ratkernel
-from valsat._engines import GenericEngine, packs, select_engine
+from valsat import _poly, _ratkernel, syzygy
+from valsat._engines import GenericEngine, packable, select_engine
 from valsat._packed import PackedEngine, _pack, numerator_ring
 from valsat.echelon import EchelonBasis, echelon_insert, gauss_eliminate, saturate_free
 from valsat.polyvec import PolyVec, zero_vec
 from valsat.syzygy import _kernel_kx_generic, kernel_kx
-from valsat.valuation import RationalFunctionsAtZero, TrivialField, Zp, content
+from valsat.valuation import (RationalFunctionsAtZero, RatFuncElement, TrivialField, Zp,
+                              content)
 from valsat.vxsat import _run
 
 # The denominators of the test coefficients below (7, 11, 77, 13^5) are
@@ -314,9 +316,10 @@ def test_insert_over_polynomial_numerators():
 def test_select_engine_kinds():
     for dom in FIVE_KINDS + (RationalFunctionsAtZero("fp", 5),):
         assert type(select_engine(dom)) is PackedEngine
-    # packs() keeps its narrower meaning: the packed kernel_kx and the
-    # parser's raw field values serve only the ScalarElement kinds.
-    assert [packs(dom) for dom in FIVE_KINDS] == [True, True, True, False, False]
+    # The same predicate sends kernel_kx to its packed reduction; a domain
+    # with elements of another class takes the generic paths.
+    assert all(packable(dom) for dom in FIVE_KINDS)
+    assert not packable(SimpleNamespace(one=object()))
 
 
 @pytest.mark.parametrize("dom", FIVE_KINDS, ids=lambda d: d.tag)
@@ -333,42 +336,71 @@ def test_zero_vector_dies_on_every_engine(dom):
         assert list(engine.export_basis()) == before
 
 
-# The packed kernel_kx paths against the generic column reduction: the Z path
-# (zp:p, field:q) and the residue path (field:p).
+def test_kernel_kx_never_runs_the_generic_reduction(monkeypatch):
+    """Every shipped kind takes the packed kernel_kx."""
+
+    def generic(U):
+        raise AssertionError(f"generic kernel_kx on {U[0].domain.tag}")
+
+    monkeypatch.setattr(syzygy, "_kernel_kx_generic", generic)
+    for dom in FIVE_KINDS + (RationalFunctionsAtZero("fp", 5),):
+        pi = dom.uniformizer() or dom.one
+        U = [PolyVec(dom, [[dom.one, pi]]), PolyVec(dom, [[pi]]), PolyVec(dom, [[]])]
+        assert len(kernel_kx(U)) == 2
+
+
+# The packed kernel_kx against the generic column reduction on every kind:
+# Z (zp:p, field:q), residues (field:p), Z[t] (rft0:q) and F_p[t] (rft0:p).
 KERNEL_DOMAINS = (Zp(2), Zp(3), TrivialField("q"), TrivialField("fp", 5),
-                  TrivialField("fp", 7))
+                  TrivialField("fp", 7), RationalFunctionsAtZero("q"),
+                  RationalFunctionsAtZero("fp", 3), RationalFunctionsAtZero("fp", 5))
+
+# 1, 1 + t, (1 + t)^2 and 1 - t^2: denominators that share factors.
+KERNEL_RFT_DENS = ((1,), (1, 1), (1, 2, 1), (1, 0, -1))
 
 
 @st.composite
 def kernel_matrices(draw):
-    """k-by-n matrices over K for k in 1-3 and n in 1-4, as columns u_1..u_n.
+    """k-by-n matrices over K as columns u_1..u_n: k in 1-3 and n in 1-4 over
+    the scalar kinds, k in 1-2 and n in 1-3 over rft0.
 
     Denominators include 2, 3, 4 and 9, so over zp:2 and zp:3 many entries
-    lie in K but not in V; numerators are often 0 and sometimes above 2^80;
+    lie in K but not in V; over rft0 they are KERNEL_RFT_DENS, so entries
+    have t-dependent denominators with shared factors.  Numerators are often
+    0 and sometimes above 2^80 (2^70 over rft0, per coefficient in t);
     entries are often the zero polynomial; k >= n is common; and a column
     may repeat an earlier one, as it is or times a scalar.
     """
     dom = draw(st.sampled_from(KERNEL_DOMAINS))
-    char = dom.field.p
-    dens = [d for d in (1, 2, 3, 4, 7, 9, 11) if not char or d % char]
-    num = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-2 ** 80, 2 ** 80))
+    if isinstance(dom, RationalFunctionsAtZero):
+        num = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70))
 
-    def coeff():
-        return dom.k_element(Fraction(draw(num), draw(st.sampled_from(dens))))
+        def coeff():
+            return dom.k_element(([draw(num) for _ in range(draw(st.integers(0, 2)))],
+                                  draw(st.sampled_from(KERNEL_RFT_DENS))))
 
-    k, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+        k, n, length = draw(st.integers(1, 2)), draw(st.integers(1, 3)), 2
+    else:
+        char = dom.field.p
+        dens = [d for d in (1, 2, 3, 4, 7, 9, 11) if not char or d % char]
+        num = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-2 ** 80, 2 ** 80))
+
+        def coeff():
+            return dom.k_element(Fraction(draw(num), draw(st.sampled_from(dens))))
+
+        k, n, length = draw(st.integers(1, 3)), draw(st.integers(1, 4)), 3
     U = []
     for _ in range(n):
         if U and draw(st.integers(0, 3)) == 0:
             c = coeff()
             U.append(U[draw(st.integers(0, len(U) - 1))].scale(c if c else dom.one))
         else:
-            U.append(PolyVec(dom, [[coeff() for _ in range(draw(st.integers(0, 3)))]
+            U.append(PolyVec(dom, [[coeff() for _ in range(draw(st.integers(0, length)))]
                                    for _ in range(k)]))
     return dom, U
 
 
-@settings(max_examples=150, deadline=None,
+@settings(max_examples=240, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(kernel_matrices())
 def test_packed_kernel_kx_matches_generic(inst):
@@ -379,7 +411,14 @@ def test_packed_kernel_kx_matches_generic(inst):
     for gen in basis:
         for c in (c for poly in gen for c in poly):
             assert c.domain == dom
-            if char:
+            if isinstance(dom, RationalFunctionsAtZero):
+                # Canonical: the reducing constructor leaves it as it is.
+                assert type(c) is RatFuncElement
+                r = RatFuncElement(dom, c.num, c.den)
+                assert (c.num, c.den) == (r.num, r.den)
+                kind = int if char else Fraction
+                assert all(type(x) is kind for x in c.num + c.den)
+            elif char:
                 assert type(c.value) is int and 0 <= c.value < char
             else:
                 assert type(c.value) is Fraction

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from valsat import _poly, oracle
+from valsat._packed import _pack, _step, numerator_ring
 from valsat.errors import ZeroVector
 from valsat.polyvec import PolyVec
 from valsat.syzygy import (
@@ -81,8 +82,10 @@ def test_kernel_of_no_columns_is_empty():
     assert scaled_kernel([]) == []
 
 
-# One domain per packed kernel_kx path: integers (zp:p, field:q) and residues.
-PACKED = (Z2, TrivialField("q"), TrivialField("fp", 5))
+# One domain per numerator ring of the packed kernel_kx: Z (zp:p, field:q),
+# residues (field:p), Z[t] (rft0:q) and F_p[t] (rft0:p).
+PACKED = (Z2, TrivialField("q"), TrivialField("fp", 5), RationalFunctionsAtZero("q"),
+          RationalFunctionsAtZero("fp", 3))
 
 
 def _same_as_generic(U):
@@ -126,6 +129,43 @@ def test_kernel_with_numerators_above_2_64(dom):
     basis = _same_as_generic(U)
     assert len(basis) == 1
     assert all(not r for r in eval_residual(U, basis[0]))
+
+
+# A hand-worked packed reduction over Z[t] (rft0:q) and F_5[t] (rft0:5).
+# u_1 = (1 + t)/(1 - t) and u_2 = 1/(1 - t) have the monic denominator
+# t - 1, so they pack as the stacked columns
+#   col1 = [-1 - t; t - 1; 0],  col2 = [-1; 0; t - 1]
+# (numerators over D = t - 1, the identity part D e_j).  Both have degree 0
+# in X, so col1 is the pivot: la = -1, lb = -1 - t, g = 1, and the step
+# multiplies col2 by the non-unit s = lb/g = -1 - t of the numerator ring:
+#   (-1 - t) col2 + col1 = [0; t - 1; 1 - t^2].
+# Its numerators share t - 1, which the strip divides out: [0; 1; -1 - t].
+# So the kernel is spanned by (1, -1 - t), and indeed u_1 - (1 + t) u_2 = 0.
+# Over F_5, -1 = 4, and the same columns have their coefficients mod 5.
+@pytest.mark.parametrize("dom, cols, scaled, stripped", [
+    (RationalFunctionsAtZero("q"),
+     [[[(-1, -1)], [(-1, 1)], []], [[(-1,)], [], [(-1, 1)]]],
+     [[], [(-1, 1)], [(1, 0, -1)]], [[], [(1,)], [(-1, -1)]]),
+    (RationalFunctionsAtZero("fp", 5),
+     [[[(4, 4)], [(4, 1)], []], [[(4,)], [], [(4, 1)]]],
+     [[], [(4, 1)], [(1, 0, 4)]], [[], [(1,)], [(4, 4)]]),
+], ids=["rft0:q", "rft0:5"])
+def test_kernel_kx_hand_worked_over_polynomial_numerators(dom, cols, scaled, stripped):
+    U = [PolyVec(dom, [[dom.k_element(([1, 1], [1, -1]))]]),
+         PolyVec(dom, [[dom.k_element(([1], [1, -1]))]])]
+    ring = numerator_ring(dom)
+    stacked = []
+    for j, u in enumerate(U):
+        comps, D = _pack(u, ring)
+        stacked.append(comps + [[D] if i == j else [] for i in range(2)])
+    assert stacked == cols
+    seen = []
+    strip = ring.strip
+    ring.strip = lambda comps: (seen.append(list(comps)), strip(comps))
+    assert _step(ring)(stacked[1], stacked[0], 0) == stripped
+    assert seen == [scaled]
+    one, minus_one_minus_t = (dom.one,), (dom.k_element(([-1, -1], [1])),)
+    assert _same_as_generic(U) == [(one, minus_one_minus_t)]
 
 
 def test_kernel_rank_and_exactness_random():
