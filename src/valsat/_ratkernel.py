@@ -163,9 +163,11 @@ class Integers:
         self.val = (lambda n: _int_val(n, p)) if p else None
         if mod:
             # In a field every nonzero b is a gcd of a and b; taking it makes
-            # every step's s = b / b = 1, as ``_sub_scaled`` mod p requires.
+            # every step's s = b / b = 1, as ``_sub_scaled`` mod p requires,
+            # and a quotient of equal residues costs no inversion.
             self.gcd = lambda a, b: b
-            self.quo = lambda a, b: a if b == 1 else a * pow(b, -1, mod) % mod
+            self.quo = lambda a, b: (1 if a == b else a if b == 1
+                                     else a * pow(b, -1, mod) % mod)
 
     def strip(self, comps):
         """Divide comps by the gcd of their numerators; by nothing over F_p."""

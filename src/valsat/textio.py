@@ -7,7 +7,17 @@ The rational-function domain additionally understands the scalar variable
 ``key: value`` header followed by one vector per line; ``#`` starts a
 comment.  Rendering and parsing round-trip exactly.
 
-Cost model: products and powers cost O(terms) scalar operations.  A power
+Cost model.  ``parse_vector`` hands each component to a term scanner first.
+A sum of monomials ``[+-] c [* X[^k]]`` or ``[+-] X[^k]``, with c a literal
+``n`` or ``n/d`` (a unary minus allowed), ``(+-n)`` or ``(+-n/d)``, or over
+``rft0`` ``((P)/(Q))`` for P and Q such sums in t, costs one regex pass and
+O(terms) field operations, on the same values as the parser: each term's
+coefficient is added into its exponent's slot.  Every other shape goes to
+the recursive-descent parser, the one grammar: the scanner accepts a subset
+of it, gives the same values there, and raises nothing, so a component that
+falls back costs at most one wasted scan.
+
+In the parser, products and powers cost O(terms) scalar operations.  A power
 of a monomial ``c*X^e`` is built as ``c^n*X^(e*n)`` with scalar products
 only, and a product with a monomial factor is a shift of the other factor,
 scaled at its nonzero entries; only a product of two polynomials that are
@@ -29,7 +39,13 @@ from dataclasses import dataclass
 from . import _poly
 from .errors import NotInDomain, ParseError
 from .polyvec import PolyVec
-from .valuation import Domain, RationalFunctionsAtZero, ScalarElement, parse_domain_tag
+from .valuation import (
+    Domain,
+    RationalFunctionsAtZero,
+    RatFuncElement,
+    ScalarElement,
+    parse_domain_tag,
+)
 
 # A token, or (group 2) any other non-space character, which is an error.
 _TOKEN_RE = re.compile(r"(\d+|[Xt^*/()+-])|(\S)")
@@ -209,18 +225,17 @@ class _PolyParser:
 
 
 def _split_components(text: str):
-    """Split on top-level commas, returning (chunk, start_column) pairs."""
-    parts = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append((text[start:i], start))
-            start = i + 1
+    """Split on top-level commas, returning (chunk, start_column) pairs.
+
+    A comma is top-level when the text before it has as many '(' as ')'.
+    """
+    parts, start, depth, comma = [], 0, 0, -1
+    for piece in text.split(",")[:-1]:
+        comma += len(piece) + 1
+        depth += piece.count("(") - piece.count(")")
+        if not depth:
+            parts.append((text[start:comma], start))
+            start = comma + 1
     parts.append((text[start:], start))
     return parts
 
@@ -236,11 +251,105 @@ def parse_element(domain: Domain, text: str, line: int | None = None):
     return e
 
 
+# One term of a sum of monomials: [sign] c [* v[^k]] or [sign] v[^k], the
+# coefficient c a literal n or n/d, with a unary minus or in parentheses
+# with a sign, or ((P)/(Q)) for P and Q without parentheses.  Every part is
+# optional, so it matches at any position; ``_scan`` rejects what is not a
+# term.  The variable needs a '*' exactly when a coefficient precedes it.
+_TERM_RE = re.compile(r"""
+    \s*(?P<sign>[+-])?\s*
+    (?P<coef>
+        (?: (?P<open>\() \s* (?P<psign>[+-])? \s* | (?P<neg>-) \s* )?
+        (?P<n>[0-9]+) (?: \s*/\s* (?P<d>[0-9]+) )?
+        (?(open) \s*\) )
+      | \( \s*\( (?P<num>[^()]*) \)\s*/\s*\( (?P<den>[^()]*) \) \s*\)
+    )?
+    (?: (?(coef) \s*\*\s* ) (?P<var>[Xt]) (?: \s*\^\s* (?P<exp>[0-9]+) )? )?
+    \s*""", re.VERBOSE)
+
+
+def _scan(text, F, literal, var, rft=None):
+    """``text`` as a sum of monomials in ``var`` over F, or None.
+
+    The value is the trimmed polynomial the parser gives, over the same F
+    with the same ``literal``, for every text this accepts; None means some
+    other shape, valid or not, which is left to the parser.  A unary minus
+    is taken only directly before a literal, where it cannot bind below a
+    '^'; a literal followed by '^' is not a term.  ``rft``, the
+    rational-function domain, admits ((P)/(Q)) coefficients, P and Q sums
+    of monomials in t over its base field.  A zero denominator, d or Q,
+    gives None, and the parser raises its "division by zero".
+    """
+    slots = []
+    pos, end, match = 0, len(text), _TERM_RE.match
+    while True:
+        m = match(text, pos)
+        sign, coef, _, psign, neg, n, d, num, den, x, exp = m.groups()
+        if (pos and sign is None) or (coef is None and x is None) or (x and x != var):
+            return None
+        if n is not None:
+            c = literal(int(n))
+            if d is not None:
+                q = literal(int(d))
+                if not q:
+                    return None
+                if c:
+                    c = F.div(c, q)
+        elif num is not None:
+            if rft is None:
+                return None
+            G = rft.field
+            P, Q = _scan(num, G, G.coerce, "t"), _scan(den, G, G.coerce, "t")
+            if P is None or not Q:
+                return None
+            c = RatFuncElement(rft, P, Q)
+        else:
+            c = F.one
+        if (sign == "-") ^ (neg is not None) ^ (psign == "-"):
+            c = F.neg(c)
+        k = int(exp) if exp is not None else 1 if x else 0
+        if k >= len(slots):
+            slots += [F.zero] * (k + 1 - len(slots))
+        s = slots[k]
+        slots[k] = F.add(s, c) if s else c
+        pos = m.end()
+        if pos == end:
+            break
+    while slots and not slots[-1]:
+        slots.pop()
+    return tuple(slots)
+
+
+def _scanner(domain: Domain):
+    """The term scanner of ``domain``'s components: text -> the tuple the
+    parser returns, or None.  It computes on raw field values when the
+    domain's elements are ``ScalarElement``s, as the parser does."""
+    if isinstance(domain.one, ScalarElement):
+        F, zero = domain.field, domain.zero
+
+        def scan(text):
+            poly = _scan(text, F, F.coerce, "X")
+            if poly is None:
+                return None
+            return tuple(ScalarElement(domain, c) if c else zero for c in poly)
+
+        return scan
+    rft = domain if isinstance(domain, RationalFunctionsAtZero) else None
+    return lambda text: _scan(text, domain, domain.k_element, "X", rft)
+
+
 def parse_vector(domain: Domain, text: str, line: int | None = None) -> PolyVec:
-    """A vector of V[X]^n from comma-separated polynomial components."""
+    """A vector of V[X]^n from comma-separated polynomial components.
+
+    Each component goes to the term scanner first and to the parser only
+    when the scanner returns None.
+    """
     comps = []
+    scan = _scanner(domain)
     for chunk, col0 in _split_components(text):
-        poly = _PolyParser(domain, _Tokens(chunk, line, col0)).parse()
+        poly = scan(chunk)
+        if poly is None:
+            poly = _PolyParser(domain, _Tokens(chunk, line, col0)).parse()
         for c in poly:
             if not c.in_domain:
                 raise ParseError(

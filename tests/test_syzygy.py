@@ -168,6 +168,16 @@ def test_kernel_kx_hand_worked_over_polynomial_numerators(dom, cols, scaled, str
     assert _same_as_generic(U) == [(one, minus_one_minus_t)]
 
 
+def test_fp_ring_quotients():
+    """Over F_p the ring's quotients are residues; equal arguments give 1,
+    which is every step's s = lb/g, as its gcd is lb."""
+    ring = numerator_ring(TrivialField("fp", 5))
+    for a in range(1, 5):
+        assert ring.gcd(a, 3) == 3 and ring.quo(a, a) == 1 and ring.quo(a, 1) == a
+        for b in range(1, 5):
+            assert ring.quo(a, b) * b % 5 == a
+
+
 def test_kernel_rank_and_exactness_random():
     rng = random.Random(43)
     for _ in range(240):

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from valsat import _poly
+from valsat import _poly, textio
 from valsat.errors import NotInDomain, ParseError
 from valsat.polyvec import PolyVec
 from valsat.textio import (
@@ -335,3 +337,172 @@ def test_parsed_coefficients_are_wrapped_field_values(d, trees):
     coeffs = [c for comp in v.comps for c in comp] + [parse_element(d, "3/7")]
     for c in coeffs:
         assert type(c) is ScalarElement and type(c.value) is want
+
+
+# ---------------------------------------------------------------------------
+# The term scanner: ``parse_vector`` reads a sum of monomials with one regex
+# and leaves every other shape to ``_PolyParser``.  On what it accepts it
+# must give the parser's value, element types included.
+
+WS = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def _literal(draw, parens):
+    """n or n/d, with a unary minus, or (±n) and (±n/d) when ``parens``;
+    n may be large only in parentheses."""
+    n = draw(st.integers(0, 30) | st.integers(0, 10**20)) if parens else draw(st.integers(0, 30))
+    d = draw(st.none() | st.sampled_from((1, 2, 3, 5, 7, 10, 11)))
+    body = str(n) if d is None else f"{n}{draw(WS)}/{draw(WS)}{d}"
+    if parens and draw(st.booleans()):
+        sign = draw(st.sampled_from(["", "+", "-"]))
+        return f"({draw(WS)}{sign}{draw(WS)}{body}{draw(WS)})"
+    return draw(st.sampled_from(["", "-", "- "])) + body
+
+
+@st.composite
+def _monomials(draw, var, coefficient, most=5):
+    """A sum of monomials c*var^k, c*var, c, var^k and var, signs in front."""
+    terms = []
+    for i in range(draw(st.integers(1, most))):
+        k = draw(st.none() | st.integers(0, 5))
+        power = var if k is None else f"{var}{draw(WS)}^{draw(WS)}{k}"
+        c = draw(st.none() | coefficient)
+        if c is None:
+            mono = power
+        else:
+            mono = c + draw(st.sampled_from(["", f"{draw(WS)}*{draw(WS)}{power}"]))
+        sign = draw(st.sampled_from(["", "+", "-"] if i == 0 else ["+", "-"]))
+        terms.append(f"{draw(WS)}{sign}{draw(WS)}{mono}")
+    return "".join(terms) + draw(WS)
+
+
+def _ratfunc_coefficient():
+    """((P)/(Q)) with P and Q sums of monomials in t; Q may be zero."""
+    poly = _monomials("t", _literal(parens=False), most=3)
+    return st.builds(lambda p, q, a, b: f"({a}({p}){b}/({q}))", poly, poly, WS, WS)
+
+
+@st.composite
+def _scanned_vectors(draw):
+    """A vector text over one of KINDS whose components all have a scanned shape."""
+    d = draw(st.sampled_from(KINDS))
+    coefficient = _literal(parens=True)
+    if isinstance(d, RationalFunctionsAtZero):
+        coefficient = coefficient | _ratfunc_coefficient()
+    comps = draw(st.lists(_monomials("X", coefficient), min_size=1, max_size=3))
+    return d, ",".join(comps), True
+
+
+def _outcome(d, text):
+    """parse_vector's entries with the types of their raw values, or its error."""
+    try:
+        v = parse_vector(d, text)
+    except ParseError as exc:
+        return "error", str(exc), exc.line, exc.column
+    return [[(type(c), c, type(c.value)) if isinstance(c, ScalarElement)
+             else (type(c), c, [type(x) for x in c.num + c.den]) for c in comp]
+            for comp in v.comps]
+
+
+def _no_scanner(domain):
+    return lambda text: None
+
+
+@PROPERTY
+@given(_scanned_vectors())
+@example((KINDS[0], "1 + -X^2, -X^2", False))  # (-X)^2 after a '+'; -(X^2) leading
+@example((KINDS[1], "1 + -X^2, - X^2 + 1", False))
+@example((KINDS[2], "2/3^2, 2^3, (2)^3", False))  # '^' binds before '/' and signs
+@example((KINDS[3], "X^2^3", False))  # an error: trailing '^'
+@example((KINDS[4], "1 + -X^2, -2^2*X", False))
+@example((KINDS[1], "X^2 + 3 + X^0 - 2*X^2 + X + 5*X^2", True))  # repeated, unsorted
+@example((KINDS[2], "5/10", False))  # division by zero in F_5
+@example((KINDS[3], "((1 + t)/(1 - 1)), ((X)/(2)), t*X", False))
+def test_scanner_matches_parser(case):
+    d, text, shaped = case
+    got = _outcome(d, text)
+    with patch.object(textio, "_scanner", _no_scanner):
+        want = _outcome(d, text)
+    assert got == want, text
+    if shaped:  # every component is scanned, unless it divides by zero
+        scan = textio._scanner(d)
+        for chunk, _ in textio._split_components(text):
+            try:
+                textio._PolyParser(d, textio._Tokens(chunk)).parse()
+            except ParseError as exc:
+                assert "division by zero" in str(exc), chunk
+                continue
+            assert scan(chunk) is not None, chunk
+
+
+@pytest.mark.parametrize("text", [
+    "1 + -X^2", "2/3^2", "2^3", "X^2^3", "1 + -(3)", "2X", "2 3", "X*3", "1 +",
+    "", " ", "((X)/(2))", "t*X",
+])
+def test_scanner_leaves_other_shapes_to_the_parser(text):
+    for d in KINDS:
+        assert textio._scanner(d)(text) is None, (d.tag, text)
+
+
+def test_scanner_precedence_values():
+    assert parse_vector(Z2, "1 + -X^2") == PolyVec.from_raw(Z2, [[1, 0, 1]])
+    assert parse_vector(Z2, "-X^2") == PolyVec.from_raw(Z2, [[0, 0, -1]])
+    assert parse_vector(Z2, "2/3^2") == PolyVec.from_raw(Z2, [[Fraction(2, 9)]])
+    assert parse_vector(Z2, "X^3 + X + X^0 + X - 1") == PolyVec.from_raw(Z2, [[0, 2, 0, 1]])
+
+
+def test_division_by_zero_keeps_its_column():
+    F5 = TrivialField("fp", 5)
+    for text, column in (("5/10", 2), ("1, 5/10", 5), ("X, (3/10)*X", 6)):
+        with pytest.raises(ParseError, match="division by zero") as exc:
+            parse_vector(F5, text, line=4)
+        assert (exc.value.line, exc.value.column) == (4, column)
+
+
+def test_the_scanner_really_runs(monkeypatch):
+    """Rendered vectors and the benchmark generator's rft0 shape never reach
+    the parser."""
+
+    class Refused:
+        def __init__(self, *args):
+            raise AssertionError("the parser ran")
+
+    rng = random.Random(18)
+    vectors = []
+    for d in (Z2, Zp(3), TrivialField("q"), TrivialField("fp", 5)):
+        for _ in range(40):
+            comps = [[Fraction(rng.randrange(-99, 100), rng.choice((1, 7, 11, 13)))
+                      if rng.random() < 0.7 else 0 for _ in range(rng.randrange(0, 6))]
+                     for _ in range(rng.randrange(1, 4))]
+            v = PolyVec.from_raw(d, comps)
+            vectors.append((v, render_vector(v)))
+    for d in (RationalFunctionsAtZero("q"), RationalFunctionsAtZero("fp", 5)):
+        for _ in range(40):
+            comps, texts = [], []
+            for _ in range(rng.randrange(1, 4)):
+                coeffs = [[rng.randint(-5, 5) for _ in range(3)]
+                          for _ in range(rng.randrange(1, 4))]
+                comps.append([d.element(((a, b), (1, c))) for a, b, c in coeffs])
+                texts.append(" + ".join(
+                    f"(({a} + {b}*t)/(1 + {c}*t))" + (f"*X^{k}" if k else "")
+                    for k, (a, b, c) in enumerate(coeffs)))
+            vectors.append((PolyVec(d, comps), ", ".join(texts)))
+    monkeypatch.setattr(textio, "_PolyParser", Refused)
+    for v, text in vectors:
+        assert parse_vector(v.domain, text) == v, text
+
+
+def test_shipped_rft0_components_fall_back():
+    """t^2 + t*X and (t+2)/(3) are parser shapes; they parse as they always have."""
+    path = Path(__file__).resolve().parent.parent / "instances" / "rational-functions.vsat"
+    inst = parse_instance(path.read_text())
+    R = inst.domain
+    scan = textio._scanner(R)
+    for text in ("t^2 + t*X", "(t+2)/(3)", "t*X^2"):
+        assert scan(text) is None
+    t2, t = R.from_polys((0, 0, 1)), R.uniformizer()
+    assert inst.vectors == [
+        PolyVec(R, [(t2, t), (R.from_polys((2, 1), (3,)),)]),
+        PolyVec(R, [(R.zero, R.zero, t), (R.one,)]),
+    ]
