@@ -202,7 +202,7 @@ class _PolyParser:
     def parse_atom(self):
         tok, at = self.toks.take()
         if tok.isdigit():
-            return _poly.trim((self._literal(int(tok)),))
+            return _poly.trim((self._literal(_poly.int_of(tok)),))
         if tok == "X":
             return (self.F.zero, self.F.one)
         if tok == "t":
@@ -282,15 +282,17 @@ def _scan(text, F, literal, var, rft=None):
     """
     slots = []
     pos, end, match = 0, len(text), _TERM_RE.match
+    # a literal is no longer than the text, so a short text needs no chunks
+    to_int = int if end <= _poly.SAFE_DIGITS else _poly.int_of
     while True:
         m = match(text, pos)
         sign, coef, _, psign, neg, n, d, num, den, x, exp = m.groups()
         if (pos and sign is None) or (coef is None and x is None) or (x and x != var):
             return None
         if n is not None:
-            c = literal(int(n))
+            c = literal(to_int(n))
             if d is not None:
-                q = literal(int(d))
+                q = literal(to_int(d))
                 if not q:
                     return None
                 if c:

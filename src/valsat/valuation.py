@@ -26,8 +26,13 @@ find a common factor, by Henrici's rule (Knuth, TAOCP vol. 2, section
 their parts meet.  A sum runs gcd(b, d) of the denominators and then at most
 gcd(numerator, gcd(b, d)); a product or quotient runs two cross gcds of a
 numerator against a denominator.  A constant polynomial takes part in no
-gcd.  Every gcd goes through the module global ``_pgcd`` (``_poly.gcd``:
-the primitive PRS over Q, Euclid over F_p).
+gcd.  Every gcd goes through the module global ``_pgcd`` (``_poly.gcd``).
+Over F_p it is Euclid.  Over Q it is the gcd over Z of the primitive
+integer parts: GCDHEU, one big-integer gcd at one evaluation point, when
+the shorter part has at least 4 terms, and the primitive PRS below that or
+when GCDHEU finds no gcd at any of its points.  Both give the same gcd; the
+``_poly`` docstring gives the switch, its measured crossover and the bound
+that keeps GCDHEU exact.
 """
 
 from __future__ import annotations
@@ -200,6 +205,9 @@ class ScalarElement(DomainElement):
     def is_zero(self):
         return self.value == 0
 
+    def __bool__(self):
+        return bool(self.value)
+
     def valuation(self):
         if self.value == 0:
             return math.inf
@@ -234,7 +242,7 @@ class ScalarElement(DomainElement):
         return hash((self.domain, self.value))
 
     def __str__(self):
-        return str(self.value)
+        return _poly.num_str(self.value)
 
     def __repr__(self):
         return f"ScalarElement({self.domain.tag}, {self.value})"
@@ -308,6 +316,9 @@ class RatFuncElement(DomainElement):
 
     def is_zero(self):
         return not self.num
+
+    def __bool__(self):
+        return bool(self.num)
 
     def valuation(self):
         if not self.num:

@@ -9,6 +9,7 @@ import valsat
 from valsat.cli import main, pivot_diagram, trace_csv
 from valsat.echelon import EchelonBasis, saturate_free
 from valsat.polyvec import PolyVec
+from valsat.textio import parse_instance, parse_vector
 from valsat.valuation import Zp
 from valsat.vxsat import saturate_vx
 
@@ -272,3 +273,21 @@ def test_non_utf8_file_is_input_error(tmp_path, capsys):
     assert main([str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path} is not UTF-8 text: ")
+
+
+LONG = "1" * 5000  # more digits than CPython converts between int and str at once
+
+
+@pytest.mark.parametrize("component", [f"{LONG}*X + 1", f"({LONG[:3000]})^2*X + 1"],
+                         ids=["long literal", "long rendered coefficient"])
+def test_long_integers_parse_and_render(tmp_path, capsys, component):
+    """A literal, or a rendered coefficient, of more than 4300 digits goes
+    through the CLI, and the output parses back to the generators."""
+    text = f"domain: field:q\ntask: saturate-vx\n\n{component}\n"
+    assert main([write(tmp_path, "long.vsat", text)]) == 0
+    out = capsys.readouterr().out
+    lines = [l for l in out.split("# trace")[0].splitlines() if l and not l.startswith("#")]
+    inst = parse_instance(text)
+    want = saturate_vx(inst.vectors, 64).generators
+    assert [parse_vector(inst.domain, line) for line in lines] == want
+    assert max(len(line) for line in lines) > 4300

@@ -272,3 +272,110 @@ def test_lowest_terms_and_sign(p, comps, c, want, want_d):
     c = next(x for comp in comps for x in comp if x == c)
     assert Polynomials(p).normalise(comps, c) == want_d
     assert comps == want
+
+
+# ---------------------------------------------------------------------------
+# The two gcd methods over Z: the primitive PRS and GCDHEU, which ``_zgcd``
+# picks by the length of the shorter input.
+
+L = _poly._HEU_MIN_LEN
+
+
+def signed(g):
+    """g with a positive leading coefficient."""
+    return [-x for x in g] if g[-1] < 0 else list(g)
+
+
+@st.composite
+def z_pair_with_shorter_length(draw, n, coeff=zint):
+    """Integer polynomials a, b sharing a random factor c, with len(b) = n
+    and len(a) >= n."""
+    def poly(length):
+        body = draw(st.lists(coeff, min_size=length - 1, max_size=length - 1))
+        lead = draw(coeff.filter(bool))
+        return tuple(body) + (lead,)
+    k = draw(st.integers(1, n))
+    c = poly(k)
+    b = _poly.imul(poly(n - k + 1), c)
+    a = _poly.imul(poly(draw(st.integers(n - k + 1, n - k + 4))), c)
+    return a, b
+
+
+@PROPERTY
+@given(st.sampled_from((2, L - 1, L, L + 1, L + 4)).flatmap(z_pair_with_shorter_length))
+def test_z_gcd_methods_agree_around_the_switch(ab):
+    """Below, at and above the switch, the PRS and GCDHEU return the same
+    primitive gcd, which is Euclid's over Q; ``igcd`` returns it times the
+    gcd of the contents."""
+    a, b = ab
+    pa, pb = _poly._primitive(list(a)), _poly._primitive(list(b))
+    want = signed(_poly._prs(pa, pb))
+    heu = _poly._heu(pa, pb)  # None would leave the answer to the PRS
+    assert heu is None or signed(heu) == want
+    assert signed(_poly._zgcd(pa, pb)) == want
+    assert _poly.monic(QQ, as_q(want)) == euclid_gcd(QQ, as_q(a), as_q(b))
+    c = math.gcd(zcontent(a), zcontent(b))
+    g = _poly.igcd(a, b)
+    assert g == _poly.igcd(b, a) == (tuple(c * x for x in want) if len(want) > 1 else (c,))
+
+
+@PROPERTY
+@given(st.sampled_from((2, L - 1, L, L + 1, L + 4)).flatmap(
+    lambda n: z_pair_with_shorter_length(n, st.builds(Fraction, big, st.integers(1, 2**66)))))
+def test_q_gcd_by_either_method_matches_euclid(ab):
+    """Over Q, with huge numerators and denominators, below, at and above
+    the switch: ``gcd`` and both methods on the cleared parts give Euclid's
+    monic gcd."""
+    a, b = (_poly.trim(p) for p in ab)
+    want = euclid_gcd(QQ, a, b)
+    assert _poly.gcd(QQ, a, b) == want
+    pa, pb = _poly._cleared(a), _poly._cleared(b)
+    for g in (_poly._prs(pa, pb), _poly._heu(pa, pb)):
+        if g is not None:
+            assert (_poly.monic(QQ, as_q(g)) if len(g) > 1 else (QQ.one,)) == want
+
+
+def test_zgcd_switches_at_the_measured_length(monkeypatch):
+    """GCDHEU runs when the shorter input has at least L terms, the PRS below."""
+    ran = []
+    for name in ("_prs", "_heu"):
+        method = getattr(_poly, name)
+        monkeypatch.setattr(_poly, name, lambda a, b, m=method, n=name: ran.append(n) or m(a, b))
+    # GCDHEU finds these gcds at its first point, so the PRS runs only below L
+    x = [1, 1]
+    for n in (L - 1, L, L + 1):
+        ran.clear()
+        b = list(_poly.imul((1,) * (n - 1), x))  # n terms
+        assert signed(_poly._zgcd(list(_poly.imul(b, (2, 1))), b)) == signed(b)
+        assert ran == (["_heu"] if n >= L else ["_prs"])
+
+
+def test_gcdheu_falls_back_to_the_prs(monkeypatch):
+    """When no evaluation point gives a candidate that divides, GCDHEU gives
+    up after its tries and the PRS answers."""
+    a = list(_poly.imul((3, -1, 4, 1, -5, 9), (2, 6, -5, 3)))
+    b = list(_poly.imul((5, 8, -9, 7, 9), (2, 6, -5, 3)))
+    want = signed(_poly._prs(list(a), list(b)))
+    points = []
+    monkeypatch.setattr(_poly, "_interpolate", lambda v, xi: points.append(xi) or [1] * 99)
+    prs_calls = []
+    prs = _poly._prs
+    monkeypatch.setattr(_poly, "_prs", lambda a, b: prs_calls.append(1) or prs(a, b))
+    assert _poly._heu(a, b) is None
+    # three candidates (the gcd image and two cofactors) at every point
+    assert len(points) == 3 * _poly._HEU_TRIES and len(set(points)) == _poly._HEU_TRIES
+    assert signed(_poly._zgcd(a, b)) == want == [2, 6, -5, 3] and prs_calls
+    assert list(_poly.igcd(tuple(a), tuple(b))) == want
+
+
+def test_gcdheu_point_meets_the_bound(monkeypatch):
+    """The first evaluation point is the least power of two at or above
+    2 min(|a|, |b|) + 2; a point that is a root of one input is skipped,
+    and the next one is no power of two."""
+    seen = []
+    real = _poly._eval
+    monkeypatch.setattr(_poly, "_eval", lambda a, xi: seen.append(xi) or real(a, xi))
+    # b = X + 1 has norm 1, so xi = 4, a root of a = (X - 4)(X + 1)
+    a, b = list(_poly.imul((-4, 1), (1, 1))), [1, 1]
+    assert signed(_poly._heu(a, b)) == [1, 1]
+    assert seen[0] == 4 and len(set(seen)) == 2 and seen[-1] & (seen[-1] - 1)
