@@ -6,11 +6,11 @@ for ``field:p``, Z[t] for ``rft0:q`` and F_p[t] for ``rft0:p``.  Columns
 are ``_ratkernel`` packed vectors, numerators over one denominator per
 column in lowest terms (over F_p, residues over 1).  ``_pack`` builds them
 from elements: over ``rft0`` the denominator is the lcm of the entries'
-denominators, each cleared to Z[t] over Q.  They become elements again only
-when a column is taken out (``polyvec``): ``vxsat`` takes the generators,
-and the whole basis only when it is read.  Over ``rft0`` that costs one
-gcd of each entry's numerator against D, then a division by the leading
-coefficient of what is left of D.
+denominators, which a ``RatFuncElement`` already holds in the numerator
+ring.  They become elements again only when a column is taken out
+(``polyvec``): ``vxsat`` takes the generators, and the whole basis only
+when it is read.  Over ``rft0`` an entry num / D becomes
+``RatFuncElement(domain, num, D)``, which costs one gcd of num against D.
 ``_ratkernel.insert`` keeps the column contract of ``echelon``: it appends
 each reduction, monic at its content position, and that position to the
 engine's lists.  Results are bit-identical to the generic engine: same
@@ -51,7 +51,7 @@ def _pack(v: PolyVec, ring):
     """A packing with D the lcm of the entries' denominators, 1 mod p.
 
     Over Q and Z_(p) this is the lowest-terms packing.  A rational function
-    over Q is first cleared to a quotient of integer polynomials.
+    holds its numerator and denominator in the numerator ring already.
     """
     mod = ring.mod
     if isinstance(ring, _ratkernel.Integers):
@@ -60,59 +60,28 @@ def _pack(v: PolyVec, ring):
         D = lcm(*(c.value.denominator for comp in v.comps for c in comp))
         return [[c.value.numerator * (D // c.value.denominator) for c in comp]
                 for comp in v.comps], D
-    pairs = [[_integral(c, mod) for c in comp] for comp in v.comps]
     D = (1,)
-    for comp in pairs:
-        for num, den in comp:
-            if num and den != D and den != (1,):
-                D = imul(D, iquo(den, igcd(D, den, mod), mod), mod)
-    return [[imul(num, iquo(D, den, mod), mod) if num else () for num, den in comp]
-            for comp in pairs], D
-
-
-def _integral(c, mod):
-    """A rational function as (numerator, denominator) over Z[t] or F_p[t]."""
-    if mod:
-        return c.num, c.den
-    k = lcm(*(x.denominator for x in c.num), *(x.denominator for x in c.den))
-    return (tuple(x.numerator * (k // x.denominator) for x in c.num),
-            tuple(x.numerator * (k // x.denominator) for x in c.den))
+    for comp in v.comps:
+        for c in comp:
+            if c.num and c.den != D and c.den != (1,):
+                D = imul(D, iquo(c.den, igcd(D, c.den, mod), mod), mod)
+    return [[imul(c.num, iquo(D, c.den, mod), mod) if c.num else () for c in comp]
+            for comp in v.comps], D
 
 
 def _unpack(domain, comps, D, ring):
     """The entries num / D as canonical elements: reduced fractions, residues
-    mod p, or rational functions in lowest terms with a monic denominator."""
-    zero, mod = domain.zero, ring.mod
+    mod p, or reduced rational functions (the pivot entry, equal to D, is 1)."""
+    zero, one, mod = domain.zero, domain.one, ring.mod
     if isinstance(ring, _ratkernel.Polynomials):
-        return [[_ratfunc(domain, num, D, mod) if num else zero for num in comp]
-                for comp in comps]
+        return [[(one if num == D else RatFuncElement(domain, num, D)) if num else zero
+                 for num in comp] for comp in comps]
     if mod:
         inv = pow(D, -1, mod)
         return [[ScalarElement(domain, num * inv % mod) if num else zero
                  for num in comp] for comp in comps]
     return [[ScalarElement(domain, Fraction(num, D)) if num else zero
              for num in comp] for comp in comps]
-
-
-def _ratfunc(domain, num, den, mod):
-    """num / den for nonzero polynomials over Z or F_p, as a RatFuncElement:
-    one gcd when both are nonconstant, then a monic denominator."""
-    if num == den:  # the pivot entry of a column
-        return domain.one
-    if len(num) > 1 and len(den) > 1:
-        g = igcd(num, den, mod)
-        if len(g) > 1:
-            num, den = iquo(num, g, mod), iquo(den, g, mod)
-    lead = den[-1]
-    if mod:
-        if lead != 1:
-            inv = pow(lead, -1, mod)
-            num = tuple(x * inv % mod for x in num)
-            den = tuple(x * inv % mod for x in den)
-    else:
-        num = tuple(Fraction(x, lead) for x in num)
-        den = tuple(Fraction(x, lead) for x in den)
-    return RatFuncElement(domain, num, den, _canonical=True)
 
 
 class PackedEngine(GenericEngine):

@@ -2,19 +2,24 @@
 
 A polynomial is a tuple of coefficients indexed by exponent, trimmed so the
 last entry is nonzero; the zero polynomial is ``()``.  Every arithmetic
-function takes the coefficient field ``F`` first.  ``F`` provides ``zero``,
-``one`` and the callables ``add``, ``sub``, ``mul``, ``div`` and ``neg``:
-the base fields of ``valuation`` (``_QQ``, ``_GFp``) over plain numbers,
-and every ``Domain`` over its own elements.  Coefficients are tested for
-zero by truthiness, which holds for ``int``, ``Fraction`` and
-``DomainElement`` alike.
+function of the first section takes the coefficient field ``F`` first.
+``F`` provides ``zero``, ``one`` and the callables ``add``, ``sub``,
+``mul``, ``div`` and ``neg``: the base fields of ``valuation`` (``_QQ``,
+``_GFp``) over plain numbers, and every ``Domain`` over its own elements.
+Coefficients are tested for zero by truthiness, which holds for ``int``,
+``Fraction`` and ``DomainElement`` alike.  That section has no gcd.
 
-The gcd over Q does not run Euclid on ``Fraction`` coefficients: every
-remainder step there reduces each coefficient by an integer gcd, and the
-numerators and denominators of the remainders still grow far beyond those
-of the inputs and of the gcd (Knuth, TAOCP vol. 2, section 4.6.1).  It
-clears the denominators and takes the gcd of the primitive integer parts
-over Z (``_zgcd``), by one of two methods that return the same gcd:
+The gcds are on tuples of plain ints with no field object (``igcd``):
+polynomials over Z, and over F_p as residues.  These are the numerator
+rings Z[t] and F_p[t] of both forms of a rational function at zero, the
+``RatFuncElement`` and the packed kernel's columns (``_ratkernel``).  Over
+F_p the gcd is Euclid's, made monic.  Over Z it is the gcd of the contents
+times the gcd of the primitive parts (``_zgcd``).  No gcd runs Euclid on
+``Fraction`` coefficients: every remainder step there reduces each
+coefficient by an integer gcd, and the numerators and denominators of the
+remainders still grow far beyond those of the inputs and of the gcd
+(Knuth, TAOCP vol. 2, section 4.6.1).  ``_zgcd`` takes one of two methods
+that return the same gcd:
 
 * the primitive polynomial remainder sequence (``_prs``; Collins 1967,
   Brown & Traub 1971): pseudo-remainders of integer polynomials, stripped
@@ -42,14 +47,9 @@ interleaved runs): per gcd, 8.0 us by the PRS against 9.2 us by GCDHEU at
 14.3 at 8, with identical gcds and no fallback to the PRS.  It is a speed
 choice, not a cap: both methods give the same gcd.  On the
 ``slow:rft0:q`` case, whose gcd inputs reach t-degree 156 with 258-bit
-coefficients, the switch takes the saturation from 31 s to 0.3 s.  Over
-F_p, and over every ``Domain``, the gcd is Euclid's.
-
-The last section computes on tuples of plain ints with no field object:
-polynomials over Z, and over F_p as residues.  These are the numerator
-rings Z[t] and F_p[t] of the packed kernel (``_ratkernel``).  Their gcd
-over Z keeps the content and runs ``_zgcd`` on the primitive parts; over
-F_p it is Euclid, which ``gcd`` also uses over ``_GFp``.
+coefficients, the switch takes the saturation from 31 s to 0.3 s.  A gcd
+against a constant over Z costs only its integer content: one
+``math.gcd`` pass.
 """
 
 from __future__ import annotations
@@ -122,41 +122,13 @@ def divmod(F, a, b) -> tuple[tuple, tuple]:
     return trim(q), trim(r)
 
 
-def monic(F, a) -> tuple:
-    """a divided by its leading coefficient; the zero polynomial unchanged."""
-    if not a or a[-1] == F.one:
-        return a
-    lead = a[-1]
-    return tuple(F.div(x, lead) for x in a)
-
-
-def gcd(F, a, b) -> tuple:
-    """Monic greatest common divisor of two trimmed polynomials.
-
-    Over Q (``F.zero`` a ``Fraction``) by the gcd over Z of the cleared
-    primitive parts (``_zgcd``), over F_p (``F.zero`` an ``int``) by Euclid
-    on residues (``igcd``), over every ``Domain`` by Euclid through its
-    field operations; all return the same monic polynomial.
-    """
-    if isinstance(F.zero, Fraction):
-        return _gcd_q(F, a, b)
-    if type(F.zero) is int:
-        return igcd(a, b, F.p)
-    while b:
-        a, b = b, divmod(F, a, b)[1]
-    return monic(F, a)
-
+# ---------------------------------------------------------------------------
+# The gcd over Z of primitive integer lists: the PRS and GCDHEU.
 
 def _primitive(c) -> list:
     """c divided by the gcd of its integer entries."""
     g = math.gcd(*c)
     return [x // g for x in c] if g > 1 else c
-
-
-def _cleared(c) -> list:
-    """Primitive integer associate of a list of ``Fraction``s."""
-    den = math.lcm(*(x.denominator for x in c))
-    return _primitive([x.numerator * (den // x.denominator) for x in c])
 
 
 def _prs(a, b) -> list:
@@ -281,24 +253,10 @@ def _zgcd(a, b) -> list:
     return _prs(a, b)
 
 
-def _gcd_q(F, a, b) -> tuple:
-    """Monic gcd over Q of two trimmed polynomials, over Z (``_zgcd``)."""
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
-        return monic(F, a)
-    if len(b) == 1:
-        return (F.one,)
-    b = _zgcd(_cleared(a), _cleared(b))
-    if len(b) == 1:
-        return (F.one,)
-    lead = b[-1]
-    return tuple(Fraction(x, lead) for x in b)
-
-
 # ---------------------------------------------------------------------------
 # Polynomials over Z (p = 0) and over F_p as tuples of plain ints: the
-# numerator rings F_p[t] and Z[t] of the packed kernel.  Over F_p every
+# numerator rings Z[t] and F_p[t] of ``RatFuncElement`` and of the packed
+# kernel.  Over F_p every
 # coefficient is a residue in [0, p).  These run on ints directly, with no
 # field object in between.
 
@@ -387,7 +345,7 @@ def igcd(a, b, p=0) -> tuple:
     """gcd over F_p, monic, or over Z, content included and leading coefficient > 0.
 
     Over F_p by Euclid; over Z the gcd of the contents times the gcd of the
-    primitive parts (``_zgcd``, as in the gcd over Q).
+    primitive parts (``_zgcd``).
     """
     if p:
         if (len(a) == 1 and b) or (len(b) == 1 and a):

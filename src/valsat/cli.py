@@ -98,7 +98,7 @@ _PARSER = _build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        text = Path(args.instance).read_text(encoding="utf-8")
+        text = Path(args.instance).read_text(encoding="utf-8-sig")  # drops a byte order mark
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -42,7 +42,6 @@ from .polyvec import PolyVec
 from .valuation import (
     Domain,
     RationalFunctionsAtZero,
-    RatFuncElement,
     ScalarElement,
     parse_domain_tag,
 )
@@ -304,7 +303,7 @@ def _scan(text, F, literal, var, rft=None):
             P, Q = _scan(num, G, G.coerce, "t"), _scan(den, G, G.coerce, "t")
             if P is None or not Q:
                 return None
-            c = RatFuncElement(rft, P, Q)
+            c = rft.from_polys(P, Q)
         else:
             c = F.one
         if (sign == "-") ^ (neg is not None) ^ (psign == "-"):

@@ -10,14 +10,26 @@ Three concrete instances are shipped:
   nonzero element is a unit.
 
 Zp and the trivial-valuation fields share one element class, ``ScalarElement``
-(a reduced fraction, or a residue mod p over F_p); rational functions are
-``RatFuncElement``s with a monic denominator.  Elements are immutable and
-canonical, so structural equality is semantic equality and every operation is
-exact.  The quotient field K uses the same classes: ``Domain.element`` insists
-on nonnegative valuation, the shared ``Domain.k_element`` does not.
+(a reduced fraction, or a residue mod p over F_p).  Rational functions are
+``RatFuncElement``s: a numerator and a denominator with no common factor in
+the numerator ring, Z[t] over Q and F_p[t] over F_p, as tuples of ints.
+Elements are immutable and canonical, so structural equality is semantic
+equality and every operation is exact.  The quotient field K uses the same
+classes: ``Domain.element`` insists on nonnegative valuation, the shared
+``Domain.k_element`` does not.
 
 The residue field is never materialised; every residual question reduces to
 ``is_unit``.  The valuation of zero is the ``math.inf`` sentinel.
+
+Canonical form of ``RatFuncElement``.  Over Q, ``num`` and ``den`` are
+coprime in Z[t], their integer contents included, and ``den[-1] > 0``; over
+F_p they are residues and ``den`` is monic.  That is the form of a packed
+column's numerators too (``_ratkernel``), so packing an element converts
+nothing, and an exported entry num / D is ``RatFuncElement(domain, num,
+D)``: one gcd.  ``Fraction``s occur only at the raw and text boundary:
+``from_polys`` clears the denominators of rational coefficients, and
+``str`` divides by the leading coefficient of ``den``, giving the text
+with a monic denominator.
 
 Cost model of ``RatFuncElement``.  Polynomial gcds dominate the cost of
 rational-function arithmetic, so each operation runs only the gcds that can
@@ -25,14 +37,16 @@ find a common factor, by Henrici's rule (Knuth, TAOCP vol. 2, section
 4.5.1): the inputs are reduced, so a factor can only be shared where two of
 their parts meet.  A sum runs gcd(b, d) of the denominators and then at most
 gcd(numerator, gcd(b, d)); a product or quotient runs two cross gcds of a
-numerator against a denominator.  A constant polynomial takes part in no
-gcd.  Every gcd goes through the module global ``_pgcd`` (``_poly.gcd``).
-Over F_p it is Euclid.  Over Q it is the gcd over Z of the primitive
-integer parts: GCDHEU, one big-integer gcd at one evaluation point, when
-the shorter part has at least 4 terms, and the primitive PRS below that or
-when GCDHEU finds no gcd at any of its points.  Both give the same gcd; the
-``_poly`` docstring gives the switch, its measured crossover and the bound
-that keeps GCDHEU exact.
+numerator against a denominator.  The polynomial 1 takes part in no gcd,
+and over F_p no constant does; over Z a constant still shares its integer
+content, which costs one ``math.gcd`` pass.  Every gcd goes through the
+module global ``_pgcd`` (``_poly.igcd``).  Over F_p it is Euclid.  Over Z
+it is the gcd of the contents times the gcd of the primitive parts:
+GCDHEU, one big-integer gcd at one evaluation point, when the shorter part
+has at least 4 terms, and the primitive PRS below that or when GCDHEU finds
+no gcd at any of its points.  Both give the same gcd; the ``_poly``
+docstring gives the switch, its measured crossover and the bound that keeps
+GCDHEU exact.
 """
 
 from __future__ import annotations
@@ -43,7 +57,8 @@ import operator
 from fractions import Fraction
 
 from . import _poly
-from ._poly import gcd as _pgcd  # a module global, hooked by perfbench/tracing.py
+from ._poly import igcd as _pgcd  # a module global, hooked by perfbench/tracing.py
+from ._poly import ilin, imul, iquo
 from .errors import AllZero, NotDivisible, NotInDomain, NotPrime, ParseError
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -248,71 +263,59 @@ class ScalarElement(DomainElement):
         return f"ScalarElement({self.domain.tag}, {self.value})"
 
 
-def _quo(F, a, g):
-    """Exact quotient a / g of polynomials over F."""
-    return _poly.divmod(F, a, g)[0]
+def _may_share(a, b, p):
+    """False when the nonzero a and b are coprime without a gcd: either is
+    the polynomial 1, or, over F_p, a constant, which is a unit there."""
+    if p:
+        return len(a) > 1 and len(b) > 1
+    return a != (1,) and b != (1,)
 
 
-def _times(F, a, b):
-    """a * b, with no coefficient products when either factor is 1."""
-    one = (F.one,)
-    if b == one:
-        return a
-    if a == one:
-        return b
-    return _poly.mul(F, a, b)
-
-
-def _cancel(F, a, b):
-    """a and b divided by their monic gcd; no gcd when either is constant,
-    as a nonzero constant is coprime to every polynomial."""
-    if len(a) > 1 and len(b) > 1:
-        g = _pgcd(F, a, b)
-        if len(g) > 1:
-            return _quo(F, a, g), _quo(F, b, g)
+def _cancel(a, b, p):
+    """a and b divided by their gcd (``_pgcd``), when they may share a factor."""
+    if _may_share(a, b, p):
+        g = _pgcd(a, b, p)
+        if g != (1,):
+            return iquo(a, g, p), iquo(b, g, p)
     return a, b
 
 
-def _monic_den(F, num, den):
-    """num and den divided by the leading coefficient of den."""
-    lead = den[-1]
-    if lead == F.one:
-        return num, den
-    return tuple(F.div(x, lead) for x in num), tuple(F.div(x, lead) for x in den)
-
-
 class RatFuncElement(DomainElement):
-    """Reduced fraction a(t)/b(t) with monic denominator.
+    """Reduced fraction num(t)/den(t) over the numerator ring Z[t] or F_p[t].
 
-    Arithmetic keeps that form without reducing a full numerator against a
-    full denominator.  With reduced inputs a/b and c/d:
+    ``num`` and ``den`` are trimmed tuples of ints in the canonical form of
+    the module docstring; zero is ``()`` over ``(1,)``.  Arithmetic keeps
+    that form without reducing a full numerator against a full
+    denominator.  With reduced inputs a/b and c/d:
 
     * a/b + c/d: with g = gcd(b, d), b = g b1 and d = g d1, the sum is
       (a d1 + c b1) / (b d1).  Its numerator is prime to b1 and d1, so only
-      g can share a factor with it: one more gcd, with g, when g != 1.  A
-      denominator 1 needs no gcd at all.
+      g can share a factor with it: one more gcd, with g, when g != 1.
     * (a/b) (c/d) = (a/gcd(a, d)) (c/gcd(c, b)) / ((b/gcd(c, b)) (d/gcd(a, d))).
     * (a/b) / (c/d) = (a/gcd(a, c)) (d/gcd(d, b)) / ((b/gcd(d, b)) (c/gcd(a, c))),
-      then scaled to a monic denominator.
+      then scaled by the unit that normalises the denominator.
 
-    All gcds are monic, so quotients of monic denominators stay monic.
+    Every gcd has a positive leading coefficient over Z and is monic over
+    F_p, so quotients of normalised denominators stay normalised.
     """
 
     __slots__ = ("domain", "num", "den")
 
-    def __init__(self, domain, num, den, *, _canonical=False):
-        self.domain = domain
-        if _canonical:
-            self.num, self.den = num, den
-            return
-        F = domain.field
-        num, den = _poly.trim(num), _poly.trim(den)
-        if not den:
-            raise ZeroDivisionError("zero denominator polynomial")
-        if not num:
-            self.num, self.den = (), (F.one,)
-            return
-        self.num, self.den = _monic_den(F, *_cancel(F, num, den))
+    def __init__(self, domain, num, den, *, _coprime=False):
+        """num / den for int sequences over the numerator ring (residues
+        over F_p), reduced by one gcd; with ``_coprime`` they share no
+        factor already, and only den's leading coefficient is normalised."""
+        p = domain.field.p
+        if not _coprime:
+            num, den = _poly.trim(num), _poly.trim(den)
+            if not den:
+                raise ZeroDivisionError("zero denominator polynomial")
+            num, den = _cancel(num, den, p) if num else ((), (1,))
+        lead = den[-1]
+        if lead != 1 and (p or lead < 0):
+            u = (pow(lead, -1, p) if p else -1,)
+            num, den = imul(u, num, p), imul(u, den, p)
+        self.domain, self.num, self.den = domain, num, den
 
     def is_zero(self):
         return not self.num
@@ -332,27 +335,21 @@ class RatFuncElement(DomainElement):
             return other
         if not c:
             return self
-        F = self.domain.field
-        g = _pgcd(F, b, d) if len(b) > 1 and len(d) > 1 else (F.one,)
-        if len(g) == 1:
-            b1, d1 = b, d
-        else:
-            b1, d1 = _quo(F, b, g), _quo(F, d, g)
-        num = _poly.add(F, _times(F, a, d1), _times(F, c, b1))
-        if len(g) > 1 and len(num) > 1:
-            h = _pgcd(F, num, g)
-            if len(h) > 1:
-                return self._canon(_quo(F, num, h), _times(F, b1, _quo(F, d, h)))
-        return self._canon(num, _times(F, b, d1))
+        p = self.domain.field.p
+        g = _pgcd(b, d, p) if _may_share(b, d, p) else (1,)
+        b1, d1 = iquo(b, g, p), iquo(d, g, p)
+        num = ilin(a, d1, tuple(-x for x in c), b1, p)
+        h = _pgcd(num, g, p) if num and _may_share(num, g, p) else (1,)
+        return self._canon(iquo(num, h, p), imul(b1, iquo(d, h, p), p))
 
     def __mul__(self, other):
         a, b, c, d = self.num, self.den, other.num, other.den
         if not a or not c:
             return self.domain.zero
-        F = self.domain.field
-        a, d = _cancel(F, a, d)
-        c, b = _cancel(F, c, b)
-        return self._canon(_times(F, a, c), _times(F, b, d))
+        p = self.domain.field.p
+        a, d = _cancel(a, d, p)
+        c, b = _cancel(c, b, p)
+        return self._canon(imul(a, c, p), imul(b, d, p))
 
     def __truediv__(self, other):
         a, b, c, d = self.num, self.den, other.num, other.den
@@ -360,21 +357,20 @@ class RatFuncElement(DomainElement):
             raise ZeroDivisionError("division by zero domain element")
         if not a:
             return self
-        F = self.domain.field
-        a, c = _cancel(F, a, c)
-        d, b = _cancel(F, d, b)
-        return self._canon(*_monic_den(F, _times(F, a, d), _times(F, c, b)))
+        p = self.domain.field.p
+        a, c = _cancel(a, c, p)
+        d, b = _cancel(d, b, p)
+        return self._canon(imul(a, d, p), imul(b, c, p))
 
     def _canon(self, num, den):
-        """The element num/den of this domain, already in canonical form."""
+        """The element num/den of this domain, for coprime num and den."""
         if not num:
             return self.domain.zero
-        return RatFuncElement(self.domain, num, den, _canonical=True)
+        return RatFuncElement(self.domain, num, den, _coprime=True)
 
     def __neg__(self):
-        F = self.domain.field
         return RatFuncElement(
-            self.domain, tuple(F.neg(x) for x in self.num), self.den, _canonical=True
+            self.domain, imul((-1,), self.num, self.domain.field.p), self.den, _coprime=True
         )
 
     def __eq__(self, other):
@@ -389,11 +385,14 @@ class RatFuncElement(DomainElement):
         return hash((self.domain, self.num, self.den))
 
     def __str__(self):
-        F = self.domain.field
-        num = _poly.format_poly(self.num, "t")
-        if self.den == (F.one,):
-            return num
-        return f"({num})/({_poly.format_poly(self.den, 't')})"
+        """num/den as text over a monic denominator: over Q both sides are
+        divided by den's leading coefficient first."""
+        num, den, lead = self.num, self.den, self.den[-1]
+        if lead != 1:  # over Q only: a denominator over F_p is monic
+            num = [Fraction(x, lead) for x in num]
+            den = [Fraction(x, lead) for x in den]
+        text = _poly.format_poly(num, "t")
+        return text if len(den) == 1 else f"({text})/({_poly.format_poly(den, 't')})"
 
     def __repr__(self):
         return f"RatFuncElement({self})"
@@ -506,22 +505,26 @@ class RationalFunctionsAtZero(Domain):
 
     def _from_raw(self, raw):
         if isinstance(raw, tuple) and len(raw) == 2:
-            num, den = raw
-            return self.from_polys(num, den)
-        F = self.field
-        x = F.coerce(Fraction(raw))
-        return RatFuncElement(self, (x,) if x else (), (F.one,), _canonical=True)
+            return self.from_polys(*raw)
+        return self.from_polys((Fraction(raw),))
 
     def from_polys(self, num, den=(1,)) -> RatFuncElement:
-        """Build a(t)/b(t) from coefficient sequences (ascending exponent)."""
+        """Build a(t)/b(t) from coefficient sequences (ascending exponent).
+
+        The coefficients are anything the base field takes (ints,
+        ``Fraction``s, residues); over Q both sides are multiplied by the lcm
+        of their denominators, into Z[t].
+        """
         F = self.field
-        return RatFuncElement(
-            self, tuple(F.coerce(x) for x in num), tuple(F.coerce(x) for x in den)
-        )
+        num, den = [F.coerce(x) for x in num], [F.coerce(x) for x in den]
+        if not F.p:
+            k = math.lcm(*(x.denominator for x in num), *(x.denominator for x in den))
+            num = [x.numerator * (k // x.denominator) for x in num]
+            den = [x.numerator * (k // x.denominator) for x in den]
+        return RatFuncElement(self, num, den)
 
     def uniformizer(self):
-        F = self.field
-        return RatFuncElement(self, (F.zero, F.one), (F.one,))
+        return RatFuncElement(self, (0, 1), (1,), _coprime=True)
 
 
 class TrivialField(Domain):

@@ -275,6 +275,17 @@ def test_non_utf8_file_is_input_error(tmp_path, capsys):
     assert err.startswith(f"error: {path} is not UTF-8 text: ")
 
 
+@pytest.mark.parametrize("flags", [[], ["--domain", "zp:3"]], ids=["header", "--domain"])
+def test_utf8_bom_is_not_part_of_the_text(tmp_path, capsys, flags):
+    """A file saved with a UTF-8 byte order mark reads as the same instance,
+    whether its first header or the override's replacement comes first."""
+    path = tmp_path / "bom.vsat"
+    path.write_bytes("domain: zp:3\ntask: saturate-vx\n\n3, X\n".encode("utf-8-sig"))
+    assert main([str(path), *flags]) == 0
+    out = capsys.readouterr().out
+    assert "# domain: zp:3" in out and "# task: saturate-vx" in out
+
+
 LONG = "1" * 5000  # more digits than CPython converts between int and str at once
 
 

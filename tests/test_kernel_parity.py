@@ -416,8 +416,7 @@ def test_packed_kernel_kx_matches_generic(inst):
                 assert type(c) is RatFuncElement
                 r = RatFuncElement(dom, c.num, c.den)
                 assert (c.num, c.den) == (r.num, r.den)
-                kind = int if char else Fraction
-                assert all(type(x) is kind for x in c.num + c.den)
+                assert all(type(x) is int for x in c.num + c.den)
             elif char:
                 assert type(c.value) is int and 0 <= c.value < char
             else:

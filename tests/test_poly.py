@@ -93,31 +93,33 @@ def test_divmod_is_euclidean_division(fp):
     assert _poly.add(F, _poly.mul(F, q, b), r) == a
 
 
-@PROPERTY
-@given(field_and_polys(3))
-def test_gcd_is_monic_common_divisor(fp):
-    F, (a, b, c) = fp
-    assume(c)
-    a, b = _poly.mul(F, a, c), _poly.mul(F, b, c)
-    g = _poly.gcd(F, a, b)
-    if not a and not b:
-        assert g == ()
-        return
-    assert g[-1] == F.one
-    assert _poly.divmod(F, a, g)[1] == ()
-    assert _poly.divmod(F, b, g)[1] == ()
-    # greatest: every common divisor, c among them, divides g
-    assert _poly.divmod(F, g, c)[1] == ()
-
-
 QQ = _QQ()
+
+
+def monic(F, a):
+    """a divided by its leading coefficient; the zero polynomial unchanged."""
+    return tuple(F.div(x, a[-1]) for x in a) if a else a
 
 
 def euclid_gcd(F, a, b):
     """Monic gcd by Euclid's algorithm over the coefficient field F."""
     while b:
         a, b = b, _poly.divmod(F, a, b)[1]
-    return _poly.monic(F, a)
+    return monic(F, a)
+
+
+def cleared(a):
+    """The primitive integer associate of a polynomial over Q (a tuple of
+    ``Fraction``s): the polynomial ring's own form of a over Z."""
+    k = math.lcm(*(x.denominator for x in a))
+    return tuple(_poly._primitive([x.numerator * (k // x.denominator) for x in a]))
+
+
+def q_gcd(a, b):
+    """The monic gcd over Q by ``igcd`` of the inputs cleared to Z."""
+    g = _poly.igcd(cleared(a), cleared(b))
+    assert all(type(x) is int for x in g)
+    return monic(QQ, as_q(g))
 
 
 def qpoly(*coeffs):
@@ -145,9 +147,7 @@ Q_GCD_CASES = {
 
 @pytest.mark.parametrize("a, b", Q_GCD_CASES.values(), ids=Q_GCD_CASES.keys())
 def test_q_gcd_examples_match_euclid(a, b):
-    g = _poly.gcd(QQ, a, b)
-    assert g == euclid_gcd(QQ, a, b) == _poly.gcd(QQ, b, a)
-    assert all(type(x) is Fraction for x in g)
+    assert q_gcd(a, b) == euclid_gcd(QQ, a, b) == q_gcd(b, a)
 
 
 big = st.integers(-(2**70), 2**70)
@@ -160,11 +160,12 @@ q_coeff = st.one_of(
 @PROPERTY
 @given(*(st.lists(q_coeff, max_size=4) for _ in range(3)))
 def test_q_gcd_matches_euclid(a, b, c):
-    """The primitive PRS over Z agrees with Euclid over Fractions, common
-    factors, negative leading coefficients and huge coefficients included."""
+    """The gcd over Z of the cleared inputs agrees with Euclid over
+    Fractions, common factors, negative leading coefficients and huge
+    coefficients included."""
     a, b, c = (_poly.trim(p) for p in (a, b, c))
     a, b = _poly.mul(QQ, a, c), _poly.mul(QQ, b, c)
-    assert _poly.gcd(QQ, a, b) == euclid_gcd(QQ, a, b)
+    assert q_gcd(a, b) == euclid_gcd(QQ, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +208,7 @@ def test_z_gcd_examples(a, b):
         assert g == ()
         return
     assert g[-1] > 0 and zcontent(g) == math.gcd(zcontent(a or b), zcontent(b or a))
-    assert _poly.monic(QQ, as_q(g)) == _poly.gcd(QQ, as_q(a), as_q(b))
+    assert monic(QQ, as_q(g)) == euclid_gcd(QQ, as_q(a), as_q(b))
     for x in (a, b):
         assert _poly.imul(_poly.iquo(x, g), g) == x
 
@@ -215,11 +216,11 @@ def test_z_gcd_examples(a, b):
 @pytest.mark.parametrize("p", (5, P64))
 @pytest.mark.parametrize("a, b", INT_GCD_CASES.values(), ids=INT_GCD_CASES.keys())
 def test_fp_gcd_examples(a, b, p):
-    """Over F_p[t]: Euclid's monic gcd, through the field object or not."""
+    """Over F_p[t]: Euclid's monic gcd through the field object."""
     a, b = (_poly.trim(x % p for x in c) for c in (a, b))
     g = _poly.igcd(a, b, p)
     F = _GFp(p)
-    assert g == euclid_gcd(F, a, b) == _poly.gcd(F, a, b) == _poly.igcd(b, a, p)
+    assert g == euclid_gcd(F, a, b) == _poly.igcd(b, a, p)
     for x in (a, b):
         assert _poly.imul(_poly.iquo(x, g, p), g, p) == x if g else not x
 
@@ -232,7 +233,7 @@ zpoly = st.lists(zint, max_size=4).map(_poly.trim)
 @given(zpoly, zpoly, zpoly, st.sampled_from((0, 3, 5, P64)))
 def test_int_ring_arithmetic(a, b, c, p):
     """imul, ilin, iquo and igcd over Z (p = 0) and F_p against ``_poly``
-    over Q and through ``_GFp``."""
+    and Euclid over Q and through ``_GFp``."""
     if p:
         a, b, c = (_poly.trim(x % p for x in y) for y in (a, b, c))
         F, lift = _GFp(p), tuple
@@ -245,7 +246,7 @@ def test_int_ring_arithmetic(a, b, c, p):
         assert _poly.iquo(_poly.imul(a, c, p), c, p) == a
         ac, bc = _poly.imul(a, c, p), _poly.imul(b, c, p)
         g = _poly.igcd(ac, bc, p)
-        assert _poly.monic(F, lift(g)) == _poly.gcd(F, lift(ac), lift(bc))
+        assert monic(F, lift(g)) == euclid_gcd(F, lift(ac), lift(bc))
         # greatest: c divides it
         assert _poly.imul(_poly.iquo(g, c, p), c, p) == g
 
@@ -313,7 +314,7 @@ def test_z_gcd_methods_agree_around_the_switch(ab):
     heu = _poly._heu(pa, pb)  # None would leave the answer to the PRS
     assert heu is None or signed(heu) == want
     assert signed(_poly._zgcd(pa, pb)) == want
-    assert _poly.monic(QQ, as_q(want)) == euclid_gcd(QQ, as_q(a), as_q(b))
+    assert monic(QQ, as_q(want)) == euclid_gcd(QQ, as_q(a), as_q(b))
     c = math.gcd(zcontent(a), zcontent(b))
     g = _poly.igcd(a, b)
     assert g == _poly.igcd(b, a) == (tuple(c * x for x in want) if len(want) > 1 else (c,))
@@ -324,15 +325,15 @@ def test_z_gcd_methods_agree_around_the_switch(ab):
     lambda n: z_pair_with_shorter_length(n, st.builds(Fraction, big, st.integers(1, 2**66)))))
 def test_q_gcd_by_either_method_matches_euclid(ab):
     """Over Q, with huge numerators and denominators, below, at and above
-    the switch: ``gcd`` and both methods on the cleared parts give Euclid's
-    monic gcd."""
+    the switch: ``igcd`` and both methods on the parts cleared to Z give
+    Euclid's monic gcd."""
     a, b = (_poly.trim(p) for p in ab)
     want = euclid_gcd(QQ, a, b)
-    assert _poly.gcd(QQ, a, b) == want
-    pa, pb = _poly._cleared(a), _poly._cleared(b)
+    assert q_gcd(a, b) == want
+    pa, pb = list(cleared(a)), list(cleared(b))
     for g in (_poly._prs(pa, pb), _poly._heu(pa, pb)):
         if g is not None:
-            assert (_poly.monic(QQ, as_q(g)) if len(g) > 1 else (QQ.one,)) == want
+            assert (monic(QQ, as_q(g)) if len(g) > 1 else (QQ.one,)) == want
 
 
 def test_zgcd_switches_at_the_measured_length(monkeypatch):

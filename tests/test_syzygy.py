@@ -197,8 +197,15 @@ def test_kernel_rank_and_exactness_random():
             # primitive over K[X]: the kernel basis needs no gcd strip
             g: tuple = ()
             for e in s:
-                g = _poly.gcd(dom, g, e)
+                g = euclid_gcd(dom, g, e)
             assert g == (dom.one,)
+
+
+def euclid_gcd(F, a, b):
+    """Monic gcd by Euclid's algorithm over the coefficient field F."""
+    while b:
+        a, b = b, _poly.divmod(F, a, b)[1]
+    return tuple(F.div(x, a[-1]) for x in a)
 
 
 def _poly_rank(rows, char=0):

@@ -10,7 +10,6 @@ from valsat import _poly
 from valsat.errors import AllZero, NotDivisible, NotInDomain, NotPrime, ParseError
 from valsat.textio import parse_element
 from valsat.valuation import (
-    RatFuncElement,
     RationalFunctionsAtZero,
     ScalarElement,
     TrivialField,
@@ -215,7 +214,7 @@ def test_rational_functions_at_zero():
         R.element(((1,), (0, 1)))  # 1/t
     q = R.k_element(((1,), (0, 1)))
     assert q.valuation() == -1
-    # canonical form: monic denominator, reduced
+    # canonical form: reduced, integer contents included
     f = R.from_polys((0, 2), (2,))  # 2t/2 -> t
     assert f == t
 
@@ -253,6 +252,22 @@ def test_render_parse_round_trip():
     Rp = RationalFunctionsAtZero("fp", 3)
     e = Rp.from_polys((1, 2), (1, 0, 1))
     assert parse_element(Rp, str(e)) == e
+    # Random fractions of polynomials with rational coefficients: scaling
+    # both sides by a unit of the base field gives the same element, and
+    # the text parses back to it.
+    for R in (R, Rp, RationalFunctionsAtZero("fp", 5)):
+        for _ in range(60):
+            def poly(n):
+                return [Fraction(rng.randrange(-9, 10), rng.choice((1, 2, 7)))
+                        for _ in range(n)]
+            num = poly(rng.randrange(0, 4))
+            den = [Fraction(rng.choice((1, 2, -1, 4, 7, -8)))] + poly(rng.randrange(0, 3))
+            e = R.from_polys(num, den)
+            assert all(type(x) is int for x in e.num + e.den)
+            assert parse_element(R, str(e)) == e
+            k = _scale_factor(R.field, rng.choice(SCALES))
+            if k is not None:
+                assert R.from_polys([k * x for x in num], [k * x for x in den]) == e
 
 
 def test_elements_are_hashable_and_immutable():
@@ -335,11 +350,16 @@ def test_equal_values_in_different_domains_are_distinct(c):
 RFT0 = [RationalFunctionsAtZero("q"), RationalFunctionsAtZero("fp", 3)]
 
 
+def _monic(F, a):
+    """a divided by its leading coefficient over F; the zero polynomial unchanged."""
+    return tuple(F.div(x, a[-1]) for x in a) if a else a
+
+
 def _euclid_gcd(F, a, b):
-    """Monic gcd by Euclid over F, the reference for ``_poly.gcd``."""
+    """Monic gcd by Euclid over F, the reference for ``_poly.igcd``."""
     while b:
         a, b = b, _poly.divmod(F, a, b)[1]
-    return _poly.monic(F, a)
+    return _monic(F, a)
 
 
 def _reference_canonical(F, num, den):
@@ -350,16 +370,42 @@ def _reference_canonical(F, num, den):
     return tuple(F.div(x, lead) for x in num), tuple(F.div(x, lead) for x in den)
 
 
+def _lift(e):
+    """e's numerator and denominator with coefficients in its base field."""
+    F = e.domain.field
+    return tuple(map(F.coerce, e.num)), tuple(map(F.coerce, e.den))
+
+
+def _monic_view(e):
+    """e as a numerator over a monic denominator, over its base field."""
+    F, (num, den) = e.domain.field, _lift(e)
+    return tuple(F.div(x, den[-1]) for x in num), _monic(F, den)
+
+
+# Nonzero scale factors, negative ones and ones above 2^64 among them;
+# ``_scale_factor`` keeps those that are units over the base field.
+SCALES = (1, -1, 2, -6, Fraction(-4, 9), Fraction(35, 2), 2**64 + 13, -(2**70) * 3,
+          Fraction(2**65, -(3**41)))
+
+
+def _scale_factor(F, k):
+    k = Fraction(k)
+    return k if not F.p or (k.numerator % F.p and k.denominator % F.p) else None
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    st.sampled_from(RFT0),
+    st.sampled_from(RFT0 + [RationalFunctionsAtZero("fp", 5)]),
     st.integers(-6, 6),
-    st.sampled_from((1, 2, -1, 4, -5)),  # nonzero, also mod 3
+    st.sampled_from((1, 2, -1, 4, -5, Fraction(-3, 2), 6)),
     st.lists(st.integers(-6, 6), min_size=1, max_size=4),
     st.booleans(),
+    st.sampled_from(SCALES),
 )
-def test_constant_side_canonicalisation(R, c, unit, poly, const_num):
-    """Without the gcd, a constant side still gives the reduced, monic-denominator form."""
+def test_constant_side_canonicalisation(R, c, unit, poly, const_num, k):
+    """Without the gcd, a constant side still gives the reduced form: coprime
+    integer contents over Q, the monic-denominator view of the reference,
+    the same element for k num / k den, and its text parses back to it."""
     F = R.field
     poly = _poly.trim(tuple(F.coerce(x) for x in poly))
     if const_num:  # c / poly
@@ -367,9 +413,16 @@ def test_constant_side_canonicalisation(R, c, unit, poly, const_num):
             return
         num, den = _poly.trim((F.coerce(c),)), poly
     else:  # poly / unit
+        assume(F.coerce(unit))
         num, den = poly, (F.coerce(unit),)
-    e = RatFuncElement(R, num, den)
-    assert (e.num, e.den) == _reference_canonical(F, num, den)
+    e = R.from_polys(num, den)
+    _assert_canonical(e)
+    assert _monic_view(e) == _reference_canonical(F, num, den)
+    k = _scale_factor(F, k)
+    if k is not None:
+        assert R.from_polys([k * x for x in num], [k * x for x in den]) == e
+    if e.in_domain:
+        assert parse_element(R, str(e)) == e
 
 
 @pytest.mark.parametrize(
@@ -423,7 +476,7 @@ def rational_function_pairs(draw):
         return out
 
     def element(num, den):
-        return RatFuncElement(R, *_reference_canonical(F, num, den), _canonical=True)
+        return R.from_polys(*_reference_canonical(F, num, den))
 
     xn, xd = product(draw(factors), draw(const)), product(draw(factors), 1)
     assume(xd)
@@ -432,24 +485,31 @@ def rational_function_pairs(draw):
     yd = product(draw(factors), 1)
     if kind == "const - x":
         k = product((), draw(const))
-        y = element(_poly.sub(F, _poly.mul(F, k, x.den), x.num), x.den)
+        xn, xd = _lift(x)
+        y = element(_poly.sub(F, _poly.mul(F, k, xd), xn), xd)
     else:
         yn = product(draw(factors), draw(const))
         if kind == "shared den":
-            yd = _poly.mul(F, yd, x.den)
+            yd = _poly.mul(F, yd, _lift(x)[1])
         elif kind == "num over den":
-            yn = _poly.mul(F, yn, x.den)
+            yn = _poly.mul(F, yn, _lift(x)[1])
         y = element(yn, yd)
     return R, x, y
 
 
 def _assert_canonical(e):
+    """Int tuples, coprime over the base field, and over Q in their integer
+    contents too, with den[-1] > 0 over Q and den monic over F_p."""
     F = e.domain.field
+    assert all(type(x) is int for x in e.num + e.den)
     if not e.num:
-        assert (e.num, e.den) == ((), (F.one,))
+        assert (e.num, e.den) == ((), (1,))
         return
-    assert e.den[-1] == F.one
-    assert _euclid_gcd(F, e.num, e.den) == (F.one,)
+    if F.p:
+        assert e.den[-1] == 1 and all(0 <= x < F.p for x in e.num + e.den)
+    else:
+        assert e.den[-1] > 0 and math.gcd(*e.num, *e.den) == 1
+    assert _euclid_gcd(F, *_lift(e)) == (F.one,)
 
 
 @settings(max_examples=400, deadline=None)
@@ -459,7 +519,7 @@ def test_rational_function_arithmetic_matches_product_then_reduce(pair):
     R, x, y = pair
     F = R.field
     mul = functools.partial(_poly.mul, F)
-    (a, b), (c, d) = (x.num, x.den), (y.num, y.den)
+    (a, b), (c, d) = _lift(x), _lift(y)
     expected = {
         "+": (_poly.add(F, mul(a, d), mul(c, b)), mul(b, d)),
         "-": (_poly.sub(F, mul(a, d), mul(c, b)), mul(b, d)),
@@ -475,5 +535,5 @@ def test_rational_function_arithmetic_matches_product_then_reduce(pair):
     for op, (num, den) in expected.items():
         e = got[op]
         _assert_canonical(e)
-        assert (e.num, e.den) == _reference_canonical(F, num, den), op
+        assert _monic_view(e) == _reference_canonical(F, num, den), op
         assert e == R.k_element((num, den)), op
