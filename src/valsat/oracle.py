@@ -1,45 +1,85 @@
-"""Brute-force verifiers grounded directly in the definition of saturation.
+"""An independent verifier of saturations and syzygies, and its references.
 
-Everything here works on finite degree slices of V[X]^n, viewed as plain
-free V-modules.  Saturation of a column span is computed by a Smith-style
-reduction over V with minimal-valuation pivoting: if A = U * diag * Q with
-U, Q invertible over V, the saturation of the column span of A is spanned
-by the first rank-many columns of U.  That route shares no code with the
-echelon machinery it is used to check; its whole value is independence.
-The same reduction, with the tested vectors carried along as extra
-columns, yields an exact membership test for arbitrary V-spans.
+``verify_saturation``, ``verify_syzygies`` and ``verify_free`` decide the
+CLI's ``--verify`` verdict.  Each checks a claimed V-generating set G
+against a module N on a degree slice W of V[X]^n with no canonical basis
+and no Smith reduction over K: one division over K[X], one column
+elimination over V on the few positions above W, and one rank over the
+residue field k.
 
-One K[X] layer sits in front of it, the shifted weak Popov reduction
-``_weak_popov`` (Mulders & Storjohann, "On lattice reduction for polynomial
-matrices", 2003).  With the identity carried behind U, it yields a
-K[X]-basis of the kernel (``kx_kernel``).  Under a per-component degree
-shift, the X-shifts of its basis that fit a slice are a K-basis of the
-slice of the K[X]-span (``_kx_slice``), although a slice element may need
-witnesses of higher degree.  So the slices of ``saturation_slice`` and
-``brute_syzygies`` are exact, with no search over ever larger shift
-families and no stopping rule.
+The criterion.  N = V[X]·M for ``saturate-vx`` and the K[X]-kernel of U
+(``kx_kernel``) for ``syzygy``.  W is deg f_j <= bound on every component
+for ``saturate-vx``, deg f_j <= B_j = bound + d_U - deg u_j for ``syzygy``.
+Let S = Sat(N) ∩ W, where Sat(N) = K[X]N ∩ V[X]^n, and r = dim_K(K[X]N ∩ W).
+Under the shift -W, a weak Popov basis b_1..b_k of N (``_weak_popov``) has
+the shifted predictable-degree property, so the X^s b_i with
+s <= -sdeg b_i are a K-basis of K[X]N ∩ W and r is read off the degrees.
+The verdict is ok iff
 
-Cost model: a Smith reduction of an N-row matrix with s columns makes at
-most min(N, s) pivot steps, each clearing one column below the pivot; a
-row update visits only the nonzero entries of the pivot row, and U is
-built only when a saturation reads it.  The basis clean-up skips zeros the
-same way, so no arithmetic is spent on a zero entry; sparse slices cost
-far below the dense O(N^2 s) bound.  In the K[X] layer, each simple
-transformation costs one K multiply-add per nonzero coefficient of the
-basis row it subtracts, tails included.
+(i) every generator has its entries in V and lies in K[X]N: it divides
+    out by the same weak Popov basis, with the basis held fixed
+    (``_divides_out``);
+(ii) for ``syzygy``, every generator lies in W;
+(iii) for some e in 0..``_MAX_EXTRA``: let F_e be the X-shifts of G that fit
+    W + e, and C_e the V-generators of span_V(F_e) ∩ W that a column
+    elimination over the positions of W + e outside W leaves, pivoting on
+    a minimal valuation (``_cut``; its steps are unimodular over V, so C_e
+    is exact).  The residue matrix of C_e has rank r over k.
 
-Returned bases are put into a canonical fully-reduced strict form
-(ascending pivots, pivot coefficient 1, zero at every other basis pivot),
-which is unique for a saturated module, so equal modules produce equal
-output lists.
+Proof sketch.  By (i), C_e ⊂ S, so rank_K C_e <= r, and a residue rank of
+r forces r unit invariants: span_V(C_e) is saturated of K-rank r inside
+the saturated S of K-rank r, so it is S, and S ⊂ V[X]·G ∩ W ⊂ S.
+Conversely, for a correct G, S ⊂ span_V(F_e) at some e iff span_V(C_e) = S,
+which is the check the canonical slice bases made; the cut matters, since
+an element of top degree in W may need a witness one degree above it.  The
+check is never more lenient than the slice-basis one, and it also checks
+the generators of degree above the bound.  ``_MAX_EXTRA`` still bounds the
+witness degree: a correct G whose witnesses need more than 10 degrees
+above W is reported as a MISMATCH.
+
+``verify_free`` has no X-shifts: the basis must lie in W, in V and in the
+K-span of the input vectors, and have residue rank rank_K(input); input
+above the bound raises DegreeExceeded.
+
+Residue fields.  k is F_p for ``zp:p``, ``field:p`` and ``rft0:p`` (the
+value at t = 0), and Q for ``field:q`` and ``rft0:q``.  Over F_p the rank
+is exact.  Over Q a rank of r modulo the 61-bit prime 2^61 - 1 proves a
+rank of at least r, hence exactly r; the next prime is taken when it
+divides a denominator, and a rank short of r mod l is recomputed over Q.
+The residues are read off the element fields (``_residue_map``).
+
+Cost model: the weak Popov reduction and the divisions make one K
+multiply-add per nonzero coefficient of the basis row they subtract; the
+cut makes at most n·e pivot steps over V on at most |F_e| sparse rows; the
+rank is one sparse elimination mod p or mod l on at most |F_e| rows of
+width |W|.  Only a rank short of r over Q, or a G that needs e > 0, pays
+more than once.
+
+The references.  The slice functions (``saturation_slice``,
+``brute_syzygies``, ``brute_saturation``, ``in_v_span``, ``in_vx_span``,
+``spans_equal``) compute what the criterion avoids, and the tests compare
+the verifier with them.  They treat slices as free V-modules: saturation
+of a column span by a Smith-style reduction over V with minimal-valuation
+pivoting (if A = U * diag * Q with U, Q invertible over V, the first
+rank-many columns of U span it), membership by the same reduction with
+the tested vectors carried along, and the slices of a K[X]-span read off
+the X-shifts of its shifted weak Popov basis (``_kx_slice``).  A Smith
+reduction of an N-row matrix with s columns makes at most min(N, s) pivot
+steps and skips zero entries.  Returned bases are canonical (ascending
+pivots, pivot coefficient 1, zero at every other pivot), so equal modules
+give equal lists.  ``kx_kernel`` reduces (U | I) to weak Popov form on U,
+the identity riding along as a tail (Mulders & Storjohann, "On lattice
+reduction for polynomial matrices", 2003).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from . import _poly
 from .errors import DegreeExceeded
 from .polyvec import PivotIndex, PolyVec, uniform_family
-from .valuation import content
+from .valuation import content, is_prime
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +182,8 @@ def _reduce(work, s, domain, u_cols=None) -> list:
 def _min_valuation_entry(work, t, s):
     """First (row-major) nonzero entry of minimal valuation in work[t:, t:s].
 
-    The entries lie in V, so the first unit ends the search.
+    The entries may lie in K (``in_v_span`` takes such vectors), so a unit
+    need not be minimal and the whole block is scanned.
     """
     best = None
     pos = None
@@ -153,8 +194,6 @@ def _min_valuation_entry(work, t, s):
             if e:
                 v = e.valuation()
                 if best is None or v < best:
-                    if v == 0:
-                        return i, j
                     best, pos = v, (i, j)
     return pos
 
@@ -323,7 +362,7 @@ def _slice_basis(F, bound) -> list[PolyVec]:
 # Public oracles.  Each passes its vectors, taken together, through
 # ``uniform_family``, so a mixed family raises MixedFamily.
 
-# How far ``in_vx_span`` raises its shift bound before reporting a miss.
+# How far ``in_vx_span`` and the verifier's cut reach above the slice bound.
 _MAX_EXTRA = 10
 
 
@@ -465,3 +504,227 @@ def _scale_into_v(coords, domain):
     for _ in range(abs(m)):
         alpha = alpha * step
     return [c * alpha if c else c for c in coords]
+
+
+# ---------------------------------------------------------------------------
+# Verification by residue rank.  Coordinates of a vector on a slice are a
+# sparse dict {r * n + (j - 1): entry}, the entry at X^r f_j.
+
+# A 61-bit prime (the Mersenne prime 2^61 - 1), the first modulus tried for
+# ranks over Q.
+_ELL = (1 << 61) - 1
+
+
+def verify_saturation(M, generators, bound: int) -> bool:
+    """Whether V[X]-span(generators) is Sat(V[X]-span(M)) on the slice deg <= bound.
+
+    N = K[X]-span(M), W is the slice with ``bound`` on every component and
+    the criterion is the module docstring's.
+    """
+    M, generators = list(M), list(generators)
+    vectors = uniform_family(M + generators)
+    if not vectors:
+        return True
+    rows = [v.comps for v in M if not v.is_zero()]
+    return _saturation_on_slice(vectors[0].domain, rows, generators,
+                                [bound] * vectors[0].n)
+
+
+def verify_syzygies(U, generators, bound: int) -> bool:
+    """Whether V[X]-span(generators) is the syzygy module of U on its slice.
+
+    The syzygy module is the saturation of N = ``kx_kernel(U)``, and the
+    slice is that of ``brute_syzygies``: deg f_j <= bound + d_U - deg u_j.
+    Every generator must lie in the slice.  With no generators the verdict
+    is exact and ignores ``bound``: the K[X]-kernel must be zero.
+    """
+    U = uniform_family(U)
+    generators = uniform_family(generators)
+    kernel = kx_kernel(U)
+    if not generators:
+        return not kernel
+    d_u = max(max(u.degree(), 0) for u in U)
+    bounds = [bound + d_u - max(u.degree(), 0) for u in U]
+    if generators[0].n != len(U) or any(
+            len(c) > b + 1 for g in generators for c, b in zip(g.comps, bounds)):
+        return False
+    return _saturation_on_slice(U[0].domain, [f.comps for f in kernel], generators, bounds)
+
+
+def verify_free(vectors, basis, bound: int) -> bool:
+    """Whether the V-span of ``basis`` is the saturation of the V-span of
+    ``vectors`` on the slice deg <= bound, with no X-shifts.
+
+    DegreeExceeded when an input vector does not fit the slice.  The basis
+    must lie in the slice, in V and in the K-span of the vectors, and its
+    residue rank must be the K-rank of the vectors.
+    """
+    family = uniform_family(list(vectors) + list(basis))
+    for v in vectors:
+        if v.degree() > bound:
+            raise DegreeExceeded(f"degree {v.degree()} exceeds slice bound {bound}")
+    if not family:
+        return True
+    domain, n = family[0].domain, family[0].n
+    if any(b.degree() > bound or not _in_v(b) for b in basis):
+        return False
+    pivots = _echelon((_coords(v, n) for v in vectors), 0)
+    rows = [_coords(b, n) for b in basis]
+    return (not any(_eliminate(row, pivots, 0) for row in rows)
+            and _residue_rank_reaches(domain, rows, len(pivots)))
+
+
+def _saturation_on_slice(domain, rows, generators, bounds) -> bool:
+    """The criterion of the module docstring for N = K[X]-span(rows) on W = bounds."""
+    shift = [-b for b in bounds]
+    basis, _ = _weak_popov(domain, rows, shift)
+    leads = {j: (d, b) for b in basis for d, j in [_lead(b, shift)]}
+    r = sum(1 - d for d, _ in leads.values() if d <= 0)
+    gens = [g for g in generators if not g.is_zero()]
+    if not all(_in_v(g) and _divides_out(domain, leads, shift, g.comps) for g in gens):
+        return False
+    n = len(bounds)
+    for e in range(_MAX_EXTRA + 1):
+        outer = [k * n + j for j, b in enumerate(bounds) for k in range(b + 1, b + e + 1)]
+        cut = _cut([row for g in gens for row in _shift_coords(g, bounds, e)], outer)
+        if len(cut) >= r and _residue_rank_reaches(domain, cut, r):
+            return True
+    return False
+
+
+def _in_v(v: PolyVec) -> bool:
+    return all(x.in_domain for c in v.comps for x in c if x)
+
+
+def _divides_out(domain, leads, shift, a) -> bool:
+    """Whether the row a lies in the K[X]-span of a shifted weak Popov basis.
+
+    ``leads`` maps each leading position of the basis to its row and shifted
+    degree.  A nonzero element of the span has the leading position of a
+    basis row b_i of shifted degree at most its own (predictable degree),
+    so the division below cancels a's leading term with that row, which
+    lowers (shifted degree, leading position), until a is zero (a member) or
+    no row fits (not a member).  The basis stays fixed: no row is swapped in.
+    """
+    a = list(a)
+    while lead := _lead(a, shift):
+        d, j = lead
+        if j not in leads or leads[j][0] > d:
+            return False
+        e, b = leads[j]
+        c = a[j][-1] / b[j][-1]
+        a = [_sub_shifted(domain, x, c, d - e, y) for x, y in zip(a, b)]
+    return True
+
+
+def _coords(v: PolyVec, n: int, s: int = 0) -> dict:
+    """The nonzero coordinates of X^s v."""
+    return {(r + s) * n + j: x for j, c in enumerate(v.comps) for r, x in enumerate(c) if x}
+
+
+def _shift_coords(v: PolyVec, bounds, e: int) -> list[dict]:
+    """Coordinates of the X-shifts X^s v with deg (X^s v)_j <= bounds[j] + e."""
+    top = min((b + e - len(c) + 1 for b, c in zip(bounds, v.comps) if c), default=-1)
+    return [_coords(v, len(bounds), s) for s in range(top + 1)]
+
+
+def _cut(rows, outer) -> list[dict]:
+    """V-generators of the part of the V-span of rows that vanishes on ``outer``.
+
+    Each position in turn takes the row of minimal valuation there as its
+    pivot, clears the position from every other row and leaves the family.
+    The steps are unimodular over V, and the pivots form a triangle on the
+    positions, so a V-combination that vanishes on them uses no pivot.
+    """
+    for at in outer:
+        live = [row for row in rows if at in row]
+        if not live:
+            continue
+        pivot = min(live, key=lambda row: row[at].valuation())
+        lead = pivot[at]
+        rows = [_sub_row(dict(row), row[at] / lead, pivot) if at in row else row
+                for row in rows if row is not pivot]
+    return rows
+
+
+def _sub_row(row, c, other, p: int = 0) -> dict:
+    """row -= c * other in place (mod p when p), dropping the entries that cancel."""
+    for k, x in other.items():
+        y = row[k] - c * x if k in row else -(c * x)
+        if p:
+            y %= p
+        if y:
+            row[k] = y
+        else:
+            del row[k]
+    return row
+
+
+def _residue_map(domain):
+    """The characteristic of the residue field k (0 for Q) and the map V -> k.
+
+    A residue is an int mod p, or a Fraction over Q.  It reads the element
+    fields: the p-adic ``value`` of ``zp:p``, the ``value`` itself over a
+    trivially valued field, and the value at t = 0 of ``num / den`` over
+    ``rft0``, where an element of V has den(0) != 0.
+    """
+    if hasattr(domain.one, "num"):
+        p = domain.field.p
+        if p:
+            return p, lambda x: x.num[0] * pow(x.den[0], -1, p) % p
+        return 0, lambda x: Fraction(x.num[0], x.den[0])
+    q = domain.p
+    if q:
+        return q, lambda x: x.value.numerator * pow(x.value.denominator, -1, q) % q
+    return domain.field.p, lambda x: x.value
+
+
+def _residue_rank_reaches(domain, rows, r: int) -> bool:
+    """Whether the residue rows of rows (entries in V) have rank at least r.
+
+    Over F_p the rank is exact.  Over Q a rank of r mod a 61-bit prime l
+    already proves a rank of at least r (every r-minor that is nonzero mod l
+    is nonzero); l moves to the next prime when it divides a denominator,
+    and only a rank short of r mod l is recomputed over Q.
+    """
+    p, residue = _residue_map(domain)
+    res = [{k: y for k, x in row.items() if (y := residue(x))} for row in rows]
+    if p:
+        return len(_echelon(res, p)) >= r
+    ell = _ELL
+    while True:
+        try:
+            mod = [{k: y for k, x in row.items()
+                    if (y := x.numerator * pow(x.denominator, -1, ell) % ell)} for row in res]
+        except ValueError:  # l divides a denominator
+            ell = next(q for q in range(ell + 2, 2 * ell, 2) if is_prime(q))
+            continue
+        return len(_echelon(mod, ell)) >= r or len(_echelon(res, 0)) >= r
+
+
+def _echelon(rows, p: int) -> dict:
+    """Echelon form of sparse rows: leading key -> row with 1 at that key.
+
+    Entries are ints mod p, or field elements (Fractions, elements of K)
+    when p is 0.  The number of rows returned is the rank.
+    """
+    pivots = {}
+    for row in rows:
+        row = _eliminate(row, pivots, p)
+        if row:
+            at = min(row)
+            lead = row[at]
+            if p:
+                inv = pow(lead, -1, p)
+                pivots[at] = {k: x * inv % p for k, x in row.items()}
+            else:
+                pivots[at] = {k: x / lead for k, x in row.items()}
+    return pivots
+
+
+def _eliminate(row, pivots, p: int) -> dict:
+    """row reduced by ``_echelon`` rows until its leading key is no pivot."""
+    row = dict(row)
+    while row and (at := min(row)) in pivots:
+        _sub_row(row, row[at], pivots[at], p)
+    return row

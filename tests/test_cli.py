@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -82,10 +83,10 @@ def test_run_verify_flag_vx(tmp_path, capsys):
 
 
 def test_verification_mismatch_exits_2(tmp_path, capsys, monkeypatch):
-    import valsat.cli as cli
+    from valsat import oracle
 
     path = write(tmp_path, "m.vsat", "domain: zp:2\ntask: saturate-vx\n\n2, -X\n")
-    monkeypatch.setattr(cli, "_verify_vx", lambda inst, res: False)
+    monkeypatch.setattr(oracle, "verify_saturation", lambda M, gens, bound: False)
     assert main([path, "--verify"]) == 2
     assert "# verify: MISMATCH" in capsys.readouterr().out
 
@@ -113,6 +114,38 @@ def test_zero_syzygy_verdict_ignores_the_degree_bound(tmp_path, capsys, monkeypa
     assert main([path, "--verify"]) == 2
     out = capsys.readouterr().out
     assert "# syzygy module is zero" in out and "# verify: MISMATCH" in out
+
+
+def test_saturate_free_input_above_the_bound_is_input_error(tmp_path, capsys):
+    path = write(tmp_path, "f.vsat", "domain: zp:2\ntask: saturate-free\n\n2, X^2\n1, X\n")
+    assert main([path, "--verify", "--degree-bound", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "degree 2 exceeds slice bound 1" in captured.err
+    assert "# verify" not in captured.out
+
+
+def test_generator_outside_v_is_a_mismatch(tmp_path, capsys, monkeypatch):
+    import valsat.cli as cli
+
+    def halved(vectors, max_iter=None):
+        res = saturate_vx(vectors, max_iter)
+        res.generators[0] = res.generators[0].scale(Z2.k_element(Fraction(1, 2)))
+        return res
+
+    path = write(tmp_path, "h.vsat", "domain: zp:2\ntask: saturate-vx\n\n2, X\n")
+    monkeypatch.setattr(cli, "saturate_vx", halved)
+    assert main([path, "--verify"]) == 2
+    assert "# verify: MISMATCH" in capsys.readouterr().out
+
+
+# The library's answer, (X^12, 1) and (1, 0), is V[X]^2 and correct, but
+# (0, X^26) in the slice needs the witness X^38 (1, 0), beyond the
+# _MAX_EXTRA = 10 degrees that --verify searches above its bound.
+@pytest.mark.xfail(strict=True, reason="the witness degree is bounded by _MAX_EXTRA")
+def test_verify_accepts_a_result_whose_witness_has_high_degree(tmp_path, capsys):
+    path = write(tmp_path, "w.vsat", "domain: zp:3\ntask: saturate-vx\n\nX^12, 1\nX^12+3, 1\n")
+    assert main([path, "--verify"]) == 0
+    assert "# verify: ok" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("text", ["X^3 + 2\n", "1, X\nX^2, 3\n", "0, X^4\n2, X\n"])

@@ -166,6 +166,11 @@ def test_in_v_span_edges():
     assert not oracle.in_v_span([], [vec(Z2, [1], [0])])
     assert oracle.in_v_span([vec(Z2, [2], [0])], [vec(Z2, [4], [0])])
     assert not oracle.in_v_span([vec(Z2, [2], [0])], [vec(Z2, [1], [0])])
+    # (2, 1) = 2 * (1, 1/2): the column's entry 1/2 has valuation -1, so the
+    # pivot must be 1/2, not the first unit 1.
+    col = PolyVec(Z2, [[Z2.one], [Z2.k_element(Fraction(1, 2))]])
+    assert oracle.in_v_span([col], [vec(Z2, [2], [1])])
+    assert not oracle.in_v_span([col], [vec(Z2, [1], [1])])
 
 
 _ONE, _PAIR = vec(Z2, [1]), vec(Z2, [1], [1])  # widths 1 and 2
@@ -422,3 +427,166 @@ def test_brute_syzygies_is_the_saturated_kernel(d, data):
     shifts = [[U[j].coord(PivotIndex(i, e - r)) if e >= r else d.zero for i, e in image]
               for j, r in positions]
     assert len(out) == len(positions) - _k_rank(shifts)
+
+
+# ---------------------------------------------------------------------------
+# ``verify_*``: the residue-rank criterion, against the slice references.
+
+def _reference_saturation(M, gens, bound):
+    """The verdict of the canonical slice basis and the bounded shift search."""
+    reference = oracle.saturation_slice(M, bound)
+    low = [g for g in gens if g.degree() <= bound]
+    return oracle.in_v_span(reference, low) and oracle.in_vx_span(gens, reference, bound)
+
+
+def _reference_syzygies(U, gens, bound):
+    if not gens:
+        return not oracle.kx_kernel(U)
+    if any(any(apply_columns(U, f)) for f in gens):
+        return False
+    reference = oracle.brute_syzygies(U, bound)
+    top = max([v.degree() for v in reference] + [bound])
+    return (oracle.in_vx_span(gens, reference, top)
+            and oracle.in_v_span(reference, gens))
+
+
+def _reference_free(vectors, basis, bound):
+    return oracle.spans_equal(basis, oracle.brute_saturation(vectors, bound))
+
+
+def _pi(d):
+    return d.uniformizer() or d.one
+
+
+def _poly(d, *coeffs):
+    """Coefficients given as powers of pi (None for 0), ascending in X."""
+    return [d.zero if c is None else _uniformizer_power(d, c) for c in coeffs]
+
+
+def _mutations(d, gens, outside):
+    """(name, mutated generators): each is a wrong answer when every generator
+    is needed and ``outside`` lies in V[X]^n but not in the saturation."""
+    out = [(f"drop {i}", gens[:i] + gens[i + 1:]) for i in range(len(gens))]
+    out.append(("add outside", gens + [outside]))
+    if d.uniformizer() is not None:  # over a field every element is a unit
+        for i, g in enumerate(gens):
+            out.append((f"pi * {i}", gens[:i] + [g.scale(d.uniformizer())] + gens[i + 1:]))
+            out.append((f"{i} / pi", gens[:i] + [g.scale(d.one / d.uniformizer())]
+                        + gens[i + 1:]))
+    return out
+
+
+@pytest.mark.parametrize("d", KINDS, ids=lambda d: d.tag)
+def test_verify_saturation_catches_each_mutation(d):
+    # Sat(M) = V[X] (X, X + 1, 0) + V[X] (1, 0, X): both generators are
+    # needed, and (0, 0, 1) is not in K[X] M.
+    M = [PolyVec(d, [_poly(d, None, 1), _poly(d, 1, 1), []]),
+         PolyVec(d, [_poly(d, 0), [], _poly(d, None, 0)])]
+    res = saturate_vx(M)
+    bound = res.degree + res.trace[-1].k + 2
+    gens = list(res.generators)
+    assert oracle.verify_saturation(M, gens, bound)
+    outside = PolyVec(d, [[], [], [d.one]])
+    for name, wrong in _mutations(d, gens, outside):
+        assert not _reference_saturation(M, wrong, bound), name
+        assert not oracle.verify_saturation(M, wrong, bound), name
+
+
+@pytest.mark.parametrize("d", KINDS, ids=lambda d: d.tag)
+def test_verify_syzygies_catches_each_mutation(d):
+    # u = (X, pi, X + pi): a syzygy module of rank 2; (1, 0, 0) is none.
+    U = [PolyVec(d, [_poly(d, None, 0)]), PolyVec(d, [_poly(d, 1)]),
+         PolyVec(d, [_poly(d, 1, 0)])]
+    res = syzygy_vx(U)
+    bound = res.degree + res.trace[-1].k + 2
+    gens = list(res.generators)
+    assert oracle.verify_syzygies(U, gens, bound)
+    outside = PolyVec(d, [[d.one], [], []])
+    for name, wrong in _mutations(d, gens, outside):
+        assert not _reference_syzygies(U, wrong, bound), name
+        assert not oracle.verify_syzygies(U, wrong, bound), name
+
+
+@pytest.mark.parametrize("d", KINDS, ids=lambda d: d.tag)
+def test_verify_free_catches_each_mutation(d):
+    # The V-span of (pi, 0, 1) and (0, pi, 1) saturates to a rank-2 module
+    # that (1, 0, 0) is not in.
+    F = [PolyVec(d, [_poly(d, 1), [], _poly(d, 0)]), PolyVec(d, [[], _poly(d, 1), _poly(d, 0)])]
+    basis = list(saturate_free(F))
+    assert oracle.verify_free(F, basis, 0)
+    outside = PolyVec(d, [[d.one], [], []])
+    for name, wrong in _mutations(d, basis, outside):
+        assert not _reference_free(F, wrong, 0), name
+        assert not oracle.verify_free(F, wrong, 0), name
+
+
+def test_verify_saturation_needs_a_cut_above_the_bound():
+    # Over field:7, V[X] (1, 3X + 6) + V[X] (0, X + 1) is all of K[X]^2.  On
+    # the degree-1 slice, (0, X) = X (0, X + 1) - (0, X + 1) + (0, 1) needs
+    # X (0, X + 1), which leaves the slice, so the check cuts one degree up.
+    F7 = TrivialField("fp", 7)
+    gens = [vec(F7, [1], [6, 3]), vec(F7, [], [1, 1])]
+    assert oracle.verify_saturation(gens, gens, 1)
+    assert not oracle.verify_saturation(gens, gens[:1], 1)
+
+
+def _mutated(d, gens, n, draw):
+    """One wrong-looking variant of gens: drop, scale by pi or 1/pi, double a
+    component, or add a unit vector."""
+    kind = draw(st.sampled_from(["drop", "pi", "inv_pi", "double", "add"]))
+    i = draw(st.integers(0, len(gens) - 1))
+    g = gens[i]
+    if kind == "drop":
+        return gens[:i] + gens[i + 1:]
+    if kind == "add":
+        j = draw(st.integers(0, n - 1))
+        return gens + [PolyVec(d, [[d.one] if k == j else [] for k in range(n)])]
+    if kind == "double":
+        j = next(j for j, c in enumerate(g.comps) if c)
+        two = d.one + d.one
+        g = PolyVec(d, [[x * two for x in c] if k == j else c for k, c in enumerate(g.comps)])
+    else:
+        g = g.scale(_pi(d) if kind == "pi" else d.one / _pi(d))
+    return gens[:i] + [g] + gens[i + 1:]
+
+
+@pytest.mark.parametrize("d", KINDS, ids=lambda d: d.tag)
+@DIFFERENTIAL
+@given(data=st.data())
+def test_verify_saturation_matches_the_reference(d, data):
+    S = data.draw(_families(max_deg=1, domain=d))
+    res = saturate_vx(S)
+    bound = res.degree + res.trace[-1].k + 2
+    gens = list(res.generators)
+    assert oracle.verify_saturation(S, gens, bound) == _reference_saturation(S, gens, bound)
+    if gens:
+        wrong = _mutated(d, gens, S[0].n, data.draw)
+        assert not oracle.verify_saturation(S, wrong, bound) or _reference_saturation(
+            S, wrong, bound)
+
+
+@pytest.mark.parametrize("d", KINDS, ids=lambda d: d.tag)
+@DIFFERENTIAL
+@given(data=st.data())
+def test_verify_syzygies_matches_the_reference(d, data):
+    U = data.draw(_families(max_deg=1, domain=d))
+    res = syzygy_vx(U)
+    gens = list(res.generators)
+    bound = res.degree + res.trace[-1].k + 2 if gens else 0
+    assert oracle.verify_syzygies(U, gens, bound) == _reference_syzygies(U, gens, bound)
+    if gens:
+        wrong = _mutated(d, gens, len(U), data.draw)
+        assert not oracle.verify_syzygies(U, wrong, bound) or _reference_syzygies(
+            U, wrong, bound)
+
+
+@pytest.mark.parametrize("d", KINDS, ids=lambda d: d.tag)
+@DIFFERENTIAL
+@given(data=st.data())
+def test_verify_free_matches_the_reference(d, data):
+    F = data.draw(_families(max_len=4, max_deg=1, domain=d))
+    bound = max(f.degree() for f in F)
+    basis = list(saturate_free(F))
+    assert oracle.verify_free(F, basis, bound) == _reference_free(F, basis, bound)
+    wrong = _mutated(d, basis, F[0].n, data.draw)
+    assert not oracle.verify_free(F, wrong, bound) or _reference_free(F, wrong, bound)
