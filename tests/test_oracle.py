@@ -530,6 +530,21 @@ def test_verify_saturation_needs_a_cut_above_the_bound():
     assert not oracle.verify_saturation(gens, gens[:1], 1)
 
 
+
+def test_verify_syzygies_needs_a_cut_above_the_bound(monkeypatch):
+    # Over field:7, u = (1, 3X^2 + 4X + 3, 2) has d_U = 2 above deg u_1 =
+    # deg u_3 = 0, so the slice at bound 0 is deg f <= (2, 0, 2).  The
+    # generators' X-shifts fit it only at s = 0; witnesses of the slice
+    # need shifts two degrees above it, where the per-component bounds
+    # (2 + e, e, 2 + e) and the reference's uniform 2 + e differ.
+    F7 = TrivialField("fp", 7)
+    U = [vec(F7, [1]), vec(F7, [3, 4, 3]), vec(F7, [2])]
+    gens = [vec(F7, [1, 6, 1], [2], []), vec(F7, [0, 1, 6], [5], [3])]
+    assert oracle.verify_syzygies(U, gens, 0)
+    assert _reference_syzygies(U, gens, 0)
+    monkeypatch.setattr(oracle, "_MAX_EXTRA", 1)
+    assert not oracle.verify_syzygies(U, gens, 0)
+
 def _mutated(d, gens, n, draw):
     """One wrong-looking variant of gens: drop, scale by pi or 1/pi, double a
     component, or add a unit vector."""
