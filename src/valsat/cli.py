@@ -1,11 +1,14 @@
 """Command-line front end.
 
 Reads an instance file (header plus one vector per line), runs one of the
-three pipelines and emits results, traces and pivot diagrams.  Exit status:
-0 on success, 1 on input errors (including a file that is not UTF-8 text)
-and on an --out path that cannot be written, 2 when --verify finds a
-mismatch between the algorithm and the independent oracle, 3 when an
-explicit round cap (``max-iter`` or --max-iter) is hit.
+three pipelines and emits results, traces and pivot diagrams.  The flags
+--domain, --task, --max-iter, --degree-bound and --verify override the
+header keys of the same names: ``parse_instance`` takes them as raw strings
+and checks them as it checks the header.  Exit status: 0 on success, 1 on
+every input error (a usage error, a bad flag value and a file that is not
+UTF-8 text included) and on an --out path that cannot be written, 2 when
+--verify finds a mismatch between the algorithm and the independent oracle,
+3 when an explicit round cap (``max-iter`` or --max-iter) is hit.
 """
 
 from __future__ import annotations
@@ -16,10 +19,8 @@ from pathlib import Path
 
 from .echelon import EchelonBasis, saturate_free
 from .errors import EmptyInput, IterationCapExceeded, ParseError, ValsatError
-from .polyvec import family_degree
 from .syzygy import scaled_kernel
 from .textio import InstanceFile, TASKS, parse_instance, render_vector
-from .valuation import parse_domain_tag
 from .vxsat import SaturationResult, saturate_vx
 
 TRACE_HEADER = "k,N_k,r_k,n_k,u_k,delta_k,Delta_k"
@@ -70,19 +71,29 @@ def trace_csv(trace) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is an input error: ``main`` prints it and exits 1."""
+        raise ParseError(message)
+
+
+# The flags that override header keys; each flag's dest is its key.
+_SETTINGS = ("domain", "task", "max-iter", "degree-bound", "verify")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="valsat",
         description="Exact saturation and syzygy computation over valuation domains.",
     )
     ap.add_argument("instance", help="instance file (see README for the format)")
-    ap.add_argument("--task", choices=TASKS, help="override the task header")
+    ap.add_argument("--task", help=f"override the task header ({', '.join(TASKS)})")
     ap.add_argument("--domain", help="override the domain header (zp:2, rft0:q, field:5)")
-    ap.add_argument("--verify", action="store_true",
+    ap.add_argument("--verify", action="store_const", const="true",
                     help="cross-check the result against the independent oracle")
-    ap.add_argument("--degree-bound", type=int, metavar="D",
+    ap.add_argument("--degree-bound", dest="degree-bound", metavar="D",
                     help="slice bound used by --verify")
-    ap.add_argument("--max-iter", type=int, metavar="N",
+    ap.add_argument("--max-iter", dest="max-iter", metavar="N",
                     help="cap on saturation rounds, exit status 3 when hit (default: none)")
     ap.add_argument("--out", metavar="DIR",
                     help="write result/trace/diagram files instead of stdout")
@@ -96,54 +107,23 @@ _PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
     try:
-        text = Path(args.instance).read_text(encoding="utf-8-sig")  # drops a byte order mark
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except UnicodeDecodeError as exc:
-        print(f"error: {args.instance} is not UTF-8 text: {exc}", file=sys.stderr)
-        return 1
-    try:
-        if args.domain:
-            parse_domain_tag(args.domain)  # fail fast on a bad tag
-            text = _replace_domain(text, args.domain)
-        inst = parse_instance(text)
-        if args.task:
-            inst.task = args.task
-        if args.max_iter is not None:
-            if args.max_iter < 1:
-                raise ParseError(f"--max-iter must be at least 1, got {args.max_iter}")
-            inst.max_iter = args.max_iter
-        if args.degree_bound is not None:
-            if args.degree_bound < 0:
-                raise ParseError(
-                    f"--degree-bound must be at least 0, got {args.degree_bound}"
-                )
-            inst.degree_bound = args.degree_bound
-        if args.verify:
-            inst.verify = True
+        args = _PARSER.parse_args(argv)
+        try:
+            text = Path(args.instance).read_text(encoding="utf-8-sig")  # drops a byte order mark
+        except OSError as exc:
+            raise ParseError(str(exc)) from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{args.instance} is not UTF-8 text: {exc}") from None
+        flags = vars(args)
+        inst = parse_instance(text, {key: flags[key] for key in _SETTINGS
+                                     if flags[key] is not None})
         if not inst.vectors:
             raise EmptyInput("instance has no vectors")
         return _run(inst, args)
     except ValsatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, IterationCapExceeded) else 1
-
-
-def _replace_domain(text: str, tag: str) -> str:
-    lines = []
-    replaced = False
-    for line in text.splitlines():
-        if not replaced and line.split("#", 1)[0].strip().startswith("domain"):
-            lines.append(f"domain: {tag}")
-            replaced = True
-        else:
-            lines.append(line)
-    if not replaced:
-        lines.insert(0, f"domain: {tag}")
-    return "\n".join(lines)
 
 
 def _run(inst: InstanceFile, args) -> int:
@@ -163,10 +143,7 @@ def _run(inst: InstanceFile, args) -> int:
             n = inst.vectors[0].n
             diagram = pivot_diagram(G, list(G), n, max_exp)
         if inst.verify:
-            nonzero = [v for v in inst.vectors if not v.is_zero()]
-            d = family_degree(nonzero) if nonzero else 0
-            bound = inst.degree_bound if inst.degree_bound is not None else max(d, 0)
-            verified = oracle.verify_free(inst.vectors, list(G), bound)
+            verified = oracle.verify_free(inst.vectors, list(G), inst.degree_bound)
     elif inst.task == "saturate-vx":
         res = saturate_vx(inst.vectors, inst.max_iter)
         out_lines.append(f"# d: {res.degree}, rounds: {res.trace[-1].k}, "

@@ -546,23 +546,28 @@ def verify_syzygies(U, generators, bound: int) -> bool:
     kernel = kx_kernel(U)
     if not generators:
         return not kernel
+    if generators[0].n != len(U):
+        return False
     d_u = max(max(u.degree(), 0) for u in U)
     bounds = [bound + d_u - max(u.degree(), 0) for u in U]
-    if generators[0].n != len(U) or any(
-            len(c) > b + 1 for g in generators for c, b in zip(g.comps, bounds)):
+    if any(len(c) > b + 1 for g in generators for c, b in zip(g.comps, bounds)):
         return False
     return _saturation_on_slice(U[0].domain, [f.comps for f in kernel], generators, bounds)
 
 
-def verify_free(vectors, basis, bound: int) -> bool:
+def verify_free(vectors, basis, bound: int | None = None) -> bool:
     """Whether the V-span of ``basis`` is the saturation of the V-span of
     ``vectors`` on the slice deg <= bound, with no X-shifts.
 
-    DegreeExceeded when an input vector does not fit the slice.  The basis
-    must lie in the slice, in V and in the K-span of the vectors, and its
-    residue rank must be the K-rank of the vectors.
+    ``bound`` defaults to the largest degree of the vectors, 0 when all are
+    zero.  DegreeExceeded when an input vector does not fit the slice.  The
+    basis must lie in the slice, in V and in the K-span of the vectors, and
+    its residue rank must be the K-rank of the vectors.
     """
-    family = uniform_family(list(vectors) + list(basis))
+    vectors = list(vectors)
+    if bound is None:
+        bound = max([0, *(v.degree() for v in vectors)])
+    family = uniform_family(vectors + list(basis))
     for v in vectors:
         if v.degree() > bound:
             raise DegreeExceeded(f"degree {v.degree()} exceeds slice bound {bound}")

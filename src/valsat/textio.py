@@ -387,7 +387,7 @@ class InstanceFile:
     verify: bool = False
 
 
-def _int_header(key: str, value: str, lineno: int, least: int) -> int:
+def _int_header(key: str, value: str, lineno: int | None, least: int) -> int:
     try:
         n = int(value)
     except ValueError:
@@ -397,13 +397,36 @@ def _int_header(key: str, value: str, lineno: int, least: int) -> int:
     return n
 
 
-def parse_instance(text: str) -> InstanceFile:
-    """Parse an instance document: key/value header, then one vector per line."""
-    domain = None
-    task = None
-    max_iter = None
-    degree_bound = None
-    verify = False
+def _setting(key: str, value: str, lineno: int | None):
+    """The checked value of header key ``key``; ``lineno`` is None for an override."""
+    if key == "domain":
+        return parse_domain_tag(value)
+    if key == "task":
+        if value not in TASKS:
+            raise ParseError(f"unknown task {value!r}", lineno, 1)
+        return value
+    if key == "max-iter":
+        return _int_header(key, value, lineno, least=1)
+    if key == "degree-bound":
+        return _int_header(key, value, lineno, least=0)
+    if key == "verify":
+        flag = _FLAGS.get(value.lower())
+        if flag is None:
+            raise ParseError(f"verify must be one of {'/'.join(_FLAGS)}, "
+                             f"got {value!r}", lineno, 1)
+        return flag
+    raise ParseError(f"unknown header key {key!r}", lineno, 1)
+
+
+def parse_instance(text: str, overrides=None) -> InstanceFile:
+    """Parse an instance document: key/value header, then one vector per line.
+
+    ``overrides`` maps header keys to raw values, as the CLI's flags give
+    them.  Each is checked as a header value is, without a line number, and
+    replaces the file's value: the file's lines for that key are not read.
+    """
+    overrides = overrides or {}
+    settings = {key: _setting(key, value, None) for key, value in overrides.items()}
     vector_lines: list[tuple[int, str]] = []
     in_header = True
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -412,36 +435,21 @@ def parse_instance(text: str) -> InstanceFile:
             continue
         m = _HEADER_RE.match(line) if in_header else None
         if m:
-            key, value = m.group(1), m.group(2)
-            if key == "domain":
-                domain = parse_domain_tag(value)
-            elif key == "task":
-                if value not in TASKS:
-                    raise ParseError(f"unknown task {value!r}", lineno, 1)
-                task = value
-            elif key == "max-iter":
-                max_iter = _int_header(key, value, lineno, least=1)
-            elif key == "degree-bound":
-                degree_bound = _int_header(key, value, lineno, least=0)
-            elif key == "verify":
-                verify = _FLAGS.get(value.lower())
-                if verify is None:
-                    raise ParseError(f"verify must be one of {'/'.join(_FLAGS)}, "
-                                     f"got {value!r}", lineno, 1)
-            else:
-                raise ParseError(f"unknown header key {key!r}", lineno, 1)
+            if m.group(1) not in overrides:
+                settings[m.group(1)] = _setting(m.group(1), m.group(2), lineno)
             continue
         in_header = False
         vector_lines.append((lineno, line))
-    if domain is None:
-        raise ParseError("missing 'domain:' header")
-    if task is None:
-        raise ParseError("missing 'task:' header")
+    for key in ("domain", "task"):
+        if key not in settings:
+            raise ParseError(f"missing '{key}:' header")
+    domain = settings["domain"]
     vectors = [parse_vector(domain, line, lineno) for lineno, line in vector_lines]
     widths = {v.n for v in vectors}
     if len(widths) > 1:
         raise ParseError(f"vectors have mixed component counts {sorted(widths)}")
-    return InstanceFile(domain, task, vectors, max_iter, degree_bound, verify)
+    return InstanceFile(domain, settings["task"], vectors, settings.get("max-iter"),
+                        settings.get("degree-bound"), settings.get("verify", False))
 
 
 def render_instance(inst: InstanceFile) -> str:

@@ -199,6 +199,41 @@ def test_domain_and_task_overrides(tmp_path, capsys):
     assert "# domain: zp:3" in out and "# task: saturate-free" in out
 
 
+def test_domain_flag_wins_over_every_domain_line(tmp_path, capsys):
+    path = write(tmp_path, "d.vsat",
+                 "domain: zp:2\ndomain: zp:2\ntask: saturate-vx\n\n3, X\n")
+    assert main([path, "--domain", "zp:3"]) == 0
+    out = capsys.readouterr().out
+    assert "# domain: zp:3" in out and "# domain: zp:2" not in out
+
+
+@pytest.mark.parametrize("flags", [
+    ["--task", "nope"],
+    ["--max-iter", "x"],
+    ["--degree-bound", "1.5"],
+    ["--bogus"],
+    None,
+    ["--domain", "zp:4"],
+], ids=["bad task", "bad max-iter", "bad degree-bound", "unknown flag", "no instance",
+        "bad domain"])
+def test_every_usage_error_exits_1(tmp_path, capsys, flags):
+    """A bad flag or a missing argument is an input error, as the same bad
+    value in the header is: exit 1 with one ``error:`` line, never the 2
+    that means a --verify mismatch."""
+    path = write(tmp_path, "u.vsat", "domain: zp:2\ntask: syzygy\n\nX\n2\n")
+    argv = [] if flags is None else [path, *flags]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "--degree-bound" in capsys.readouterr().out
+
+
 def test_out_directory(tmp_path):
     path = write(tmp_path, "a.vsat", "domain: zp:2\ntask: saturate-vx\n\n2\nX\n")
     out_dir = tmp_path / "artifacts"
@@ -311,7 +346,7 @@ def test_non_utf8_file_is_input_error(tmp_path, capsys):
 @pytest.mark.parametrize("flags", [[], ["--domain", "zp:3"]], ids=["header", "--domain"])
 def test_utf8_bom_is_not_part_of_the_text(tmp_path, capsys, flags):
     """A file saved with a UTF-8 byte order mark reads as the same instance,
-    whether its first header or the override's replacement comes first."""
+    whether its first header line is read or overridden by --domain."""
     path = tmp_path / "bom.vsat"
     path.write_bytes("domain: zp:3\ntask: saturate-vx\n\n3, X\n".encode("utf-8-sig"))
     assert main([str(path), *flags]) == 0

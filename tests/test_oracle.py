@@ -520,6 +520,27 @@ def test_verify_free_catches_each_mutation(d):
         assert not oracle.verify_free(F, wrong, 0), name
 
 
+def test_verify_syzygies_of_an_empty_family_is_a_mismatch():
+    """With no vectors U every generator has the wrong width."""
+    assert not oracle.verify_syzygies([], [vec(Z2, [1])], 0)
+    assert oracle.verify_syzygies([], [], 0)
+
+
+def test_verify_free_bound_defaults_to_the_input_degree():
+    F = [vec(Z2, [2], [0, 0, 1]), vec(Z2, [], [])]
+    basis = list(saturate_free(F))
+    assert oracle.verify_free(F, basis) == oracle.verify_free(F, basis, 2) is True
+    assert oracle.verify_free([vec(Z2, [], [])], [])
+    with pytest.raises(DegreeExceeded, match="degree 2 exceeds slice bound 1"):
+        oracle.verify_free(F, basis, 1)
+
+
+def test_verify_free_reads_an_iterator_of_vectors_once():
+    F = [vec(Z2, [2], [0, 0, 1])]
+    assert not oracle.verify_free(iter(F), [], 2)
+    assert oracle.verify_free(iter(F), saturate_free(F), 2)
+
+
 def test_verify_saturation_needs_a_cut_above_the_bound():
     # Over field:7, V[X] (1, 3X + 6) + V[X] (0, X + 1) is all of K[X]^2.  On
     # the degree-1 slice, (0, X) = X (0, X + 1) - (0, X + 1) + (0, 1) needs

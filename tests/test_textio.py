@@ -180,6 +180,37 @@ def test_verify_header_rejects_unknown_values(value):
     assert exc.value.line == 3
 
 
+def test_overrides_replace_header_values():
+    text = "domain: zp:2\ntask: saturate-vx\nmax-iter: 5\n\n2, X\n"
+    inst = parse_instance(text, {"domain": "zp:3", "task": "syzygy", "max-iter": "7",
+                                 "degree-bound": "4", "verify": "true"})
+    assert (inst.domain, inst.task, inst.max_iter, inst.degree_bound, inst.verify) == (
+        Zp(3), "syzygy", 7, 4, True)
+    assert inst.vectors == [PolyVec.from_raw(Zp(3), [[2], [0, 1]])]
+    assert parse_instance(text, {}).domain == Z2
+    assert parse_instance(text).max_iter == 5
+
+
+def test_an_override_is_the_only_value_read():
+    """The file's lines for an overridden key are not read: neither an
+    invalid value nor a later repeat of the key counts."""
+    inst = parse_instance("domain: zp:4\ntask: dance\ndomain: zp:5\n\n2\n",
+                          {"domain": "zp:2", "task": "saturate-vx"})
+    assert (inst.domain, inst.task) == (Z2, "saturate-vx")
+    inst = parse_instance("task: syzygy\n\nX\n", {"domain": "field:q"})
+    assert inst.domain == TrivialField("q")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("task", "nope"), ("max-iter", "0"), ("max-iter", "x"), ("degree-bound", "1.5"),
+    ("verify", "maybe"), ("domain", "zp:x"), ("colour", "red"),
+])
+def test_invalid_override_is_a_parse_error_without_a_line(key, value):
+    with pytest.raises(ParseError) as exc:
+        parse_instance("domain: zp:2\ntask: saturate-vx\n\n2\n", {key: value})
+    assert exc.value.line is None and "line" not in str(exc.value)
+
+
 # ---------------------------------------------------------------------------
 # The parser against dense K[X] arithmetic.  An expression is a tuple tree:
 # ("int", n), ("frac", a, b), ("X",), ("t",), ("()", e), ("neg", e),
