@@ -49,17 +49,50 @@ as a MISMATCH.
 K-span of the input vectors, and have residue rank rank_K(input); input
 above the bound raises DegreeExceeded.
 
-Residue fields.  k is F_p for ``zp:p``, ``field:p`` and ``rft0:p`` (the
-value at t = 0), and Q for ``field:q`` and ``rft0:q``.  The rank is exact:
-mod p over F_p, in Fractions over Q.  The residues are read off the
-element fields (``_residue_map``).
+The K-layer over a numerator ring.  Every computation over K, the weak
+Popov reduction (``_weak_popov``, behind ``kx_kernel``, ``_kx_slice`` and
+the criterion), the division (``_divides_out``), ``verify_free``'s K-span
+membership (``_echelon``, ``_eliminate``) and the residue rank over Q,
+runs on rows cleared of denominators, over the numerator ring R of the
+kind (``_ring``): Z for ``zp:p`` and ``field:q``, residues mod p for
+``field:p``, Z[t] for ``rft0:q`` and F_p[t] for ``rft0:p``, the last two
+through ``_poly``'s ``igcd``, ``iquo``, ``imul`` and ``ilin``.  A row of
+elements enters as the row times the lcm of its denominators.  The one
+step (``_step``) cancels the leading coefficient la of a against lb of b:
 
-Cost model: the weak Popov reduction and the divisions make one K
-multiply-add per nonzero coefficient of the basis row they subtract; the
-cut makes at most n·e pivot steps over V on at most |F_e| sparse rows; the
-rank is one sparse elimination mod p or over Q on at most |F_e| rows of
-width |W|.  Only a G that needs e > 0 pays the cut and the rank more than
-once.
+    a <- (lb/g) a - (la/g) X^k b,    g = gcd(la, lb) in R,
+
+then divides a by the gcd of its entries (over the residues mod p, g = lb
+and nothing is divided: the step is Euclid's).  This is fraction-free elimination
+(Bareiss, Math. Comp. 1968) applied to the shifted weak Popov reduction.
+Why the verdicts are those of the same reductions over K: the step is the
+Euclidean step a - (la/lb) X^k b times the nonzero lb/g, and the strip
+divides by a nonzero element of R, so after every step each row is a
+nonzero K-multiple of the row that arithmetic over K leaves.  Multiplying
+a row by a nonzero constant changes none of what the criterion reads:
+the zero pattern, hence the degrees, the shifted degrees and the leading
+positions, so every step takes the same branch on both paths; K[X]- and
+K-span membership; and the K-rank.  ``kx_kernel`` divides each returned
+vector by its first nonzero coefficient, which removes the multiple.
+
+Residue fields.  k is F_p for ``zp:p``, ``field:p`` and ``rft0:p`` (the
+value at t = 0), and Q for ``field:q`` and ``rft0:q``.  The residues are
+read off the element fields as pairs of ints (``_residue_map``).  The rank
+is exact: mod p over F_p; over Q each residue row is cleared of
+denominators and the rank taken by the same step over Z, with no
+``Fraction``.  Only the V-layer, the cut (``_cut``), the test for entries
+in V (``_in_v``) and the residue map, runs on elements.
+
+Cost model: the weak Popov reduction and the divisions make one step per
+leading term cancelled, each one ring gcd of two leading coefficients,
+one pass of integer (or ``ilin``) arithmetic over the nonzero
+coefficients of the two rows, and one content gcd over the row's entries
+(over Z[t] and F_p[t] a chain of ``igcd``s that stops at 1); over K the
+same pass made one ``Fraction`` or ``RatFuncElement`` operation, with its
+own gcd, per coefficient.  The cut makes at most n·e pivot steps over V
+on at most |F_e| sparse rows; the rank is one elimination mod p or over Z
+on at most |F_e| rows of width |W|.  Only a G that needs e > 0 pays the
+cut and the rank more than once.
 
 The references.  The slice functions (``saturation_slice``,
 ``brute_syzygies``, ``brute_saturation``, ``in_v_span``, ``in_vx_span``,
@@ -81,11 +114,12 @@ reduction for polynomial matrices", 2003).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
-from . import _poly
+from ._poly import igcd, ilin, imul, iquo
 from .errors import DegreeExceeded
 from .polyvec import PivotIndex, PolyVec, uniform_family
-from .valuation import content
+from .valuation import RatFuncElement, ScalarElement, content
 
 
 # ---------------------------------------------------------------------------
@@ -261,25 +295,156 @@ def _canonical_basis(cols, domain):
 
 
 # ---------------------------------------------------------------------------
-# The K[X] layer: shifted weak Popov form.
+# The K-layer: rows cleared of denominators, over a numerator ring R of K.
+# A row is a list of coefficient lists, trailing zeros trimmed, with entries
+# in R: ints over Z or mod p, int tuples (``_poly``) over Z[t] or F_p[t].
 
-def _weak_popov(domain, rows, shift):
+class _Integers:
+    """Z (p = 0), or the residues mod a prime p."""
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def pack(self, comps) -> list[list]:
+        """The row of comps (entries ``ScalarElement``s) times the lcm of
+        their denominators; over F_p the residues themselves."""
+        if self.p:
+            return [[x.value for x in c] for c in comps]
+        D = lcm(*(x.value.denominator for c in comps for x in c))
+        return [[x.value.numerator * (D // x.value.denominator) for x in c] for c in comps]
+
+    def unpack(self, domain, comps, den=1) -> list[list]:
+        """The entries x / den as elements of K."""
+        if self.p:
+            inv = pow(den, -1, self.p)
+            return [[ScalarElement(domain, x * inv % self.p) for x in c] for c in comps]
+        return [[ScalarElement(domain, Fraction(x, den)) for x in c] for c in comps]
+
+    def cofactors(self, la, lb):
+        """(s, t) with s != 0 and s la = t lb: lb/g and la/g for g = gcd(la, lb)
+        over Z, 1 and la/lb over F_p."""
+        if self.p:
+            return 1, la * pow(lb, -1, self.p) % self.p
+        g = gcd(la, lb)
+        return lb // g, la // g
+
+    def sub(self, s, x, t, k, y) -> list:
+        """s x - t X^k y for coefficient lists, trimmed."""
+        if not y:
+            return x if s == 1 else [s * c for c in x]
+        m, p = k + len(y), self.p
+        if len(x) < m:
+            x = x + [0] * (m - len(x))
+        if p:
+            out = x[:k] + [(c - t * d) % p for c, d in zip(x[k:m], y)] + x[m:]
+        elif s == 1:
+            out = x[:k] + [c - t * d for c, d in zip(x[k:m], y)] + x[m:]
+        else:
+            out = ([s * c for c in x[:k]] + [s * c - t * d for c, d in zip(x[k:m], y)]
+                   + [s * c for c in x[m:]])
+        while out and not out[-1]:
+            out.pop()
+        return out
+
+    def strip(self, row) -> list[list]:
+        """row divided by the gcd of its entries; as it is over F_p."""
+        if not self.p:
+            g = gcd(*(c for comp in row for c in comp))
+            if g > 1:
+                return [[c // g for c in comp] for comp in row]
+        return row
+
+
+class _Polynomials:
+    """Z[t] (p = 0) or F_p[t], by ``_poly``'s ``igcd``, ``iquo``, ``imul`` and ``ilin``."""
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def pack(self, comps) -> list[list]:
+        """The row of comps (entries ``RatFuncElement``s) times the lcm of
+        their denominators."""
+        p, D = self.p, (1,)
+        for c in comps:
+            for x in c:
+                if x.num and x.den != D and x.den != (1,):
+                    D = imul(D, iquo(x.den, igcd(D, x.den, p), p), p)
+        return [[imul(x.num, iquo(D, x.den, p), p) if x.num else () for x in c]
+                for c in comps]
+
+    def unpack(self, domain, comps, den=(1,)) -> list[list]:
+        """The entries x / den as elements of K."""
+        return [[RatFuncElement(domain, x, den) for x in c] for c in comps]
+
+    def cofactors(self, la, lb):
+        """(lb/g, la/g) for g = gcd(la, lb)."""
+        g = igcd(la, lb, self.p)
+        return iquo(lb, g, self.p), iquo(la, g, self.p)
+
+    def sub(self, s, x, t, k, y) -> list:
+        """s x - t X^k y for coefficient lists, trimmed."""
+        p, one = self.p, s == (1,)
+        if not y:
+            return x if one else [imul(s, c, p) for c in x]
+        m = k + len(y)
+        if len(x) < m:
+            x = x + [()] * (m - len(x))
+        out = [ilin(s, c, t, d, p) for c, d in zip(x[k:m], y)]
+        if one:
+            out = x[:k] + out + x[m:]
+        else:
+            out = [imul(s, c, p) for c in x[:k]] + out + [imul(s, c, p) for c in x[m:]]
+        while out and not out[-1]:
+            out.pop()
+        return out
+
+    def strip(self, row) -> list[list]:
+        """row divided by the gcd of its entries, the chain stopping once it
+        reaches 1."""
+        p, h = self.p, ()
+        for c in (c for comp in row for c in comp if c):
+            h = igcd(h, c, p)
+            if h == (1,):
+                return row
+        if not h:
+            return row
+        return [[iquo(c, h, p) if c else () for c in comp] for comp in row]
+
+
+def _ring(domain):
+    """The numerator ring of K for the domain's elements."""
+    if isinstance(domain.one, RatFuncElement):
+        return _Polynomials(domain.field.p)
+    return _Integers(domain.field.p)
+
+
+def _step(ring, a, b, j, k) -> list[list]:
+    """The fraction-free division step: (lb/g) a - (la/g) X^k b, content
+    stripped, where la and lb are the last coefficients of a_j and b_j.
+
+    It is the Euclidean step a - (la/lb) X^k b times the nonzero lb/g.
+    """
+    s, t = ring.cofactors(a[j][-1], b[j][-1])
+    return ring.strip([ring.sub(s, x, t, k, y) for x, y in zip(a, b)])
+
+
+def _weak_popov(ring, rows, shift):
     """Shifted weak Popov form of the K[X]-span of ``rows``, tails carried.
 
-    A row is a list of trimmed coefficient tuples: its first len(shift)
+    A row is a list of coefficient lists over ``ring``: its first len(shift)
     components are its head, the rest its tail, which is carried through
     every step but never decides one.  The shifted degree of a nonzero head
     is the largest deg a_j + shift[j], and its leading position the last j
     attaining it (``_lead``); a family is in shifted weak Popov form when
     the leading positions are pairwise distinct.  Rows are inserted one at
-    a time.  While the incoming row a
-    shares its leading position j with a basis row b, the one of higher
-    shifted degree (say a) takes the simple transformation
-    a <- a - (lc a_j / lc b_j) X^(d - e) b, with d, e the shifted degrees
-    and lc the last coefficient of the component; this lowers its shifted
-    degree or its leading position.  Each step lowers one row in a
-    well-founded order, so the loop ends, and every step is invertible over
-    K[X], so the rows keep spanning the same module.
+    a time.  While the incoming row a shares its leading position j with a
+    basis row b, the one of higher shifted degree (say a) takes the simple
+    transformation (``_step``) a <- (lb/g) a - (la/g) X^(d - e) b, with d, e
+    the shifted degrees, la, lb the last coefficients of a_j, b_j and g
+    their gcd in the ring; this lowers its shifted degree or its leading
+    position.  Each step lowers one row in a well-founded order, so the
+    loop ends, and every step is invertible over K[X], so the rows keep
+    spanning the same module.
 
     Returns the rows with a nonzero head, in the order of their leading
     positions, and the rows whose head reduced to zero.
@@ -287,15 +452,13 @@ def _weak_popov(domain, rows, shift):
     basis: dict[int, tuple[int, list]] = {}
     zero_heads = []
     for a in rows:
-        a = list(a)
         while (lead := _lead(a, shift)) and lead[1] in basis:
             d, j = lead
             e, b = basis[j]
             if e > d:
                 basis[j] = (d, a)
                 a, d, b, e = b, e, a, d
-            c = a[j][-1] / b[j][-1]
-            a = [_sub_shifted(domain, x, c, d - e, y) for x, y in zip(a, b)]
+            a = _step(ring, a, b, j, d - e)
         if lead:
             basis[lead[1]] = (lead[0], a)
         else:
@@ -307,15 +470,6 @@ def _lead(row, shift):
     """Shifted degree and leading position of the head of a row; None if it is zero."""
     return max(((len(c) - 1 + s, j) for j, (c, s) in enumerate(zip(row, shift)) if c),
                default=None)
-
-
-def _sub_shifted(domain, a, c, k, b) -> tuple:
-    """a - c * X^k * b for trimmed coefficient tuples, skipping zeros of b."""
-    if not b:
-        return a
-    out = list(a) + [domain.zero] * (len(b) + k - len(a))
-    _add_multiple(out, -c, [(i + k, x) for i, x in _nonzeros(b)])
-    return _poly.trim(out)
 
 
 def _x_shifts(vectors, bound) -> list[PolyVec]:
@@ -333,8 +487,10 @@ def _x_shifts(vectors, bound) -> list[PolyVec]:
     return out
 
 
-def _kx_slice(domain, rows, bounds) -> list[PolyVec]:
+def _kx_slice(domain, ring, rows, bounds) -> list[PolyVec]:
     """Canonical V-basis of the saturated K[X]-span of rows on deg f_j <= bounds[j].
+
+    ``rows`` are rows over the numerator ring ``ring`` of the domain.
 
     Under the shift -bounds a vector's shifted degree is at most 0 exactly
     when it lies in the slice.  A shifted weak Popov basis b_1..b_k has
@@ -345,8 +501,9 @@ def _kx_slice(domain, rows, bounds) -> list[PolyVec]:
     K[X]-span's part in the slice, and one Smith reduction (``_slice_basis``)
     intersects it with V[X]^n.
     """
-    basis, _ = _weak_popov(domain, rows, [-b for b in bounds])
-    return _slice_basis(_x_shifts([PolyVec(domain, b) for b in basis], bounds), bounds)
+    basis, _ = _weak_popov(ring, rows, [-b for b in bounds])
+    basis = [PolyVec(domain, ring.unpack(domain, b)) for b in basis]
+    return _slice_basis(_x_shifts(basis, bounds), bounds)
 
 
 def _slice_basis(F, bound) -> list[PolyVec]:
@@ -455,7 +612,9 @@ def saturation_slice(S, D: int) -> list[PolyVec]:
     S = [v for v in uniform_family(S) if not v.is_zero()]
     if not S:
         return []
-    return _kx_slice(S[0].domain, [v.comps for v in S], [D] * S[0].n)
+    domain = S[0].domain
+    ring = _ring(domain)
+    return _kx_slice(domain, ring, [ring.pack(v.comps) for v in S], [D] * S[0].n)
 
 
 def kx_kernel(U) -> list[PolyVec]:
@@ -467,16 +626,32 @@ def kx_kernel(U) -> list[PolyVec]:
     the tails stay a K[X]-basis of K[X]^n, and the heads left nonzero are
     K[X]-independent.  A kernel vector is a combination of the tails whose
     heads combine to zero, so of the rows whose head reduced to zero alone:
-    their tails are the kernel basis returned.
+    their tails are the kernel basis returned, each divided by its first
+    nonzero coefficient.
     """
     U = uniform_family(U)
     if not U:
         return []
+    domain = U[0].domain
+    ring = _ring(domain)
+    out = []
+    for tail in _kernel_rows(ring, U):
+        lead = next(x for comp in tail for x in comp if x)
+        out.append(PolyVec(domain, ring.unpack(domain, tail, lead)))
+    return out
+
+
+def _kernel_rows(ring, U) -> list[list]:
+    """``kx_kernel`` of a nonempty U as rows over ``ring``, not normalised.
+
+    Each row (u_j | e_j) is cleared of denominators as a whole, so its tail
+    starts as D_j e_j.
+    """
     domain, k, n = U[0].domain, U[0].n, len(U)
-    rows = [list(u.comps) + [(domain.one,) if i == j else () for i in range(n)]
+    rows = [ring.pack(list(u.comps) + [(domain.one,) if i == j else () for i in range(n)])
             for j, u in enumerate(U)]
-    _, kernel = _weak_popov(domain, rows, [0] * k)
-    return [PolyVec(domain, row[k:]) for row in kernel]
+    _, kernel = _weak_popov(ring, rows, [0] * k)
+    return [row[k:] for row in kernel]
 
 
 def brute_syzygies(U, D: int) -> list[PolyVec]:
@@ -491,12 +666,15 @@ def brute_syzygies(U, D: int) -> list[PolyVec]:
     a K-basis of the kernel's slice, then one Smith reduction over V.
     """
     U = uniform_family(U)
-    kernel = kx_kernel(U)
+    if not U:
+        return []
+    ring = _ring(U[0].domain)
+    kernel = _kernel_rows(ring, U)
     if not kernel:
         return []
     d_u = max(max(u.degree(), 0) for u in U)
     bounds = [D + d_u - max(u.degree(), 0) for u in U]
-    return _kx_slice(U[0].domain, [f.comps for f in kernel], bounds)
+    return _kx_slice(U[0].domain, ring, kernel, bounds)
 
 
 def _scale_into_v(coords, domain):
@@ -526,9 +704,10 @@ def verify_saturation(M, generators, bound: int) -> bool:
     vectors = uniform_family(M + generators)
     if not vectors:
         return True
-    rows = [v.comps for v in M if not v.is_zero()]
-    return _saturation_on_slice(vectors[0].domain, rows, generators,
-                                [bound] * vectors[0].n)
+    domain = vectors[0].domain
+    ring = _ring(domain)
+    rows = [ring.pack(v.comps) for v in M if not v.is_zero()]
+    return _saturation_on_slice(domain, ring, rows, generators, [bound] * vectors[0].n)
 
 
 def verify_syzygies(U, generators, bound: int) -> bool:
@@ -543,7 +722,10 @@ def verify_syzygies(U, generators, bound: int) -> bool:
     """
     U = uniform_family(U)
     generators = uniform_family(generators)
-    kernel = kx_kernel(U)
+    if not U:
+        return not generators
+    ring = _ring(U[0].domain)
+    kernel = _kernel_rows(ring, U)
     if not generators:
         return not kernel
     if generators[0].n != len(U):
@@ -552,7 +734,7 @@ def verify_syzygies(U, generators, bound: int) -> bool:
     bounds = [bound + d_u - max(u.degree(), 0) for u in U]
     if any(len(c) > b + 1 for g in generators for c, b in zip(g.comps, bounds)):
         return False
-    return _saturation_on_slice(U[0].domain, [f.comps for f in kernel], generators, bounds)
+    return _saturation_on_slice(U[0].domain, ring, kernel, generators, bounds)
 
 
 def verify_free(vectors, basis, bound: int | None = None) -> bool:
@@ -576,20 +758,22 @@ def verify_free(vectors, basis, bound: int | None = None) -> bool:
     domain, n = family[0].domain, family[0].n
     if any(b.degree() > bound or not _in_v(b) for b in basis):
         return False
-    pivots = _echelon((_coords(v, n) for v in vectors), 0)
-    rows = [_coords(b, n) for b in basis]
-    return (not any(_eliminate(row, pivots, 0) for row in rows)
-            and _residue_rank_reaches(domain, rows, len(pivots)))
+    ring = _ring(domain)
+    pivots = _echelon(ring, (ring.pack([_flat(v, n)]) for v in vectors))
+    return (not any(_eliminate(ring, ring.pack([_flat(b, n)]), pivots)[0] for b in basis)
+            and _residue_rank_reaches(domain, [_coords(b, n) for b in basis], len(pivots)))
 
 
-def _saturation_on_slice(domain, rows, generators, bounds) -> bool:
-    """The criterion of the module docstring for N = K[X]-span(rows) on W = bounds."""
+def _saturation_on_slice(domain, ring, rows, generators, bounds) -> bool:
+    """The criterion of the module docstring for N = K[X]-span(rows) on W =
+    bounds, ``rows`` over the numerator ring ``ring``."""
     shift = [-b for b in bounds]
-    basis, _ = _weak_popov(domain, rows, shift)
+    basis, _ = _weak_popov(ring, rows, shift)
     leads = {j: (d, b) for b in basis for d, j in [_lead(b, shift)]}
     r = sum(1 - d for d, _ in leads.values() if d <= 0)
     gens = [g for g in generators if not g.is_zero()]
-    if not all(_in_v(g) and _divides_out(domain, leads, shift, g.comps) for g in gens):
+    if not all(_in_v(g) and _divides_out(ring, leads, shift, ring.pack(g.comps))
+               for g in gens):
         return False
     n = len(bounds)
     for e in range(_MAX_EXTRA + 1):
@@ -604,30 +788,40 @@ def _in_v(v: PolyVec) -> bool:
     return all(x.in_domain for c in v.comps for x in c if x)
 
 
-def _divides_out(domain, leads, shift, a) -> bool:
+def _divides_out(ring, leads, shift, a) -> bool:
     """Whether the row a lies in the K[X]-span of a shifted weak Popov basis.
 
     ``leads`` maps each leading position of the basis to its row and shifted
     degree.  A nonzero element of the span has the leading position of a
     basis row b_i of shifted degree at most its own (predictable degree),
-    so the division below cancels a's leading term with that row, which
-    lowers (shifted degree, leading position), until a is zero (a member) or
-    no row fits (not a member).  The basis stays fixed: no row is swapped in.
+    so the division below cancels a's leading term with that row
+    (``_step``), which lowers (shifted degree, leading position), until a is
+    zero (a member) or no row fits (not a member).  The basis stays fixed:
+    no row is swapped in.
     """
-    a = list(a)
     while lead := _lead(a, shift):
         d, j = lead
         if j not in leads or leads[j][0] > d:
             return False
         e, b = leads[j]
-        c = a[j][-1] / b[j][-1]
-        a = [_sub_shifted(domain, x, c, d - e, y) for x, y in zip(a, b)]
+        a = _step(ring, a, b, j, d - e)
     return True
 
 
 def _coords(v: PolyVec, n: int) -> dict:
     """The nonzero coordinates of v."""
     return {r * n + j: x for j, c in enumerate(v.comps) for r, x in enumerate(c) if x}
+
+
+def _flat(v: PolyVec, n: int) -> list:
+    """The coordinates of v as one list, the entry at X^r f_j at r * n + (j - 1),
+    trailing zeros trimmed."""
+    zero = v.domain.zero
+    top = max(len(c) for c in v.comps)
+    out = [c[r] if r < len(c) else zero for r in range(top) for c in v.comps]
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def _cut(rows, outer) -> list[dict]:
@@ -649,12 +843,10 @@ def _cut(rows, outer) -> list[dict]:
     return rows
 
 
-def _sub_row(row, c, other, p: int = 0) -> dict:
-    """row -= c * other in place (mod p when p), dropping the entries that cancel."""
+def _sub_row(row, c, other) -> dict:
+    """row -= c * other in place, dropping the entries that cancel."""
     for k, x in other.items():
         y = row[k] - c * x if k in row else -(c * x)
-        if p:
-            y %= p
         if y:
             row[k] = y
         else:
@@ -663,57 +855,66 @@ def _sub_row(row, c, other, p: int = 0) -> dict:
 
 
 def _residue_map(domain):
-    """The characteristic of the residue field k (0 for Q) and the map V -> k.
+    """The characteristic p of the residue field k (0 for Q) and the map V -> k.
 
-    A residue is an int mod p, or a Fraction over Q.  It reads the element
-    fields: the p-adic ``value`` of ``zp:p``, the ``value`` itself over a
-    trivially valued field, and the value at t = 0 of ``num / den`` over
-    ``rft0``, where an element of V has den(0) != 0.
+    A residue is an int mod p, or over Q a pair of ints (num, den).  It
+    reads the element fields: the p-adic ``value`` of ``zp:p``, the
+    ``value`` itself over a trivially valued field, and the value at t = 0
+    of ``num / den`` over ``rft0``, where an element of V has den(0) != 0.
     """
-    if hasattr(domain.one, "num"):
+    if isinstance(domain.one, RatFuncElement):
         p = domain.field.p
         if p:
             return p, lambda x: x.num[0] * pow(x.den[0], -1, p) % p
-        return 0, lambda x: Fraction(x.num[0], x.den[0])
+        return 0, lambda x: (x.num[0], x.den[0])
     q = domain.p
     if q:
         return q, lambda x: x.value.numerator * pow(x.value.denominator, -1, q) % q
-    return domain.field.p, lambda x: x.value
+    if domain.field.p:
+        return domain.field.p, lambda x: x.value
+    return 0, lambda x: (x.value.numerator, x.value.denominator)
 
 
 def _residue_rank_reaches(domain, rows, r: int) -> bool:
     """Whether the residue rows of rows (entries in V) have rank at least r.
 
-    The rank is exact: mod p over F_p, in Fractions over Q.
+    The rank is exact: mod p over F_p, and over Q by the step over Z on the
+    rows cleared of denominators (``_echelon``).
     """
     p, residue = _residue_map(domain)
-    res = [{k: y for k, x in row.items() if (y := residue(x))} for row in rows]
-    return len(_echelon(res, p)) >= r
+    flat = []
+    for row in rows:
+        if not row:
+            continue
+        out = [0] * (max(row) + 1)
+        if p:
+            for k, x in row.items():
+                out[k] = residue(x)
+        else:
+            pairs = [(k, residue(x)) for k, x in row.items()]
+            D = lcm(*(d for _, (_, d) in pairs))
+            for k, (a, d) in pairs:
+                out[k] = a * (D // d)
+        while out and not out[-1]:
+            out.pop()
+        flat.append([out])
+    return len(_echelon(_Integers(p), flat)) >= r
 
 
-def _echelon(rows, p: int) -> dict:
-    """Echelon form of sparse rows: leading key -> row with 1 at that key.
-
-    Entries are ints mod p, or field elements (Fractions, elements of K)
-    when p is 0.  The number of rows returned is the rank.
-    """
+def _echelon(ring, rows) -> dict:
+    """Echelon form of one-component rows over ``ring``, keyed by the index
+    of each row's last entry.  The number of rows returned is the rank."""
     pivots = {}
     for row in rows:
-        row = _eliminate(row, pivots, p)
-        if row:
-            at = min(row)
-            lead = row[at]
-            if p:
-                inv = pow(lead, -1, p)
-                pivots[at] = {k: x * inv % p for k, x in row.items()}
-            else:
-                pivots[at] = {k: x / lead for k, x in row.items()}
+        row = _eliminate(ring, row, pivots)
+        if row[0]:
+            pivots[len(row[0]) - 1] = row
     return pivots
 
 
-def _eliminate(row, pivots, p: int) -> dict:
-    """row reduced by ``_echelon`` rows until its leading key is no pivot."""
-    row = dict(row)
-    while row and (at := min(row)) in pivots:
-        _sub_row(row, row[at], pivots[at], p)
+def _eliminate(ring, row, pivots) -> list:
+    """row reduced by ``_echelon`` rows (``_step``) until its last index is no
+    pivot; it is zero when the row lies in their K-span."""
+    while row[0] and (b := pivots.get(len(row[0]) - 1)):
+        row = _step(ring, row, b, 0, 0)
     return row

@@ -421,12 +421,16 @@ def _setting(key: str, value: str, lineno: int | None):
 def parse_instance(text: str, overrides=None) -> InstanceFile:
     """Parse an instance document: key/value header, then one vector per line.
 
-    ``overrides`` maps header keys to raw values, as the CLI's flags give
-    them.  Each is checked as a header value is, without a line number, and
-    replaces the file's value: the file's lines for that key are not read.
+    Each header key may appear on one line only: a second line for a key
+    raises ParseError at that line.  ``overrides`` maps header keys to raw
+    values, as the CLI's flags give them.  Each is checked as a header
+    value is, without a line number, and replaces the file's value: the
+    file's lines for that key are not read, so neither their values nor
+    their repeats are errors.
     """
     overrides = overrides or {}
     settings = {key: _setting(key, value, None) for key, value in overrides.items()}
+    first_line: dict[str, int] = {}
     vector_lines: list[tuple[int, str]] = []
     in_header = True
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -435,8 +439,14 @@ def parse_instance(text: str, overrides=None) -> InstanceFile:
             continue
         m = _HEADER_RE.match(line) if in_header else None
         if m:
-            if m.group(1) not in overrides:
-                settings[m.group(1)] = _setting(m.group(1), m.group(2), lineno)
+            key = m.group(1)
+            if key in overrides:
+                continue
+            if key in first_line:
+                raise ParseError(f"repeated header key {key!r}, first given on line "
+                                 f"{first_line[key]}", lineno, 1)
+            first_line[key] = lineno
+            settings[key] = _setting(key, m.group(2), lineno)
             continue
         in_header = False
         vector_lines.append((lineno, line))

@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import valsat
-from valsat import oracle
+from valsat import _poly as dense, oracle
 from valsat.echelon import saturate_free
 from valsat.errors import DegreeExceeded, MixedFamily
 from valsat.oracle import _x_shifts
@@ -332,9 +333,147 @@ def test_saturation_slice_matches_shift_families(S, D):
 @given(_families(), st.lists(st.integers(-3, 3), min_size=2, max_size=2))
 def test_weak_popov_leading_positions_are_distinct(S, shift):
     shift = shift[:S[0].n]
-    basis, _ = oracle._weak_popov(S[0].domain, [v.comps for v in S], shift)
+    ring = oracle._ring(S[0].domain)
+    basis, _ = oracle._weak_popov(ring, [ring.pack(v.comps) for v in S], shift)
     leads = [oracle._lead(b, shift)[1] for b in basis]
     assert len(set(leads)) == len(leads) <= S[0].n
+
+
+def test_oracle_imports_no_other_algorithm():
+    """The oracle writes its own K-layer step: of the package it imports
+    only the polynomial helpers, the errors, the vectors and the elements,
+    never the packed kernels (``_ratkernel``, ``_packed``) or the solvers."""
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                parts = (node.module or "").split(".")
+                imported.update([parts[0]] if node.module else
+                                [alias.name for alias in node.names])
+            elif node.module and node.module.split(".")[0] == "valsat":
+                parts = node.module.split(".")
+                imported.update(parts[1:2] or [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[1] if "." in alias.name else alias.name
+                            for alias in node.names if alias.name.split(".")[0] == "valsat")
+    assert imported <= {"_poly", "errors", "polyvec", "valuation"}, imported
+
+
+# The K-layer over K itself: the Euclidean steps a - (la/lb) X^k b on
+# elements, which the oracle's fraction-free steps over a numerator ring
+# must match up to a nonzero constant per row.
+
+def _element_sub_shifted(d, a, c, k, b):
+    """a - c X^k b for trimmed tuples of elements."""
+    out = list(a) + [d.zero] * (len(b) + k - len(a))
+    for i, x in enumerate(b):
+        if x:
+            out[i + k] = out[i + k] - c * x
+    return dense.trim(out)
+
+
+def _element_step(d, a, b, j, k):
+    c = a[j][-1] / b[j][-1]
+    return [_element_sub_shifted(d, x, c, k, y) for x, y in zip(a, b)]
+
+
+def _element_weak_popov(d, rows, shift):
+    basis, zero_heads = {}, []
+    for a in rows:
+        a = list(a)
+        while (lead := oracle._lead(a, shift)) and lead[1] in basis:
+            dd, j = lead
+            e, b = basis[j]
+            if e > dd:
+                basis[j] = (dd, a)
+                a, dd, b, e = b, e, a, dd
+            a = _element_step(d, a, b, j, dd - e)
+        if lead:
+            basis[lead[1]] = (lead[0], a)
+        else:
+            zero_heads.append(a)
+    return [b for _, (_, b) in sorted(basis.items())], zero_heads
+
+
+def _element_divides_out(d, leads, shift, a):
+    a = list(a)
+    while lead := oracle._lead(a, shift):
+        dd, j = lead
+        if j not in leads or leads[j][0] > dd:
+            return False
+        e, b = leads[j]
+        a = _element_step(d, a, b, j, dd - e)
+    return True
+
+
+def _proportional(d, row, elements):
+    """Whether the ring row, read in K, is a nonzero multiple of ``elements``."""
+    row = [tuple(c) for c in oracle._ring(d).unpack(d, row)]
+    x = next((x for c in row for x in c if x), None)
+    y = next((y for c in elements for y in c if y), None)
+    if x is None or y is None:
+        return x is None and y is None
+    c = x / y
+    return row == [dense.trim(z * c for z in comp) for comp in elements]
+
+
+@pytest.mark.parametrize("d", KINDS, ids=lambda d: d.tag)
+def test_fraction_free_step_scales_the_whole_row(d):
+    """(1, 2X), then (X^3, 3X^3): the step cancels 3X^3 against 2X, so over
+    Z it multiplies the row by 2, the X^3 of the first component too."""
+    one, two, three = (d.element(c) for c in (1, 2, 3))
+    z = d.zero
+    rows = [[(one,), (z, two)], [(z, z, z, one), (z, z, z, three)]]
+    ring = oracle._ring(d)
+    basis, kernel = oracle._weak_popov(ring, [ring.pack(r) for r in rows], [0, 0])
+    ebasis, ekernel = _element_weak_popov(d, rows, [0, 0])
+    assert not kernel and not ekernel
+    assert [oracle._lead(b, [0, 0]) for b in basis] == [(3, 0), (1, 1)]
+    assert all(_proportional(d, r, e) for r, e in zip(basis, ebasis))
+
+
+@pytest.mark.parametrize("d", KINDS, ids=lambda d: d.tag)
+@PROPERTY
+@given(data=st.data())
+def test_fraction_free_k_layer_matches_elements(d, data):
+    """Weak Popov form, division and K-rank over the numerator ring give the
+    answers of the same reductions over K."""
+    S = data.draw(_families(max_len=3, domain=d))
+    n = S[0].n
+    shift = data.draw(st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1))
+    ring = oracle._ring(d)
+    # An extra zero component, so that the unit vector there lies outside
+    # every span below.
+    rows = [list(v.comps) + [()] for v in S]
+    basis, kernel = oracle._weak_popov(ring, [ring.pack(r) for r in rows], shift)
+    ebasis, ekernel = _element_weak_popov(d, rows, shift)
+    assert [oracle._lead(b, shift) for b in basis] == [oracle._lead(b, shift) for b in ebasis]
+    assert len(kernel) == len(ekernel)
+    assert all(_proportional(d, r, e) for r, e in zip(basis + kernel, ebasis + ekernel))
+
+    leads = {j: (e, b) for b in basis for e, j in [oracle._lead(b, shift)]}
+    eleads = {j: (e, b) for b in ebasis for e, j in [oracle._lead(b, shift)]}
+    coeff = st.sampled_from([d.zero, d.one, -d.one, d.one + d.one, _pi(d), d.one / _pi(d)])
+    combo, kcombo = [()] * (n + 1), [()] * n
+    for r in rows:
+        q = data.draw(st.lists(coeff, max_size=3))
+        combo = [dense.add(d, x, dense.mul(d, q, c)) for x, c in zip(combo, r)]
+        c = data.draw(coeff)
+        kcombo = [dense.add(d, x, dense.mul(d, (c,), y)) for x, y in zip(kcombo, r)]
+    top = data.draw(st.integers(0, 2))
+    outside = [()] * n + [(d.zero,) * top + (d.one,)]
+    for comps, member in ((combo, True), ([dense.add(d, x, y) for x, y in zip(combo, outside)],
+                                          False)):
+        assert oracle._divides_out(ring, leads, shift, ring.pack(comps)) is member
+        assert _element_divides_out(d, eleads, shift, comps) is member
+
+    # verify_free's K-rank: the echelon form over the ring against plain
+    # elimination over K, with a K-combination of S among the vectors.
+    flat = [oracle._flat(v, n) for v in S + [PolyVec(d, kcombo)]]
+    width = max(map(len, flat))
+    rank = len(oracle._echelon(ring, [ring.pack([f]) for f in flat]))
+    assert rank == _k_rank([f + [d.zero] * (width - len(f)) for f in flat])
 
 
 @pytest.mark.parametrize("d", KINDS, ids=lambda d: d.tag)

@@ -201,6 +201,18 @@ def test_an_override_is_the_only_value_read():
     assert inst.domain == TrivialField("q")
 
 
+@pytest.mark.parametrize("header, line", [
+    ("domain: zp:2\ndomain: zp:3\ntask: syzygy\n", 2),
+    ("domain: zp:2\ntask: syzygy\ntask: saturate-vx\n", 3),
+    ("domain: zp:2\ntask: syzygy\nverify: true\n# a comment\nverify: true\n", 5),
+])
+def test_a_repeated_header_key_is_an_error_at_its_second_line(header, line):
+    """Even a repeat of the same value: the header holds one line per key."""
+    with pytest.raises(ParseError, match="repeated header key") as exc:
+        parse_instance(header + "\nX\n")
+    assert exc.value.line == line
+
+
 @pytest.mark.parametrize("key, value", [
     ("task", "nope"), ("max-iter", "0"), ("max-iter", "x"), ("degree-bound", "1.5"),
     ("verify", "maybe"), ("domain", "zp:x"), ("colour", "red"),
