@@ -1,12 +1,16 @@
 """Echelon-insertion engines behind the saturation drivers.
 
 The drivers in ``echelon``/``vxsat`` are written against a tiny engine
-protocol (insert a vector, insert the X-shift of a held column, read a
-column's pivot, export columns) so that one driver loop runs over either
-the generic DomainElement path or the packed kernel (``_packed``/
-``_ratkernel``).  ``select_engine`` picks the packed engine for every
-shipped kind, each over its numerator ring, so the generic engine serves
-as the tests' reference and as the fallback for any other ``Domain``.
+protocol (put a vector into the engine's own form, insert a vector in that
+form, insert the X-shift of a held column, read a column's pivot, export
+columns) so that one driver loop runs over either the generic
+DomainElement path or the packed kernel (``_packed``/``_ratkernel``).
+The engine form is a ``PolyVec`` for the generic engine and a packed
+vector for the packed one, which ``syzygy.syzygy_vx`` hands its kernel
+columns as they are, never building their elements.  ``select_engine``
+picks the packed engine for every shipped kind, each over its numerator
+ring, so the generic engine serves as the tests' reference and as the
+fallback for any other ``Domain``.
 ``syzygy.kernel_kx`` decides between its packed and generic reductions by
 the same predicate, ``packable``.  Both engines hold their basis as a list
 of columns and a list of pivot positions, which their kernel appends to in
@@ -36,6 +40,10 @@ class GenericEngine:
 
     def __len__(self):
         return len(self.cols)
+
+    def pack(self, v: PolyVec) -> PolyVec:
+        """v in the form ``insert_vector`` takes, here v itself."""
+        return v
 
     def insert_vector(self, v: PolyVec) -> tuple[bool, bool]:
         return echelon_insert(self.cols, self.pivs, v)

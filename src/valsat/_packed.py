@@ -5,11 +5,11 @@ The packed engine runs every shipped kind, over the numerator ring that
 for ``field:p``, Z[t] for ``rft0:q`` and F_p[t] for ``rft0:p``.  Columns
 are ``_ratkernel`` packed vectors, numerators over one denominator per
 column in lowest terms (over F_p, residues over 1).  ``_pack`` builds them
-from elements: over ``rft0`` the denominator is the lcm of the entries'
-denominators, which a ``RatFuncElement`` already holds in the numerator
-ring.  They become elements again only when a column is taken out
-(``polyvec``): ``vxsat`` takes the generators, and the whole basis only
-when it is read.  Over ``rft0`` an entry num / D becomes
+from elements (``PackedEngine.pack``): over ``rft0`` the denominator is the
+lcm of the entries' denominators, which a ``RatFuncElement`` already holds
+in the numerator ring.  They become elements again only when a column is
+taken out (``polyvec``): ``vxsat`` takes the generators, and the whole
+basis only when it is read.  Over ``rft0`` an entry num / D becomes
 ``RatFuncElement(domain, num, D)``, which costs one gcd of num against D.
 ``_ratkernel.insert`` keeps the column contract of ``echelon``: it appends
 each reduction, monic at its content position, and that position to the
@@ -17,13 +17,17 @@ engine's lists.  Results are bit-identical to the generic engine: same
 elimination order, same content rule, and the exported elements are
 canonical.
 
-``kernel_kx_packed`` runs ``syzygy``'s column reduction on packed columns
+``_kernel_columns`` runs ``syzygy``'s column reduction on packed columns
 over the same numerator rings, with one fraction-free step written against
 the ring: ``(lb/g) col - (la/g) X^s pivot`` for g the ring gcd of the
 leading numerators, then a content strip (``strip``).  Over F_p the ring's
 gcd is lb, so the step is Euclidean division itself and nothing is
 stripped.  Why its basis is the generic one is in the ``syzygy`` module
-docstring.
+docstring.  It returns the kernel's identity parts as ring columns, which
+``syzygy.syzygy_vx`` inserts into the packed engine as they are, each over
+D = 1: the engine stores the same column for every nonzero K-multiple of
+its input (see ``vxsat.saturate_vx``).  ``kernel_kx_packed`` exports them
+as elements, each divided by its first nonzero entry, for ``kernel_kx``.
 """
 
 from __future__ import annotations
@@ -93,8 +97,12 @@ class PackedEngine(GenericEngine):
         super().__init__(domain)
         self.ring = numerator_ring(domain)
 
-    def insert_vector(self, v: PolyVec) -> tuple[bool, bool]:
-        return _ratkernel.insert(self.cols, self.pivs, _pack(v, self.ring), self.ring)
+    def pack(self, v: PolyVec):
+        """v as a packed vector, the form ``insert_vector`` takes."""
+        return _pack(v, self.ring)
+
+    def insert_vector(self, vec) -> tuple[bool, bool]:
+        return _ratkernel.insert(self.cols, self.pivs, vec, self.ring)
 
     def insert_shift_of(self, i: int) -> tuple[bool, bool]:
         shifted = _ratkernel.vec_shift(self.cols[i], self.ring.zero)
@@ -139,21 +147,31 @@ def _step(ring):
     return step
 
 
-def kernel_kx_packed(U: list[PolyVec]):
-    """``syzygy.kernel_kx`` of a nonempty U over a shipped kind.
+def _kernel_columns(U: list[PolyVec]):
+    """The identity parts of the kernel columns of [U; I] for a nonempty U
+    over a shipped kind, as ring columns: lists of numerators, one per
+    component.
 
     Each stacked column [u_j; e_j] is packed, so its identity part starts
-    as D_j e_j; each generator is divided by its first nonzero entry.
+    as D_j e_j; a kernel column is a nonzero K-multiple of the generic
+    reduction's generator.
     """
-    domain, k, n = U[0].domain, U[0].n, len(U)
-    ring = numerator_ring(domain)
+    k, n = U[0].n, len(U)
+    ring = numerator_ring(U[0].domain)
     cols = []
     for j, u in enumerate(U):
         comps, D = _pack(u, ring)
         cols.append(comps + [[D] if i == j else [] for i in range(n)])
+    return [cols[j][k:] for j in _reduce_columns(cols, k, _step(ring))]
+
+
+def kernel_kx_packed(U: list[PolyVec]):
+    """``syzygy.kernel_kx`` of a nonempty U over a shipped kind: the kernel
+    columns as elements, each divided by its first nonzero entry."""
+    domain = U[0].domain
+    ring = numerator_ring(domain)
     basis = []
-    for j in _reduce_columns(cols, k, _step(ring)):
-        ident = cols[j][k:]
+    for ident in _kernel_columns(U):
         lead = next(x for comp in ident for x in comp if x)
         basis.append(tuple(map(tuple, _unpack(domain, ident, lead, ring))))
     return basis

@@ -14,7 +14,7 @@ its arithmetic through a ring object (the last argument of ``insert``):
   ``rft0:p``, valued by the t-adic order, its integer tuples handled by
   ``_poly``'s ``imul``, ``ilin``, ``iquo`` and ``igcd``.
 
-A ring supplies ``zero``, ``mod`` (the modulus of its coefficient
+A ring supplies ``zero``, ``one``, ``mod`` (the modulus of its coefficient
 arithmetic, else 0), ``gcd`` (over F_p its second argument, as in any
 field), the exact quotient ``quo``, ``sub_scaled`` over a component list,
 the valuation ``val`` of a numerator (None for the trivial valuation),
@@ -158,7 +158,7 @@ def _sub_scaled(comps, wcomps, s, t, p=0):
 class Integers:
     """Z with the p-adic valuation (trivial when p = 0), or residues mod ``mod``."""
 
-    zero = 0
+    zero, one = 0, 1
     quo = staticmethod(operator.floordiv)
 
     def __init__(self, p=0, mod=0):
@@ -204,7 +204,7 @@ class Polynomials:
     A numerator is a trimmed tuple of ints, residues mod p over F_p.
     """
 
-    zero = ()
+    zero, one = (), (1,)
     val = staticmethod(order)
 
     def __init__(self, mod=0):

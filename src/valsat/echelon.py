@@ -127,5 +127,5 @@ def saturate_free(F) -> EchelonBasis:
         return EchelonBasis()
     engine = select_engine(F[0].domain)
     for v in F:
-        engine.insert_vector(v)
+        engine.insert_vector(engine.pack(v))
     return engine.export_basis()

@@ -776,9 +776,15 @@ def _saturation_on_slice(domain, ring, rows, generators, bounds) -> bool:
                for g in gens):
         return False
     n = len(bounds)
+    # X^r g has the coordinates of g, each index moved up by r * n; r runs
+    # up to top(g) + e, top(g) the largest shift that fits the bounds.
+    coords = [(_coords(g, n), min(b - len(c) + 1 for b, c in zip(bounds, g.comps) if c))
+              for g in gens]
     for e in range(_MAX_EXTRA + 1):
         outer = [k * n + j for j, b in enumerate(bounds) for k in range(b + 1, b + e + 1)]
-        cut = _cut([_coords(w, n) for w in _x_shifts(gens, [b + e for b in bounds])], outer)
+        shifts = [{i + r * n: x for i, x in c.items()} if r else c
+                  for c, top in coords for r in range(top + e + 1)]
+        cut = _cut(shifts, outer)
         if len(cut) >= r and _residue_rank_reaches(domain, cut, r):
             return True
     return False

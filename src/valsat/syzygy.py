@@ -3,16 +3,26 @@
 Pipeline: compute a K[X]-basis of the kernel of the k-by-n polynomial matrix
 U by one unimodular column reduction of U stacked on the identity over the
 Euclidean ring K[X] (the identity part records the transform, whose columns
-are coprime, so the kernel vectors need no gcd strip), scale each kernel
-vector into a primitive element of V[X]^n by a uniformizer power, then
-V-saturate the V[X]-module they generate.  The generator list of that
-saturation generates the full syzygy module of u_1..u_n over V[X].
+are coprime, so the kernel vectors need no gcd strip), then V-saturate the
+V[X]-module they generate.  The generator list of that saturation generates
+the full syzygy module of u_1..u_n over V[X].
+
+Every shipped kind runs this pipeline packed from end to end: the kernel
+columns leave the packed reduction as numerators over the numerator ring
+(``_packed._kernel_columns``) and go into the packed engine as they are,
+each over the denominator 1.  The saturation does not depend on how each
+input vector is scaled (see ``vxsat.saturate_vx``), so they are neither
+divided by a leading entry nor made primitive first, and no element of K
+is built until the generators are taken out.  Any other ``Domain`` takes
+the element path: ``kernel_kx``, each vector scaled into a primitive
+element of V[X]^n by a uniformizer power (``primitive_scale``), then
+``saturate_vx``.
 
 K[X] polynomials are trimmed tuples of quotient-field elements; a kernel
 vector is a tuple of n such polynomials.
 
 One loop, ``_reduce_columns``, runs the reduction with a division step.
-Every shipped kind takes one packed step, ``_packed.kernel_kx_packed``,
+Every shipped kind takes one packed step, ``_packed._kernel_columns``,
 over its numerator ring R (Z for ``zp:p`` and ``field:q``, residues for
 ``field:p``, Z[t] for ``rft0:q``, F_p[t] for ``rft0:p``; see
 ``_ratkernel``).  Each stacked column [u_j; e_j] is cleared of
@@ -39,12 +49,11 @@ its first nonzero coefficient removes the multiple.
 
 from __future__ import annotations
 
-from . import _poly
-from ._engines import packable
+from . import _engines, _poly
 from .errors import ZeroVector
 from .polyvec import PolyVec, uniform_family
 from .valuation import Domain, DomainElement
-from .vxsat import SaturationResult, saturate_vx
+from .vxsat import SaturationResult, _check_cap, _run, saturate_vx
 from .echelon import EchelonBasis
 
 XPoly = tuple[DomainElement, ...]
@@ -72,7 +81,7 @@ def kernel_kx(U: list[PolyVec]) -> list[tuple[XPoly, ...]]:
     U = uniform_family(U)
     if not U:
         return []
-    if packable(U[0].domain):
+    if _engines.packable(U[0].domain):
         # Imported on first use, so that importing valsat does not load
         # (and, with no cached bytecode, compile) the packed modules.
         from ._packed import kernel_kx_packed
@@ -186,12 +195,28 @@ def scaled_kernel(U: list[PolyVec]) -> list[PolyVec]:
 def syzygy_vx(U: list[PolyVec], max_iter: int | None = None) -> SaturationResult:
     """Finite V[X]-generating set of the syzygy module of u_1..u_n.
 
-    Composes kernel_kx, primitive_scale and saturate_vx; the generator list
-    of the result spans {f in V[X]^n : sum_j f_j u_j = 0} over V[X].  An
-    injective matrix yields the empty result.  ``max_iter`` is the optional
-    round cap of ``saturate_vx``.
+    The V-saturation of the K[X]-kernel of U: its generator list spans
+    {f in V[X]^n : sum_j f_j u_j = 0} over V[X].  A shipped kind hands the
+    packed kernel columns straight to the packed engine; any other domain
+    saturates ``scaled_kernel(U)``.  Both give the result of
+    ``saturate_vx(scaled_kernel(U))``.  An injective matrix yields the
+    empty result.  ``max_iter`` is the optional round cap of
+    ``saturate_vx``, checked before any work.
     """
-    S = scaled_kernel(U)
-    if not S:
-        return SaturationResult(EchelonBasis(), [], [], 0)
-    return saturate_vx(S, max_iter)
+    _check_cap(max_iter)
+    U = uniform_family(U)
+    if U and _engines.packable(U[0].domain):
+        from ._packed import _kernel_columns
+
+        cols = _kernel_columns(U)
+        if cols:
+            # Looked up on ``_engines``, where perfbench/tracing.py records
+            # which engine each saturation runs.
+            engine = _engines.select_engine(U[0].domain)
+            d = max(len(comp) for col in cols for comp in col) - 1
+            return _run(engine, [(col, engine.ring.one) for col in cols], d, max_iter)
+    else:
+        S = scaled_kernel(U)
+        if S:
+            return saturate_vx(S, max_iter)
+    return SaturationResult(EchelonBasis(), [], [], 0)

@@ -16,6 +16,9 @@ the answer and G the certificate behind it, so ``_run`` takes only the
 columns of B out of the engine (``engine.polyvec``, which turns packed
 columns into elements, with one gcd per entry over ``rft0``).  G is built
 on the first read of ``SaturationResult.basis``, sharing B's columns.
+``_run`` starts from vectors in the engine's own form: ``saturate_vx``
+packs its input (``engine.pack``), and ``syzygy.syzygy_vx`` hands in the
+packed K[X]-kernel's columns as they are.
 
 Every round is recorded as an ``IterationRecord``; the counters drive both
 the termination argument (see ``saturate_vx``) and the diagnostic diagrams
@@ -151,18 +154,36 @@ def saturate_vx(S, max_iter: int | None = None) -> SaturationResult:
     in lexicographic order, and the loop ends after finitely many rounds:
     at most n - n_0 rounds raise the index count, and after round k at most
     Delta_k + 1 rounds run that keep it at n_k.
+
+    Scaling.  The result is the same, generators, trace, degree and basis,
+    when each vector of S is multiplied by its own nonzero element of K.
+    Inserting lambda v reduces to lambda times the reduction of v, whose
+    content, the first coefficient of least valuation, sits at the same
+    position and is lambda times the old one, so the quotient, the column
+    stored, is the same; only the insertion's ``new`` flag can change, and
+    every column of the initial fold is a generator whatever that flag
+    says.  ``syzygy.syzygy_vx`` relies on this: it saturates the K[X]-kernel
+    columns as the packed reduction leaves them, not their primitive
+    rescalings.
     """
-    if max_iter is not None and max_iter < 1:
-        raise InvalidIterationCap(f"max_iter must be at least 1, got {max_iter}")
+    _check_cap(max_iter)
     vectors = [v for v in uniform_family(S) if not v.is_zero()]
     if not vectors:
         raise EmptyInput("no nonzero generators given")
     engine = select_engine(vectors[0].domain)
-    return _run(engine, vectors, max_iter)
+    return _run(engine, [engine.pack(v) for v in vectors], family_degree(vectors),
+                max_iter)
 
 
-def _run(engine, vectors, max_iter: int | None) -> SaturationResult:
-    d = family_degree(vectors)
+def _check_cap(max_iter: int | None) -> None:
+    """InvalidIterationCap unless ``max_iter`` is None or at least 1."""
+    if max_iter is not None and max_iter < 1:
+        raise InvalidIterationCap(f"max_iter must be at least 1, got {max_iter}")
+
+
+def _run(engine, vectors, d: int, max_iter: int | None) -> SaturationResult:
+    """The round loop on nonzero vectors in the engine's form (``pack``)
+    of family degree d."""
     for v in vectors:
         engine.insert_vector(v)
     generator_idx = list(range(len(engine)))

@@ -10,7 +10,8 @@ import valsat
 from valsat.cli import main, pivot_diagram, trace_csv
 from valsat.echelon import EchelonBasis, saturate_free
 from valsat.polyvec import PolyVec
-from valsat.textio import parse_instance, parse_vector
+from valsat.syzygy import syzygy_vx
+from valsat.textio import parse_instance, parse_vector, render_vector
 from valsat.valuation import Zp
 from valsat.vxsat import saturate_vx
 
@@ -370,3 +371,15 @@ def test_long_integers_parse_and_render(tmp_path, capsys, component):
     want = saturate_vx(inst.vectors, 64).generators
     assert [parse_vector(inst.domain, line) for line in lines] == want
     assert max(len(line) for line in lines) > 4300
+
+
+def test_cli_syzygy_generators_are_those_of_syzygy_vx(capsys):
+    """The CLI saturates ``scaled_kernel`` to print its ``# s:`` lines; its
+    generators are those of ``syzygy_vx``, which skips that step."""
+    path = Path(__file__).resolve().parents[1] / "instances" / "syzygy.vsat"
+    assert main([str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("# d: ")) + 1
+    end = next(i for i in range(start, len(lines)) if lines[i].startswith("#"))
+    res = syzygy_vx(parse_instance(path.read_text(encoding="utf-8")).vectors)
+    assert lines[start:end] == [render_vector(g) for g in res.generators] != []

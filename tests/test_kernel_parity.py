@@ -5,17 +5,17 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from valsat import _poly, _ratkernel, syzygy
 from valsat._engines import GenericEngine, packable, select_engine
 from valsat._packed import PackedEngine, _pack, numerator_ring
 from valsat.echelon import EchelonBasis, echelon_insert, gauss_eliminate, saturate_free
-from valsat.polyvec import PolyVec, zero_vec
-from valsat.syzygy import _kernel_kx_generic, kernel_kx
+from valsat.polyvec import PolyVec, family_degree, zero_vec
+from valsat.syzygy import _kernel_kx_generic, kernel_kx, scaled_kernel, syzygy_vx
 from valsat.valuation import (RationalFunctionsAtZero, RatFuncElement, TrivialField, Zp,
                               content)
-from valsat.vxsat import _run
+from valsat.vxsat import SaturationResult, _run, saturate_vx
 
 # The denominators of the test coefficients below (7, 11, 77, 13^5) are
 # units mod 3 and mod 5.
@@ -65,7 +65,7 @@ def random_instances(seed, count):
 
 
 def run_engine(engine, S):
-    return _run(engine, S, 64)
+    return _run(engine, [engine.pack(v) for v in S], family_degree(S), 64)
 
 
 def assert_same_result(a, b):
@@ -327,11 +327,12 @@ def test_zero_vector_dies_on_every_engine(dom):
     """Every engine returns (False, False) on the zero vector, before and
     after a column is held, and appends nothing."""
     for engine in (select_engine(dom), GenericEngine(dom)):
-        assert engine.insert_vector(zero_vec(dom, 2)) == (False, False)
+        zero = engine.pack(zero_vec(dom, 2))
+        assert engine.insert_vector(zero) == (False, False)
         assert engine.cols == engine.pivs == []
-        assert engine.insert_vector(PolyVec(dom, [[dom.one], []])) == (True, False)
+        assert engine.insert_vector(engine.pack(PolyVec(dom, [[dom.one], []]))) == (True, False)
         before = list(engine.export_basis())
-        assert engine.insert_vector(zero_vec(dom, 2)) == (False, False)
+        assert engine.insert_vector(zero) == (False, False)
         assert len(engine.cols) == len(engine.pivs) == 1
         assert list(engine.export_basis()) == before
 
@@ -421,3 +422,86 @@ def test_packed_kernel_kx_matches_generic(inst):
                 assert type(c.value) is int and 0 <= c.value < char
             else:
                 assert type(c.value) is Fraction
+
+
+# saturate_vx does not depend on how each input vector is scaled, which lets
+# syzygy_vx saturate the packed kernel columns as they are.
+@st.composite
+def k_scalars(draw, dom):
+    """A nonzero element of K: a unit-like part times pi^e, e in -3..3; over
+    rft0 a rational function whose numerator and denominator depend on t."""
+    char = dom.field.p
+    if isinstance(dom, RationalFunctionsAtZero):
+        coeffs = st.lists(st.integers(-5, 5), min_size=1, max_size=3)
+        num, den = draw(coeffs), draw(coeffs)
+        assume(any(x % char if char else x for x in num)
+               and any(x % char if char else x for x in den))
+        c = dom.k_element((num, den))
+    else:
+        a = draw(st.integers(-2 ** 40, 2 ** 40))
+        b = draw(st.integers(1, 2 ** 20))
+        assume(a and (not char or a % char and b % char))
+        c = dom.k_element(Fraction(a, b))
+    pi = dom.uniformizer()
+    if pi is not None:
+        e = draw(st.integers(-3, 3))
+        step = pi if e > 0 else dom.one / pi
+        for _ in range(abs(e)):
+            c = c * step
+    return c
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_saturation_ignores_the_scaling_of_each_input_vector(data):
+    dom, S = data.draw(five_kind_families())
+    scaled = [v.scale(data.draw(k_scalars(dom))) for v in S]
+    assert_same_result(saturate_vx(S), saturate_vx(scaled))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(kernel_matrices())
+@example((TrivialField("q"), [PolyVec.from_raw(TrivialField("q"), [[1], [0, 1]])]))
+def test_syzygy_vx_matches_the_element_pipeline(inst):
+    """The packed handoff gives what saturating ``scaled_kernel`` gives."""
+    dom, U = inst
+    S = scaled_kernel(U)
+    expected = saturate_vx(S) if S else SaturationResult(EchelonBasis(), [], [], 0)
+    assert_same_result(syzygy_vx(U), expected)
+
+
+@pytest.mark.parametrize("dom", FIVE_KINDS, ids=lambda d: d.tag)
+def test_syzygy_vx_empty_kernel_on_every_kind(dom):
+    """An injective U gives the empty result on the packed path too."""
+    pi = dom.uniformizer() or dom.one
+    U = [PolyVec(dom, [[dom.one], [pi]]), PolyVec(dom, [[pi], [dom.zero, dom.one]])]
+    assert scaled_kernel(U) == []
+    res = syzygy_vx(U)
+    assert (res.generators, res.trace, res.degree) == ([], [], 0)
+    assert res.basis == EchelonBasis()
+
+
+def test_syzygy_vx_hands_kernel_columns_to_the_engine(monkeypatch):
+    """No kernel vector is exported as elements, scaled, or packed again:
+    ``_pack`` sees the columns of U only."""
+    from valsat import _packed
+
+    def refused(*args):
+        raise AssertionError("element round trip")
+
+    packed = []
+    original = _packed._pack
+    monkeypatch.setattr(syzygy, "primitive_scale", refused)
+    monkeypatch.setattr(syzygy, "kernel_kx", refused)
+    monkeypatch.setattr(_packed, "kernel_kx_packed", refused)
+    monkeypatch.setattr(PackedEngine, "pack", refused)
+    monkeypatch.setattr(_packed, "_pack", lambda v, ring: packed.append(v) or original(v, ring))
+    for dom in FIVE_KINDS:
+        pi = dom.uniformizer() or dom.k_element(2)
+        U = [PolyVec(dom, [[dom.zero, dom.one]]), PolyVec(dom, [[pi]]),
+             PolyVec(dom, [[pi * pi, dom.one]])]
+        packed.clear()
+        res = syzygy_vx(U)
+        assert len(res.generators) >= 2
+        assert len(packed) == len(U) and all(v is u for v, u in zip(packed, U))

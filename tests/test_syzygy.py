@@ -5,7 +5,7 @@ import pytest
 
 from valsat import _poly, oracle
 from valsat._packed import _pack, _step, numerator_ring
-from valsat.errors import ZeroVector
+from valsat.errors import InvalidIterationCap, ZeroVector
 from valsat.polyvec import PolyVec
 from valsat.syzygy import (
     _kernel_kx_generic,
@@ -304,6 +304,14 @@ def test_syzygy_injective_and_empty():
     assert syzygy_vx([vec(Z2, [1])]).generators == []
     assert syzygy_vx([]).generators == []
     assert scaled_kernel([]) == []
+
+
+@pytest.mark.parametrize("cols", [[[0, 1]], [[0, 1], [2]]], ids=["injective", "kernel"])
+def test_syzygy_cap_is_checked_before_any_work(cols):
+    """max_iter=0 is refused whether or not U has a nonzero kernel."""
+    U = [vec(Z2, c) for c in cols]
+    with pytest.raises(InvalidIterationCap):
+        syzygy_vx(U, max_iter=0)
 
 
 def test_syzygy_scaling_invariance():
