@@ -116,7 +116,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from ._poly import igcd, ilin, imul, iquo
+from ._poly import icontent, igcd, ilin, imul, iquo
 from .errors import DegreeExceeded
 from .polyvec import PivotIndex, PolyVec, uniform_family
 from .valuation import RatFuncElement, ScalarElement, content
@@ -399,16 +399,15 @@ class _Polynomials:
         return out
 
     def strip(self, row) -> list[list]:
-        """row divided by the gcd of its entries, the chain stopping once it
-        reaches 1."""
-        p, h = self.p, ()
-        for c in (c for comp in row for c in comp if c):
-            h = igcd(h, c, p)
-            if h == (1,):
-                return row
-        if not h:
+        """row divided by the gcd of its entries (``icontent``)."""
+        xs = [c for comp in row for c in comp if c]
+        if not xs:
             return row
-        return [[iquo(c, h, p) if c else () for c in comp] for comp in row]
+        h, qs = icontent(xs, self.p)
+        if h == (1,):
+            return row
+        qs = iter(qs)
+        return [[next(qs) if c else () for c in comp] for comp in row]
 
 
 def _ring(domain):

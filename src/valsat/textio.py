@@ -12,7 +12,13 @@ A sum of monomials ``[+-] c [* X[^k]]`` or ``[+-] X[^k]``, with c a literal
 ``n`` or ``n/d`` (a unary minus allowed), ``(+-n)`` or ``(+-n/d)``, or over
 ``rft0`` ``((P)/(Q))`` for P and Q such sums in t, costs one regex pass and
 O(terms) field operations, on the same values as the parser: each term's
-coefficient is added into its exponent's slot.  Every other shape goes to
+coefficient is added into its exponent's slot.  A ((P)/(Q)) whose P and Q
+hold integer literals only is read straight into the numerator ring, Z[t]
+or F_p[t], as int tuples, and becomes one ``RatFuncElement``: one gcd, no
+``Fraction`` per literal and no second coercion by ``from_polys``; a '/'
+inside P or Q, seen before either is scanned, keeps the path through the
+base field and ``from_polys``.  Over Q a literal n/d is one
+``Fraction(n, d)``.  Every other shape goes to
 the recursive-descent parser, the one grammar: the scanner accepts a subset
 of it, gives the same values there, and raises nothing, so a component that
 falls back costs at most one wasted scan.
@@ -33,6 +39,7 @@ one ``t`` element per parser.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -42,6 +49,7 @@ from .polyvec import PolyVec
 from .valuation import (
     Domain,
     RationalFunctionsAtZero,
+    RatFuncElement,
     ScalarElement,
     parse_domain_tag,
 )
@@ -267,17 +275,26 @@ _TERM_RE = re.compile(r"""
     \s*""", re.VERBOSE)
 
 
+class _Z:
+    """The integers, for ``_scan`` of a t-polynomial with integer literals."""
+
+    zero, one = 0, 1
+    add, neg = staticmethod(operator.add), staticmethod(operator.neg)
+
+
 def _scan(text, F, literal, var, rft=None):
     """``text`` as a sum of monomials in ``var`` over F, or None.
 
     The value is the trimmed polynomial the parser gives, over the same F
     with the same ``literal``, for every text this accepts; None means some
-    other shape, valid or not, which is left to the parser.  A unary minus
-    is taken only directly before a literal, where it cannot bind below a
-    '^'; a literal followed by '^' is not a term.  ``rft``, the
-    rational-function domain, admits ((P)/(Q)) coefficients, P and Q sums
-    of monomials in t over its base field.  A zero denominator, d or Q,
-    gives None, and the parser raises its "division by zero".
+    other shape, valid or not, which is left to the parser.  A literal n/d
+    is ``F.ratio(n, d)``.  A unary minus is taken only directly before a
+    literal, where it cannot bind below a '^'; a literal followed by '^' is
+    not a term.  ``rft``, the rational-function domain, admits ((P)/(Q))
+    coefficients, P and Q sums of monomials in t: over its numerator ring
+    when they hold integer literals only, else over its base field.  A zero
+    denominator, d or Q, gives None, and the parser raises its "division by
+    zero".
     """
     slots = []
     pos, end, match = 0, len(text), _TERM_RE.match
@@ -289,21 +306,20 @@ def _scan(text, F, literal, var, rft=None):
         if (pos and sign is None) or (coef is None and x is None) or (x and x != var):
             return None
         if n is not None:
-            c = literal(to_int(n))
-            if d is not None:
-                q = literal(to_int(d))
-                if not q:
-                    return None
-                if c:
-                    c = F.div(c, q)
+            c = literal(to_int(n)) if d is None else F.ratio(to_int(n), to_int(d))
+            if c is None:
+                return None
         elif num is not None:
             if rft is None:
                 return None
+            # integer P and Q are read straight into the numerator ring
             G = rft.field
-            P, Q = _scan(num, G, G.coerce, "t"), _scan(den, G, G.coerce, "t")
+            frac = "/" in num or "/" in den
+            R, lit = (G, G.coerce) if frac or G.p else (_Z, int)
+            P, Q = _scan(num, R, lit, "t"), _scan(den, R, lit, "t")
             if P is None or not Q:
                 return None
-            c = rft.from_polys(P, Q)
+            c = rft.from_polys(P, Q) if frac else RatFuncElement(rft, P, Q)
         else:
             c = F.one
         if (sign == "-") ^ (neg is not None) ^ (psign == "-"):

@@ -122,6 +122,11 @@ class _QQ:
     def coerce(x):
         return Fraction(x)
 
+    @staticmethod
+    def ratio(n, d):
+        """n / d for ints; None when d is zero."""
+        return Fraction(n, d) if d else None
+
     add = staticmethod(operator.add)
     sub = staticmethod(operator.sub)
     mul = staticmethod(operator.mul)
@@ -142,6 +147,11 @@ class _GFp:
                 raise NotInDomain(f"denominator not invertible mod {self.p}")
             return x.numerator * pow(x.denominator, -1, self.p) % self.p
         return int(x) % self.p
+
+    def ratio(self, n, d):
+        """n / d for ints, reduced mod p first; None when d is zero mod p."""
+        d %= self.p
+        return n * pow(d, -1, self.p) % self.p if d else None
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -456,6 +466,11 @@ class Domain:
     def _from_raw(self, raw) -> DomainElement:
         raise NotImplementedError
 
+    def ratio(self, n, d):
+        """The element n / d of K for ints; None when d is zero."""
+        v = self.field.ratio(n, d)
+        return None if v is None else self.k_element(v)
+
     # Elements are immutable and canonical, so every caller may share these.
     @functools.cached_property
     def zero(self):
@@ -540,8 +555,14 @@ class TrivialField(Domain):
         return ScalarElement(self, self.field.coerce(Fraction(raw)))
 
 
+@functools.lru_cache(maxsize=64)
 def parse_domain_tag(tag: str) -> Domain:
-    """The domain of a tag: zp:<p>, rft0:q, rft0:<p>, field:q or field:<p>."""
+    """The domain of a tag: zp:<p>, rft0:q, rft0:<p>, field:q or field:<p>.
+
+    Domains are immutable and compare by tag, so one object per tag serves
+    every caller: its ``zero``, ``one`` and primality check are made once.
+    A bad tag is not cached and raises on every call.
+    """
     kind, sep, arg = tag.partition(":")
     if not sep:
         raise ParseError(f"malformed domain tag {tag!r}")

@@ -259,6 +259,10 @@ NORMALISE_CASES = {
     # Z[t]: (-1 - t, t^2 - 1) over -1 - t: h = -(1 + t), so (1, 1 - t).
     "Z, polynomial gcd": (0, [[(-1, -1)], [(-1, 0, 1)]], (-1, -1),
                           [[(1,)], [(1, -1)]], (1,)),
+    # Z[t]: (1 - 2t, t) over 1 - 2t: the chain reaches 1, and h = -1
+    # still makes the new D positive-leading.
+    "Z, coprime, negative content": (0, [[(1, -2), (0, 1)]], (1, -2),
+                                     [[(-1, 2), (0, -1)]], (-1, 2)),
     # F_5[t]: (3t, t) over 3t: h = 3t, and t / 3t = 2.
     "F_5, monic": (5, [[(0, 3), (0, 1)]], (0, 3), [[(1,), (2,)]], (1,)),
     # F_5[t]: (2 + t, 3) over 2 + t: coprime, D = 2 + t stays.
@@ -380,3 +384,139 @@ def test_gcdheu_point_meets_the_bound(monkeypatch):
     a, b = list(_poly.imul((-4, 1), (1, 1))), [1, 1]
     assert signed(_poly._heu(a, b)) == [1, 1]
     assert seen[0] == 4 and len(set(seen)) == 2 and seen[-1] & (seen[-1] - 1)
+
+
+# ---------------------------------------------------------------------------
+# Products over Z by Kronecker substitution, against schoolbook references
+# kept here: ``imul`` and ``ilin`` switch at ``_KS_MIN_LEN`` terms.
+
+K = _poly._KS_MIN_LEN
+
+
+def school_lin(s, x, t=(), y=()):
+    """s x - t y by the convolution sums, trimmed."""
+    out = [0] * (max(len(s) + len(x), len(t) + len(y)) - 1)
+    for a, b, sign in ((s, x, 1), (t, y, -1)):
+        for i, u in enumerate(a):
+            for j, v in enumerate(b):
+                out[i + j] += sign * u * v
+    return _poly.trim(out)
+
+
+huge = st.integers(-(2**2100), 2**2100)
+ks_coeff = st.one_of(st.integers(-9, 9), st.integers(-(2**64), 2**64), huge)
+
+
+@st.composite
+def ks_operands(draw):
+    """s, x, t, y with lengths below, at and above the switch; t y is free,
+    equal to s x, or s x with its leading coefficients kept, so that the
+    difference cancels to zero or loses its leading terms."""
+    def poly():
+        n = draw(st.sampled_from((1, 2, K - 1, K, K + 1, 2 * K + 3)))
+        body = draw(st.lists(ks_coeff, min_size=n - 1, max_size=n - 1))
+        return tuple(body) + (draw(ks_coeff.filter(bool)),)
+    s, x = poly(), poly()
+    how = draw(st.sampled_from(("free", "zero", "lead")))
+    if how == "free":
+        return s, x, poly(), poly()
+    if how == "zero":
+        return s, x, s, x
+    k = draw(st.integers(0, len(x) - 1))
+    low = draw(st.lists(ks_coeff, min_size=k, max_size=k))
+    return s, x, s, tuple(low) + x[k:]
+
+
+@PROPERTY
+@given(ks_operands())
+def test_kronecker_products_match_schoolbook(ops):
+    s, x, t, y = ops
+    assert _poly.imul(s, x) == school_lin(s, x) == _poly.imul(x, s)
+    assert _poly.ilin(s, x, t, y) == school_lin(s, x, t, y)
+    assert _poly._kronecker(s, x, t, y) == school_lin(s, x, t, y)
+    assert _poly._kronecker(s, x) == school_lin(s, x)
+
+
+def test_kronecker_runs_at_the_switch_and_only_over_z(monkeypatch):
+    """Both operands of a product need K terms; over F_p it stays schoolbook."""
+    ran = []
+    ks = _poly._kronecker
+    monkeypatch.setattr(_poly, "_kronecker", lambda *a: ran.append(len(a)) or ks(*a))
+    for n, want in ((K - 1, []), (K, [2, 4])):
+        ran.clear()
+        a, b = tuple(range(1, n + 1)), tuple(range(-n, 0))
+        assert _poly.imul(a, b) == school_lin(a, b)
+        assert _poly.ilin(a, b, b, a) == school_lin(a, b, b, a)
+        assert ran == want
+    ran.clear()
+    for p in (5, P64):
+        a, b = (_poly.trim(v % p for v in range(k, k + 3 * K)) for k in (2, 3))
+        want = _poly.trim(c % p for c in school_lin(a, b))
+        assert _poly.imul(a, b, p) == want
+        assert _poly.ilin(a, b, (), b, p) == want
+        assert _poly.ilin(a, b, b, a, p) == ()
+    assert ran == []
+
+
+# ---------------------------------------------------------------------------
+# The content chain ``icontent``, against ``igcd`` followed by ``iquo``.
+
+def chain_ref(xs, p):
+    h = ()
+    for x in xs:
+        h = _poly.igcd(h, x, p)
+    return h, [_poly.iquo(x, h, p) for x in xs]
+
+
+@st.composite
+def chains(draw):
+    """Nonzero polynomials sharing a factor c: c may have a negative lead and
+    an integer content, may be a constant, and the chain may reach 1."""
+    p = draw(st.sampled_from((0, 0, 5, P64)))
+    coeff = st.integers(-(2**40), 2**40) if p == 0 else st.integers(0, p - 1)
+    def poly(lo, hi):
+        n = draw(st.integers(lo, hi))
+        body = draw(st.lists(coeff, min_size=n - 1, max_size=n - 1))
+        lead = draw(coeff.filter(lambda v: v % p if p else v))
+        return tuple(body) + (lead,)
+    c = poly(1, 2 * L)
+    if p == 0 and draw(st.booleans()):
+        c = tuple(-6 * v for v in c)
+    xs = [_poly.imul(c, poly(1, 2 * L), p) for _ in range(draw(st.integers(1, 5)))]
+    return p, [x for x in xs if x] or [c]
+
+
+@PROPERTY
+@given(chains())
+def test_content_chain_matches_igcd_then_iquo(case):
+    p, xs = case
+    h, qs = _poly.icontent(xs, p)
+    want_h, want_qs = chain_ref(xs, p)
+    assert h == want_h and list(qs) == want_qs
+    assert (h[-1] > 0) if not p else h[-1] == 1
+    if h == (1,):
+        assert qs is xs
+
+
+@pytest.mark.parametrize("p, xs, h, qs", [
+    (0, [(3, -6)], (-3, 6), [(-1,)]),                       # single, negative lead
+    (0, [(-6,), (4,), (10,)], (2,), [(-3,), (2,), (5,)]),   # constants
+    (0, [(2, 2), (1, 0, 1), (4, 4)], (1,), None),           # reaches 1
+    (5, [(0, 3)], (0, 1), [(3,)]),                          # single over F_5
+    (5, [(2,), (0, 1)], (1,), None),
+])
+def test_content_chain_examples(p, xs, h, qs):
+    got_h, got_qs = _poly.icontent(xs, p)
+    assert got_h == h
+    assert got_qs == (xs if qs is None else qs)
+
+
+def test_content_chain_keeps_the_gcdheu_quotients(monkeypatch):
+    """Long entries with a long common factor: every quotient comes from
+    GCDHEU's trial divisions, and no ``iquo`` runs."""
+    c = (3, -1, 4, 1, -5, 9, 2)
+    rs = [(2, 7, 1, 8, 2, 8), (1, 4, 1, 4, 2, 1, 3), (-1, 7, 3, 2, 0, 5)]
+    xs = [_poly.imul(c, tuple(2 * v for v in r)) for r in rs]
+    monkeypatch.setattr(_poly, "iquo", lambda *a: pytest.fail("iquo ran"))
+    h, qs = _poly.icontent(xs)
+    assert h == tuple(2 * v for v in c) and qs == [tuple(r) for r in rs]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from valsat import _poly, textio
-from valsat.errors import NotInDomain, ParseError
+from valsat.errors import NotInDomain, NotPrime, ParseError
 from valsat.polyvec import PolyVec
 from valsat.textio import (
     parse_domain_tag,
@@ -549,3 +549,56 @@ def test_shipped_rft0_components_fall_back():
         PolyVec(R, [(t2, t), (R.from_polys((2, 1), (3,)),)]),
         PolyVec(R, [(R.zero, R.zero, t), (R.one,)]),
     ]
+
+
+# ---------------------------------------------------------------------------
+# ((P)/(Q)) with integer literals only: P and Q are read into the numerator
+# ring and make one RatFuncElement, with no from_polys.
+
+RFT0 = [RationalFunctionsAtZero("q"), RationalFunctionsAtZero("fp", 5)]
+
+
+@pytest.mark.parametrize("d", RFT0, ids=lambda d: d.tag)
+@pytest.mark.parametrize("text, num, den", [
+    ("((2+2*t)/(4+4*t))", (2, 2), (4, 4)),            # a common factor
+    ("((1 + t)/(2 - 3*t^2))", (1, 1), (2, 0, -3)),    # a negative leading denominator
+    ("((0)/(1 + t))", (), (1, 1)),                    # a zero numerator
+    ("((t - t)/(7))", (), (7,)),
+    ("((-6*t^2 + 4*t)/(2*t^2 - t - 1))", (0, 4, -6), (-1, -1, 2)),
+])
+def test_integer_t_coefficients_skip_from_polys(d, text, num, den, monkeypatch):
+    want, zero, one = d.from_polys(num, den), d.zero, d.one
+    monkeypatch.setattr(RationalFunctionsAtZero, "from_polys",
+                        lambda *a: pytest.fail("from_polys ran"))
+    assert textio._scanner(d)(text) == ((want,) if want else ())
+    assert parse_vector(d, f"X, {text}*X") == PolyVec(d, [(zero, one), (zero, want)])
+
+
+@pytest.mark.parametrize("d", RFT0, ids=lambda d: d.tag)
+def test_integer_t_coefficient_zero_denominator_keeps_its_error(d):
+    for text, column in (("X, ((1 + t)/(0))", 12), ("((1 + t)/(2 - 2))*X", 9)):
+        with pytest.raises(ParseError, match="division by zero") as exc:
+            parse_vector(d, text, line=3)
+        assert (exc.value.line, exc.value.column) == (3, column)
+
+
+@pytest.mark.parametrize("d", RFT0, ids=lambda d: d.tag)
+def test_fractional_t_coefficients_keep_from_polys(d, monkeypatch):
+    calls = []
+    from_polys = RationalFunctionsAtZero.from_polys
+    monkeypatch.setattr(RationalFunctionsAtZero, "from_polys",
+                        lambda self, *a: calls.append(a) or from_polys(self, *a))
+    got = parse_vector(d, "((1/2 + t)/(3))")
+    assert calls
+    assert got == PolyVec(d, [(from_polys(d, (Fraction(1, 2), 1), (3,)),)])
+
+
+def test_parse_domain_tag_shares_one_domain_per_tag():
+    for tag in ("zp:2", "rft0:q", "rft0:5", "field:q", "field:7"):
+        assert parse_domain_tag(tag) is parse_domain_tag(tag)
+    text = "domain: rft0:q\ntask: syzygy\n\nX\n"
+    assert parse_instance(text).domain is parse_instance(text).domain
+    for tag in ("zp:4", "rft0:x", "weird:2"):
+        for _ in range(2):
+            with pytest.raises((ParseError, NotPrime)):
+                parse_domain_tag(tag)
