@@ -4,13 +4,17 @@ The packed engine runs every shipped kind, over the numerator ring that
 ``numerator_ring`` picks: Z for ``zp:p`` and ``field:q``, residues mod p
 for ``field:p``, Z[t] for ``rft0:q`` and F_p[t] for ``rft0:p``.  Columns
 are ``_ratkernel`` packed vectors, numerators over one denominator per
-column in lowest terms (over F_p, residues over 1).  ``_pack`` builds them
-from elements (``PackedEngine.pack``): over ``rft0`` the denominator is the
-lcm of the entries' denominators, which a ``RatFuncElement`` already holds
-in the numerator ring.  They become elements again only when a column is
-taken out (``polyvec``): ``vxsat`` takes the generators, and the whole
-basis only when it is read.  Over ``rft0`` an entry num / D becomes
-``RatFuncElement(domain, num, D)``, which costs one gcd of num against D.
+column in lowest terms (over F_p, residues over 1).  ``_pack``
+(``PackedEngine.pack``) takes a ``PackedPolyVec``, which every parsed
+vector over ``zp:p``, ``field:q`` and ``field:p`` is, as it is, and builds
+the others from elements: over ``rft0`` the denominator is the lcm of the
+entries' denominators, which a ``RatFuncElement`` already holds in the
+numerator ring.  A column is taken out by ``polyvec``: ``vxsat`` takes the
+generators, and the whole basis only when it is read.  Over the integer
+rings that is a ``PackedPolyVec`` of the column's own lists, which builds
+no element until its ``comps`` is read; over ``rft0`` an entry num / D
+becomes ``RatFuncElement(domain, num, D)``, which costs one gcd of num
+against D.
 ``_ratkernel.insert`` keeps the column contract of ``echelon``: it appends
 each reduction, monic at its content position, and that position to the
 engine's lists.  Results are bit-identical to the generic engine: same
@@ -32,16 +36,15 @@ as elements, each divided by its first nonzero entry, for ``kernel_kx``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 from . import _ratkernel
 from ._engines import GenericEngine
 from ._poly import igcd, imul, iquo
 from .echelon import EchelonBasis
-from .polyvec import PivotIndex, PolyVec
+from .polyvec import PackedPolyVec, PivotIndex, PolyVec
 from .syzygy import _reduce_columns
-from .valuation import RatFuncElement, ScalarElement
+from .valuation import RatFuncElement
 
 
 def numerator_ring(domain):
@@ -54,9 +57,11 @@ def numerator_ring(domain):
 def _pack(v: PolyVec, ring):
     """A packing with D the lcm of the entries' denominators, 1 mod p.
 
-    Over Q and Z_(p) this is the lowest-terms packing.  A rational function
-    holds its numerator and denominator in the numerator ring already.
+    Over Q and Z_(p) this is the lowest-terms packing.  A ``PackedPolyVec``
+    and a rational function hold theirs already.
     """
+    if type(v) is PackedPolyVec:
+        return v.nums, v.den
     mod = ring.mod
     if isinstance(ring, _ratkernel.Integers):
         if mod:
@@ -76,15 +81,10 @@ def _pack(v: PolyVec, ring):
 def _unpack(domain, comps, D, ring):
     """The entries num / D as canonical elements: reduced fractions, residues
     mod p, or reduced rational functions (the pivot entry, equal to D, is 1)."""
-    zero, one, mod = domain.zero, domain.one, ring.mod
-    if isinstance(ring, _ratkernel.Polynomials):
-        return [[(one if num == D else RatFuncElement(domain, num, D)) if num else zero
-                 for num in comp] for comp in comps]
-    if mod:
-        inv = pow(D, -1, mod)
-        return [[ScalarElement(domain, num * inv % mod) if num else zero
-                 for num in comp] for comp in comps]
-    return [[ScalarElement(domain, Fraction(num, D)) if num else zero
+    if isinstance(ring, _ratkernel.Integers):
+        return PackedPolyVec(domain, comps, D).comps
+    zero, one = domain.zero, domain.one
+    return [[(one if num == D else RatFuncElement(domain, num, D)) if num else zero
              for num in comp] for comp in comps]
 
 
@@ -109,8 +109,11 @@ class PackedEngine(GenericEngine):
         return _ratkernel.insert(self.cols, self.pivs, shifted, self.ring)
 
     def polyvec(self, i: int) -> PolyVec:
-        """Column i with its entries as canonical elements."""
+        """Column i: as it is over the integer rings, else with its entries
+        as canonical elements."""
         comps, D = self.cols[i]
+        if isinstance(self.ring, _ratkernel.Integers):
+            return PackedPolyVec(self.domain, comps, D)
         return PolyVec(self.domain, _unpack(self.domain, comps, D, self.ring))
 
     def export_basis(self, known=None) -> EchelonBasis:

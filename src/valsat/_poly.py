@@ -560,13 +560,13 @@ def num_str(c) -> str:
 def needs_parens(s: str) -> bool:
     """True when a coefficient string must be wrapped before '*var^k'."""
     body = s[1:] if s.startswith("-") else s
-    return any(ch in body for ch in "+-/* ")
+    return "/" in body or "+" in body or "-" in body or "*" in body or " " in body
 
 
-def format_poly(coeffs, var: str) -> str:
+def format_poly(coeffs, var: str, show=num_str) -> str:
     """Render a dense coefficient sequence (ascending exponent) as text.
 
-    Zero coefficients are skipped; the others are rendered with ``num_str``.
+    Zero coefficients are skipped; ``show`` gives the text of the others.
     Highest-degree term first, e.g. ``(2/3)*X^2 + 1``.
     """
     terms = []
@@ -574,7 +574,7 @@ def format_poly(coeffs, var: str) -> str:
         c = coeffs[exp]
         if not c:
             continue
-        s = num_str(c)
+        s = show(c)
         if exp == 0:
             terms.append(s)
             continue

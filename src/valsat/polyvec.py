@@ -5,15 +5,25 @@ V-module, V[X]^n has the basis X^r f_j indexed by ``PivotIndex(j, r)`` pairs,
 ordered component-first: (i, h) < (j, k) iff i < j, or i = j and h < k.
 Coordinates of a vector are read off this basis; the pivot of a primitive
 vector is its smallest residually nonzero coordinate position.
+
+Cost model.  A ``PolyVec`` holds its entries as elements.  Over ``zp:p``,
+``field:q`` and ``field:p``, ``textio.parse_vector`` and the packed engine
+(``_packed``) make ``PackedPolyVec``s instead, which hold the packed
+kernel's numerators: packing one costs nothing, rendering one costs a gcd
+per entry, and its elements, one ``Fraction`` or residue each, are built
+only when ``comps`` is first read, by the oracle, by the generic engine or
+by any method below other than ``is_zero`` and ``degree``.  ``rft0`` and
+every other domain keep the element form, with ``comps`` a plain slot.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from ._poly import trim
 from .errors import EmptyFamily, MixedFamily, NotPrimitive, ZeroVector
-from .valuation import Domain, DomainElement, content
+from .valuation import Domain, DomainElement, ScalarElement, content
 
 
 class PivotIndex(NamedTuple):
@@ -116,6 +126,43 @@ class PolyVec:
         from .textio import render_vector
 
         return f"PolyVec({render_vector(self)})"
+
+
+class PackedPolyVec(PolyVec):
+    """A vector over ``zp:p``, ``field:q`` or ``field:p`` in the packed
+    kernel's form (``_ratkernel``), its ``ScalarElement``s built on the first
+    read of ``comps``.
+
+    ``nums`` holds one list of int numerators per component, trailing zeros
+    trimmed, over the common denominator ``den``, a nonzero int; over F_p
+    both are residues.  ``textio.render_vector`` needs ``den`` positive,
+    and 1 over F_p, as it is in every vector that ``textio.parse_vector``
+    or the packed engine makes.  Nothing mutates the lists, so the kernel
+    takes them as they are.  A ``PackedPolyVec`` equals, and hashes as, the
+    ``PolyVec`` of the same entries.
+    """
+
+    __slots__ = ("nums", "den", "_comps")
+
+    def __init__(self, domain: Domain, nums: list[list[int]], den: int):
+        self.domain, self.n = domain, len(nums)
+        self.nums, self.den, self._comps = nums, den, None
+
+    @property
+    def comps(self):
+        if self._comps is None:
+            domain, D, zero, mod = self.domain, self.den, self.domain.zero, self.domain.field.p
+            inv = pow(D, -1, mod) if mod else None
+            self._comps = tuple(
+                tuple(ScalarElement(domain, x * inv % mod if mod else Fraction(x, D)) if x
+                      else zero for x in comp) for comp in self.nums)
+        return self._comps
+
+    def is_zero(self) -> bool:
+        return not any(self.nums)
+
+    def degree(self) -> int:
+        return max((len(c) - 1 for c in self.nums if c), default=-1)
 
 
 def zero_vec(domain: Domain, n: int) -> PolyVec:

@@ -12,16 +12,26 @@ A sum of monomials ``[+-] c [* X[^k]]`` or ``[+-] X[^k]``, with c a literal
 ``n`` or ``n/d`` (a unary minus allowed), ``(+-n)`` or ``(+-n/d)``, or over
 ``rft0`` ``((P)/(Q))`` for P and Q such sums in t, costs one regex pass and
 O(terms) field operations, on the same values as the parser: each term's
-coefficient is added into its exponent's slot.  A ((P)/(Q)) whose P and Q
-hold integer literals only is read straight into the numerator ring, Z[t]
-or F_p[t], as int tuples, and becomes one ``RatFuncElement``: one gcd, no
-``Fraction`` per literal and no second coercion by ``from_polys``; a '/'
-inside P or Q, seen before either is scanned, keeps the path through the
-base field and ``from_polys``.  Over Q a literal n/d is one
-``Fraction(n, d)``.  Every other shape goes to
+coefficient is added into its exponent's slot.  Every other shape goes to
 the recursive-descent parser, the one grammar: the scanner accepts a subset
 of it, gives the same values there, and raises nothing, so a component that
 falls back costs at most one wasted scan.
+
+Over ``zp:p``, ``field:q`` and ``field:p`` a vector is parsed into the
+packed kernel's form, a ``PackedPolyVec``: int numerators over one
+denominator D, or residues over D = 1.  The scanner reads a literal n as
+the int n, a literal n/d over Q as one reduced pair (``_Q``), and over F_p
+each literal as a residue.  D is the lcm of the reduced denominators, and
+a coefficient lies in Z_(p) iff p does not divide its denominator, so a
+component costs one lcm and one test mod p: no ``Fraction``, no element
+and no valuation per literal.  ``render_vector`` formats such a vector
+from its numerators, with one gcd per entry, and its ``ScalarElement``s
+are built only when something reads ``comps``.  Over ``rft0`` a
+((P)/(Q)) whose P and Q hold integer literals only is read into Z[t] as
+int tuples, reduced mod p once over F_p, and becomes one
+``RatFuncElement``: one gcd and no ``Fraction`` per literal; a '/' inside
+P or Q, seen before either is scanned, keeps the path through the base
+field and ``from_polys``.
 
 In the parser, products and powers cost O(terms) scalar operations.  A power
 of a monomial ``c*X^e`` is built as ``c^n*X^(e*n)`` with scalar products
@@ -31,10 +41,9 @@ not monomials, such as ``(X+1)*(X-1)`` or ``(X+1)^3``, uses dense
 multiplication.  Sums cost O(terms) field additions as well: ``_poly.add``
 skips the zero coefficients of a shifted term such as ``(c)*X^k``.  Over
 ``zp:p``, ``field:q`` and ``field:p`` every one of these operations is on a
-raw value of the domain's field (a ``Fraction``, or a residue mod p), and
-each final coefficient is wrapped in a ``ScalarElement`` once, before its
-valuation is checked; the ``rft0`` kinds compute on their elements, with
-one ``t`` element per parser.
+raw value of the domain's field (a ``Fraction``, or a residue mod p); the
+``rft0`` kinds compute on their elements, with one ``t`` element per
+parser.
 """
 
 from __future__ import annotations
@@ -42,10 +51,11 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
+from math import gcd, lcm
 
 from . import _poly
 from .errors import NotInDomain, ParseError
-from .polyvec import PolyVec
+from .polyvec import PackedPolyVec, PolyVec
 from .valuation import (
     Domain,
     RationalFunctionsAtZero,
@@ -103,7 +113,7 @@ class _PolyParser:
     It computes over ``F``: the raw values of ``domain.field`` (Fractions
     over Z_(p) and Q, residues over F_p) when the domain's elements are
     ``ScalarElement``s, else the domain's own elements, a field for
-    ``_poly`` too.  ``parse`` turns each final coefficient into an element.
+    ``_poly`` too.  ``parse`` returns the polynomial over F.
     """
 
     def __init__(self, domain: Domain, toks: _Tokens):
@@ -117,16 +127,13 @@ class _PolyParser:
                    if isinstance(domain, RationalFunctionsAtZero) else None)
 
     def parse(self) -> tuple:
-        """All of the input as a polynomial with coefficients in K."""
+        """All of the input as a polynomial over F."""
         poly = self.parse_sum()
         if self.toks.peek() is not None:
             tok, at = self.toks.toks[self.toks.pos]
             raise ParseError(f"trailing input {tok!r}", self.toks.line,
                              self.toks.col0 + at + 1)
-        if self.F is self.domain:  # rft0: the coefficients are elements already
-            return poly
-        domain, zero = self.domain, self.domain.zero
-        return tuple(ScalarElement(domain, c) if c else zero for c in poly)
+        return poly
 
     def parse_sum(self):
         sign = 1
@@ -249,10 +256,13 @@ def _split_components(text: str):
 
 def parse_element(domain: Domain, text: str, line: int | None = None):
     """One element of V: integers, fractions, t-polynomial fractions."""
-    poly = _PolyParser(domain, _Tokens(text, line)).parse()
+    parser = _PolyParser(domain, _Tokens(text, line))
+    poly = parser.parse()
     if len(poly) > 1:
         raise ParseError("expected a scalar, found X", line, 1)
-    e = poly[0] if poly else domain.zero
+    if not poly:
+        return domain.zero
+    e = poly[0] if parser.F is domain else ScalarElement(domain, poly[0])
     if not e.in_domain:
         raise NotInDomain(f"{e} has negative valuation")
     return e
@@ -282,19 +292,51 @@ class _Z:
     add, neg = staticmethod(operator.add), staticmethod(operator.neg)
 
 
+class _Ratio:
+    """n/d in lowest terms with d > 1: the two attributes of a ``Fraction``
+    that ``_Q`` and ``_parse_scalars`` read, and its negation."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, n, d):
+        self.numerator, self.denominator = n, d
+
+    def __neg__(self):
+        return _Ratio(-self.numerator, self.denominator)
+
+
+class _Q(_Z):
+    """Q for ``_scan`` over ``zp:p`` and ``field:q``: an int, or a ``_Ratio``.
+    Each literal n/d is reduced once; no ``Fraction`` is made."""
+
+    @staticmethod
+    def ratio(n, d):
+        """n / d for ints, d >= 0, in lowest terms; None when d is zero."""
+        if not d:
+            return None
+        g = gcd(n, d)
+        return n // g if g == d else _Ratio(n // g, d // g)
+
+    @staticmethod
+    def add(a, b):  # only when one power of X is written twice
+        return _Q.ratio(a.numerator * b.denominator + b.numerator * a.denominator,
+                        a.denominator * b.denominator)
+
+
 def _scan(text, F, literal, var, rft=None):
     """``text`` as a sum of monomials in ``var`` over F, or None.
 
     The value is the trimmed polynomial the parser gives, over the same F
-    with the same ``literal``, for every text this accepts; None means some
+    with the same ``literal`` (over ``_Q``, the same numbers the parser's
+    Fractions hold), for every text this accepts; None means some
     other shape, valid or not, which is left to the parser.  A literal n/d
     is ``F.ratio(n, d)``.  A unary minus is taken only directly before a
     literal, where it cannot bind below a '^'; a literal followed by '^' is
     not a term.  ``rft``, the rational-function domain, admits ((P)/(Q))
-    coefficients, P and Q sums of monomials in t: over its numerator ring
-    when they hold integer literals only, else over its base field.  A zero
-    denominator, d or Q, gives None, and the parser raises its "division by
-    zero".
+    coefficients, P and Q sums of monomials in t: over Z when they hold
+    integer literals only, then reduced mod p over F_p, else over its base
+    field.  A zero denominator, d or Q, gives None, and the parser raises
+    its "division by zero".
     """
     slots = []
     pos, end, match = 0, len(text), _TERM_RE.match
@@ -315,9 +357,13 @@ def _scan(text, F, literal, var, rft=None):
             # integer P and Q are read straight into the numerator ring
             G = rft.field
             frac = "/" in num or "/" in den
-            R, lit = (G, G.coerce) if frac or G.p else (_Z, int)
+            R, lit = (G, G.coerce) if frac else (_Z, int)
             P, Q = _scan(num, R, lit, "t"), _scan(den, R, lit, "t")
-            if P is None or not Q:
+            if P is None or Q is None:
+                return None
+            if G.p and not frac:  # each integer reduced mod p once
+                P, Q = [x % G.p for x in P], [x % G.p for x in Q]
+            if not any(Q):
                 return None
             c = rft.from_polys(P, Q) if frac else RatFuncElement(rft, P, Q)
         else:
@@ -338,35 +384,41 @@ def _scan(text, F, literal, var, rft=None):
 
 
 def _scanner(domain: Domain):
-    """The term scanner of ``domain``'s components: text -> the tuple the
-    parser returns, or None.  It computes on raw field values when the
-    domain's elements are ``ScalarElement``s, as the parser does."""
+    """The term scanner of ``domain``'s components: text -> the polynomial
+    the parser returns, or None.  It computes over ``_Q`` for ``zp:p`` and
+    ``field:q``, on residues for ``field:p`` and on elements for ``rft0``."""
     if isinstance(domain.one, ScalarElement):
-        F, zero = domain.field, domain.zero
-
-        def scan(text):
-            poly = _scan(text, F, F.coerce, "X")
-            if poly is None:
-                return None
-            return tuple(ScalarElement(domain, c) if c else zero for c in poly)
-
-        return scan
+        F = domain.field
+        if F.p:
+            p = F.p
+            return lambda text: _scan(text, F, lambda n: n % p, "X")
+        return lambda text: _scan(text, _Q, int, "X")
     rft = domain if isinstance(domain, RationalFunctionsAtZero) else None
     return lambda text: _scan(text, domain, domain.k_element, "X", rft)
+
+
+def _components(domain: Domain, text: str, line):
+    """(component, start column) pairs: each component scanned, or parsed
+    when the scanner returns None."""
+    scan = _scanner(domain)
+    for chunk, col0 in _split_components(text):
+        poly = scan(chunk)
+        if poly is None:
+            poly = _PolyParser(domain, _Tokens(chunk, line, col0)).parse()
+        yield poly, col0
 
 
 def parse_vector(domain: Domain, text: str, line: int | None = None) -> PolyVec:
     """A vector of V[X]^n from comma-separated polynomial components.
 
     Each component goes to the term scanner first and to the parser only
-    when the scanner returns None.
+    when the scanner returns None.  Over ``zp:p``, ``field:q`` and
+    ``field:p`` the vector is a ``PackedPolyVec``.
     """
+    if isinstance(domain.one, ScalarElement):
+        return _parse_scalars(domain, text, line)
     comps = []
-    scan = _scanner(domain)
-    for chunk, col0 in _split_components(text):
-        poly = scan(chunk)
-        if poly is None:
-            poly = _PolyParser(domain, _Tokens(chunk, line, col0)).parse()
+    for poly, col0 in _components(domain, text, line):
         for c in poly:
             if not c.in_domain:
                 raise ParseError(
@@ -376,11 +428,39 @@ def parse_vector(domain: Domain, text: str, line: int | None = None) -> PolyVec:
     return PolyVec(domain, comps)
 
 
+def _parse_scalars(domain, text, line) -> PackedPolyVec:
+    """``parse_vector`` over the scalar kinds, packed as ``_packed._pack``
+    packs: residues over 1, or numerators over D, the lcm of the reduced
+    denominators.  A coefficient lies outside Z_(p) iff p divides its
+    denominator, so each component costs one lcm and one test mod p."""
+    if domain.field.p:
+        return PackedPolyVec(domain, [list(c) for c, _ in _components(domain, text, line)], 1)
+    p, comps, D = domain.p, [], 1
+    for poly, col0 in _components(domain, text, line):
+        d = lcm(*(c.denominator for c in poly))
+        if p and not d % p:
+            c = next(c for c in poly if not c.denominator % p)
+            value = f"{_poly.num_str(c.numerator)}/{_poly.num_str(c.denominator)}"
+            raise ParseError(f"coefficient {value} lies outside the domain", line, col0 + 1)
+        D = lcm(D, d)
+        comps.append(poly)
+    return PackedPolyVec(domain, [[c.numerator * (D // c.denominator) for c in poly]
+                                  for poly in comps], D)
+
+
 def render_vector(v: PolyVec) -> str:
-    parts = []
-    for comp in v.comps:
-        parts.append(_poly.format_poly(comp, "X"))
-    return ", ".join(parts)
+    """The text of v, which ``parse_vector`` reads back; a ``PackedPolyVec``
+    is rendered from its numerators, with one gcd per entry."""
+    if type(v) is not PackedPolyVec:
+        return ", ".join(_poly.format_poly(comp, "X") for comp in v.comps)
+    D, num_str = v.den, _poly.num_str
+    if D == 1:
+        show = num_str
+    else:
+        def show(num):  # str(Fraction(num, D))
+            g = gcd(num, D)
+            return num_str(num // g) if g == D else f"{num_str(num // g)}/{num_str(D // g)}"
+    return ", ".join(_poly.format_poly(comp, "X", show) for comp in v.nums)
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,12 @@ class ScalarElement(DomainElement):
         v = _int_val(self.value.numerator, p)
         return v if v else -_int_val(self.value.denominator, p)
 
+    @property
+    def in_domain(self):
+        """Whether p leaves the reduced denominator alone; True for p = 0."""
+        p = self.domain.p
+        return not p or self.value.denominator % p != 0
+
     def __add__(self, other):
         return ScalarElement(self.domain, self.domain.field.add(self.value, other.value))
 

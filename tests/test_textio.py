@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 from unittest.mock import patch
@@ -8,7 +11,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from valsat import _poly, textio
 from valsat.errors import NotInDomain, NotPrime, ParseError
-from valsat.polyvec import PolyVec
+from valsat.polyvec import PackedPolyVec, PolyVec
+from valsat.syzygy import syzygy_vx
 from valsat.textio import (
     parse_domain_tag,
     parse_element,
@@ -18,6 +22,7 @@ from valsat.textio import (
     render_vector,
 )
 from valsat.valuation import RationalFunctionsAtZero, ScalarElement, TrivialField, Zp
+from valsat.vxsat import saturate_vx
 
 Z2 = Zp(2)
 # One domain of each kind: zp:p, field:q, field:p, rft0:q, rft0:p.
@@ -438,14 +443,16 @@ def _scanned_vectors(draw):
 
 
 def _outcome(d, text):
-    """parse_vector's entries with the types of their raw values, or its error."""
+    """parse_vector's entries with the types of their raw values, or its error;
+    over the scalar kinds, its packed numerators and denominator first."""
     try:
         v = parse_vector(d, text)
     except ParseError as exc:
         return "error", str(exc), exc.line, exc.column
-    return [[(type(c), c, type(c.value)) if isinstance(c, ScalarElement)
-             else (type(c), c, [type(x) for x in c.num + c.den]) for c in comp]
-            for comp in v.comps]
+    packed = (v.nums, v.den) if type(v) is PackedPolyVec else None
+    return packed, [[(type(c), c, type(c.value)) if isinstance(c, ScalarElement)
+                     else (type(c), c, [type(x) for x in c.num + c.den]) for c in comp]
+                    for comp in v.comps]
 
 
 def _no_scanner(domain):
@@ -565,18 +572,24 @@ RFT0 = [RationalFunctionsAtZero("q"), RationalFunctionsAtZero("fp", 5)]
     ("((0)/(1 + t))", (), (1, 1)),                    # a zero numerator
     ("((t - t)/(7))", (), (7,)),
     ("((-6*t^2 + 4*t)/(2*t^2 - t - 1))", (0, 4, -6), (-1, -1, 2)),
+    ("((5 + 10*t)/(1 + 6*t))", (5, 10), (1, 6)),     # zero mod 5, and 6 = 1 mod 5
 ])
 def test_integer_t_coefficients_skip_from_polys(d, text, num, den, monkeypatch):
+    """No ``from_polys``, and no ``coerce`` of the base field per literal."""
     want, zero, one = d.from_polys(num, den), d.zero, d.one
     monkeypatch.setattr(RationalFunctionsAtZero, "from_polys",
                         lambda *a: pytest.fail("from_polys ran"))
+    monkeypatch.setattr(type(d.field), "coerce", lambda *a: pytest.fail("coerce ran"))
     assert textio._scanner(d)(text) == ((want,) if want else ())
     assert parse_vector(d, f"X, {text}*X") == PolyVec(d, [(zero, one), (zero, want)])
 
 
 @pytest.mark.parametrize("d", RFT0, ids=lambda d: d.tag)
 def test_integer_t_coefficient_zero_denominator_keeps_its_error(d):
-    for text, column in (("X, ((1 + t)/(0))", 12), ("((1 + t)/(2 - 2))*X", 9)):
+    cases = [("X, ((1 + t)/(0))", 12), ("((1 + t)/(2 - 2))*X", 9)]
+    if d.field.p:  # a denominator that is zero mod p only
+        cases.append(("X, ((1 + t)/(10 - 5*t))", 12))
+    for text, column in cases:
         with pytest.raises(ParseError, match="division by zero") as exc:
             parse_vector(d, text, line=3)
         assert (exc.value.line, exc.value.column) == (3, column)
@@ -602,3 +615,108 @@ def test_parse_domain_tag_shares_one_domain_per_tag():
         for _ in range(2):
             with pytest.raises((ParseError, NotPrime)):
                 parse_domain_tag(tag)
+
+
+# ---------------------------------------------------------------------------
+# Over zp:p, field:q and field:p a parsed vector is a PackedPolyVec: the
+# packed kernel's numerators, with its elements built on the first read of
+# ``comps``.
+
+SCALAR_KINDS = KINDS[:3]
+# Odd, prime to 5, with shared factors, so that D differs from every entry's
+# denominator and gcd(numerator, D) is not always 1.
+PACK_DENS = (1, 3, 7, 9, 21, 63, 77, 3**40)
+
+
+@st.composite
+def _scalar_vectors(draw):
+    d = draw(st.sampled_from(SCALAR_KINDS))
+    coeff = st.builds(lambda n, den: d.element(Fraction(n, den)),
+                      st.integers(-(10**30), 10**30) | st.integers(-9, 9),
+                      st.sampled_from(PACK_DENS))
+    return PolyVec(d, draw(st.lists(st.lists(coeff, max_size=5), min_size=1, max_size=3)))
+
+
+def _entries(v):
+    return [[(c, type(c.value)) for c in comp] for comp in v.comps]
+
+
+@PROPERTY
+@given(_scalar_vectors())
+def test_a_packed_vector_is_its_element_twin(v):
+    """Equality both ways, hash, entries and the types of their raw values;
+    and the text from the numerators is the text from the elements."""
+    packed = parse_vector(v.domain, render_vector(v))
+    assert type(packed) is PackedPolyVec and packed._comps is None
+    text = render_vector(packed)
+    assert text == render_vector(v)
+    assert packed._comps is None  # rendering built no element
+    assert packed == v and v == packed and hash(packed) == hash(v)
+    assert _entries(packed) == _entries(v)
+    twin = PolyVec(v.domain, packed.comps)
+    assert render_vector(packed) == render_vector(twin) == text
+    assert (packed.is_zero(), packed.degree()) == (v.is_zero(), v.degree())
+
+
+@pytest.mark.parametrize("d", SCALAR_KINDS, ids=lambda d: d.tag)
+def test_generators_render_the_same_before_and_after_comps_is_read(d):
+    rng = random.Random(26)
+
+    def poly(deg):
+        terms = [f"({rng.randrange(-99, 100) * 2 ** rng.randrange(3)}/{rng.choice((1, 3, 7))})"
+                 f"*X^{k}" for k in range(rng.randrange(deg + 1))]
+        return " + ".join(terms) or "0"
+
+    rendered = {saturate_vx: 0, syzygy_vx: 0}
+    for _ in range(12):
+        n, m = rng.randrange(1, 4), rng.randrange(1, 4)
+        S = [parse_vector(d, ", ".join(poly(3) for _ in range(n))) for _ in range(m)]
+        U = [parse_vector(d, ", ".join(poly(2) for _ in range(2))) for _ in range(3)]
+        for run, vectors in ((saturate_vx, S), (syzygy_vx, U)):
+            if all(v.is_zero() for v in vectors):
+                continue
+            gens = run(vectors).generators
+            assert all(type(g) is PackedPolyVec and g._comps is None for g in gens)
+            before = [render_vector(g) for g in gens]
+            twins = [PolyVec(d, g.comps) for g in gens]
+            assert [render_vector(g) for g in gens] == before
+            assert [render_vector(t) for t in twins] == before
+            assert [parse_vector(d, text) for text in before] == twins
+            rendered[run] += len(gens)
+    assert all(rendered.values()), rendered
+
+
+@pytest.mark.parametrize("d, text, message, column", [
+    (Z2, "X, 1 + (3/4)*X", "coefficient 3/4 lies outside the domain", 3),
+    (Z2, "(1/2)*X^2 + 1/6, 1/0", "coefficient 1/6 lies outside the domain", 1),
+    (Z2, "1, (X + 1)*(1/2)", "coefficient 1/2 lies outside the domain", 3),  # parsed
+    (Zp(3), "(1/3)*X - (1/3)*X + 2/9, 1", "coefficient 2/9 lies outside the domain", 1),
+    (Z2, "X, 1/0", "division by zero", 5),
+    (TrivialField("q"), "X, (2/0)*X", "division by zero", 6),
+    (TrivialField("fp", 5), "X, 3/(5 - 5)", "division by zero", 5),
+    (TrivialField("fp", 5), "X, 3/(X - X)", "division by zero", 5),
+])
+def test_scalar_parse_errors_keep_their_message_and_position(d, text, message, column):
+    with pytest.raises(ParseError) as exc:
+        parse_vector(d, text, line=9)
+    assert str(exc.value) == f"line 9, column {column}: {message}"
+
+
+def test_coefficients_are_checked_after_their_terms_are_summed():
+    assert parse_vector(Z2, "(1/2)*X + (1/2)*X, 1/4 - 1/4") == PolyVec.from_raw(Z2, [[0, 1], []])
+    assert parse_vector(Zp(3), "X, X^2, 5/9 - 1/3 + 7/9") == PolyVec.from_raw(
+        Zp(3), [[0, 1], [0, 0, 1], [1]])
+
+
+def test_importing_textio_leaves_the_packed_modules_unloaded():
+    code = ("import sys\nfrom valsat.textio import parse_vector, render_vector, parse_domain_tag\n"
+            "v = parse_vector(parse_domain_tag('zp:2'), '(1/3)*X + 2, 5')\n"
+            "assert render_vector(v) == '(1/3)*X + 2, 5', render_vector(v)\n"
+            "loaded = [m for m in ('valsat._packed', 'valsat._ratkernel') if m in sys.modules]\n"
+            "sys.exit(f'loads {loaded}' if loaded else 0)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -36,6 +36,15 @@ def test_make_rejects_negative_valuation():
     assert Z2.k_element(Fraction(3, 4)).valuation() == -2
 
 
+@given(st.sampled_from([Z2, Z3, TrivialField("q"), TrivialField("fp", 5)]),
+       st.integers(-(10**12), 10**12), st.integers(1, 10**6) | st.sampled_from([4, 9, 72]))
+def test_scalar_in_domain_reads_the_denominator(d, n, den):
+    """``in_domain``, from the denominator alone, agrees with the valuation."""
+    assume(not d.field.p or den % d.field.p)
+    e = d.k_element(Fraction(n, den))
+    assert e.in_domain == (e.valuation() >= 0)
+
+
 def test_bad_specs():
     with pytest.raises(NotPrime):
         Zp(4)
