@@ -6,15 +6,14 @@ for ``field:p``, Z[t] for ``rft0:q`` and F_p[t] for ``rft0:p``.  Columns
 are ``_ratkernel`` packed vectors, numerators over one denominator per
 column in lowest terms (over F_p, residues over 1).  ``_pack``
 (``PackedEngine.pack``) takes a ``PackedPolyVec``, which every parsed
-vector over ``zp:p``, ``field:q`` and ``field:p`` is, as it is, and builds
-the others from elements: over ``rft0`` the denominator is the lcm of the
-entries' denominators, which a ``RatFuncElement`` already holds in the
-numerator ring.  A column is taken out by ``polyvec``: ``vxsat`` takes the
-generators, and the whole basis only when it is read.  Over the integer
-rings that is a ``PackedPolyVec`` of the column's own lists, which builds
-no element until its ``comps`` is read; over ``rft0`` an entry num / D
-becomes ``RatFuncElement(domain, num, D)``, which costs one gcd of num
-against D.
+vector is, as it is, and builds the others from elements: over ``rft0``
+the denominator is the lcm of the entries' denominators, which a
+``RatFuncElement`` already holds in the numerator ring (``_poly.ipack``).
+A column is taken out by ``polyvec``: ``vxsat`` takes the generators, and
+the whole basis only when it is read.  On every kind that is a
+``PackedPolyVec`` of the column's own lists, which builds no element until
+its ``comps`` is read; there, over ``rft0``, an entry num / D becomes
+``RatFuncElement(domain, num, D)``, which costs one gcd of num against D.
 ``_ratkernel.insert`` keeps the column contract of ``echelon``: it appends
 each reduction, monic at its content position, and that position to the
 engine's lists.  Results are bit-identical to the generic engine: same
@@ -40,7 +39,7 @@ from math import lcm
 
 from . import _ratkernel
 from ._engines import GenericEngine
-from ._poly import igcd, imul, iquo
+from ._poly import ipack
 from .echelon import EchelonBasis
 from .polyvec import PackedPolyVec, PivotIndex, PolyVec
 from .syzygy import _reduce_columns
@@ -58,7 +57,8 @@ def _pack(v: PolyVec, ring):
     """A packing with D the lcm of the entries' denominators, 1 mod p.
 
     Over Q and Z_(p) this is the lowest-terms packing.  A ``PackedPolyVec``
-    and a rational function hold theirs already.
+    holds its own already, and a rational function its reduced numerator
+    and denominator (``_poly.ipack``).
     """
     if type(v) is PackedPolyVec:
         return v.nums, v.den
@@ -69,23 +69,7 @@ def _pack(v: PolyVec, ring):
         D = lcm(*(c.value.denominator for comp in v.comps for c in comp))
         return [[c.value.numerator * (D // c.value.denominator) for c in comp]
                 for comp in v.comps], D
-    D = (1,)
-    for comp in v.comps:
-        for c in comp:
-            if c.num and c.den != D and c.den != (1,):
-                D = imul(D, iquo(c.den, igcd(D, c.den, mod), mod), mod)
-    return [[imul(c.num, iquo(D, c.den, mod), mod) if c.num else () for c in comp]
-            for comp in v.comps], D
-
-
-def _unpack(domain, comps, D, ring):
-    """The entries num / D as canonical elements: reduced fractions, residues
-    mod p, or reduced rational functions (the pivot entry, equal to D, is 1)."""
-    if isinstance(ring, _ratkernel.Integers):
-        return PackedPolyVec(domain, comps, D).comps
-    zero, one = domain.zero, domain.one
-    return [[(one if num == D else RatFuncElement(domain, num, D)) if num else zero
-             for num in comp] for comp in comps]
+    return ipack([[(c.num, c.den) for c in comp] for comp in v.comps], mod)
 
 
 class PackedEngine(GenericEngine):
@@ -108,13 +92,9 @@ class PackedEngine(GenericEngine):
         shifted = _ratkernel.vec_shift(self.cols[i], self.ring.zero)
         return _ratkernel.insert(self.cols, self.pivs, shifted, self.ring)
 
-    def polyvec(self, i: int) -> PolyVec:
-        """Column i: as it is over the integer rings, else with its entries
-        as canonical elements."""
-        comps, D = self.cols[i]
-        if isinstance(self.ring, _ratkernel.Integers):
-            return PackedPolyVec(self.domain, comps, D)
-        return PolyVec(self.domain, _unpack(self.domain, comps, D, self.ring))
+    def polyvec(self, i: int) -> PackedPolyVec:
+        """Column i as it is, its elements built on the first read of ``comps``."""
+        return PackedPolyVec(self.domain, *self.cols[i])
 
     def export_basis(self, known=None) -> EchelonBasis:
         """The basis; ``known`` maps indexes to columns already unpacked,
@@ -172,9 +152,8 @@ def kernel_kx_packed(U: list[PolyVec]):
     """``syzygy.kernel_kx`` of a nonempty U over a shipped kind: the kernel
     columns as elements, each divided by its first nonzero entry."""
     domain = U[0].domain
-    ring = numerator_ring(domain)
     basis = []
     for ident in _kernel_columns(U):
         lead = next(x for comp in ident for x in comp if x)
-        basis.append(tuple(map(tuple, _unpack(domain, ident, lead, ring))))
+        basis.append(PackedPolyVec(domain, ident, lead).comps)
     return basis

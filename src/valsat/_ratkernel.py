@@ -69,8 +69,11 @@ residue, divided out by multiplying with its inverse mod p.
 
 Cost model.  One ring gcd per elimination step, and one gcd chain per
 appended column for its content (one ``math.gcd`` call over Z).  Entries
-are reduced one by one, with one gcd each, only when a client takes a
-column out (``_packed``).  Over Z[t] the gcds dominate once the numerators
+are reduced one by one, with one gcd each, only when a client reads the
+elements of a column it took out (``_packed``, ``polyvec.PackedPolyVec``).
+A step over Z[t] or F_p[t] runs no ``ilin`` where both entries are zero,
+and over F_p a content chain that meets a nonzero constant stops at once
+(``_poly.icontent``).  Over Z[t] the gcds dominate once the numerators
 grow, and most of them come from the content chain of ``normalise``.
 ``igcd`` takes them by GCDHEU when the shorter primitive part has at least
 4 terms and by the primitive PRS below (``_poly``).  On the
@@ -223,7 +226,8 @@ class Polynomials:
         return iquo(a, b, self.mod)
 
     def sub_scaled(self, comps, wcomps, s, t, p):
-        """comps <- s * comps - t * wcomps, as ``_sub_scaled`` does over Z."""
+        """comps <- s * comps - t * wcomps, as ``_sub_scaled`` does over Z;
+        a pair of zero entries costs no ``ilin``."""
         one = (1,)
         for c, wcomp in enumerate(wcomps):
             comp = comps[c]
@@ -231,7 +235,7 @@ class Polynomials:
                 m = len(wcomp)
                 if len(comp) < m:
                     comp = comp + [()] * (m - len(comp))
-                new = [ilin(s, x, t, y, p) for x, y in zip(comp, wcomp)]
+                new = [ilin(s, x, t, y, p) if x or y else () for x, y in zip(comp, wcomp)]
                 new += comp[m:] if s == one else [imul(s, x, p) for x in comp[m:]]
                 while new and not new[-1]:
                     new.pop()

@@ -57,7 +57,9 @@ runs on rows cleared of denominators, over the numerator ring R of the
 kind (``_ring``): Z for ``zp:p`` and ``field:q``, residues mod p for
 ``field:p``, Z[t] for ``rft0:q`` and F_p[t] for ``rft0:p``, the last two
 through ``_poly``'s ``igcd``, ``iquo``, ``imul`` and ``ilin``.  A row of
-elements enters as the row times the lcm of its denominators.  The one
+elements enters as the row times the lcm of its denominators, and a
+``PackedPolyVec`` as its numerators, the row times their common
+denominator, with no element built (``_row``).  The one
 step (``_step``) cancels the leading coefficient la of a against lb of b:
 
     a <- (lb/g) a - (la/g) X^k b,    g = gcd(la, lb) in R,
@@ -118,7 +120,7 @@ from math import gcd, lcm
 
 from ._poly import icontent, igcd, ilin, imul, iquo
 from .errors import DegreeExceeded
-from .polyvec import PivotIndex, PolyVec, uniform_family
+from .polyvec import PackedPolyVec, PivotIndex, PolyVec, uniform_family
 from .valuation import RatFuncElement, ScalarElement, content
 
 
@@ -302,6 +304,8 @@ def _canonical_basis(cols, domain):
 class _Integers:
     """Z (p = 0), or the residues mod a prime p."""
 
+    zero = 0
+
     def __init__(self, p: int):
         self.p = p
 
@@ -358,6 +362,8 @@ class _Integers:
 class _Polynomials:
     """Z[t] (p = 0) or F_p[t], by ``_poly``'s ``igcd``, ``iquo``, ``imul`` and ``ilin``."""
 
+    zero = ()
+
     def __init__(self, p: int):
         self.p = p
 
@@ -408,6 +414,13 @@ class _Polynomials:
             return row
         qs = iter(qs)
         return [[next(qs) if c else () for c in comp] for comp in row]
+
+
+def _row(ring, v: PolyVec) -> list[list]:
+    """v as a row over ``ring``: a ``PackedPolyVec``'s numerators as they
+    are, which are the row of its entries times their common denominator,
+    else its entries times the lcm of their denominators (``ring.pack``)."""
+    return v.nums if type(v) is PackedPolyVec else ring.pack(v.comps)
 
 
 def _ring(domain):
@@ -613,7 +626,7 @@ def saturation_slice(S, D: int) -> list[PolyVec]:
         return []
     domain = S[0].domain
     ring = _ring(domain)
-    return _kx_slice(domain, ring, [ring.pack(v.comps) for v in S], [D] * S[0].n)
+    return _kx_slice(domain, ring, [_row(ring, v) for v in S], [D] * S[0].n)
 
 
 def kx_kernel(U) -> list[PolyVec]:
@@ -647,7 +660,9 @@ def _kernel_rows(ring, U) -> list[list]:
     starts as D_j e_j.
     """
     domain, k, n = U[0].domain, U[0].n, len(U)
-    rows = [ring.pack(list(u.comps) + [(domain.one,) if i == j else () for i in range(n)])
+    rows = [u.nums + [[u.den] if i == j else [] for i in range(n)]
+            if type(u) is PackedPolyVec else
+            ring.pack(list(u.comps) + [(domain.one,) if i == j else () for i in range(n)])
             for j, u in enumerate(U)]
     _, kernel = _weak_popov(ring, rows, [0] * k)
     return [row[k:] for row in kernel]
@@ -705,7 +720,7 @@ def verify_saturation(M, generators, bound: int) -> bool:
         return True
     domain = vectors[0].domain
     ring = _ring(domain)
-    rows = [ring.pack(v.comps) for v in M if not v.is_zero()]
+    rows = [_row(ring, v) for v in M if not v.is_zero()]
     return _saturation_on_slice(domain, ring, rows, generators, [bound] * vectors[0].n)
 
 
@@ -758,8 +773,8 @@ def verify_free(vectors, basis, bound: int | None = None) -> bool:
     if any(b.degree() > bound or not _in_v(b) for b in basis):
         return False
     ring = _ring(domain)
-    pivots = _echelon(ring, (ring.pack([_flat(v, n)]) for v in vectors))
-    return (not any(_eliminate(ring, ring.pack([_flat(b, n)]), pivots)[0] for b in basis)
+    pivots = _echelon(ring, (_flat_row(ring, v) for v in vectors))
+    return (not any(_eliminate(ring, _flat_row(ring, b), pivots)[0] for b in basis)
             and _residue_rank_reaches(domain, [_coords(b, n) for b in basis], len(pivots)))
 
 
@@ -771,7 +786,7 @@ def _saturation_on_slice(domain, ring, rows, generators, bounds) -> bool:
     leads = {j: (d, b) for b in basis for d, j in [_lead(b, shift)]}
     r = sum(1 - d for d, _ in leads.values() if d <= 0)
     gens = [g for g in generators if not g.is_zero()]
-    if not all(_in_v(g) and _divides_out(ring, leads, shift, ring.pack(g.comps))
+    if not all(_in_v(g) and _divides_out(ring, leads, shift, _row(ring, g))
                for g in gens):
         return False
     n = len(bounds)
@@ -821,12 +836,23 @@ def _coords(v: PolyVec, n: int) -> dict:
 def _flat(v: PolyVec, n: int) -> list:
     """The coordinates of v as one list, the entry at X^r f_j at r * n + (j - 1),
     trailing zeros trimmed."""
-    zero = v.domain.zero
-    top = max(len(c) for c in v.comps)
-    out = [c[r] if r < len(c) else zero for r in range(top) for c in v.comps]
+    return _flatten(v.comps, v.domain.zero)
+
+
+def _flatten(comps, zero) -> list:
+    """The entries of ``comps`` interleaved as in ``_flat``."""
+    top = max(len(c) for c in comps)
+    out = [c[r] if r < len(c) else zero for r in range(top) for c in comps]
     while out and not out[-1]:
         out.pop()
     return out
+
+
+def _flat_row(ring, v: PolyVec) -> list[list]:
+    """``_flat(v)`` as a one-component row over ``ring``, as ``_row`` packs."""
+    if type(v) is PackedPolyVec:
+        return [_flatten(v.nums, ring.zero)]
+    return ring.pack([_flat(v, v.n)])
 
 
 def _cut(rows, outer) -> list[dict]:

@@ -6,14 +6,17 @@ ordered component-first: (i, h) < (j, k) iff i < j, or i = j and h < k.
 Coordinates of a vector are read off this basis; the pivot of a primitive
 vector is its smallest residually nonzero coordinate position.
 
-Cost model.  A ``PolyVec`` holds its entries as elements.  Over ``zp:p``,
-``field:q`` and ``field:p``, ``textio.parse_vector`` and the packed engine
-(``_packed``) make ``PackedPolyVec``s instead, which hold the packed
-kernel's numerators: packing one costs nothing, rendering one costs a gcd
-per entry, and its elements, one ``Fraction`` or residue each, are built
-only when ``comps`` is first read, by the oracle, by the generic engine or
-by any method below other than ``is_zero`` and ``degree``.  ``rft0`` and
-every other domain keep the element form, with ``comps`` a plain slot.
+Cost model.  A ``PolyVec`` holds its entries as elements.  For every
+shipped kind, ``textio.parse_vector`` and the packed engine (``_packed``)
+make ``PackedPolyVec``s instead, which hold the packed kernel's numerators
+over one denominator: packing one costs nothing, and its elements are built
+only when ``comps`` is first read, by the renderer over ``rft0``, by the
+oracle, by the generic engine or by any method below other than
+``is_zero`` and ``degree``.  An element costs one ``Fraction`` or residue
+over ``zp:p``, ``field:q`` and ``field:p``, and one gcd of the numerator
+against the denominator over ``rft0``; ``comps`` keeps them, so the
+renderer and the oracle share one reduction.  Vectors built from elements
+keep ``comps`` as a plain slot.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Iterable, NamedTuple
 
 from ._poly import trim
 from .errors import EmptyFamily, MixedFamily, NotPrimitive, ZeroVector
-from .valuation import Domain, DomainElement, ScalarElement, content
+from .valuation import Domain, DomainElement, RatFuncElement, ScalarElement, content
 
 
 class PivotIndex(NamedTuple):
@@ -129,33 +132,41 @@ class PolyVec:
 
 
 class PackedPolyVec(PolyVec):
-    """A vector over ``zp:p``, ``field:q`` or ``field:p`` in the packed
-    kernel's form (``_ratkernel``), its ``ScalarElement``s built on the first
-    read of ``comps``.
+    """A vector in the packed kernel's form (``_ratkernel``), its elements
+    built on the first read of ``comps``.
 
-    ``nums`` holds one list of int numerators per component, trailing zeros
-    trimmed, over the common denominator ``den``, a nonzero int; over F_p
-    both are residues.  ``textio.render_vector`` needs ``den`` positive,
-    and 1 over F_p, as it is in every vector that ``textio.parse_vector``
-    or the packed engine makes.  Nothing mutates the lists, so the kernel
-    takes them as they are.  A ``PackedPolyVec`` equals, and hashes as, the
-    ``PolyVec`` of the same entries.
+    ``nums`` holds one list of numerators per component, trailing zeros
+    trimmed, over the common denominator ``den``: ints over ``zp:p`` and
+    ``field:q``, residues over ``field:p``, and over ``rft0`` int tuples in
+    Z[t] or F_p[t] (see ``_poly``) over a tuple.  ``textio.render_vector``
+    needs ``den`` positive, and 1 over F_p, as it is in every vector that
+    ``textio.parse_vector`` or the packed engine makes.  Nothing mutates
+    the lists, so the kernel and the oracle take them as they are.  A
+    ``PackedPolyVec`` equals, and hashes as, the ``PolyVec`` of the same
+    entries.
     """
 
     __slots__ = ("nums", "den", "_comps")
 
-    def __init__(self, domain: Domain, nums: list[list[int]], den: int):
+    def __init__(self, domain: Domain, nums: list[list], den):
         self.domain, self.n = domain, len(nums)
         self.nums, self.den, self._comps = nums, den, None
 
     @property
     def comps(self):
         if self._comps is None:
-            domain, D, zero, mod = self.domain, self.den, self.domain.zero, self.domain.field.p
-            inv = pow(D, -1, mod) if mod else None
-            self._comps = tuple(
-                tuple(ScalarElement(domain, x * inv % mod if mod else Fraction(x, D)) if x
-                      else zero for x in comp) for comp in self.nums)
+            domain, D, zero = self.domain, self.den, self.domain.zero
+            if type(D) is tuple:  # one gcd per entry; the entry D / D is 1
+                one = domain.one
+                self._comps = tuple(
+                    tuple((one if x == D else RatFuncElement(domain, x, D)) if x else zero
+                          for x in comp) for comp in self.nums)
+            else:
+                mod = domain.field.p
+                inv = pow(D, -1, mod) if mod else None
+                self._comps = tuple(
+                    tuple(ScalarElement(domain, x * inv % mod if mod else Fraction(x, D))
+                          if x else zero for x in comp) for comp in self.nums)
         return self._comps
 
     def is_zero(self) -> bool:

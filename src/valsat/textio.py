@@ -9,29 +9,37 @@ comment.  Rendering and parsing round-trip exactly.
 
 Cost model.  ``parse_vector`` hands each component to a term scanner first.
 A sum of monomials ``[+-] c [* X[^k]]`` or ``[+-] X[^k]``, with c a literal
-``n`` or ``n/d`` (a unary minus allowed), ``(+-n)`` or ``(+-n/d)``, or over
-``rft0`` ``((P)/(Q))`` for P and Q such sums in t, costs one regex pass and
-O(terms) field operations, on the same values as the parser: each term's
-coefficient is added into its exponent's slot.  Every other shape goes to
-the recursive-descent parser, the one grammar: the scanner accepts a subset
+``n`` or ``n/d`` (a unary minus allowed), ``(+-n)`` or ``(+-n/d)``, costs one
+regex pass and O(terms) field operations, on the same values as the parser:
+each term's coefficient is added into its exponent's slot.  Over ``rft0``
+a term is ``[+-] c [* t[^j]] [* X[^k]]``, c also ``((P)/(Q))``, ``(P)`` or
+``(P)/(Q)`` for P and Q such sums in t: every shape the benchmark's
+generator and ``render_vector`` write.  Every other shape goes to the
+recursive-descent parser, the one grammar: the scanner accepts a subset
 of it, gives the same values there, and raises nothing, so a component that
 falls back costs at most one wasted scan.
 
-Over ``zp:p``, ``field:q`` and ``field:p`` a vector is parsed into the
-packed kernel's form, a ``PackedPolyVec``: int numerators over one
-denominator D, or residues over D = 1.  The scanner reads a literal n as
-the int n, a literal n/d over Q as one reduced pair (``_Q``), and over F_p
-each literal as a residue.  D is the lcm of the reduced denominators, and
-a coefficient lies in Z_(p) iff p does not divide its denominator, so a
+Every shipped kind is parsed into the packed kernel's form, a
+``PackedPolyVec``: numerators in the kernel's ring over one denominator D,
+the lcm of the reduced denominators, exactly as ``_packed._pack`` packs
+the element vector.  Over ``zp:p``, ``field:q`` and ``field:p`` the
+scanner reads a literal n as the int n, a literal n/d over Q as one
+reduced pair (``_Q``), and over F_p each literal as a residue; a
+coefficient lies in Z_(p) iff p does not divide its denominator, so a
 component costs one lcm and one test mod p: no ``Fraction``, no element
-and no valuation per literal.  ``render_vector`` formats such a vector
-from its numerators, with one gcd per entry, and its ``ScalarElement``s
-are built only when something reads ``comps``.  Over ``rft0`` a
-((P)/(Q)) whose P and Q hold integer literals only is read into Z[t] as
-int tuples, reduced mod p once over F_p, and becomes one
-``RatFuncElement``: one gcd and no ``Fraction`` per literal; a '/' inside
-P or Q, seen before either is scanned, keeps the path through the base
-field and ``from_polys``.
+and no valuation per literal.  Over ``rft0`` each term is a pair (num,
+den) of int tuples in Z[t] or F_p[t]: a literal n or n/d, or P over Q
+read with integer literals straight into the ring (reduced mod p once over
+F_p), times a power of t.  A '/' inside P or Q, as in ``(3/5)*t``, keeps
+the path through the base field and ``from_polys``.  Each coefficient is
+reduced once, with one gcd (``valuation.lowest_terms``), lies in V iff its
+denominator does not vanish at t = 0, and D costs one gcd per
+denominator that is neither 1 nor D (``_poly.ipack``); no
+``RatFuncElement`` is built.  ``render_vector`` formats a scalar vector
+from its numerators, with one gcd per entry, and an ``rft0`` vector from
+its elements, which its first read of ``comps`` builds, one gcd per entry,
+and keeps for the oracle.  When the parser runs over ``rft0``, its
+elements give their pairs.
 
 In the parser, products and powers cost O(terms) scalar operations.  A power
 of a monomial ``c*X^e`` is built as ``c^n*X^(e*n)`` with scalar products
@@ -48,12 +56,14 @@ parser.
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 from dataclasses import dataclass
 from math import gcd, lcm
 
 from . import _poly
+from ._poly import ilin, imul
 from .errors import NotInDomain, ParseError
 from .polyvec import PackedPolyVec, PolyVec
 from .valuation import (
@@ -61,6 +71,7 @@ from .valuation import (
     RationalFunctionsAtZero,
     RatFuncElement,
     ScalarElement,
+    lowest_terms,
     parse_domain_tag,
 )
 
@@ -270,19 +281,46 @@ def parse_element(domain: Domain, text: str, line: int | None = None):
 
 # One term of a sum of monomials: [sign] c [* v[^k]] or [sign] v[^k], the
 # coefficient c a literal n or n/d, with a unary minus or in parentheses
-# with a sign, or ((P)/(Q)) for P and Q without parentheses.  Every part is
-# optional, so it matches at any position; ``_scan`` rejects what is not a
-# term.  The variable needs a '*' exactly when a coefficient precedes it.
+# with a sign.  Every part is optional, so it matches at any position;
+# ``_scan`` rejects what is not a term.  The variable needs a '*' exactly
+# when a coefficient precedes it.
 _TERM_RE = re.compile(r"""
     \s*(?P<sign>[+-])?\s*
     (?P<coef>
         (?: (?P<open>\() \s* (?P<psign>[+-])? \s* | (?P<neg>-) \s* )?
         (?P<n>[0-9]+) (?: \s*/\s* (?P<d>[0-9]+) )?
         (?(open) \s*\) )
-      | \( \s*\( (?P<num>[^()]*) \)\s*/\s*\( (?P<den>[^()]*) \) \s*\)
     )?
     (?: (?(coef) \s*\*\s* ) (?P<var>[Xt]) (?: \s*\^\s* (?P<exp>[0-9]+) )? )?
     \s*""", re.VERBOSE)
+
+# Text with parentheses nested at most one deep, as in ``(3/5)*t + 1``.
+_NEST1 = r"[^()]*(?:\([^()]*\)[^()]*)*"
+
+# One term over ``rft0``: [sign] c [* t[^j]] [* X[^k]], every part optional.
+# c is a literal as in _TERM_RE but not followed by '/(', or ((P)/(Q)), or
+# (P) with an optional /(Q), for P and Q sums of monomials in t (``_scan``).
+# These are the shapes the benchmark's generator and ``render_vector``
+# write.  ``_scan_rft`` checks that a factor has a '*' exactly when another
+# precedes it.  It is compiled on first use (``_rft_term_re``), so that
+# importing textio does not pay for it.
+_RFT_TERM = rf"""
+    \s*(?P<sign>[+-])?\s*
+    (?P<coef>
+        (?: (?P<open>\() \s* (?P<psign>[+-])? \s* | (?P<neg>-) \s* )?
+        (?P<n>[0-9]+) (?: \s*/\s* (?P<d>[0-9]+) )?
+        (?(open) \s*\) (?!\s*/\s*\() )
+      | \( \s*\( (?P<num>{_NEST1}) \)\s*/\s*\( (?P<den>{_NEST1}) \) \s*\)
+      | \( (?P<top>{_NEST1}) \) (?: \s*/\s*\( (?P<bottom>{_NEST1}) \) )?
+    )?
+    (?: (?P<tmul>\s*\*\s*)? (?P<t>t) (?: \s*\^\s* (?P<texp>[0-9]+) )? )?
+    (?: (?P<xmul>\s*\*\s*)? (?P<x>X) (?: \s*\^\s* (?P<exp>[0-9]+) )? )?
+    \s*"""
+
+
+@functools.cache
+def _rft_term_re():
+    return re.compile(_RFT_TERM, re.VERBOSE)
 
 
 class _Z:
@@ -323,7 +361,7 @@ class _Q(_Z):
                         a.denominator * b.denominator)
 
 
-def _scan(text, F, literal, var, rft=None):
+def _scan(text, F, literal, var):
     """``text`` as a sum of monomials in ``var`` over F, or None.
 
     The value is the trimmed polynomial the parser gives, over the same F
@@ -332,11 +370,8 @@ def _scan(text, F, literal, var, rft=None):
     other shape, valid or not, which is left to the parser.  A literal n/d
     is ``F.ratio(n, d)``.  A unary minus is taken only directly before a
     literal, where it cannot bind below a '^'; a literal followed by '^' is
-    not a term.  ``rft``, the rational-function domain, admits ((P)/(Q))
-    coefficients, P and Q sums of monomials in t: over Z when they hold
-    integer literals only, then reduced mod p over F_p, else over its base
-    field.  A zero denominator, d or Q, gives None, and the parser raises
-    its "division by zero".
+    not a term.  A zero denominator gives None, and the parser raises its
+    "division by zero".
     """
     slots = []
     pos, end, match = 0, len(text), _TERM_RE.match
@@ -344,28 +379,13 @@ def _scan(text, F, literal, var, rft=None):
     to_int = int if end <= _poly.SAFE_DIGITS else _poly.int_of
     while True:
         m = match(text, pos)
-        sign, coef, _, psign, neg, n, d, num, den, x, exp = m.groups()
+        sign, coef, _, psign, neg, n, d, x, exp = m.groups()
         if (pos and sign is None) or (coef is None and x is None) or (x and x != var):
             return None
         if n is not None:
             c = literal(to_int(n)) if d is None else F.ratio(to_int(n), to_int(d))
             if c is None:
                 return None
-        elif num is not None:
-            if rft is None:
-                return None
-            # integer P and Q are read straight into the numerator ring
-            G = rft.field
-            frac = "/" in num or "/" in den
-            R, lit = (G, G.coerce) if frac else (_Z, int)
-            P, Q = _scan(num, R, lit, "t"), _scan(den, R, lit, "t")
-            if P is None or Q is None:
-                return None
-            if G.p and not frac:  # each integer reduced mod p once
-                P, Q = [x % G.p for x in P], [x % G.p for x in Q]
-            if not any(Q):
-                return None
-            c = rft.from_polys(P, Q) if frac else RatFuncElement(rft, P, Q)
         else:
             c = F.one
         if (sign == "-") ^ (neg is not None) ^ (psign == "-"):
@@ -383,28 +403,125 @@ def _scan(text, F, literal, var, rft=None):
     return tuple(slots)
 
 
+_ONE = (1,)
+
+
+def _ratio_in_t(rft, ints, top, bottom):
+    """P / Q for the texts of P and of Q (None: Q = 1), sums of monomials in
+    t, as an unreduced pair in the numerator ring; None when either is some
+    other shape or Q is zero.  Integer literals are read by ``ints``, the
+    pair (ring, literal) of ``_scan`` that gives Z[t] or F_p[t] directly; a
+    '/' inside keeps the path through the base field and ``from_polys``,
+    which clears the denominators."""
+    frac = "/" in top or (bottom is not None and "/" in bottom)
+    R, lit = (rft.field, rft.field.coerce) if frac else ints
+    P = _scan(top, R, lit, "t")
+    Q = (R.one,) if bottom is None else _scan(bottom, R, lit, "t")
+    if P is None or not Q:
+        return None
+    if frac:
+        e = rft.from_polys(P, Q)
+        return e.num, e.den
+    return P, Q
+
+
+def _scan_rft(text, rft, ints):
+    """``text`` as a polynomial in X over ``rft``, each coefficient a pair
+    (num, den) in lowest terms (``valuation.lowest_terms``), or None.
+
+    The same contract as ``_scan``: on every text it accepts it gives the
+    parser's value, and it raises nothing.  Each term is one pair: a literal
+    n or n/d over 1 or d (a residue over 1 over F_p), or P over Q read by
+    ``_ratio_in_t`` with ``ints``, times t^j; a power of X written twice
+    adds its pairs, and each coefficient is reduced once at the end, with
+    one gcd.
+    """
+    p = rft.field.p
+    slots = []
+    pos, end, match = 0, len(text), _rft_term_re().match
+    to_int = int if end <= _poly.SAFE_DIGITS else _poly.int_of
+    while True:
+        m = match(text, pos)
+        (sign, coef, _, psign, neg, n, d, num, den, top, bottom,
+         tmul, t, texp, xmul, x, exp) = m.groups()
+        if ((pos and sign is None) or not (coef or t or x)
+                or (t and (tmul is None) != (coef is None))
+                or (x and (xmul is None) != (coef is None and t is None))):
+            return None
+        if n is not None:
+            if p:
+                c = to_int(n) % p if d is None else rft.field.ratio(to_int(n), to_int(d))
+                if c is None:
+                    return None
+                a, b = (c,) if c else (), _ONE
+            else:
+                c, b = to_int(n), _ONE if d is None else (to_int(d),)
+                if not b[0]:
+                    return None
+                a = (c,) if c else ()
+        elif coef is not None:
+            pair = (_ratio_in_t(rft, ints, num, den) if num is not None
+                    else _ratio_in_t(rft, ints, top, bottom))
+            if pair is None:
+                return None
+            a, b = pair
+        else:
+            a, b = _ONE, _ONE
+        if a:
+            if (sign == "-") ^ (neg is not None) ^ (psign == "-"):
+                a = tuple(-y % p for y in a) if p else tuple(-y for y in a)
+            j = int(texp) if texp is not None else 1 if t else 0
+            if j:
+                a = (0,) * j + a
+        k = int(exp) if exp is not None else 1 if x else 0
+        if k >= len(slots):
+            slots += [None] * (k + 1 - len(slots))
+        s = slots[k]
+        if s is None or not s[0]:
+            slots[k] = a, b
+        elif a:  # u/w + a/b, reduced below
+            u, w = s
+            slots[k] = ((ilin(_ONE, u, (-1,), a, p), w) if w == b
+                        else (ilin(u, b, tuple(-y for y in a), w, p), imul(w, b, p)))
+        pos = m.end()
+        if pos == end:
+            break
+    out = [((), _ONE) if s is None or not s[0] else lowest_terms(*s, p) for s in slots]
+    while out and not out[-1][0]:
+        out.pop()
+    return tuple(out)
+
+
 def _scanner(domain: Domain):
     """The term scanner of ``domain``'s components: text -> the polynomial
     the parser returns, or None.  It computes over ``_Q`` for ``zp:p`` and
-    ``field:q``, on residues for ``field:p`` and on elements for ``rft0``."""
+    ``field:q``, on residues for ``field:p`` and on reduced (num, den)
+    pairs for ``rft0`` (``_scan_rft``)."""
     if isinstance(domain.one, ScalarElement):
         F = domain.field
         if F.p:
             p = F.p
             return lambda text: _scan(text, F, lambda n: n % p, "X")
         return lambda text: _scan(text, _Q, int, "X")
-    rft = domain if isinstance(domain, RationalFunctionsAtZero) else None
-    return lambda text: _scan(text, domain, domain.k_element, "X", rft)
+    if isinstance(domain, RationalFunctionsAtZero):
+        p = domain.field.p
+        ints = (domain.field, lambda n: n % p) if p else (_Z, int)
+        return lambda text: _scan_rft(text, domain, ints)
+    return lambda text: _scan(text, domain, domain.k_element, "X")
 
 
 def _components(domain: Domain, text: str, line):
     """(component, start column) pairs: each component scanned, or parsed
-    when the scanner returns None."""
+    when the scanner returns None; over ``rft0`` the parser's elements are
+    given as the scanner's (num, den) pairs."""
     scan = _scanner(domain)
+    pairs = isinstance(domain, RationalFunctionsAtZero)
     for chunk, col0 in _split_components(text):
         poly = scan(chunk)
         if poly is None:
             poly = _PolyParser(domain, _Tokens(chunk, line, col0)).parse()
+            if pairs:
+                poly = tuple((c.num, c.den) for c in poly)
         yield poly, col0
 
 
@@ -412,11 +529,13 @@ def parse_vector(domain: Domain, text: str, line: int | None = None) -> PolyVec:
     """A vector of V[X]^n from comma-separated polynomial components.
 
     Each component goes to the term scanner first and to the parser only
-    when the scanner returns None.  Over ``zp:p``, ``field:q`` and
-    ``field:p`` the vector is a ``PackedPolyVec``.
+    when the scanner returns None.  Over every shipped kind the vector is a
+    ``PackedPolyVec``.
     """
     if isinstance(domain.one, ScalarElement):
         return _parse_scalars(domain, text, line)
+    if isinstance(domain, RationalFunctionsAtZero):
+        return _parse_ratfuncs(domain, text, line)
     comps = []
     for poly, col0 in _components(domain, text, line):
         for c in poly:
@@ -448,10 +567,26 @@ def _parse_scalars(domain, text, line) -> PackedPolyVec:
                                   for poly in comps], D)
 
 
+def _parse_ratfuncs(domain, text, line) -> PackedPolyVec:
+    """``parse_vector`` over ``rft0``, packed as ``_packed._pack`` packs the
+    elements: numerators over D, the lcm of the reduced denominators
+    (``_poly.ipack``).  A reduced entry lies in V iff its denominator does
+    not vanish at t = 0, so a component costs one test per entry."""
+    comps = []
+    for poly, col0 in _components(domain, text, line):
+        for num, den in poly:
+            if num and not den[0]:
+                c = RatFuncElement(domain, num, den, _coprime=True)
+                raise ParseError(f"coefficient {c} lies outside the domain", line, col0 + 1)
+        comps.append(poly)
+    return PackedPolyVec(domain, *_poly.ipack(comps, domain.field.p))
+
+
 def render_vector(v: PolyVec) -> str:
-    """The text of v, which ``parse_vector`` reads back; a ``PackedPolyVec``
-    is rendered from its numerators, with one gcd per entry."""
-    if type(v) is not PackedPolyVec:
+    """The text of v, which ``parse_vector`` reads back.  A ``PackedPolyVec``
+    over the scalar kinds is rendered from its numerators, with one gcd per
+    entry; over ``rft0`` from its elements, which it keeps (``comps``)."""
+    if type(v) is not PackedPolyVec or type(v.den) is tuple:
         return ", ".join(_poly.format_poly(comp, "X") for comp in v.comps)
     D, num_str = v.den, _poly.num_str
     if D == 1:

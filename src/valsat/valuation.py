@@ -23,13 +23,15 @@ The residue field is never materialised; every residual question reduces to
 
 Canonical form of ``RatFuncElement``.  Over Q, ``num`` and ``den`` are
 coprime in Z[t], their integer contents included, and ``den[-1] > 0``; over
-F_p they are residues and ``den`` is monic.  That is the form of a packed
-column's numerators too (``_ratkernel``), so packing an element converts
-nothing, and an exported entry num / D is ``RatFuncElement(domain, num,
-D)``: one gcd.  ``Fraction``s occur only at the raw and text boundary:
-``from_polys`` clears the denominators of rational coefficients, and
-``str`` divides by the leading coefficient of ``den``, giving the text
-with a monic denominator.
+F_p they are residues and ``den`` is monic (``lowest_terms``, which the
+parser shares).  That is the form of a packed column's numerators too
+(``_ratkernel``), so packing an element converts nothing, and an entry
+num / D of a packed vector becomes ``RatFuncElement(domain, num, D)``, one
+gcd, on the first read of its ``comps`` (``polyvec.PackedPolyVec``).
+``Fraction``s occur only at the raw and text boundary: ``from_polys``
+clears the denominators of rational coefficients, and ``str`` divides by
+the leading coefficient of ``den``, giving the text with a monic
+denominator.
 
 Cost model of ``RatFuncElement``.  Polynomial gcds dominate the cost of
 rational-function arithmetic, so each operation runs only the gcds that can
@@ -296,6 +298,20 @@ def _cancel(a, b, p):
     return a, b
 
 
+def lowest_terms(num, den, p, coprime=False):
+    """num / den for trimmed int tuples over the numerator ring Z[t] (p = 0)
+    or F_p[t] (residues), den nonzero, in the canonical form of the module
+    docstring: reduced by one gcd unless ``coprime`` says they share no
+    factor already, then den normalised."""
+    if not coprime:
+        num, den = _cancel(num, den, p) if num else ((), (1,))
+    lead = den[-1]
+    if lead != 1 and (p or lead < 0):
+        u = (pow(lead, -1, p) if p else -1,)
+        num, den = imul(u, num, p), imul(u, den, p)
+    return num, den
+
+
 class RatFuncElement(DomainElement):
     """Reduced fraction num(t)/den(t) over the numerator ring Z[t] or F_p[t].
 
@@ -320,18 +336,14 @@ class RatFuncElement(DomainElement):
     def __init__(self, domain, num, den, *, _coprime=False):
         """num / den for int sequences over the numerator ring (residues
         over F_p), reduced by one gcd; with ``_coprime`` they share no
-        factor already, and only den's leading coefficient is normalised."""
-        p = domain.field.p
+        factor already, and only den's leading coefficient is normalised
+        (``lowest_terms``)."""
         if not _coprime:
             num, den = _poly.trim(num), _poly.trim(den)
             if not den:
                 raise ZeroDivisionError("zero denominator polynomial")
-            num, den = _cancel(num, den, p) if num else ((), (1,))
-        lead = den[-1]
-        if lead != 1 and (p or lead < 0):
-            u = (pow(lead, -1, p) if p else -1,)
-            num, den = imul(u, num, p), imul(u, den, p)
-        self.domain, self.num, self.den = domain, num, den
+        self.domain = domain
+        self.num, self.den = lowest_terms(num, den, domain.field.p, _coprime)
 
     def is_zero(self):
         return not self.num

@@ -13,15 +13,13 @@ the columns of G are numerators over one denominator per column, in Z, in
 the residues mod p, or in Z[t] or F_p[t] for ``rft0``, and each insertion
 costs one numerator-ring gcd per elimination step (``_ratkernel``).  B is
 the answer and G the certificate behind it, so ``_run`` takes only the
-columns of B out of the engine (``engine.polyvec``): over ``zp:p``,
-``field:q`` and ``field:p`` as ``PackedPolyVec``s, which build no element
-until their ``comps`` is read, and over ``rft0`` as elements, with one gcd
-per entry.  G is built on the first read of ``SaturationResult.basis``,
-sharing B's columns.
+columns of B out of the engine (``engine.polyvec``), as ``PackedPolyVec``s,
+which build no element until their ``comps`` is read.  G is built on the
+first read of ``SaturationResult.basis``, sharing B's columns.
 ``_run`` starts from vectors in the engine's own form: ``saturate_vx``
-packs its input (``engine.pack``, which takes a parsed vector over the
-scalar kinds as it is), and ``syzygy.syzygy_vx`` hands in the packed
-K[X]-kernel's columns as they are.
+packs its input (``engine.pack``, which takes a parsed vector as it is),
+and ``syzygy.syzygy_vx`` hands in the packed K[X]-kernel's columns as they
+are.
 
 Every round is recorded as an ``IterationRecord``; the counters drive both
 the termination argument (see ``saturate_vx``) and the diagnostic diagrams

@@ -520,3 +520,71 @@ def test_content_chain_keeps_the_gcdheu_quotients(monkeypatch):
     monkeypatch.setattr(_poly, "iquo", lambda *a: pytest.fail("iquo ran"))
     h, qs = _poly.icontent(xs)
     assert h == tuple(2 * v for v in c) and qs == [tuple(r) for r in rs]
+
+
+# ---------------------------------------------------------------------------
+# Euclid over F_p in place against the remainder chain it replaced.
+
+def _rem_mod(a, b, p):
+    """The remainder of a by the nonzero b over F_p, a fresh tuple."""
+    r, n = list(a), len(b)
+    inv = pow(b[-1], -1, p)
+    while len(r) >= n:
+        f = r[-1] * inv % p
+        if f:
+            for k, y in enumerate(b, len(r) - n):
+                r[k] -= f * y
+        r.pop()
+        while r and not r[-1] % p:
+            r.pop()
+    return tuple(x % p for x in r)
+
+
+def _euclid_chain(a, b, p):
+    """The monic gcd by a chain of ``_rem_mod`` remainders."""
+    while b:
+        a, b = b, _rem_mod(a, b, p)
+    if not a or a[-1] == 1:
+        return a
+    inv = pow(a[-1], -1, p)
+    return tuple(x * inv % p for x in a)
+
+
+@st.composite
+def fp_pairs(draw):
+    """Residue tuples over F_p, with a common factor half the time."""
+    p = draw(st.sampled_from((2, 3, 5, 7, P64)))
+    coeff = st.integers(0, p - 1) | st.integers(0, 3)
+    poly = st.lists(coeff, max_size=11).map(lambda c: _poly.trim(x % p for x in c))
+    a, b = draw(poly), draw(poly)
+    if draw(st.booleans()):
+        c = draw(poly)
+        a, b = _poly.imul(a, c, p), _poly.imul(b, c, p)
+    return p, a, b
+
+
+@PROPERTY
+@given(fp_pairs())
+def test_fp_gcd_in_place_matches_the_remainder_chain(case):
+    p, a, b = case
+    assert _poly.igcd(a, b, p) == _euclid_chain(a, b, p) == _poly.igcd(b, a, p)
+
+
+def test_fp_content_of_a_constant_runs_no_gcd(monkeypatch):
+    """Over F_p a nonzero constant is a unit: h is 1 at once."""
+    xs = [(1, 2, 3), (4,), (0, 1)]
+    monkeypatch.setattr(_poly, "igcd", lambda *a: pytest.fail("igcd ran"))
+    h, qs = _poly.icontent(xs, 5)
+    assert h == (1,) and qs is xs
+
+
+def test_sub_scaled_runs_no_ilin_on_two_zero_entries(monkeypatch):
+    import valsat._ratkernel as rk
+
+    calls = []
+    ilin = rk.ilin
+    monkeypatch.setattr(rk, "ilin", lambda *a: calls.append(a[1::2]) or ilin(*a))
+    comps = [[(), (1, 1)], [(2,)]]
+    Polynomials(5).sub_scaled(comps, [[(), (1,)], []], (1,), (3,), 5)
+    assert comps == [[(), (3, 1)], [(2,)]]
+    assert calls == [((1, 1), (1,))]

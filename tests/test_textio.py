@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from valsat import _poly, textio
+from valsat._packed import _pack, numerator_ring
 from valsat.errors import NotInDomain, NotPrime, ParseError
 from valsat.polyvec import PackedPolyVec, PolyVec
 from valsat.syzygy import syzygy_vx
@@ -432,12 +433,29 @@ def _ratfunc_coefficient():
 
 
 @st.composite
+def _rendered_rft0_coefficient(draw):
+    """[c] [* t[^j]] for c a literal, (P), (P)/(Q) or ((P)/(Q)), P and Q sums
+    of monomials in t with parenthesised literals: the shapes that
+    render_vector writes over rft0, such as (3/5)*t or ((t + 1)/(t - 2))."""
+    poly = _monomials("t", _literal(parens=True), most=3)
+    c = draw(st.none() | _literal(parens=True)
+             | st.builds(lambda p: f"({p})", poly)
+             | st.builds(lambda p, q, a: f"({p}){a}/{a}({q})", poly, poly, WS)
+             | st.builds(lambda p, q: f"(({p})/({q}))", poly, poly))
+    j = draw(st.none() | st.integers(0, 3))
+    power = "t" if j is None else f"t{draw(WS)}^{draw(WS)}{j}"
+    if c is None:
+        return power
+    return c + draw(st.sampled_from(["", f"{draw(WS)}*{draw(WS)}{power}"]))
+
+
+@st.composite
 def _scanned_vectors(draw):
     """A vector text over one of KINDS whose components all have a scanned shape."""
     d = draw(st.sampled_from(KINDS))
     coefficient = _literal(parens=True)
     if isinstance(d, RationalFunctionsAtZero):
-        coefficient = coefficient | _ratfunc_coefficient()
+        coefficient = coefficient | _ratfunc_coefficient() | _rendered_rft0_coefficient()
     comps = draw(st.lists(_monomials("X", coefficient), min_size=1, max_size=3))
     return d, ",".join(comps), True
 
@@ -492,6 +510,11 @@ def test_scanner_matches_parser(case):
 ])
 def test_scanner_leaves_other_shapes_to_the_parser(text):
     for d in KINDS:
+        if text == "t*X" and isinstance(d, RationalFunctionsAtZero):
+            # a shape render_vector writes over rft0, scanned with the parser's value
+            assert textio._scanner(d)(text) == (((), (1,)), ((0, 1), (1,)))
+            assert parse_vector(d, text) == PolyVec(d, [(d.zero, d.uniformizer())])
+            continue
         assert textio._scanner(d)(text) is None, (d.tag, text)
 
 
@@ -543,14 +566,17 @@ def test_the_scanner_really_runs(monkeypatch):
         assert parse_vector(v.domain, text) == v, text
 
 
-def test_shipped_rft0_components_fall_back():
-    """t^2 + t*X and (t+2)/(3) are parser shapes; they parse as they always have."""
+def test_shipped_rft0_components_are_scanned():
+    """t^2 + t*X and (t+2)/(3), once parser shapes, are scanned, with the
+    values they always had."""
     path = Path(__file__).resolve().parent.parent / "instances" / "rational-functions.vsat"
     inst = parse_instance(path.read_text())
     R = inst.domain
     scan = textio._scanner(R)
-    for text in ("t^2 + t*X", "(t+2)/(3)", "t*X^2"):
-        assert scan(text) is None
+    one = (1,)
+    assert scan("t^2 + t*X") == (((0, 0, 1), one), ((0, 1), one))
+    assert scan("(t+2)/(3)") == (((2, 1), (3,)),)
+    assert scan("t*X^2") == (((), one), ((), one), ((0, 1), one))
     t2, t = R.from_polys((0, 0, 1)), R.uniformizer()
     assert inst.vectors == [
         PolyVec(R, [(t2, t), (R.from_polys((2, 1), (3,)),)]),
@@ -563,6 +589,17 @@ def test_shipped_rft0_components_fall_back():
 # ring and make one RatFuncElement, with no from_polys.
 
 RFT0 = [RationalFunctionsAtZero("q"), RationalFunctionsAtZero("fp", 5)]
+
+
+@st.composite
+def _rft0_vectors(draw):
+    """A vector over rft0:q or rft0:5 with t-dependent denominators that
+    share factors, so that D differs from every entry's denominator."""
+    d = draw(st.sampled_from(RFT0))
+    small = st.integers(-9, 9)
+    den = st.sampled_from([(1,), (2,), (1, 1), (1, 2), (2, 0, 1), (1, 3, 2), (3, 1)])
+    coeff = st.builds(lambda num, q: d.element((num, q)), st.lists(small, max_size=3), den)
+    return PolyVec(d, draw(st.lists(st.lists(coeff, max_size=4), min_size=1, max_size=3)))
 
 
 @pytest.mark.parametrize("d", RFT0, ids=lambda d: d.tag)
@@ -580,8 +617,65 @@ def test_integer_t_coefficients_skip_from_polys(d, text, num, den, monkeypatch):
     monkeypatch.setattr(RationalFunctionsAtZero, "from_polys",
                         lambda *a: pytest.fail("from_polys ran"))
     monkeypatch.setattr(type(d.field), "coerce", lambda *a: pytest.fail("coerce ran"))
-    assert textio._scanner(d)(text) == ((want,) if want else ())
+    assert textio._scanner(d)(text) == (((want.num, want.den),) if want else ())
     assert parse_vector(d, f"X, {text}*X") == PolyVec(d, [(zero, one), (zero, want)])
+
+
+class _Refused:
+    """A stand-in for ``_PolyParser`` that records each fallback and raises."""
+
+    seen: list = []
+
+    def __init__(self, domain, toks):
+        _Refused.seen.append(toks.text)
+        raise AssertionError("the parser ran")
+
+
+def _fallbacks(pairs, monkeypatch):
+    """The components, of the rendered texts, that reach the parser; each
+    text that parses without it must give back its vector."""
+    monkeypatch.setattr(textio, "_PolyParser", _Refused)
+    _Refused.seen = []
+    for v, text in pairs:
+        try:
+            back = parse_vector(v.domain, text)
+        except AssertionError:
+            continue
+        assert back == v, text
+    return _Refused.seen
+
+
+@PROPERTY
+@given(_rft0_vectors())
+def test_rendered_rft0_vectors_need_no_parser(v):
+    text = render_vector(v)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert _fallbacks([(v, text)], monkeypatch) == [], text
+
+
+@pytest.mark.parametrize("d", RFT0, ids=lambda d: d.tag)
+def test_rendered_rft0_generators_need_no_parser(d, monkeypatch):
+    """Generators of saturate_vx and syzygy_vx on inputs of the benchmark's
+    rft0 shape, rendered and parsed back: no component falls back."""
+    rng = random.Random(3)
+
+    def poly(deg):
+        return " + ".join(
+            f"(({rng.randint(-5, 5)} + {rng.randint(-5, 5)}*t)/(1 + {rng.randint(-5, 5)}*t))"
+            + (f"*X^{k}" if k else "") for k in range(rng.randrange(1, deg + 2)))
+
+    pairs = []
+    small = d.field.p == 0  # rft0:q grows fastest
+    for _ in range(15):
+        n, m = rng.randrange(1, 4 - small), rng.randrange(1, 4 - small)
+        S = [parse_vector(d, ", ".join(poly(2 - small) for _ in range(n))) for _ in range(m)]
+        k = rng.randrange(1, 3)
+        U = [parse_vector(d, ", ".join(poly(1) for _ in range(k)))
+             for _ in range(rng.randrange(3, 5))]
+        for gens in (saturate_vx(S).generators, syzygy_vx(U).generators):
+            pairs += [(g, render_vector(g)) for g in gens]
+    assert len(pairs) > 30
+    assert _fallbacks(pairs, monkeypatch) == []
 
 
 @pytest.mark.parametrize("d", RFT0, ids=lambda d: d.tag)
@@ -638,19 +732,27 @@ def _scalar_vectors(draw):
 
 
 def _entries(v):
-    return [[(c, type(c.value)) for c in comp] for comp in v.comps]
+    return [[(c, type(c.value)) if isinstance(c, ScalarElement)
+             else (c, [type(x) for x in c.num + c.den]) for c in comp] for comp in v.comps]
 
 
 @PROPERTY
-@given(_scalar_vectors())
+@given(_scalar_vectors() | _rft0_vectors())
 def test_a_packed_vector_is_its_element_twin(v):
     """Equality both ways, hash, entries and the types of their raw values;
-    and the text from the numerators is the text from the elements."""
+    the packing of the element vector; and the text from the numerators is
+    the text from the elements.  Over rft0 rendering builds the elements,
+    once, and keeps them."""
     packed = parse_vector(v.domain, render_vector(v))
     assert type(packed) is PackedPolyVec and packed._comps is None
+    assert (packed.nums, packed.den) == _pack(v, numerator_ring(v.domain))
     text = render_vector(packed)
     assert text == render_vector(v)
-    assert packed._comps is None  # rendering built no element
+    if type(packed.den) is tuple:
+        comps = packed._comps
+        assert comps is not None and packed.comps is comps
+    else:
+        assert packed._comps is None  # rendering built no element
     assert packed == v and v == packed and hash(packed) == hash(v)
     assert _entries(packed) == _entries(v)
     twin = PolyVec(v.domain, packed.comps)
@@ -658,20 +760,26 @@ def test_a_packed_vector_is_its_element_twin(v):
     assert (packed.is_zero(), packed.degree()) == (v.is_zero(), v.degree())
 
 
-@pytest.mark.parametrize("d", SCALAR_KINDS, ids=lambda d: d.tag)
+@pytest.mark.parametrize("d", SCALAR_KINDS + RFT0, ids=lambda d: d.tag)
 def test_generators_render_the_same_before_and_after_comps_is_read(d):
     rng = random.Random(26)
+    rft0 = isinstance(d, RationalFunctionsAtZero)
+
+    def coeff():
+        if rft0:  # the benchmark generator's shape
+            a, b, c = (rng.randint(-5, 5) for _ in range(3))
+            return f"(({a} + {b}*t)/(1 + {c}*t))"
+        return f"({rng.randrange(-99, 100) * 2 ** rng.randrange(3)}/{rng.choice((1, 3, 7))})"
 
     def poly(deg):
-        terms = [f"({rng.randrange(-99, 100) * 2 ** rng.randrange(3)}/{rng.choice((1, 3, 7))})"
-                 f"*X^{k}" for k in range(rng.randrange(deg + 1))]
+        terms = [f"{coeff()}*X^{k}" for k in range(rng.randrange(deg + 1))]
         return " + ".join(terms) or "0"
 
     rendered = {saturate_vx: 0, syzygy_vx: 0}
     for _ in range(12):
-        n, m = rng.randrange(1, 4), rng.randrange(1, 4)
-        S = [parse_vector(d, ", ".join(poly(3) for _ in range(n))) for _ in range(m)]
-        U = [parse_vector(d, ", ".join(poly(2) for _ in range(2))) for _ in range(3)]
+        n, m = rng.randrange(1, 4), rng.randrange(1, 4 if not rft0 else 3)
+        S = [parse_vector(d, ", ".join(poly(3 - 2 * rft0) for _ in range(n))) for _ in range(m)]
+        U = [parse_vector(d, ", ".join(poly(2 - rft0) for _ in range(2))) for _ in range(3)]
         for run, vectors in ((saturate_vx, S), (syzygy_vx, U)):
             if all(v.is_zero() for v in vectors):
                 continue
@@ -702,16 +810,49 @@ def test_scalar_parse_errors_keep_their_message_and_position(d, text, message, c
     assert str(exc.value) == f"line 9, column {column}: {message}"
 
 
+# The messages and positions of the element path, which built a
+# RatFuncElement per literal and tested its valuation.
+@pytest.mark.parametrize("tag, text, message, column", [
+    ("rft0:q", "X, 1 + ((1)/(t))*X", "coefficient (1)/(t) lies outside the domain", 3),
+    ("rft0:5", "X, 1 + ((1)/(t))*X", "coefficient (1)/(t) lies outside the domain", 3),
+    ("rft0:q", "X, ((1 + t)/(t - t^2))",
+     "coefficient (-t - 1)/(t^2 - t) lies outside the domain", 3),
+    ("rft0:5", "((3)/(5*t + t^2))*X - 1, 1", "coefficient (3)/(t^2) lies outside the domain", 1),
+    ("rft0:q", "((1)/(t))*X + ((1 + t)/(t))*X, 1",
+     "coefficient (t + 2)/(t) lies outside the domain", 1),
+    ("rft0:q", "X, ((2/3)/(t))", "coefficient (2/3)/(t) lies outside the domain", 3),
+    ("rft0:q", "t*X, (t + 1)/(2*t)",
+     "coefficient ((1/2)*t + 1/2)/(t) lies outside the domain", 5),
+    ("rft0:q", "(1)/(t), 1", "coefficient (1)/(t) lies outside the domain", 1),
+    ("rft0:q", "1, (X + 1)*((1)/(t))", "coefficient (1)/(t) lies outside the domain", 3),  # parsed
+    ("rft0:5", "X, ((1 + t)/(10 - 5*t))", "division by zero", 12),
+    ("rft0:5", "X, 1/5", "division by zero", 5),
+    ("rft0:5", "X, 2 % t", "unexpected character '%'", 6),
+])
+def test_rft0_parse_errors_keep_their_message_and_position(tag, text, message, column):
+    with pytest.raises(ParseError) as exc:
+        parse_vector(parse_domain_tag(tag), text, line=7)
+    assert str(exc.value) == f"line 7, column {column}: {message}"
+
+
 def test_coefficients_are_checked_after_their_terms_are_summed():
     assert parse_vector(Z2, "(1/2)*X + (1/2)*X, 1/4 - 1/4") == PolyVec.from_raw(Z2, [[0, 1], []])
     assert parse_vector(Zp(3), "X, X^2, 5/9 - 1/3 + 7/9") == PolyVec.from_raw(
         Zp(3), [[0, 1], [0, 0, 1], [1]])
+    Rq, R5 = RFT0
+    assert parse_vector(Rq, "((1)/(t)) - ((1)/(t)) + 2, ((1)/(t)) + ((-1 + t)/(t))") == (
+        PolyVec.from_raw(Rq, [[2], [1]]))
+    assert parse_vector(R5, "((1)/(t))*X + ((4 + t)/(t))*X, "
+                            "((2)/(t^2 + t)) + ((3 + 3*t)/(t + t^2))") == (
+        PolyVec(R5, [(R5.zero, R5.one), (R5.element(((3,), (1, 1))),)]))
 
 
 def test_importing_textio_leaves_the_packed_modules_unloaded():
     code = ("import sys\nfrom valsat.textio import parse_vector, render_vector, parse_domain_tag\n"
             "v = parse_vector(parse_domain_tag('zp:2'), '(1/3)*X + 2, 5')\n"
             "assert render_vector(v) == '(1/3)*X + 2, 5', render_vector(v)\n"
+            "v = parse_vector(parse_domain_tag('rft0:5'), '((1 + t)/(2 + 2*t))*X + 1, 3*t')\n"
+            "assert render_vector(v) == '3*X + 1, 3*t', render_vector(v)\n"
             "loaded = [m for m in ('valsat._packed', 'valsat._ratkernel') if m in sys.modules]\n"
             "sys.exit(f'loads {loaded}' if loaded else 0)\n")
     src = Path(__file__).resolve().parents[1] / "src"
