@@ -138,9 +138,10 @@ class PackedPolyVec(PolyVec):
     ``nums`` holds one list of numerators per component, trailing zeros
     trimmed, over the common denominator ``den``: ints over ``zp:p`` and
     ``field:q``, residues over ``field:p``, and over ``rft0`` int tuples in
-    Z[t] or F_p[t] (see ``_poly``) over a tuple.  ``textio.render_vector``
-    needs ``den`` positive, and 1 over F_p, as it is in every vector that
-    ``textio.parse_vector`` or the packed engine makes.  Nothing mutates
+    Z[t] or F_p[t] (see ``_poly``) over a tuple.  Over the scalar kinds
+    ``textio.render_vector`` needs ``den`` positive, and 1 over F_p, as it
+    is in every vector that ``textio.parse_vector`` or the packed engine
+    makes.  Nothing mutates
     the lists, so the kernel and the oracle take them as they are.  A
     ``PackedPolyVec`` equals, and hashes as, the ``PolyVec`` of the same
     entries.
