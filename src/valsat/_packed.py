@@ -1,24 +1,24 @@
-"""Packed engine and packed ``kernel_kx``: the clients of the packed kernel.
+"""Packed engine and packed K[X]-kernel: the clients of the packed kernel.
 
 The packed engine runs every shipped kind, over the numerator ring that
 ``numerator_ring`` picks: Z for ``zp:p`` and ``field:q``, residues mod p
 for ``field:p``, Z[t] for ``rft0:q`` and F_p[t] for ``rft0:p``.  Columns
 are ``_ratkernel`` packed vectors, numerators over one denominator per
-column in lowest terms (over F_p, residues over 1).  ``_pack``
-(``PackedEngine.pack``) takes a ``PackedPolyVec``, which every parsed
-vector is, as it is, and builds the others from elements: over ``rft0``
-the denominator is the lcm of the entries' denominators, which a
-``RatFuncElement`` already holds in the numerator ring (``_poly.ipack``).
-A column is taken out by ``polyvec``: ``vxsat`` takes the generators, and
-the whole basis only when it is read.  On every kind that is a
-``PackedPolyVec`` of the column's own lists, which builds no element until
-its ``comps`` is read; there, over ``rft0``, an entry num / D becomes
-``RatFuncElement(domain, num, D)``, which costs one gcd of num against D.
-``_ratkernel.insert`` keeps the column contract of ``echelon``: it appends
-each reduction, monic at its content position, and that position to the
-engine's lists.  Results are bit-identical to the generic engine: same
-elimination order, same content rule, and the exported elements are
-canonical.
+column in lowest terms (over F_p, residues over 1).  ``insert_vector``
+packs its argument (``_pack``): a ``PackedPolyVec``, which every parsed
+and every scaled kernel vector is, goes in as it is, and any other vector
+is built from its elements: over ``rft0`` the denominator is the lcm of
+the entries' denominators, which a ``RatFuncElement`` already holds in the
+numerator ring (``_poly.ipack``).  A column is taken out by ``polyvec``:
+``vxsat`` takes the generators, and the whole basis only when it is read.
+On every kind that is a ``PackedPolyVec`` of the column's own lists, which
+builds no element until its ``comps`` is read; there, over ``rft0``, an
+entry num / D becomes ``RatFuncElement(domain, num, D)``, which costs one
+gcd of num against D.  ``_ratkernel.insert`` keeps the column contract of
+``echelon``: it appends each reduction, monic at its content position, and
+that position to the engine's lists.  Results are bit-identical to the
+generic engine: same elimination order, same content rule, and the
+exported elements are canonical.
 
 ``_kernel_columns`` runs ``syzygy``'s column reduction on packed columns
 over the same numerator rings, with one fraction-free step written against
@@ -26,11 +26,11 @@ the ring: ``(lb/g) col - (la/g) X^s pivot`` for g the ring gcd of the
 leading numerators, then a content strip (``strip``).  Over F_p the ring's
 gcd is lb, so the step is Euclidean division itself and nothing is
 stripped.  Why its basis is the generic one is in the ``syzygy`` module
-docstring.  It returns the kernel's identity parts as ring columns, which
-``syzygy.syzygy_vx`` inserts into the packed engine as they are, each over
-D = 1: the engine stores the same column for every nonzero K-multiple of
-its input (see ``vxsat.saturate_vx``).  ``kernel_kx_packed`` exports them
-as elements, each divided by its first nonzero entry, for ``kernel_kx``.
+docstring.  It returns the kernel's identity parts as ring columns.
+``scaled_kernel_packed`` divides each by its first nonzero numerator and
+by a uniformiser power (``ring.shed``), and returns
+``PackedPolyVec``s for ``syzygy.scaled_kernel``; ``syzygy.kernel_kx``
+exports them as elements, each divided by its first nonzero entry.
 """
 
 from __future__ import annotations
@@ -81,12 +81,8 @@ class PackedEngine(GenericEngine):
         super().__init__(domain)
         self.ring = numerator_ring(domain)
 
-    def pack(self, v: PolyVec):
-        """v as a packed vector, the form ``insert_vector`` takes."""
-        return _pack(v, self.ring)
-
-    def insert_vector(self, vec) -> tuple[bool, bool]:
-        return _ratkernel.insert(self.cols, self.pivs, vec, self.ring)
+    def insert_vector(self, v: PolyVec) -> tuple[bool, bool]:
+        return _ratkernel.insert(self.cols, self.pivs, _pack(v, self.ring), self.ring)
 
     def insert_shift_of(self, i: int) -> tuple[bool, bool]:
         shifted = _ratkernel.vec_shift(self.cols[i], self.ring.zero)
@@ -148,12 +144,29 @@ def _kernel_columns(U: list[PolyVec]):
     return [cols[j][k:] for j in _reduce_columns(cols, k, _step(ring))]
 
 
-def kernel_kx_packed(U: list[PolyVec]):
-    """``syzygy.kernel_kx`` of a nonempty U over a shipped kind: the kernel
-    columns as elements, each divided by its first nonzero entry."""
+def scaled_kernel_packed(U: list[PolyVec]) -> list[PackedPolyVec]:
+    """``syzygy.scaled_kernel`` of a nonempty U, built from no element.
+
+    ``primitive_scale`` divides a kernel column by its first nonzero
+    numerator c and by pi^m, for m = min v(x) - v(c) over its numerators x.
+    Here min v(x) is 0: a column's last step ends with a strip, which
+    leaves its numerators coprime, and a zero u_j packs over D = 1.  So
+    m = -v(c), and the scaled column is the numerators over c / pi^(v(c))
+    (``ring.shed``), with that denominator made positive over Z and 1 over
+    F_p, as ``textio.render_vector`` needs.
+    """
     domain = U[0].domain
-    basis = []
+    ring = numerator_ring(domain)
+    val, mod = ring.val, ring.mod
+    out = []
     for ident in _kernel_columns(U):
-        lead = next(x for comp in ident for x in comp if x)
-        basis.append(PackedPolyVec(domain, ident, lead).comps)
-    return basis
+        c = next(x for comp in ident for x in comp if x)
+        if val is not None:
+            c = ring.shed(c, val(c))
+        if type(c) is int and mod:
+            inv = pow(c, -1, mod)
+            ident, c = [[x * inv % mod for x in comp] for comp in ident], 1
+        elif type(c) is int and c < 0:
+            ident, c = [[-x for x in comp] for comp in ident], -c
+        out.append(PackedPolyVec(domain, ident, c))
+    return out

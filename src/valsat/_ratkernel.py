@@ -19,8 +19,10 @@ arithmetic, else 0), ``gcd`` (over F_p its second argument, as in any
 field), the exact quotient ``quo``, ``sub_scaled`` over a component list,
 the valuation ``val`` of a numerator (None for the trivial valuation),
 ``normalise``, which divides a column by its content and puts it in lowest
-terms, and ``strip``, which divides a column by a common factor of its
-numerators (for ``_packed``'s K[X] reduction).  Basis columns are kept in
+terms, ``strip``, which divides a column by a common factor of its
+numerators (for ``_packed``'s K[X] reduction), and ``shed``, the exact
+division of a numerator by a power of the uniformiser (for ``_packed``'s
+primitive scaling).  Basis columns are kept in
 lowest terms, gcd(numerators, D) = 1 with D normalised (positive over Z, a
 positive leading coefficient over Z[t], monic over F_p[t]), which makes
 their packing unique; a vector to insert needs only D != 0.
@@ -171,7 +173,7 @@ class Integers:
     quo = staticmethod(operator.floordiv)
 
     def __init__(self, p=0, mod=0):
-        self.mod = mod
+        self.p, self.mod = p, mod
         # Read from the module globals when the ring is made, so that calls
         # go through ``_ratkernel.gcd`` and ``_ratkernel._sub_scaled`` as
         # they stand then, wrapped or not.
@@ -184,6 +186,10 @@ class Integers:
             self.gcd = lambda a, b: b
             self.quo = lambda a, b: (1 if a == b else a if b == 1
                                      else a * pow(b, -1, mod) % mod)
+
+    def shed(self, x, m):
+        """x / p^m, for x of p-adic valuation at least m."""
+        return x // self.p ** m
 
     def strip(self, comps):
         """Divide comps by the gcd of their numerators; by nothing over F_p."""
@@ -242,6 +248,11 @@ class Polynomials:
                 comps[c] = new
             elif s != one and comp:
                 comps[c] = [imul(s, x, p) for x in comp]
+
+    @staticmethod
+    def shed(x, m):
+        """x / t^m, for x of order at least m."""
+        return x[m:]
 
     def strip(self, comps):
         """Divide comps by the gcd of their numerators (``icontent``)."""

@@ -151,7 +151,7 @@ def _run(inst: InstanceFile, args) -> int:
                          f"generators: {len(res.generators)}")
         out_lines.extend(render_vector(v) for v in res.generators)
         csv = trace_csv(res.trace)
-        diagram = _final_diagram(inst, res) if args.diagram else None
+        diagram = _final_diagram(res) if args.diagram else None
         if inst.verify:
             verified = oracle.verify_saturation(inst.vectors, res.generators,
                                                 _slice_bound(inst, res))
@@ -165,12 +165,11 @@ def _run(inst: InstanceFile, args) -> int:
                              f"generators: {len(res.generators)}")
             out_lines.extend(render_vector(v) for v in res.generators)
             csv = trace_csv(res.trace)
-            diagram = _final_diagram(inst, res) if args.diagram else None
+            diagram = _final_diagram(res) if args.diagram else None
             if inst.verify:
                 verified = oracle.verify_syzygies(inst.vectors, res.generators,
                                                   _slice_bound(inst, res))
         else:
-            res = None
             out_lines.append("# syzygy module is zero")
             if inst.verify:
                 verified = oracle.verify_syzygies(inst.vectors, [], 0)
@@ -202,8 +201,8 @@ def _run(inst: InstanceFile, args) -> int:
     return 0
 
 
-def _final_diagram(inst: InstanceFile, res: SaturationResult) -> str:
-    n = res.basis[0].n if len(res.basis) else inst.vectors[0].n
+def _final_diagram(res: SaturationResult) -> str:
+    n = res.basis[0].n
     tail = res.trace[-1].new_columns
     H = list(res.basis)[len(res.basis) - tail:]
     max_exp = res.degree + res.trace[-1].k

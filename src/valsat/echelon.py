@@ -114,11 +114,11 @@ def saturate_free(F) -> EchelonBasis:
 
     MixedFamily is raised unless the columns share one domain and one
     width.  Zero columns are skipped.  Processing a prefix of F yields a
-    prefix of the result, so the computation is incremental.  Every shipped
-    kind runs through the packed kernel, over integer numerators (``zp:p``,
+    prefix of the result, so the computation is incremental.  The fold
+    runs through the packed kernel, over integer numerators (``zp:p``,
     ``field:q``), residues (``field:p``) or polynomial numerators in t
-    (``rft0:q``, ``rft0:p``); the result is bit-identical to the generic
-    fold, which other domains take.
+    (``rft0:q``, ``rft0:p``); the result is bit-identical to folding
+    ``echelon_insert`` over F, the tests' reference.
     """
     from ._engines import select_engine
 
@@ -127,5 +127,5 @@ def saturate_free(F) -> EchelonBasis:
         return EchelonBasis()
     engine = select_engine(F[0].domain)
     for v in F:
-        engine.insert_vector(engine.pack(v))
+        engine.insert_vector(v)
     return engine.export_basis()

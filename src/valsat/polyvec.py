@@ -140,8 +140,8 @@ class PackedPolyVec(PolyVec):
     ``field:q``, residues over ``field:p``, and over ``rft0`` int tuples in
     Z[t] or F_p[t] (see ``_poly``) over a tuple.  Over the scalar kinds
     ``textio.render_vector`` needs ``den`` positive, and 1 over F_p, as it
-    is in every vector that ``textio.parse_vector`` or the packed engine
-    makes.  Nothing mutates
+    is in every vector that ``textio.parse_vector``, the packed engine or
+    ``syzygy.scaled_kernel`` makes.  Nothing mutates
     the lists, so the kernel and the oracle take them as they are.  A
     ``PackedPolyVec`` equals, and hashes as, the ``PolyVec`` of the same
     entries.

@@ -3,41 +3,38 @@
 Pipeline: compute a K[X]-basis of the kernel of the k-by-n polynomial matrix
 U by one unimodular column reduction of U stacked on the identity over the
 Euclidean ring K[X] (the identity part records the transform, whose columns
-are coprime, so the kernel vectors need no gcd strip), then V-saturate the
-V[X]-module they generate.  The generator list of that saturation generates
-the full syzygy module of u_1..u_n over V[X].
+are coprime, so the kernel vectors need no gcd strip), scale each kernel
+vector by a uniformizer power into a primitive element of V[X]^n
+(``scaled_kernel``), then V-saturate the V[X]-module they generate
+(``saturate_vx``).  The generator list of that saturation generates the
+full syzygy module of u_1..u_n over V[X].  ``syzygy_vx`` is that pair, and
+the CLI runs the same two calls, printing the scaled kernel between them.
 
-Every shipped kind runs this pipeline packed from end to end: the kernel
-columns leave the packed reduction as numerators over the numerator ring
-(``_packed._kernel_columns``) and go into the packed engine as they are,
-each over the denominator 1.  The saturation does not depend on how each
-input vector is scaled (see ``vxsat.saturate_vx``), so they are neither
-divided by a leading entry nor made primitive first, and no element of K
-is built until the generators are taken out.  Any other ``Domain`` takes
-the element path: ``kernel_kx``, each vector scaled into a primitive
-element of V[X]^n by a uniformizer power (``primitive_scale``), then
-``saturate_vx``.
+Every step runs packed: the kernel columns leave the packed reduction as
+numerators over the numerator ring (``_packed._kernel_columns``), are
+scaled there, and reach the packed engine as ``PackedPolyVec``s, so no
+element of K is built until the generators' ``comps`` are read.
 
 K[X] polynomials are trimmed tuples of quotient-field elements; a kernel
-vector is a tuple of n such polynomials.
+vector from ``kernel_kx`` is a tuple of n such polynomials.
 
 One loop, ``_reduce_columns``, runs the reduction with a division step.
-Every shipped kind takes one packed step, ``_packed._kernel_columns``,
-over its numerator ring R (Z for ``zp:p`` and ``field:q``, residues for
-``field:p``, Z[t] for ``rft0:q``, F_p[t] for ``rft0:p``; see
-``_ratkernel``).  Each stacked column [u_j; e_j] is cleared of
-denominators, so its identity part starts as D_j e_j, and each quotient
-step is the fraction-free ``(lb/g) col - (la/g) X^s pivot``, with la, lb
-the leading numerators of the row entries, g their ring gcd and s their
-degree difference, repeated while the row entry's degree is at least the
-pivot's; then the column is divided by a common factor of its numerators
-(``strip``).  Over F_p the ring's gcd is lb itself, so each step is
-``col - (la/lb mod p) X^s pivot``, Euclidean division, and nothing is
-stripped.  ``_kernel_kx_generic`` runs Euclidean division on polynomials
-of domain elements: the tests' reference, and the reduction of any other
-``Domain``.
+The packed step, ``_packed._step``, works over the domain's numerator ring
+R (Z for ``zp:p`` and ``field:q``, residues for ``field:p``, Z[t] for
+``rft0:q``, F_p[t] for ``rft0:p``; see ``_ratkernel``).  Each stacked
+column [u_j; e_j] is cleared of denominators, so its identity part starts
+as D_j e_j, and each quotient step is the fraction-free
+``(lb/g) col - (la/g) X^s pivot``, with la, lb the leading numerators of
+the row entries, g their ring gcd and s their degree difference, repeated
+while the row entry's degree is at least the pivot's; then the column is
+divided by a common factor of its numerators (``strip``).  Over F_p the
+ring's gcd is lb itself, so each step is ``col - (la/lb mod p) X^s pivot``,
+Euclidean division, and nothing is stripped.  ``_kernel_kx_generic`` runs
+Euclidean division on polynomials of domain elements, and
+``primitive_scale`` scales its generators: together, the tests' reference
+for ``scaled_kernel``.
 
-Both return the same basis.  Each step multiplies the column by the nonzero
+The two reductions return the same basis.  Each step multiplies the column by the nonzero
 lb/g of R, a subring of K, and each strip divides it by a nonzero element
 of R, so after every column update a packed column is a nonzero K-multiple
 of the column that Euclidean division leaves (the pseudo-remainder of a by
@@ -49,11 +46,11 @@ its first nonzero coefficient removes the multiple.
 
 from __future__ import annotations
 
-from . import _engines, _poly
+from . import _poly
 from .errors import ZeroVector
-from .polyvec import PolyVec, uniform_family
+from .polyvec import PackedPolyVec, PolyVec, uniform_family
 from .valuation import Domain, DomainElement
-from .vxsat import SaturationResult, _check_cap, _run, saturate_vx
+from .vxsat import SaturationResult, _check_cap, saturate_vx
 from .echelon import EchelonBasis
 
 XPoly = tuple[DomainElement, ...]
@@ -70,24 +67,23 @@ def kernel_kx(U: list[PolyVec]) -> list[tuple[XPoly, ...]]:
     factor of a column of T would divide the unit det T, so no generator
     needs a gcd strip; each is scaled so its first nonzero coefficient is 1.
 
-    Every shipped kind runs it packed over its numerator ring, each division
-    step fraction-free with a content strip after it.  That leaves each
-    column a nonzero K-multiple of its Euclidean reduction, with the same
-    degrees and zero pattern, so every pivot choice is the one the generic
-    path makes, and the final normalisation gives the same basis (see the
-    module docstring).
+    It runs packed over the numerator ring, each division step
+    fraction-free with a content strip after it.  That leaves each column a
+    nonzero K-multiple of its Euclidean reduction, with the same degrees
+    and zero pattern, so every pivot choice is the one Euclidean division
+    makes, and the final normalisation gives the same basis (see the module
+    docstring).
     MixedFamily is raised unless the u_j share one domain and one width.
     """
     U = uniform_family(U)
     if not U:
         return []
-    if _engines.packable(U[0].domain):
-        # Imported on first use, so that importing valsat does not load
-        # (and, with no cached bytecode, compile) the packed modules.
-        from ._packed import kernel_kx_packed
+    # Imported on first use, so that importing valsat does not load (and,
+    # with no cached bytecode, compile) the packed modules.
+    from ._packed import _kernel_columns
 
-        return kernel_kx_packed(U)
-    return _kernel_kx_generic(U)
+    return [PackedPolyVec(U[0].domain, ident, next(x for comp in ident for x in comp if x)).comps
+            for ident in _kernel_columns(U)]
 
 
 def _reduce_columns(cols, k, step):
@@ -118,8 +114,8 @@ def _reduce_columns(cols, k, step):
 
 
 def _kernel_kx_generic(U):
-    """``kernel_kx`` over domain elements by Euclidean division: valid for
-    every domain, the tests' reference and the path of any other ``Domain``."""
+    """``kernel_kx`` over domain elements by Euclidean division: the tests'
+    reference."""
     domain, k, n = U[0].domain, U[0].n, len(U)
     one = domain.one
 
@@ -187,36 +183,31 @@ def apply_columns(U: list[PolyVec], f: PolyVec) -> list[XPoly]:
 
 
 def scaled_kernel(U: list[PolyVec]) -> list[PolyVec]:
-    """Primitive V[X]^n representatives of a K[X]-kernel basis of u_1..u_n."""
-    U = list(U)
-    return [primitive_scale(g, U[0].domain) for g in kernel_kx(U)]
+    """Primitive V[X]^n representatives of a K[X]-kernel basis of u_1..u_n.
+
+    Each is ``primitive_scale`` of a generator of ``kernel_kx``, computed
+    on the packed kernel columns and returned as a ``PackedPolyVec``, so no
+    element of K is built until its ``comps`` is read.
+    MixedFamily is raised unless the u_j share one domain and one width.
+    """
+    U = uniform_family(U)
+    if not U:
+        return []
+    from ._packed import scaled_kernel_packed
+
+    return scaled_kernel_packed(U)
 
 
 def syzygy_vx(U: list[PolyVec], max_iter: int | None = None) -> SaturationResult:
     """Finite V[X]-generating set of the syzygy module of u_1..u_n.
 
-    The V-saturation of the K[X]-kernel of U: its generator list spans
-    {f in V[X]^n : sum_j f_j u_j = 0} over V[X].  A shipped kind hands the
-    packed kernel columns straight to the packed engine; any other domain
-    saturates ``scaled_kernel(U)``.  Both give the result of
-    ``saturate_vx(scaled_kernel(U))``.  An injective matrix yields the
-    empty result.  ``max_iter`` is the optional round cap of
-    ``saturate_vx``, checked before any work.
+    ``saturate_vx(scaled_kernel(U))``, the V-saturation of the K[X]-kernel
+    of U: its generator list spans {f in V[X]^n : sum_j f_j u_j = 0} over
+    V[X].  An injective matrix yields the empty result.  ``max_iter`` is the
+    optional round cap of ``saturate_vx``, checked before any work.
     """
     _check_cap(max_iter)
-    U = uniform_family(U)
-    if U and _engines.packable(U[0].domain):
-        from ._packed import _kernel_columns
-
-        cols = _kernel_columns(U)
-        if cols:
-            # Looked up on ``_engines``, where perfbench/tracing.py records
-            # which engine each saturation runs.
-            engine = _engines.select_engine(U[0].domain)
-            d = max(len(comp) for col in cols for comp in col) - 1
-            return _run(engine, [(col, engine.ring.one) for col in cols], d, max_iter)
-    else:
-        S = scaled_kernel(U)
-        if S:
-            return saturate_vx(S, max_iter)
+    S = scaled_kernel(U)
+    if S:
+        return saturate_vx(S, max_iter)
     return SaturationResult(EchelonBasis(), [], [], 0)

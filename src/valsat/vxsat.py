@@ -11,15 +11,14 @@ termination the V[X]-span of B is the V-saturation of M.
 Every shipped kind runs the packed engine (``_engines.select_engine``):
 the columns of G are numerators over one denominator per column, in Z, in
 the residues mod p, or in Z[t] or F_p[t] for ``rft0``, and each insertion
-costs one numerator-ring gcd per elimination step (``_ratkernel``).  B is
-the answer and G the certificate behind it, so ``_run`` takes only the
-columns of B out of the engine (``engine.polyvec``), as ``PackedPolyVec``s,
-which build no element until their ``comps`` is read.  G is built on the
-first read of ``SaturationResult.basis``, sharing B's columns.
-``_run`` starts from vectors in the engine's own form: ``saturate_vx``
-packs its input (``engine.pack``, which takes a parsed vector as it is),
-and ``syzygy.syzygy_vx`` hands in the packed K[X]-kernel's columns as they
-are.
+costs one numerator-ring gcd per elimination step (``_ratkernel``).  The
+engine packs each input vector as it inserts it, and takes a
+``PackedPolyVec`` (a parsed vector, a ``syzygy.scaled_kernel`` vector) as
+it is.  B is the answer and G the certificate behind it, so ``_run`` takes
+only the columns of B out of the engine (``engine.polyvec``), as
+``PackedPolyVec``s, which build no element until their ``comps`` is read.
+G is built on the first read of ``SaturationResult.basis``, sharing B's
+columns.
 
 Every round is recorded as an ``IterationRecord``; the counters drive both
 the termination argument (see ``saturate_vx``) and the diagnostic diagrams
@@ -163,17 +162,13 @@ def saturate_vx(S, max_iter: int | None = None) -> SaturationResult:
     position and is lambda times the old one, so the quotient, the column
     stored, is the same; only the insertion's ``new`` flag can change, and
     every column of the initial fold is a generator whatever that flag
-    says.  ``syzygy.syzygy_vx`` relies on this: it saturates the K[X]-kernel
-    columns as the packed reduction leaves them, not their primitive
-    rescalings.
+    says.
     """
     _check_cap(max_iter)
     vectors = [v for v in uniform_family(S) if not v.is_zero()]
     if not vectors:
         raise EmptyInput("no nonzero generators given")
-    engine = select_engine(vectors[0].domain)
-    return _run(engine, [engine.pack(v) for v in vectors], family_degree(vectors),
-                max_iter)
+    return _run(select_engine(vectors[0].domain), vectors, max_iter)
 
 
 def _check_cap(max_iter: int | None) -> None:
@@ -182,9 +177,9 @@ def _check_cap(max_iter: int | None) -> None:
         raise InvalidIterationCap(f"max_iter must be at least 1, got {max_iter}")
 
 
-def _run(engine, vectors, d: int, max_iter: int | None) -> SaturationResult:
-    """The round loop on nonzero vectors in the engine's form (``pack``)
-    of family degree d."""
+def _run(engine, vectors, max_iter: int | None) -> SaturationResult:
+    """The round loop on ``engine`` from a nonempty family of nonzero vectors."""
+    d = family_degree(vectors)
     for v in vectors:
         engine.insert_vector(v)
     generator_idx = list(range(len(engine)))

@@ -374,8 +374,9 @@ def test_long_integers_parse_and_render(tmp_path, capsys, component):
 
 
 def test_cli_syzygy_generators_are_those_of_syzygy_vx(capsys):
-    """The CLI saturates ``scaled_kernel`` to print its ``# s:`` lines; its
-    generators are those of ``syzygy_vx``, which skips that step."""
+    """The CLI saturates ``scaled_kernel``, printing it as its ``# s:``
+    lines; its generators are those of ``syzygy_vx``, which runs the same
+    two calls."""
     path = Path(__file__).resolve().parents[1] / "instances" / "syzygy.vsat"
     assert main([str(path)]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -383,3 +384,55 @@ def test_cli_syzygy_generators_are_those_of_syzygy_vx(capsys):
     end = next(i for i in range(start, len(lines)) if lines[i].startswith("#"))
     res = syzygy_vx(parse_instance(path.read_text(encoding="utf-8")).vectors)
     assert lines[start:end] == [render_vector(g) for g in res.generators] != []
+
+
+@pytest.mark.parametrize("tag", ["zp:2", "field:5"])
+def test_cli_syzygy_builds_no_scalar_element(tmp_path, capsys, monkeypatch, tag):
+    """From the parsed instance to the rendered output, a syzygy run over a
+    scalar kind stays packed: the kernel is scaled, saturated and rendered
+    from its numerators, and no ``ScalarElement`` is constructed."""
+    import valsat.cli as cli
+    from valsat.valuation import ScalarElement
+
+    path = write(tmp_path, "s.vsat", f"domain: {tag}\ntask: syzygy\n\n"
+                 "X + 1/3, 2\nX^2, (1/3)*X\n(2/3)*X, 4 + X^2\n")
+    built, parsing = [], [True]
+    parse_instance, init = cli.parse_instance, ScalarElement.__init__
+
+    def parse(*args):
+        inst = parse_instance(*args)
+        parsing[0] = False
+        return inst
+
+    def counted(self, *args):
+        if not parsing[0]:
+            built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(cli, "parse_instance", parse)
+    monkeypatch.setattr(ScalarElement, "__init__", counted)
+    assert main([path]) == 0
+    assert "# s: " in capsys.readouterr().out
+    assert not parsing[0] and built == []
+
+
+TESTS = Path(__file__).resolve().parent
+GOLDEN = TESTS / "data" / "golden"
+GOLDEN_INPUTS = sorted(TESTS.parent.glob("instances/*.vsat")) + sorted(TESTS.glob("data/*.vsat"))
+
+
+@pytest.mark.parametrize("path", GOLDEN_INPUTS, ids=lambda p: p.name)
+def test_cli_output_matches_its_golden_file(path, capsys):
+    """The ``--verify --diagram`` output of every shipped and test instance,
+    byte for byte: the ``# s:`` lines, the generators, the trace CSV, the
+    diagram and the verdict, as tests/data/golden/<stem>.out records them.
+    A change that alters an output on purpose records it again with
+    ``python -m valsat.cli <file> --verify --diagram > tests/data/golden/<stem>.out``."""
+    assert main([str(path), "--verify", "--diagram"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{path.stem}.out").read_text(encoding="utf-8")
+
+
+def test_every_golden_file_has_its_instance():
+    stems = [p.stem for p in GOLDEN_INPUTS]
+    assert len(set(stems)) == len(stems)
+    assert sorted(p.stem for p in GOLDEN.glob("*.out")) == sorted(stems)

@@ -2,19 +2,20 @@
 
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from valsat import _poly, _ratkernel, syzygy
-from valsat._engines import GenericEngine, packable, select_engine
+from valsat._engines import GenericEngine, select_engine
 from valsat._packed import PackedEngine, _pack, numerator_ring
 from valsat.echelon import EchelonBasis, echelon_insert, gauss_eliminate, saturate_free
-from valsat.polyvec import PolyVec, family_degree, zero_vec
-from valsat.syzygy import _kernel_kx_generic, kernel_kx, scaled_kernel, syzygy_vx
-from valsat.valuation import (RationalFunctionsAtZero, RatFuncElement, TrivialField, Zp,
-                              content)
+from valsat.polyvec import PackedPolyVec, PolyVec, zero_vec
+from valsat.syzygy import (_kernel_kx_generic, kernel_kx, primitive_scale, scaled_kernel,
+                           syzygy_vx)
+from valsat.textio import render_vector
+from valsat.valuation import (RationalFunctionsAtZero, RatFuncElement, ScalarElement,
+                              TrivialField, Zp, content)
 from valsat.vxsat import SaturationResult, _run, saturate_vx
 
 # The denominators of the test coefficients below (7, 11, 77, 13^5) are
@@ -65,7 +66,7 @@ def random_instances(seed, count):
 
 
 def run_engine(engine, S):
-    return _run(engine, [engine.pack(v) for v in S], family_degree(S), 64)
+    return _run(engine, S, 64)
 
 
 def assert_same_result(a, b):
@@ -316,10 +317,6 @@ def test_insert_over_polynomial_numerators():
 def test_select_engine_kinds():
     for dom in FIVE_KINDS + (RationalFunctionsAtZero("fp", 5),):
         assert type(select_engine(dom)) is PackedEngine
-    # The same predicate sends kernel_kx to its packed reduction; a domain
-    # with elements of another class takes the generic paths.
-    assert all(packable(dom) for dom in FIVE_KINDS)
-    assert not packable(SimpleNamespace(one=object()))
 
 
 @pytest.mark.parametrize("dom", FIVE_KINDS, ids=lambda d: d.tag)
@@ -327,10 +324,10 @@ def test_zero_vector_dies_on_every_engine(dom):
     """Every engine returns (False, False) on the zero vector, before and
     after a column is held, and appends nothing."""
     for engine in (select_engine(dom), GenericEngine(dom)):
-        zero = engine.pack(zero_vec(dom, 2))
+        zero = zero_vec(dom, 2)
         assert engine.insert_vector(zero) == (False, False)
         assert engine.cols == engine.pivs == []
-        assert engine.insert_vector(engine.pack(PolyVec(dom, [[dom.one], []]))) == (True, False)
+        assert engine.insert_vector(PolyVec(dom, [[dom.one], []])) == (True, False)
         before = list(engine.export_basis())
         assert engine.insert_vector(zero) == (False, False)
         assert len(engine.cols) == len(engine.pivs) == 1
@@ -459,14 +456,37 @@ def test_saturation_ignores_the_scaling_of_each_input_vector(data):
     assert_same_result(saturate_vx(S), saturate_vx(scaled))
 
 
+def element_scaled_kernel(U):
+    """The element reference of ``scaled_kernel``: the generic kernel's
+    generators, each made primitive by ``primitive_scale``."""
+    return [primitive_scale(g, U[0].domain) for g in _kernel_kx_generic(U)]
+
+
+@settings(max_examples=240, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(kernel_matrices())
+def test_packed_scaled_kernel_matches_the_element_reference(inst):
+    """The packed scaling gives the reference's vectors and text, with D > 0
+    over Z and D = 1 over F_p."""
+    dom, U = inst
+    S = scaled_kernel(U)
+    expected = element_scaled_kernel(U)
+    assert [render_vector(s) for s in S] == [render_vector(e) for e in expected]
+    assert S == expected
+    for s in S:
+        assert type(s) is PackedPolyVec
+        if type(s.den) is int:
+            assert s.den == 1 if dom.field.p else s.den > 0
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(kernel_matrices())
 @example((TrivialField("q"), [PolyVec.from_raw(TrivialField("q"), [[1], [0, 1]])]))
 def test_syzygy_vx_matches_the_element_pipeline(inst):
-    """The packed handoff gives what saturating ``scaled_kernel`` gives."""
+    """syzygy_vx gives what saturating the element reference gives."""
     dom, U = inst
-    S = scaled_kernel(U)
+    S = element_scaled_kernel(U)
     expected = saturate_vx(S) if S else SaturationResult(EchelonBasis(), [], [], 0)
     assert_same_result(syzygy_vx(U), expected)
 
@@ -482,26 +502,20 @@ def test_syzygy_vx_empty_kernel_on_every_kind(dom):
     assert res.basis == EchelonBasis()
 
 
-def test_syzygy_vx_hands_kernel_columns_to_the_engine(monkeypatch):
-    """No kernel vector is exported as elements, scaled, or packed again:
-    ``_pack`` sees the columns of U only."""
-    from valsat import _packed
+def test_syzygy_vx_builds_no_element(monkeypatch):
+    """No kernel vector is exported as elements or scaled as elements: from
+    U to the generators, syzygy_vx constructs no element of K."""
 
-    def refused(*args):
-        raise AssertionError("element round trip")
+    def refused(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} built")
 
-    packed = []
-    original = _packed._pack
-    monkeypatch.setattr(syzygy, "primitive_scale", refused)
-    monkeypatch.setattr(syzygy, "kernel_kx", refused)
-    monkeypatch.setattr(_packed, "kernel_kx_packed", refused)
-    monkeypatch.setattr(PackedEngine, "pack", refused)
-    monkeypatch.setattr(_packed, "_pack", lambda v, ring: packed.append(v) or original(v, ring))
     for dom in FIVE_KINDS:
         pi = dom.uniformizer() or dom.k_element(2)
         U = [PolyVec(dom, [[dom.zero, dom.one]]), PolyVec(dom, [[pi]]),
              PolyVec(dom, [[pi * pi, dom.one]])]
-        packed.clear()
-        res = syzygy_vx(U)
-        assert len(res.generators) >= 2
-        assert len(packed) == len(U) and all(v is u for v, u in zip(packed, U))
+        with monkeypatch.context() as m:
+            m.setattr(ScalarElement, "__init__", refused)
+            m.setattr(RatFuncElement, "__init__", refused)
+            res = syzygy_vx(U)
+        assert len(res.generators) == 2
+        assert res.generators == saturate_vx(element_scaled_kernel(U)).generators
