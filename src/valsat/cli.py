@@ -14,8 +14,8 @@ UTF-8 text included) and on an --out path that cannot be written, 2 when
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from pathlib import Path
 
 from .echelon import EchelonBasis, saturate_free
 from .errors import EmptyInput, IterationCapExceeded, ParseError, ValsatError
@@ -26,15 +26,17 @@ from .vxsat import SaturationResult, saturate_vx
 TRACE_HEADER = "k,N_k,r_k,n_k,u_k,delta_k,Delta_k"
 
 
-def pivot_diagram(G: EchelonBasis, H, n: int, max_exp: int) -> str:
+def pivot_diagram(G: EchelonBasis, current: int, n: int, max_exp: int) -> str:
     """Text grid of pivot positions, one row per component index.
 
-    Rows are printed top-down from i = n to i = 1, columns are exponents
-    0..max_exp.  Glyphs: ``O`` pivot of a current column, ``@`` pivot of a
-    supernumerary current column, ``o`` pivot of an older basis column,
-    ``#`` cell of a fully unoccupied row, ``.`` otherwise.
+    The last ``current`` columns of G are the current ones.  Rows are
+    printed top-down from i = n to i = 1, columns are exponents 0..max_exp.
+    Glyphs: ``O`` pivot of a current column, ``@`` pivot of a supernumerary
+    current column, ``o`` pivot of an older basis column, ``#`` cell of a
+    fully unoccupied row, ``.`` otherwise.  The pivots are read from
+    ``G.pivots``, so no column builds its elements.
     """
-    h_pivots = [v.piv() for v in H]
+    h_pivots = G.pivots[len(G) - current:]
     g_pivots = set(G.pivots)
     max_mon = {}
     for j, r in h_pivots:
@@ -110,7 +112,8 @@ def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
         try:
-            text = Path(args.instance).read_text(encoding="utf-8-sig")  # drops a byte order mark
+            with open(args.instance, encoding="utf-8-sig") as f:  # drops a byte order mark
+                text = f.read()
         except OSError as exc:
             raise ParseError(str(exc)) from None
         except UnicodeDecodeError as exc:
@@ -141,7 +144,7 @@ def _run(inst: InstanceFile, args) -> int:
         if args.diagram:
             max_exp = max((at.exponent for at in G.pivots), default=0)
             n = inst.vectors[0].n
-            diagram = pivot_diagram(G, list(G), n, max_exp)
+            diagram = pivot_diagram(G, len(G), n, max_exp)
         if inst.verify:
             verified = oracle.verify_free(inst.vectors, list(G), inst.degree_bound)
     elif inst.task == "saturate-vx":
@@ -179,14 +182,13 @@ def _run(inst: InstanceFile, args) -> int:
 
     body = "\n".join(out_lines) + "\n"
     if args.out:
-        out_dir = Path(args.out)
         try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / "result.txt").write_text(body, encoding="utf-8")
+            os.makedirs(args.out, exist_ok=True)
+            _write(args.out, "result.txt", body)
             if csv is not None:
-                (out_dir / "trace.csv").write_text(csv, encoding="utf-8")
+                _write(args.out, "trace.csv", csv)
             if diagram is not None:
-                (out_dir / "diagram.txt").write_text(diagram + "\n", encoding="utf-8")
+                _write(args.out, "diagram.txt", diagram + "\n")
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -201,12 +203,15 @@ def _run(inst: InstanceFile, args) -> int:
     return 0
 
 
+def _write(out_dir: str, name: str, text: str) -> None:
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as f:
+        f.write(text)
+
+
 def _final_diagram(res: SaturationResult) -> str:
     n = res.basis[0].n
-    tail = res.trace[-1].new_columns
-    H = list(res.basis)[len(res.basis) - tail:]
     max_exp = res.degree + res.trace[-1].k
-    return pivot_diagram(res.basis, H, n, max_exp)
+    return pivot_diagram(res.basis, res.trace[-1].new_columns, n, max_exp)
 
 
 def _slice_bound(inst: InstanceFile, res: SaturationResult) -> int:

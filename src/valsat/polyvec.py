@@ -21,19 +21,19 @@ keep ``comps`` as a plain slot.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, NamedTuple
 
 from ._poly import trim
 from .errors import EmptyFamily, MixedFamily, NotPrimitive, ZeroVector
 from .valuation import Domain, DomainElement, RatFuncElement, ScalarElement, content
 
 
-class PivotIndex(NamedTuple):
+class PivotIndex(namedtuple("PivotIndex", "index exponent")):
     """Position (component index, exponent); index is 1-based like f_1..f_n."""
 
-    index: int
-    exponent: int
+    __slots__ = ()
 
 
 class PolyVec:

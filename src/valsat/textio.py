@@ -59,7 +59,7 @@ from __future__ import annotations
 import functools
 import operator
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, lcm
 
 from . import _poly
@@ -608,14 +608,13 @@ _FLAGS = {"1": True, "true": True, "yes": True, "on": True,
 _HEADER_RE = re.compile(r"^\s*([a-z][a-z-]*)\s*:\s*(.*?)\s*$")
 
 
-@dataclass
-class InstanceFile:
-    domain: Domain
-    task: str
-    vectors: list[PolyVec]
-    max_iter: int | None = None
-    degree_bound: int | None = None
-    verify: bool = False
+class InstanceFile(namedtuple("InstanceFile", "domain task vectors max_iter degree_bound verify",
+                              defaults=(None, None, False))):
+    """A parsed instance: its ``Domain``, task and ``PolyVec``s, and the
+    header's optional ``max_iter`` and ``degree_bound`` (None when absent)
+    and ``verify`` flag."""
+
+    __slots__ = ()
 
 
 def _int_header(key: str, value: str, lineno: int | None, least: int) -> int:

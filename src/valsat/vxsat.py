@@ -27,7 +27,7 @@ emitted by the CLI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ._engines import select_engine
 from .echelon import EchelonBasis
@@ -35,8 +35,8 @@ from .errors import EmptyInput, InvalidIterationCap, IterationCapExceeded
 from .polyvec import PolyVec, family_degree, uniform_family
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(namedtuple("IterationRecord", "k new_columns basis_size index_count "
+                                                    "capacity defect slack")):
     """Counters of one saturation round.
 
     ``new_columns`` is the number of treated columns that survived insertion
@@ -47,13 +47,7 @@ class IterationRecord:
     basis_size.
     """
 
-    k: int
-    new_columns: int
-    basis_size: int
-    index_count: int
-    capacity: int
-    defect: int
-    slack: int
+    __slots__ = ()
 
 
 class SaturationResult:

@@ -45,6 +45,36 @@ def test_cli_import_leaves_the_oracle_unloaded():
     assert proc.returncode == 0, proc.stderr or "valsat.oracle was loaded"
 
 
+# Standard-library modules that cost milliseconds to import and that valsat
+# does not need: ``dataclasses`` loads ``inspect`` (with ``ast``, ``dis`` and
+# ``tokenize``).
+HEAVY_MODULES = ("dataclasses", "inspect", "typing", "pathlib")
+
+
+def test_cold_start_loads_no_heavy_module():
+    """``import valsat, valsat.textio`` and then ``import valsat.cli`` load
+    none of HEAVY_MODULES.  The interpreter runs with -S, because a
+    site-packages ``.pth`` file may import some of them before any code
+    runs, which would hide a regression."""
+    code = (
+        "import sys\n"
+        "heavy = " + repr(HEAVY_MODULES) + "\n"
+        "def loaded(): return [m for m in heavy if m in sys.modules]\n"
+        "print('start', loaded())\n"
+        "import valsat, valsat.textio\n"
+        "print('valsat, valsat.textio', loaded())\n"
+        "import valsat.cli\n"
+        "print('valsat.cli', loaded())\n"
+    )
+    src = str(Path(valsat.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["start []", "valsat, valsat.textio []",
+                                        "valsat.cli []"]
+
+
 def test_run_saturate_vx(tmp_path, capsys):
     path = write(tmp_path, "a.vsat", "domain: zp:2\ntask: saturate-vx\n\n2\nX\n")
     assert main([path]) == 0
@@ -267,13 +297,13 @@ def test_trace_csv_matches_records():
 
 def test_pivot_diagram_single():
     G = saturate_free([vec(Z2, [1])])
-    text = pivot_diagram(G, list(G), 1, 2)
+    text = pivot_diagram(G, len(G), 1, 2)
     lines = text.splitlines()
     assert lines[-1] == "i=1 | O . ."
 
 
 def test_pivot_diagram_empty():
-    text = pivot_diagram(EchelonBasis(), [], 2, 1)
+    text = pivot_diagram(EchelonBasis(), 0, 2, 1)
     assert text.splitlines()[1:] == ["i=2 | # #", "i=1 | # #"]
 
 
@@ -281,7 +311,7 @@ def test_pivot_diagram_worked_configuration():
     pivots = [(1, 2), (1, 4), (2, 2), (3, 1), (4, 1), (4, 3)]
     cols = [basis_vector(Z2, 5, j, r) for j, r in pivots]
     G = EchelonBasis(cols)
-    text = pivot_diagram(G, cols, 5, 4)
+    text = pivot_diagram(G, len(cols), 5, 4)
     assert text.count("@") == 2
     assert text.count("O") == 4
     # row 5 carries no pivot at all
@@ -293,7 +323,7 @@ def test_pivot_diagram_mixed_old_and_new():
     old = basis_vector(Z2, 2, 1, 0)
     new = basis_vector(Z2, 2, 2, 1)
     G = EchelonBasis([old, new])
-    text = pivot_diagram(G, [new], 2, 1)
+    text = pivot_diagram(G, 1, 2, 1)
     lines = text.splitlines()
     assert lines[1] == "i=2 | . O"
     assert lines[2] == "i=1 | o ."
@@ -390,7 +420,9 @@ def test_cli_syzygy_generators_are_those_of_syzygy_vx(capsys):
 def test_cli_syzygy_builds_no_scalar_element(tmp_path, capsys, monkeypatch, tag):
     """From the parsed instance to the rendered output, a syzygy run over a
     scalar kind stays packed: the kernel is scaled, saturated and rendered
-    from its numerators, and no ``ScalarElement`` is constructed."""
+    from its numerators, and no ``ScalarElement`` is constructed.  The
+    pivot diagram reads the basis's stored pivots, so --diagram builds none
+    either."""
     import valsat.cli as cli
     from valsat.valuation import ScalarElement
 
@@ -411,9 +443,12 @@ def test_cli_syzygy_builds_no_scalar_element(tmp_path, capsys, monkeypatch, tag)
 
     monkeypatch.setattr(cli, "parse_instance", parse)
     monkeypatch.setattr(ScalarElement, "__init__", counted)
-    assert main([path]) == 0
-    assert "# s: " in capsys.readouterr().out
-    assert not parsing[0] and built == []
+    for flags in ([], ["--diagram"]):
+        parsing[0] = True
+        assert main([path, *flags]) == 0
+        out = capsys.readouterr().out
+        assert "# s: " in out and ("# diagram\n" in out) == bool(flags)
+        assert not parsing[0] and built == [], flags
 
 
 TESTS = Path(__file__).resolve().parent
@@ -430,6 +465,23 @@ def test_cli_output_matches_its_golden_file(path, capsys):
     ``python -m valsat.cli <file> --verify --diagram > tests/data/golden/<stem>.out``."""
     assert main([str(path), "--verify", "--diagram"]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{path.stem}.out").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("path", GOLDEN_INPUTS, ids=lambda p: p.name)
+def test_cli_out_files_match_the_golden_file(path, tmp_path, capsys):
+    """With --out, result.txt, trace.csv and diagram.txt hold the bytes that
+    stdout would: joined under the ``# trace`` and ``# diagram`` headers,
+    they are the golden file, and nothing is printed."""
+    out_dir = tmp_path / "out"
+    assert main([str(path), "--out", str(out_dir), "--verify", "--diagram"]) == 0
+    assert capsys.readouterr().out == ""
+    files = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    joined = files.pop("result.txt")
+    for name, header in (("trace.csv", b"# trace\n"), ("diagram.txt", b"# diagram\n")):
+        if name in files:
+            joined += header + files.pop(name)
+    assert files == {}
+    assert joined == (GOLDEN / f"{path.stem}.out").read_bytes()
 
 
 def test_every_golden_file_has_its_instance():

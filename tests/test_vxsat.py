@@ -134,15 +134,13 @@ def test_no_default_round_cap():
 
 @pytest.mark.parametrize("field, value", [("slack", -1), ("index_count", 0)])
 def test_broken_termination_invariant_raises(monkeypatch, field, value):
-    import dataclasses
-
     import valsat.vxsat as vxsat
 
     real = vxsat.counters
 
     def broken(pivots, basis_size, d, k):
         rec = real(pivots, basis_size, d, k)
-        return rec if k == 0 else dataclasses.replace(rec, **{field: value})
+        return rec if k == 0 else rec._replace(**{field: value})
 
     monkeypatch.setattr(vxsat, "counters", broken)
     with pytest.raises(RuntimeError, match="termination invariants"):
