@@ -5,8 +5,8 @@ protocol (insert a vector, insert the X-shift of a held column, read a
 column's pivot, export columns) so that one driver loop runs over either
 the generic DomainElement path or the packed kernel (``_packed``/
 ``_ratkernel``).  ``select_engine`` gives the packed engine, which runs
-every shipped kind over its numerator ring and packs each vector it is
-given; the generic engine is the tests' reference.  Both engines hold
+every shipped kind over its numerator ring on each vector's packed form
+(``PolyVec.nums``); the generic engine is the tests' reference.  Both engines hold
 their basis as a list of columns and a list of pivot positions, which
 their kernel appends to in place under the contract of ``echelon``, and
 build one ``EchelonBasis`` only on export.  ``polyvec`` hands out a single

@@ -5,20 +5,18 @@ The packed engine runs every shipped kind, over the numerator ring that
 for ``field:p``, Z[t] for ``rft0:q`` and F_p[t] for ``rft0:p``.  Columns
 are ``_ratkernel`` packed vectors, numerators over one denominator per
 column in lowest terms (over F_p, residues over 1).  ``insert_vector``
-packs its argument (``_pack``): a ``PackedPolyVec``, which every parsed
-and every scaled kernel vector is, goes in as it is, and any other vector
-is built from its elements: over ``rft0`` the denominator is the lcm of
-the entries' denominators, which a ``RatFuncElement`` already holds in the
-numerator ring (``_poly.ipack``).  A column is taken out by ``polyvec``:
-``vxsat`` takes the generators, and the whole basis only when it is read.
-On every kind that is a ``PackedPolyVec`` of the column's own lists, which
-builds no element until its ``comps`` is read; there, over ``rft0``, an
-entry num / D becomes ``RatFuncElement(domain, num, D)``, which costs one
-gcd of num against D.  ``_ratkernel.insert`` keeps the column contract of
-``echelon``: it appends each reduction, monic at its content position, and
-that position to the engine's lists.  Results are bit-identical to the
-generic engine: same elimination order, same content rule, and the
-exported elements are canonical.
+takes its argument's packed form (``nums``, ``den``): a parsed or scaled
+kernel vector holds it already, and ``polyvec`` packs any vector built
+from elements.  A column is taken out by ``polyvec``: ``vxsat`` takes the
+generators, and the whole basis only when it is read.  It is
+``PolyVec.from_packed`` of the column's own lists, which builds no element
+until its ``comps`` is read; there, over ``rft0``, an entry num / D becomes
+``RatFuncElement(domain, num, D)``, which costs one gcd of num against D.
+``_ratkernel.insert`` keeps the column contract of ``echelon``: it appends
+each reduction, monic at its content position, and that position to the
+engine's lists.  Results are bit-identical to the generic engine: same
+elimination order, same content rule, and the exported elements are
+canonical.
 
 ``_kernel_columns`` runs ``syzygy``'s column reduction on packed columns
 over the same numerator rings, with one fraction-free step written against
@@ -28,20 +26,17 @@ gcd is lb, so the step is Euclidean division itself and nothing is
 stripped.  Why its basis is the generic one is in the ``syzygy`` module
 docstring.  It returns the kernel's identity parts as ring columns.
 ``scaled_kernel_packed`` divides each by its first nonzero numerator and
-by a uniformiser power (``ring.shed``), and returns
-``PackedPolyVec``s for ``syzygy.scaled_kernel``; ``syzygy.kernel_kx``
-exports them as elements, each divided by its first nonzero entry.
+by a uniformiser power (``ring.shed``), and returns them packed for
+``syzygy.scaled_kernel``; ``syzygy.kernel_kx`` reads each, over its first
+nonzero numerator, as elements.
 """
 
 from __future__ import annotations
 
-from math import lcm
-
 from . import _ratkernel
 from ._engines import GenericEngine
-from ._poly import ipack
 from .echelon import EchelonBasis
-from .polyvec import PackedPolyVec, PivotIndex, PolyVec
+from .polyvec import PivotIndex, PolyVec
 from .syzygy import _reduce_columns
 from .valuation import RatFuncElement
 
@@ -51,25 +46,6 @@ def numerator_ring(domain):
     if isinstance(domain.one, RatFuncElement):
         return _ratkernel.Polynomials(domain.field.p)
     return _ratkernel.Integers(domain.p, domain.field.p)
-
-
-def _pack(v: PolyVec, ring):
-    """A packing with D the lcm of the entries' denominators, 1 mod p.
-
-    Over Q and Z_(p) this is the lowest-terms packing.  A ``PackedPolyVec``
-    holds its own already, and a rational function its reduced numerator
-    and denominator (``_poly.ipack``).
-    """
-    if type(v) is PackedPolyVec:
-        return v.nums, v.den
-    mod = ring.mod
-    if isinstance(ring, _ratkernel.Integers):
-        if mod:
-            return [[c.value for c in comp] for comp in v.comps], 1
-        D = lcm(*(c.value.denominator for comp in v.comps for c in comp))
-        return [[c.value.numerator * (D // c.value.denominator) for c in comp]
-                for comp in v.comps], D
-    return ipack([[(c.num, c.den) for c in comp] for comp in v.comps], mod)
 
 
 class PackedEngine(GenericEngine):
@@ -82,15 +58,15 @@ class PackedEngine(GenericEngine):
         self.ring = numerator_ring(domain)
 
     def insert_vector(self, v: PolyVec) -> tuple[bool, bool]:
-        return _ratkernel.insert(self.cols, self.pivs, _pack(v, self.ring), self.ring)
+        return _ratkernel.insert(self.cols, self.pivs, (v.nums, v.den), self.ring)
 
     def insert_shift_of(self, i: int) -> tuple[bool, bool]:
         shifted = _ratkernel.vec_shift(self.cols[i], self.ring.zero)
         return _ratkernel.insert(self.cols, self.pivs, shifted, self.ring)
 
-    def polyvec(self, i: int) -> PackedPolyVec:
+    def polyvec(self, i: int) -> PolyVec:
         """Column i as it is, its elements built on the first read of ``comps``."""
-        return PackedPolyVec(self.domain, *self.cols[i])
+        return PolyVec.from_packed(self.domain, *self.cols[i])
 
     def export_basis(self, known=None) -> EchelonBasis:
         """The basis; ``known`` maps indexes to columns already unpacked,
@@ -137,14 +113,11 @@ def _kernel_columns(U: list[PolyVec]):
     """
     k, n = U[0].n, len(U)
     ring = numerator_ring(U[0].domain)
-    cols = []
-    for j, u in enumerate(U):
-        comps, D = _pack(u, ring)
-        cols.append(comps + [[D] if i == j else [] for i in range(n)])
+    cols = [u.nums + [[u.den] if i == j else [] for i in range(n)] for j, u in enumerate(U)]
     return [cols[j][k:] for j in _reduce_columns(cols, k, _step(ring))]
 
 
-def scaled_kernel_packed(U: list[PolyVec]) -> list[PackedPolyVec]:
+def scaled_kernel_packed(U: list[PolyVec]) -> list[PolyVec]:
     """``syzygy.scaled_kernel`` of a nonempty U, built from no element.
 
     ``primitive_scale`` divides a kernel column by its first nonzero
@@ -168,5 +141,5 @@ def scaled_kernel_packed(U: list[PolyVec]) -> list[PackedPolyVec]:
             ident, c = [[x * inv % mod for x in comp] for comp in ident], 1
         elif type(c) is int and c < 0:
             ident, c = [[-x for x in comp] for comp in ident], -c
-        out.append(PackedPolyVec(domain, ident, c))
+        out.append(PolyVec.from_packed(domain, ident, c))
     return out

@@ -72,7 +72,7 @@ residue, divided out by multiplying with its inverse mod p.
 Cost model.  One ring gcd per elimination step, and one gcd chain per
 appended column for its content (one ``math.gcd`` call over Z).  Entries
 are reduced one by one, with one gcd each, only when a client reads the
-elements of a column it took out (``_packed``, ``polyvec.PackedPolyVec``).
+elements of a column it took out (``_packed``, ``polyvec.PolyVec.comps``).
 A step over Z[t] or F_p[t] runs no ``ilin`` where both entries are zero,
 and over F_p a content chain that meets a nonzero constant stops at once
 (``_poly.icontent``).  Over Z[t] the gcds dominate once the numerators

@@ -56,11 +56,13 @@ membership (``_echelon``, ``_eliminate``) and the residue rank over Q,
 runs on rows cleared of denominators, over the numerator ring R of the
 kind (``_ring``): Z for ``zp:p`` and ``field:q``, residues mod p for
 ``field:p``, Z[t] for ``rft0:q`` and F_p[t] for ``rft0:p``, the last two
-through ``_poly``'s ``igcd``, ``iquo``, ``imul`` and ``ilin``.  A row of
-elements enters as the row times the lcm of its denominators, and a
-``PackedPolyVec`` as its numerators, the row times their common
-denominator, with no element built (``_row``).  The one
-step (``_step``) cancels the leading coefficient la of a against lb of b:
+through ``_poly``'s ``igcd``, ``iquo``, ``imul`` and ``ilin``.  A vector
+enters as its packed numerators (``PolyVec.nums``), the row times their
+common denominator: a parsed or engine-made vector holds them, with no
+element built, and ``polyvec`` packs a vector built from elements.  The
+rows the K-layer returns leave it the same way (``PolyVec.from_packed``).
+The one step (``_step``) cancels the leading coefficient la of a against
+lb of b:
 
     a <- (lb/g) a - (la/g) X^k b,    g = gcd(la, lb) in R,
 
@@ -115,13 +117,12 @@ reduction for polynomial matrices", 2003).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from ._poly import icontent, igcd, ilin, imul, iquo
 from .errors import DegreeExceeded
-from .polyvec import PackedPolyVec, PivotIndex, PolyVec, uniform_family
-from .valuation import RatFuncElement, ScalarElement, content
+from .polyvec import PivotIndex, PolyVec, uniform_family
+from .valuation import RatFuncElement, content
 
 
 # ---------------------------------------------------------------------------
@@ -304,25 +305,10 @@ def _canonical_basis(cols, domain):
 class _Integers:
     """Z (p = 0), or the residues mod a prime p."""
 
-    zero = 0
+    zero, one = 0, 1
 
     def __init__(self, p: int):
         self.p = p
-
-    def pack(self, comps) -> list[list]:
-        """The row of comps (entries ``ScalarElement``s) times the lcm of
-        their denominators; over F_p the residues themselves."""
-        if self.p:
-            return [[x.value for x in c] for c in comps]
-        D = lcm(*(x.value.denominator for c in comps for x in c))
-        return [[x.value.numerator * (D // x.value.denominator) for x in c] for c in comps]
-
-    def unpack(self, domain, comps, den=1) -> list[list]:
-        """The entries x / den as elements of K."""
-        if self.p:
-            inv = pow(den, -1, self.p)
-            return [[ScalarElement(domain, x * inv % self.p) for x in c] for c in comps]
-        return [[ScalarElement(domain, Fraction(x, den)) for x in c] for c in comps]
 
     def cofactors(self, la, lb):
         """(s, t) with s != 0 and s la = t lb: lb/g and la/g for g = gcd(la, lb)
@@ -362,25 +348,10 @@ class _Integers:
 class _Polynomials:
     """Z[t] (p = 0) or F_p[t], by ``_poly``'s ``igcd``, ``iquo``, ``imul`` and ``ilin``."""
 
-    zero = ()
+    zero, one = (), (1,)
 
     def __init__(self, p: int):
         self.p = p
-
-    def pack(self, comps) -> list[list]:
-        """The row of comps (entries ``RatFuncElement``s) times the lcm of
-        their denominators."""
-        p, D = self.p, (1,)
-        for c in comps:
-            for x in c:
-                if x.num and x.den != D and x.den != (1,):
-                    D = imul(D, iquo(x.den, igcd(D, x.den, p), p), p)
-        return [[imul(x.num, iquo(D, x.den, p), p) if x.num else () for x in c]
-                for c in comps]
-
-    def unpack(self, domain, comps, den=(1,)) -> list[list]:
-        """The entries x / den as elements of K."""
-        return [[RatFuncElement(domain, x, den) for x in c] for c in comps]
 
     def cofactors(self, la, lb):
         """(lb/g, la/g) for g = gcd(la, lb)."""
@@ -414,13 +385,6 @@ class _Polynomials:
             return row
         qs = iter(qs)
         return [[next(qs) if c else () for c in comp] for comp in row]
-
-
-def _row(ring, v: PolyVec) -> list[list]:
-    """v as a row over ``ring``: a ``PackedPolyVec``'s numerators as they
-    are, which are the row of its entries times their common denominator,
-    else its entries times the lcm of their denominators (``ring.pack``)."""
-    return v.nums if type(v) is PackedPolyVec else ring.pack(v.comps)
 
 
 def _ring(domain):
@@ -514,7 +478,7 @@ def _kx_slice(domain, ring, rows, bounds) -> list[PolyVec]:
     intersects it with V[X]^n.
     """
     basis, _ = _weak_popov(ring, rows, [-b for b in bounds])
-    basis = [PolyVec(domain, ring.unpack(domain, b)) for b in basis]
+    basis = [PolyVec.from_packed(domain, b, ring.one) for b in basis]
     return _slice_basis(_x_shifts(basis, bounds), bounds)
 
 
@@ -626,7 +590,7 @@ def saturation_slice(S, D: int) -> list[PolyVec]:
         return []
     domain = S[0].domain
     ring = _ring(domain)
-    return _kx_slice(domain, ring, [_row(ring, v) for v in S], [D] * S[0].n)
+    return _kx_slice(domain, ring, [v.nums for v in S], [D] * S[0].n)
 
 
 def kx_kernel(U) -> list[PolyVec]:
@@ -639,7 +603,8 @@ def kx_kernel(U) -> list[PolyVec]:
     K[X]-independent.  A kernel vector is a combination of the tails whose
     heads combine to zero, so of the rows whose head reduced to zero alone:
     their tails are the kernel basis returned, each divided by its first
-    nonzero coefficient.
+    nonzero coefficient: packed over it, made positive over Z and 1 over
+    F_p, as ``textio.render_vector`` needs.
     """
     U = uniform_family(U)
     if not U:
@@ -648,8 +613,13 @@ def kx_kernel(U) -> list[PolyVec]:
     ring = _ring(domain)
     out = []
     for tail in _kernel_rows(ring, U):
-        lead = next(x for comp in tail for x in comp if x)
-        out.append(PolyVec(domain, ring.unpack(domain, tail, lead)))
+        lead, p = next(x for comp in tail for x in comp if x), ring.p
+        if type(lead) is int and p:
+            inv = pow(lead, -1, p)
+            tail, lead = [[x * inv % p for x in c] for c in tail], 1
+        elif type(lead) is int and lead < 0:
+            tail, lead = [[-x for x in c] for c in tail], -lead
+        out.append(PolyVec.from_packed(domain, tail, lead))
     return out
 
 
@@ -659,11 +629,8 @@ def _kernel_rows(ring, U) -> list[list]:
     Each row (u_j | e_j) is cleared of denominators as a whole, so its tail
     starts as D_j e_j.
     """
-    domain, k, n = U[0].domain, U[0].n, len(U)
-    rows = [u.nums + [[u.den] if i == j else [] for i in range(n)]
-            if type(u) is PackedPolyVec else
-            ring.pack(list(u.comps) + [(domain.one,) if i == j else () for i in range(n)])
-            for j, u in enumerate(U)]
+    k, n = U[0].n, len(U)
+    rows = [u.nums + [[u.den] if i == j else [] for i in range(n)] for j, u in enumerate(U)]
     _, kernel = _weak_popov(ring, rows, [0] * k)
     return [row[k:] for row in kernel]
 
@@ -720,7 +687,7 @@ def verify_saturation(M, generators, bound: int) -> bool:
         return True
     domain = vectors[0].domain
     ring = _ring(domain)
-    rows = [_row(ring, v) for v in M if not v.is_zero()]
+    rows = [v.nums for v in M if not v.is_zero()]
     return _saturation_on_slice(domain, ring, rows, generators, [bound] * vectors[0].n)
 
 
@@ -786,7 +753,7 @@ def _saturation_on_slice(domain, ring, rows, generators, bounds) -> bool:
     leads = {j: (d, b) for b in basis for d, j in [_lead(b, shift)]}
     r = sum(1 - d for d, _ in leads.values() if d <= 0)
     gens = [g for g in generators if not g.is_zero()]
-    if not all(_in_v(g) and _divides_out(ring, leads, shift, _row(ring, g))
+    if not all(_in_v(g) and _divides_out(ring, leads, shift, g.nums)
                for g in gens):
         return False
     n = len(bounds)
@@ -833,26 +800,15 @@ def _coords(v: PolyVec, n: int) -> dict:
     return {r * n + j: x for j, c in enumerate(v.comps) for r, x in enumerate(c) if x}
 
 
-def _flat(v: PolyVec, n: int) -> list:
-    """The coordinates of v as one list, the entry at X^r f_j at r * n + (j - 1),
-    trailing zeros trimmed."""
-    return _flatten(v.comps, v.domain.zero)
-
-
-def _flatten(comps, zero) -> list:
-    """The entries of ``comps`` interleaved as in ``_flat``."""
-    top = max(len(c) for c in comps)
-    out = [c[r] if r < len(c) else zero for r in range(top) for c in comps]
+def _flat_row(ring, v: PolyVec) -> list[list]:
+    """The numerators of v as a row of one component over ``ring``: the
+    entry at X^r f_j at r * n + (j - 1), trailing zeros trimmed."""
+    nums = v.nums
+    top = max(len(c) for c in nums)
+    out = [c[r] if r < len(c) else ring.zero for r in range(top) for c in nums]
     while out and not out[-1]:
         out.pop()
-    return out
-
-
-def _flat_row(ring, v: PolyVec) -> list[list]:
-    """``_flat(v)`` as a one-component row over ``ring``, as ``_row`` packs."""
-    if type(v) is PackedPolyVec:
-        return [_flatten(v.nums, ring.zero)]
-    return ring.pack([_flat(v, v.n)])
+    return [out]
 
 
 def _cut(rows, outer) -> list[dict]:

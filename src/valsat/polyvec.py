@@ -6,17 +6,23 @@ ordered component-first: (i, h) < (j, k) iff i < j, or i = j and h < k.
 Coordinates of a vector are read off this basis; the pivot of a primitive
 vector is its smallest residually nonzero coordinate position.
 
-Cost model.  A ``PolyVec`` holds its entries as elements.  For every
-shipped kind, ``textio.parse_vector`` and the packed engine (``_packed``)
-make ``PackedPolyVec``s instead, which hold the packed kernel's numerators
-over one denominator: packing one costs nothing, and its elements are built
-only when ``comps`` is first read, by the renderer over ``rft0``, by the
-oracle, by the generic engine or by any method below other than
-``is_zero`` and ``degree``.  An element costs one ``Fraction`` or residue
-over ``zp:p``, ``field:q`` and ``field:p``, and one gcd of the numerator
-against the denominator over ``rft0``; ``comps`` keeps them, so the
-renderer and the oracle share one reduction.  Vectors built from elements
-keep ``comps`` as a plain slot.
+Two forms.  A ``PolyVec`` holds its entries as elements (``comps``), in the
+packed kernel's form (``nums`` over one denominator ``den``, see
+``_ratkernel``), or both, and builds each form from the other on its first
+read.  This module is the only place that converts between them.
+``textio.parse_vector``, the packed engine (``_packed``) and the oracle's
+K-layer make vectors with ``from_packed``, so packing one costs nothing,
+and its elements are built only when ``comps`` is first read: by the
+renderer over ``rft0``, by the oracle's V-layer, by the generic engine or
+by any method below other than ``is_zero`` and ``degree``, which read
+whichever form is present (both have the same trimmed lengths).  An element
+costs one ``Fraction`` or residue over ``zp:p``, ``field:q`` and
+``field:p``, and one gcd of the numerator against the denominator over
+``rft0``; ``comps`` keeps them, so the renderer and the oracle share one
+reduction.  A vector built from elements packs them on the first read of
+``nums`` or ``den``: residues over 1, ints over the lcm of the
+denominators, or over ``rft0`` the elements' reduced pairs over their lcm.
+Equality and hashing compare elements.
 """
 
 from __future__ import annotations
@@ -24,8 +30,9 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
+from math import lcm
 
-from ._poly import trim
+from ._poly import ipack, trim
 from .errors import EmptyFamily, MixedFamily, NotPrimitive, ZeroVector
 from .valuation import Domain, DomainElement, RatFuncElement, ScalarElement, content
 
@@ -37,9 +44,15 @@ class PivotIndex(namedtuple("PivotIndex", "index exponent")):
 
 
 class PolyVec:
-    """Immutable vector of n dense polynomials over one domain."""
+    """Immutable vector of n dense polynomials over one domain.
 
-    __slots__ = ("domain", "n", "comps")
+    A vector holds its entries as elements (``comps``), in the packed
+    kernel's form (``nums`` over ``den``), or both; each form is built from
+    the other on its first read and then kept.  ``PolyVec(domain, comps)``
+    builds from elements, ``from_packed`` from numerators.
+    """
+
+    __slots__ = ("domain", "n", "_comps", "_nums", "_den")
 
     def __init__(self, domain: Domain, comps: Iterable[Iterable[DomainElement]]):
         comps = tuple(trim(c) for c in comps)
@@ -47,15 +60,83 @@ class PolyVec:
             raise EmptyFamily("a PolyVec needs at least one component")
         self.domain = domain
         self.n = len(comps)
-        self.comps = comps
+        self._comps, self._nums, self._den = comps, None, None
+
+    @classmethod
+    def from_packed(cls, domain: Domain, nums: list[list], den) -> "PolyVec":
+        """The vector of entries nums[j][r] / den, its elements built on the
+        first read of ``comps``.
+
+        ``nums`` is a nonempty list of one list per component, trailing
+        zeros trimmed, in the domain's numerator ring: ints over ``zp:p`` and
+        ``field:q``, residues over ``field:p`` and int tuples in Z[t] or
+        F_p[t] over ``rft0`` (see ``_poly``); ``den`` is nonzero in the same
+        ring.  Over the scalar kinds ``textio.render_vector`` needs ``den``
+        positive, and 1 over F_p.  Nothing mutates the lists, so the packed
+        kernel and the oracle take them as they are.
+        """
+        v = object.__new__(cls)
+        v.domain, v.n, v._comps, v._nums, v._den = domain, len(nums), None, nums, den
+        return v
 
     @classmethod
     def from_raw(cls, domain: Domain, comps) -> "PolyVec":
         """Build from raw coefficient lists, e.g. ``[[2], [0, -1]]`` for (2, -X)."""
         return cls(domain, [[domain.element(x) for x in c] for c in comps])
 
+    @property
+    def comps(self) -> tuple:
+        """One trimmed tuple of elements per component.  From the packed form
+        an entry costs one ``Fraction`` or residue over the scalar kinds, and
+        one gcd of the numerator against the denominator over ``rft0``."""
+        if self._comps is None:
+            domain, D, zero = self.domain, self._den, self.domain.zero
+            if type(D) is tuple:  # the entry D / D is 1
+                one = domain.one
+                self._comps = tuple(
+                    tuple((one if x == D else RatFuncElement(domain, x, D)) if x else zero
+                          for x in comp) for comp in self._nums)
+            else:
+                mod = domain.field.p
+                inv = pow(D, -1, mod) if mod else None
+                self._comps = tuple(
+                    tuple(ScalarElement(domain, x * inv % mod if mod else Fraction(x, D))
+                          if x else zero for x in comp) for comp in self._nums)
+        return self._comps
+
+    @property
+    def nums(self) -> list[list]:
+        """One list of numerators per component over ``den`` (``from_packed``)."""
+        if self._nums is None:
+            self._pack()
+        return self._nums
+
+    @property
+    def den(self):
+        """The common denominator of ``nums``."""
+        if self._nums is None:
+            self._pack()
+        return self._den
+
+    def _pack(self) -> None:
+        """The packed form of the elements: residues over 1 over F_p; over Q
+        and Z_(p) ints over the lcm of the denominators, the lowest-terms
+        packing; over ``rft0`` the reduced pairs over their lcm
+        (``_poly.ipack``), which a ``RatFuncElement`` holds already."""
+        domain, comps = self.domain, self._comps
+        if isinstance(domain.one, RatFuncElement):
+            self._nums, self._den = ipack(
+                [[(c.num, c.den) for c in comp] for comp in comps], domain.field.p)
+        elif domain.field.p:
+            self._nums, self._den = [[c.value for c in comp] for comp in comps], 1
+        else:
+            D = lcm(*(c.value.denominator for comp in comps for c in comp))
+            self._nums = [[c.value.numerator * (D // c.value.denominator) for c in comp]
+                          for comp in comps]
+            self._den = D
+
     def is_zero(self) -> bool:
-        return all(not c for c in self.comps)
+        return not any(self._nums if self._comps is None else self._comps)
 
     def coord(self, at: PivotIndex) -> DomainElement:
         """Coordinate on the basis vector X^exponent f_index."""
@@ -80,7 +161,8 @@ class PolyVec:
 
     def degree(self) -> int:
         """Highest exact component degree; -1 for the zero vector."""
-        return max((len(c) - 1 for c in self.comps if c), default=-1)
+        form = self._nums if self._comps is None else self._comps
+        return max((len(c) - 1 for c in form if c), default=-1)
 
     def shift_x(self) -> "PolyVec":
         """Multiply every component by X."""
@@ -129,52 +211,6 @@ class PolyVec:
         from .textio import render_vector
 
         return f"PolyVec({render_vector(self)})"
-
-
-class PackedPolyVec(PolyVec):
-    """A vector in the packed kernel's form (``_ratkernel``), its elements
-    built on the first read of ``comps``.
-
-    ``nums`` holds one list of numerators per component, trailing zeros
-    trimmed, over the common denominator ``den``: ints over ``zp:p`` and
-    ``field:q``, residues over ``field:p``, and over ``rft0`` int tuples in
-    Z[t] or F_p[t] (see ``_poly``) over a tuple.  Over the scalar kinds
-    ``textio.render_vector`` needs ``den`` positive, and 1 over F_p, as it
-    is in every vector that ``textio.parse_vector``, the packed engine or
-    ``syzygy.scaled_kernel`` makes.  Nothing mutates
-    the lists, so the kernel and the oracle take them as they are.  A
-    ``PackedPolyVec`` equals, and hashes as, the ``PolyVec`` of the same
-    entries.
-    """
-
-    __slots__ = ("nums", "den", "_comps")
-
-    def __init__(self, domain: Domain, nums: list[list], den):
-        self.domain, self.n = domain, len(nums)
-        self.nums, self.den, self._comps = nums, den, None
-
-    @property
-    def comps(self):
-        if self._comps is None:
-            domain, D, zero = self.domain, self.den, self.domain.zero
-            if type(D) is tuple:  # one gcd per entry; the entry D / D is 1
-                one = domain.one
-                self._comps = tuple(
-                    tuple((one if x == D else RatFuncElement(domain, x, D)) if x else zero
-                          for x in comp) for comp in self.nums)
-            else:
-                mod = domain.field.p
-                inv = pow(D, -1, mod) if mod else None
-                self._comps = tuple(
-                    tuple(ScalarElement(domain, x * inv % mod if mod else Fraction(x, D))
-                          if x else zero for x in comp) for comp in self.nums)
-        return self._comps
-
-    def is_zero(self) -> bool:
-        return not any(self.nums)
-
-    def degree(self) -> int:
-        return max((len(c) - 1 for c in self.nums if c), default=-1)
 
 
 def zero_vec(domain: Domain, n: int) -> PolyVec:

@@ -12,8 +12,8 @@ the CLI runs the same two calls, printing the scaled kernel between them.
 
 Every step runs packed: the kernel columns leave the packed reduction as
 numerators over the numerator ring (``_packed._kernel_columns``), are
-scaled there, and reach the packed engine as ``PackedPolyVec``s, so no
-element of K is built until the generators' ``comps`` are read.
+scaled there, and reach the packed engine as ``PolyVec``s in packed form,
+so no element of K is built until the generators' ``comps`` are read.
 
 K[X] polynomials are trimmed tuples of quotient-field elements; a kernel
 vector from ``kernel_kx`` is a tuple of n such polynomials.
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from . import _poly
 from .errors import ZeroVector
-from .polyvec import PackedPolyVec, PolyVec, uniform_family
+from .polyvec import PolyVec, uniform_family
 from .valuation import Domain, DomainElement
 from .vxsat import SaturationResult, _check_cap, saturate_vx
 from .echelon import EchelonBasis
@@ -82,7 +82,7 @@ def kernel_kx(U: list[PolyVec]) -> list[tuple[XPoly, ...]]:
     # with no cached bytecode, compile) the packed modules.
     from ._packed import _kernel_columns
 
-    return [PackedPolyVec(U[0].domain, ident, next(x for comp in ident for x in comp if x)).comps
+    return [PolyVec.from_packed(U[0].domain, ident, next(x for c in ident for x in c if x)).comps
             for ident in _kernel_columns(U)]
 
 
@@ -186,8 +186,9 @@ def scaled_kernel(U: list[PolyVec]) -> list[PolyVec]:
     """Primitive V[X]^n representatives of a K[X]-kernel basis of u_1..u_n.
 
     Each is ``primitive_scale`` of a generator of ``kernel_kx``, computed
-    on the packed kernel columns and returned as a ``PackedPolyVec``, so no
-    element of K is built until its ``comps`` is read.
+    on the packed kernel columns and returned in packed form
+    (``PolyVec.from_packed``), so no element of K is built until its
+    ``comps`` is read.
     MixedFamily is raised unless the u_j share one domain and one width.
     """
     U = uniform_family(U)

@@ -19,10 +19,10 @@ recursive-descent parser, the one grammar: the scanner accepts a subset
 of it, gives the same values there, and raises nothing, so a component that
 falls back costs at most one wasted scan.
 
-Every shipped kind is parsed into the packed kernel's form, a
-``PackedPolyVec``: numerators in the kernel's ring over one denominator D,
-the lcm of the reduced denominators, exactly as ``_packed._pack`` packs
-the element vector.  Over ``zp:p``, ``field:q`` and ``field:p`` the
+Every shipped kind is parsed into the packed kernel's form
+(``PolyVec.from_packed``): numerators in the kernel's ring over one
+denominator D, the lcm of the reduced denominators, exactly as ``polyvec``
+packs the element vector.  Over ``zp:p``, ``field:q`` and ``field:p`` the
 scanner reads a literal n as the int n, a literal n/d over Q as one
 reduced pair (``_Q``), and over F_p each literal as a residue; a
 coefficient lies in Z_(p) iff p does not divide its denominator, so a
@@ -65,7 +65,7 @@ from math import gcd, lcm
 from . import _poly
 from ._poly import ilin, imul
 from .errors import NotInDomain, ParseError
-from .polyvec import PackedPolyVec, PolyVec
+from .polyvec import PolyVec
 from .valuation import (
     Domain,
     RationalFunctionsAtZero,
@@ -75,8 +75,12 @@ from .valuation import (
     parse_domain_tag,
 )
 
-# A token, or (group 2) any other non-space character, which is an error.
-_TOKEN_RE = re.compile(r"(\d+|[Xt^*/()+-])|(\S)")
+
+@functools.cache
+def _token_re():
+    """A token, or (group 2) any other non-space character, which is an
+    error.  Only the parser reads it, so it is compiled on first use."""
+    return re.compile(r"(\d+|[Xt^*/()+-])|(\S)")
 
 
 class _Tokens:
@@ -86,7 +90,7 @@ class _Tokens:
         self.col0 = col0
         self.pos = 0
         self.toks: list[tuple[str, int]] = []
-        for m in _TOKEN_RE.finditer(text):
+        for m in _token_re().finditer(text):
             if m.lastindex == 2:
                 self._fail(f"unexpected character {m.group(2)!r}", m.start())
             self.toks.append((m.group(1), m.start()))
@@ -503,11 +507,9 @@ def _scanner(domain: Domain):
             p = F.p
             return lambda text: _scan(text, F, lambda n: n % p, "X")
         return lambda text: _scan(text, _Q, int, "X")
-    if isinstance(domain, RationalFunctionsAtZero):
-        p = domain.field.p
-        ints = (domain.field, lambda n: n % p) if p else (_Z, int)
-        return lambda text: _scan_rft(text, domain, ints)
-    return lambda text: _scan(text, domain, domain.k_element, "X")
+    p = domain.field.p
+    ints = (domain.field, lambda n: n % p) if p else (_Z, int)
+    return lambda text: _scan_rft(text, domain, ints)
 
 
 def _components(domain: Domain, text: str, line):
@@ -529,31 +531,22 @@ def parse_vector(domain: Domain, text: str, line: int | None = None) -> PolyVec:
     """A vector of V[X]^n from comma-separated polynomial components.
 
     Each component goes to the term scanner first and to the parser only
-    when the scanner returns None.  Over every shipped kind the vector is a
-    ``PackedPolyVec``.
+    when the scanner returns None.  The vector is in packed form
+    (``PolyVec.from_packed``).
     """
     if isinstance(domain.one, ScalarElement):
         return _parse_scalars(domain, text, line)
-    if isinstance(domain, RationalFunctionsAtZero):
-        return _parse_ratfuncs(domain, text, line)
-    comps = []
-    for poly, col0 in _components(domain, text, line):
-        for c in poly:
-            if not c.in_domain:
-                raise ParseError(
-                    f"coefficient {c} lies outside the domain", line, col0 + 1
-                )
-        comps.append(poly)
-    return PolyVec(domain, comps)
+    return _parse_ratfuncs(domain, text, line)
 
 
-def _parse_scalars(domain, text, line) -> PackedPolyVec:
-    """``parse_vector`` over the scalar kinds, packed as ``_packed._pack``
-    packs: residues over 1, or numerators over D, the lcm of the reduced
+def _parse_scalars(domain, text, line) -> PolyVec:
+    """``parse_vector`` over the scalar kinds, packed as ``polyvec`` packs
+    elements: residues over 1, or numerators over D, the lcm of the reduced
     denominators.  A coefficient lies outside Z_(p) iff p divides its
     denominator, so each component costs one lcm and one test mod p."""
     if domain.field.p:
-        return PackedPolyVec(domain, [list(c) for c, _ in _components(domain, text, line)], 1)
+        return PolyVec.from_packed(
+            domain, [list(c) for c, _ in _components(domain, text, line)], 1)
     p, comps, D = domain.p, [], 1
     for poly, col0 in _components(domain, text, line):
         d = lcm(*(c.denominator for c in poly))
@@ -563,13 +556,13 @@ def _parse_scalars(domain, text, line) -> PackedPolyVec:
             raise ParseError(f"coefficient {value} lies outside the domain", line, col0 + 1)
         D = lcm(D, d)
         comps.append(poly)
-    return PackedPolyVec(domain, [[c.numerator * (D // c.denominator) for c in poly]
-                                  for poly in comps], D)
+    return PolyVec.from_packed(domain, [[c.numerator * (D // c.denominator) for c in poly]
+                                        for poly in comps], D)
 
 
-def _parse_ratfuncs(domain, text, line) -> PackedPolyVec:
-    """``parse_vector`` over ``rft0``, packed as ``_packed._pack`` packs the
-    elements: numerators over D, the lcm of the reduced denominators
+def _parse_ratfuncs(domain, text, line) -> PolyVec:
+    """``parse_vector`` over ``rft0``, packed as ``polyvec`` packs elements:
+    numerators over D, the lcm of the reduced denominators
     (``_poly.ipack``).  A reduced entry lies in V iff its denominator does
     not vanish at t = 0, so a component costs one test per entry."""
     comps = []
@@ -579,14 +572,14 @@ def _parse_ratfuncs(domain, text, line) -> PackedPolyVec:
                 c = RatFuncElement(domain, num, den, _coprime=True)
                 raise ParseError(f"coefficient {c} lies outside the domain", line, col0 + 1)
         comps.append(poly)
-    return PackedPolyVec(domain, *_poly.ipack(comps, domain.field.p))
+    return PolyVec.from_packed(domain, *_poly.ipack(comps, domain.field.p))
 
 
 def render_vector(v: PolyVec) -> str:
-    """The text of v, which ``parse_vector`` reads back.  A ``PackedPolyVec``
-    over the scalar kinds is rendered from its numerators, with one gcd per
-    entry; over ``rft0`` from its elements, which it keeps (``comps``)."""
-    if type(v) is not PackedPolyVec or type(v.den) is tuple:
+    """The text of v, which ``parse_vector`` reads back.  Over the scalar
+    kinds it is rendered from the numerators (``nums``), with one gcd per
+    entry; over ``rft0`` from the elements, which v keeps (``comps``)."""
+    if not isinstance(v.domain.one, ScalarElement):
         return ", ".join(_poly.format_poly(comp, "X") for comp in v.comps)
     D, num_str = v.den, _poly.num_str
     if D == 1:

@@ -27,7 +27,7 @@ F_p they are residues and ``den`` is monic (``lowest_terms``, which the
 parser shares).  That is the form of a packed column's numerators too
 (``_ratkernel``), so packing an element converts nothing, and an entry
 num / D of a packed vector becomes ``RatFuncElement(domain, num, D)``, one
-gcd, on the first read of its ``comps`` (``polyvec.PackedPolyVec``).
+gcd, on the first read of its ``comps`` (``polyvec.PolyVec``).
 ``Fraction``s occur only at the raw and text boundary: ``from_polys``
 clears the denominators of rational coefficients, and ``str`` divides by
 the leading coefficient of ``den``, giving the text with a monic

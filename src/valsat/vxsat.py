@@ -12,11 +12,11 @@ Every shipped kind runs the packed engine (``_engines.select_engine``):
 the columns of G are numerators over one denominator per column, in Z, in
 the residues mod p, or in Z[t] or F_p[t] for ``rft0``, and each insertion
 costs one numerator-ring gcd per elimination step (``_ratkernel``).  The
-engine packs each input vector as it inserts it, and takes a
-``PackedPolyVec`` (a parsed vector, a ``syzygy.scaled_kernel`` vector) as
-it is.  B is the answer and G the certificate behind it, so ``_run`` takes
-only the columns of B out of the engine (``engine.polyvec``), as
-``PackedPolyVec``s, which build no element until their ``comps`` is read.
+engine inserts each input vector's packed form, which a parsed vector and
+a ``syzygy.scaled_kernel`` vector hold already (``polyvec``).  B is the
+answer and G the certificate behind it, so ``_run`` takes only the columns
+of B out of the engine (``engine.polyvec``), in packed form, which builds
+no element until their ``comps`` is read.
 G is built on the first read of ``SaturationResult.basis``, sharing B's
 columns.
 

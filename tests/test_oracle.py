@@ -16,6 +16,7 @@ from valsat.errors import DegreeExceeded, MixedFamily
 from valsat.oracle import _x_shifts
 from valsat.polyvec import PivotIndex, PolyVec, zero_vec
 from valsat.syzygy import apply_columns, kernel_kx, syzygy_vx
+from valsat.textio import parse_vector, render_vector
 from valsat.valuation import RationalFunctionsAtZero, TrivialField, Zp
 from valsat.vxsat import saturate_vx
 
@@ -334,7 +335,7 @@ def test_saturation_slice_matches_shift_families(S, D):
 def test_weak_popov_leading_positions_are_distinct(S, shift):
     shift = shift[:S[0].n]
     ring = oracle._ring(S[0].domain)
-    basis, _ = oracle._weak_popov(ring, [ring.pack(v.comps) for v in S], shift)
+    basis, _ = oracle._weak_popov(ring, [v.nums for v in S], shift)
     leads = [oracle._lead(b, shift)[1] for b in basis]
     assert len(set(leads)) == len(leads) <= S[0].n
 
@@ -409,7 +410,7 @@ def _element_divides_out(d, leads, shift, a):
 
 def _proportional(d, row, elements):
     """Whether the ring row, read in K, is a nonzero multiple of ``elements``."""
-    row = [tuple(c) for c in oracle._ring(d).unpack(d, row)]
+    row = list(PolyVec.from_packed(d, row, oracle._ring(d).one).comps)
     x = next((x for c in row for x in c if x), None)
     y = next((y for c in elements for y in c if y), None)
     if x is None or y is None:
@@ -426,7 +427,7 @@ def test_fraction_free_step_scales_the_whole_row(d):
     z = d.zero
     rows = [[(one,), (z, two)], [(z, z, z, one), (z, z, z, three)]]
     ring = oracle._ring(d)
-    basis, kernel = oracle._weak_popov(ring, [ring.pack(r) for r in rows], [0, 0])
+    basis, kernel = oracle._weak_popov(ring, [PolyVec(d, r).nums for r in rows], [0, 0])
     ebasis, ekernel = _element_weak_popov(d, rows, [0, 0])
     assert not kernel and not ekernel
     assert [oracle._lead(b, [0, 0]) for b in basis] == [(3, 0), (1, 1)]
@@ -446,7 +447,7 @@ def test_fraction_free_k_layer_matches_elements(d, data):
     # An extra zero component, so that the unit vector there lies outside
     # every span below.
     rows = [list(v.comps) + [()] for v in S]
-    basis, kernel = oracle._weak_popov(ring, [ring.pack(r) for r in rows], shift)
+    basis, kernel = oracle._weak_popov(ring, [PolyVec(d, r).nums for r in rows], shift)
     ebasis, ekernel = _element_weak_popov(d, rows, shift)
     assert [oracle._lead(b, shift) for b in basis] == [oracle._lead(b, shift) for b in ebasis]
     assert len(kernel) == len(ekernel)
@@ -465,14 +466,16 @@ def test_fraction_free_k_layer_matches_elements(d, data):
     outside = [()] * n + [(d.zero,) * top + (d.one,)]
     for comps, member in ((combo, True), ([dense.add(d, x, y) for x, y in zip(combo, outside)],
                                           False)):
-        assert oracle._divides_out(ring, leads, shift, ring.pack(comps)) is member
+        assert oracle._divides_out(ring, leads, shift, PolyVec(d, comps).nums) is member
         assert _element_divides_out(d, eleads, shift, comps) is member
 
     # verify_free's K-rank: the echelon form over the ring against plain
     # elimination over K, with a K-combination of S among the vectors.
-    flat = [oracle._flat(v, n) for v in S + [PolyVec(d, kcombo)]]
+    vectors = S + [PolyVec(d, kcombo)]
+    flat = [[v.coord((j, r)) for r in range(v.degree() + 1) for j in range(1, n + 1)]
+            for v in vectors]
     width = max(map(len, flat))
-    rank = len(oracle._echelon(ring, [ring.pack([f]) for f in flat]))
+    rank = len(oracle._echelon(ring, [oracle._flat_row(ring, v) for v in vectors]))
     assert rank == _k_rank([f + [d.zero] * (width - len(f)) for f in flat])
 
 
@@ -484,6 +487,9 @@ def test_kx_kernel_is_a_kernel_basis(d, data):
     kernel = oracle.kx_kernel(U)
     for f in kernel:
         assert not f.is_zero() and not any(apply_columns(U, f))
+        # Packed over its first nonzero coefficient, with the denominator
+        # that the renderer needs: the text is that of the elements.
+        assert render_vector(f) == ", ".join(dense.format_poly(c, "X") for c in f.comps)
     # Both are bases of the same free K[X]-module, computed by independent code.
     assert len(kernel) == len(kernel_kx(U))
 
@@ -615,6 +621,21 @@ def _mutations(d, gens, outside):
     return out
 
 
+def _as_built(*families):
+    """The families as given; each vector built from its elements; and each
+    parsed from its text, in packed form.  The parsed form is left out when
+    an entry lies outside V, which the parser rejects."""
+    out = [families, tuple([PolyVec(v.domain, v.comps) for v in f] for f in families)]
+    if all(oracle._in_v(v) for f in families for v in f):
+        out.append(tuple([parse_vector(v.domain, render_vector(v)) for v in f]
+                         for f in families))
+    return out
+
+
+# Each mutation test gives every verdict on the families as given, built
+# from elements and parsed: the verdicts agree, ok on the answer and a
+# mismatch on each mutation, dropped generators included.
+
 @pytest.mark.parametrize("d", KINDS, ids=lambda d: d.tag)
 def test_verify_saturation_catches_each_mutation(d):
     # Sat(M) = V[X] (X, X + 1, 0) + V[X] (1, 0, X): both generators are
@@ -624,11 +645,11 @@ def test_verify_saturation_catches_each_mutation(d):
     res = saturate_vx(M)
     bound = res.degree + res.trace[-1].k + 2
     gens = list(res.generators)
-    assert oracle.verify_saturation(M, gens, bound)
     outside = PolyVec(d, [[], [], [d.one]])
-    for name, wrong in _mutations(d, gens, outside):
-        assert not _reference_saturation(M, wrong, bound), name
-        assert not oracle.verify_saturation(M, wrong, bound), name
+    for name, wrong in [("none", gens), *_mutations(d, gens, outside)]:
+        assert wrong is gens or not _reference_saturation(M, wrong, bound), name
+        for M1, G1 in _as_built(M, wrong):
+            assert oracle.verify_saturation(M1, G1, bound) == (wrong is gens), name
 
 
 @pytest.mark.parametrize("d", KINDS, ids=lambda d: d.tag)
@@ -639,11 +660,11 @@ def test_verify_syzygies_catches_each_mutation(d):
     res = syzygy_vx(U)
     bound = res.degree + res.trace[-1].k + 2
     gens = list(res.generators)
-    assert oracle.verify_syzygies(U, gens, bound)
     outside = PolyVec(d, [[d.one], [], []])
-    for name, wrong in _mutations(d, gens, outside):
-        assert not _reference_syzygies(U, wrong, bound), name
-        assert not oracle.verify_syzygies(U, wrong, bound), name
+    for name, wrong in [("none", gens), *_mutations(d, gens, outside)]:
+        assert wrong is gens or not _reference_syzygies(U, wrong, bound), name
+        for U1, G1 in _as_built(U, wrong):
+            assert oracle.verify_syzygies(U1, G1, bound) == (wrong is gens), name
 
 
 @pytest.mark.parametrize("d", KINDS, ids=lambda d: d.tag)
@@ -652,11 +673,11 @@ def test_verify_free_catches_each_mutation(d):
     # that (1, 0, 0) is not in.
     F = [PolyVec(d, [_poly(d, 1), [], _poly(d, 0)]), PolyVec(d, [[], _poly(d, 1), _poly(d, 0)])]
     basis = list(saturate_free(F))
-    assert oracle.verify_free(F, basis, 0)
     outside = PolyVec(d, [[d.one], [], []])
-    for name, wrong in _mutations(d, basis, outside):
-        assert not _reference_free(F, wrong, 0), name
-        assert not oracle.verify_free(F, wrong, 0), name
+    for name, wrong in [("none", basis), *_mutations(d, basis, outside)]:
+        assert wrong is basis or not _reference_free(F, wrong, 0), name
+        for F1, B1 in _as_built(F, wrong):
+            assert oracle.verify_free(F1, B1, 0) == (wrong is basis), name
 
 
 def test_verify_syzygies_of_an_empty_family_is_a_mismatch():

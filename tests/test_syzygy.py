@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from valsat import _poly, oracle
-from valsat._packed import _pack, _step, numerator_ring
+from valsat._packed import _step, numerator_ring
 from valsat.errors import InvalidIterationCap, ZeroVector
 from valsat.polyvec import PolyVec
 from valsat.syzygy import (
@@ -156,8 +156,7 @@ def test_kernel_kx_hand_worked_over_polynomial_numerators(dom, cols, scaled, str
     ring = numerator_ring(dom)
     stacked = []
     for j, u in enumerate(U):
-        comps, D = _pack(u, ring)
-        stacked.append(comps + [[D] if i == j else [] for i in range(2)])
+        stacked.append(u.nums + [[u.den] if i == j else [] for i in range(2)])
     assert stacked == cols
     seen = []
     strip = ring.strip

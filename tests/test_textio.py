@@ -10,9 +10,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from valsat import _poly, textio
-from valsat._packed import _pack, numerator_ring
 from valsat.errors import NotInDomain, NotPrime, ParseError
-from valsat.polyvec import PackedPolyVec, PolyVec
+from valsat.polyvec import PolyVec
 from valsat.syzygy import syzygy_vx
 from valsat.textio import (
     parse_domain_tag,
@@ -462,13 +461,12 @@ def _scanned_vectors(draw):
 
 def _outcome(d, text):
     """parse_vector's entries with the types of their raw values, or its error;
-    over the scalar kinds, its packed numerators and denominator first."""
+    its packed numerators and denominator first."""
     try:
         v = parse_vector(d, text)
     except ParseError as exc:
         return "error", str(exc), exc.line, exc.column
-    packed = (v.nums, v.den) if type(v) is PackedPolyVec else None
-    return packed, [[(type(c), c, type(c.value)) if isinstance(c, ScalarElement)
+    return (v.nums, v.den), [[(type(c), c, type(c.value)) if isinstance(c, ScalarElement)
                      else (type(c), c, [type(x) for x in c.num + c.den]) for c in comp]
                     for comp in v.comps]
 
@@ -712,9 +710,9 @@ def test_parse_domain_tag_shares_one_domain_per_tag():
 
 
 # ---------------------------------------------------------------------------
-# Over zp:p, field:q and field:p a parsed vector is a PackedPolyVec: the
-# packed kernel's numerators, with its elements built on the first read of
-# ``comps``.
+# A parsed vector holds the packed kernel's numerators, its elements built
+# on the first read of ``comps``; a vector built from elements packs them on
+# the first read of ``nums``.
 
 SCALAR_KINDS = KINDS[:3]
 # Odd, prime to 5, with shared factors, so that D differs from every entry's
@@ -740,14 +738,21 @@ def _entries(v):
 @given(_scalar_vectors() | _rft0_vectors())
 def test_a_packed_vector_is_its_element_twin(v):
     """Equality both ways, hash, entries and the types of their raw values;
-    the packing of the element vector; and the text from the numerators is
-    the text from the elements.  Over rft0 rendering builds the elements,
-    once, and keeps them."""
-    packed = parse_vector(v.domain, render_vector(v))
-    assert type(packed) is PackedPolyVec and packed._comps is None
-    assert (packed.nums, packed.den) == _pack(v, numerator_ring(v.domain))
+    the element vector packs as the parser does, and reading either form of
+    a vector keeps the other; and the text from the numerators is the text
+    from the elements.  Over rft0 rendering builds the elements, once, and
+    keeps them."""
+    elements = v.comps
+    assert v._nums is None
+    nums, den = v.nums, v.den
+    assert v.comps is elements
+    element_text = ", ".join(_poly.format_poly(comp, "X") for comp in elements)
+    packed = parse_vector(v.domain, element_text)
+    assert packed._comps is None
+    pnums = packed.nums
+    assert (nums, den) == (pnums, packed.den)
     text = render_vector(packed)
-    assert text == render_vector(v)
+    assert text == render_vector(v) == element_text
     if type(packed.den) is tuple:
         comps = packed._comps
         assert comps is not None and packed.comps is comps
@@ -758,6 +763,7 @@ def test_a_packed_vector_is_its_element_twin(v):
     twin = PolyVec(v.domain, packed.comps)
     assert render_vector(packed) == render_vector(twin) == text
     assert (packed.is_zero(), packed.degree()) == (v.is_zero(), v.degree())
+    assert packed.nums is pnums and v.nums is nums and v.comps is elements
 
 
 @pytest.mark.parametrize("d", SCALAR_KINDS + RFT0, ids=lambda d: d.tag)
@@ -784,7 +790,7 @@ def test_generators_render_the_same_before_and_after_comps_is_read(d):
             if all(v.is_zero() for v in vectors):
                 continue
             gens = run(vectors).generators
-            assert all(type(g) is PackedPolyVec and g._comps is None for g in gens)
+            assert all(g._comps is None for g in gens)
             before = [render_vector(g) for g in gens]
             twins = [PolyVec(d, g.comps) for g in gens]
             assert [render_vector(g) for g in gens] == before
