@@ -4,7 +4,7 @@ The packed engine runs every shipped kind, over the numerator ring that
 ``numerator_ring`` picks: Z for ``zp:p`` and ``field:q``, residues mod p
 for ``field:p``, Z[t] for ``rft0:q`` and F_p[t] for ``rft0:p``.  Columns
 are ``_ratkernel`` packed vectors, numerators over one denominator per
-column in lowest terms (over F_p, residues over 1).  ``insert_vector``
+column (over F_p, residues over 1).  ``insert_vector``
 takes its argument's packed form (``nums``, ``den``): a parsed or scaled
 kernel vector holds it already, and ``polyvec`` packs any vector built
 from elements.  A column is taken out by ``polyvec``: ``vxsat`` takes the
@@ -14,9 +14,13 @@ until its ``comps`` is read; there, over ``rft0``, an entry num / D becomes
 ``RatFuncElement(domain, num, D)``, which costs one gcd of num against D.
 ``_ratkernel.insert`` keeps the column contract of ``echelon``: it appends
 each reduction, monic at its content position, and that position to the
-engine's lists.  Results are bit-identical to the generic engine: same
-elimination order, same content rule, and the exported elements are
-canonical.
+engine's lists.  It stores a column over its content numerator and names
+it in the engine's ``raw`` set, and the kernel puts it in lowest terms
+(``_ratkernel.reduced``) when it is first a pivot; ``insert_shift_of``,
+``polyvec`` and ``export_basis`` read every column through the same
+reduction, so each column they hand on is in lowest terms.  Results are
+bit-identical to the generic engine: same elimination order, same content
+rule, and the exported elements are canonical.
 
 ``_kernel_columns`` runs ``syzygy``'s column reduction on packed columns
 over the same numerator rings, with one fraction-free step written against
@@ -56,17 +60,20 @@ class PackedEngine(GenericEngine):
     def __init__(self, domain):
         super().__init__(domain)
         self.ring = numerator_ring(domain)
+        self.raw = set()  # indexes of the columns not yet in lowest terms
 
     def insert_vector(self, v: PolyVec) -> tuple[bool, bool]:
-        return _ratkernel.insert(self.cols, self.pivs, (v.nums, v.den), self.ring)
+        return _ratkernel.insert(self.cols, self.pivs, (v.nums, v.den), self.ring, self.raw)
 
     def insert_shift_of(self, i: int) -> tuple[bool, bool]:
-        shifted = _ratkernel.vec_shift(self.cols[i], self.ring.zero)
-        return _ratkernel.insert(self.cols, self.pivs, shifted, self.ring)
+        ring, raw = self.ring, self.raw
+        shifted = _ratkernel.vec_shift(_ratkernel.reduced(self.cols, raw, i, ring), ring.zero)
+        return _ratkernel.insert(self.cols, self.pivs, shifted, ring, raw)
 
     def polyvec(self, i: int) -> PolyVec:
-        """Column i as it is, its elements built on the first read of ``comps``."""
-        return PolyVec.from_packed(self.domain, *self.cols[i])
+        """Column i in lowest terms, its elements built on the first read of ``comps``."""
+        return PolyVec.from_packed(self.domain,
+                                   *_ratkernel.reduced(self.cols, self.raw, i, self.ring))
 
     def export_basis(self, known=None) -> EchelonBasis:
         """The basis; ``known`` maps indexes to columns already unpacked,
@@ -102,17 +109,16 @@ def _step(ring):
     return step
 
 
-def _kernel_columns(U: list[PolyVec]):
+def _kernel_columns(U: list[PolyVec], ring):
     """The identity parts of the kernel columns of [U; I] for a nonempty U
-    over a shipped kind, as ring columns: lists of numerators, one per
-    component.
+    over a shipped kind, as columns over its numerator ring ``ring``: lists
+    of numerators, one per component.
 
     Each stacked column [u_j; e_j] is packed, so its identity part starts
     as D_j e_j; a kernel column is a nonzero K-multiple of the generic
     reduction's generator.
     """
     k, n = U[0].n, len(U)
-    ring = numerator_ring(U[0].domain)
     cols = [u.nums + [[u.den] if i == j else [] for i in range(n)] for j, u in enumerate(U)]
     return [cols[j][k:] for j in _reduce_columns(cols, k, _step(ring))]
 
@@ -132,7 +138,7 @@ def scaled_kernel_packed(U: list[PolyVec]) -> list[PolyVec]:
     ring = numerator_ring(domain)
     val, mod = ring.val, ring.mod
     out = []
-    for ident in _kernel_columns(U):
+    for ident in _kernel_columns(U, ring):
         c = next(x for comp in ident for x in comp if x)
         if val is not None:
             c = ring.shed(c, val(c))

@@ -16,16 +16,17 @@ its arithmetic through a ring object (the last argument of ``insert``):
 
 A ring supplies ``zero``, ``one``, ``mod`` (the modulus of its coefficient
 arithmetic, else 0), ``gcd`` (over F_p its second argument, as in any
-field), the exact quotient ``quo``, ``sub_scaled`` over a component list,
-the valuation ``val`` of a numerator (None for the trivial valuation),
-``normalise``, which divides a column by its content and puts it in lowest
-terms, ``strip``, which divides a column by a common factor of its
-numerators (for ``_packed``'s K[X] reduction), and ``shed``, the exact
-division of a numerator by a power of the uniformiser (for ``_packed``'s
-primitive scaling).  Basis columns are kept in
-lowest terms, gcd(numerators, D) = 1 with D normalised (positive over Z, a
-positive leading coefficient over Z[t], monic over F_p[t]), which makes
-their packing unique; a vector to insert needs only D != 0.
+field), the exact quotient ``quo``, the ``cofactors`` of an elimination
+step, ``sub_scaled`` over a component list, the valuation ``val`` of a
+numerator (None for the trivial valuation), ``normalise``, which puts a
+column in lowest terms, ``strip``, which divides a column by a common
+factor of its numerators (for ``_packed``'s K[X] reduction), and ``shed``,
+the exact division of a numerator by a power of the uniformiser (for
+``_packed``'s primitive scaling).  A basis column is put in lowest terms,
+gcd(numerators, D) = 1 with D normalised (positive over Z, a positive
+leading coefficient over Z[t], monic over F_p[t]), on its first use (see
+below), which makes the packing every reader sees unique; a vector to
+insert needs only D != 0.
 
 The valuation of an entry ``num / D`` is v(num) - v(D), so every
 comparison of valuations inside one vector compares numerators only, and
@@ -38,41 +39,68 @@ column:
 
     V/D - (a Dw / (D w)) (W / Dw) = (w V - a W) / (D w),
 
-so Dw cancels.  With g = gcd(a, w), s = w/g and t = a/g, the new vector
-is (s V - t W, s D): one ring gcd per step.  Every basis column is monic at
-its pivot, which is its content position (see ``echelon``), so w = Dw: the
-step reads w as the column's D, and a pivot is stored as (j, r) alone.
+so Dw cancels.  Every basis column is monic at its pivot, which is its
+content position (see ``echelon``), so w = Dw: the step reads w as the
+column's D, and a pivot is stored as (j, r) alone.  The ring's
+``cofactors(a, w)`` give s and t with t/s = a/w, and the new vector is
+(s V - t W, s D):
 
-The step leaves v(D) as it is.  Every basis column's D is a unit: its
-content c has the least valuation of its numerators, so their gcd takes
-all of it (see below).  Hence s = w/g is a unit, v(s D) = v(D), and the
-kernel need not form s D at all: the content division below replaces D,
-and the vector's own v(D) decides whether the content was a unit.  Nor is
-a common factor of the numerators divided out between steps; the content
-division removes it once, with one gcd chain.  A gcd chain after every step
-with s != 1, dividing D and the numerators by their common factor, cost
-more than it saved on every benchmark family (Python 3.11.7, 2 vCPUs):
-leaving it out took the solve from 1.61-1.71 s to 1.10-1.12 s on
-``vx-rational`` seed 9 (best of 5, three runs each) and 12-15% off on
-``vx-rft0`` seeds 7 and 8, and the ``slow:rft0:q`` case from 34.2 s to
-26.5 s (one run each, both with every Z[t] gcd by the primitive PRS).
+* over Z, (w, a), with no gcd: the common factor g = gcd(a, w) that
+  Bareiss's step divides out stays in the numerators until the content
+  division takes it out with the rest of their gcd;
+* over F_p, (1, a/w);
+* over Z[t] and F_p[t], (w/g, a/g) for the ring gcd g, one gcd per step:
+  dropping it made the t-polynomials longer, which cost more than the gcd
+  (3-6% of the ``vx-rft0`` throughput in a trial).
+
+The step leaves v(D) as it is.  A column is put in lowest terms before it
+is a pivot, and then its D is a unit: its content c has the least
+valuation of its numerators, so their gcd takes all of it (see below).
+Hence s is a unit, v(s D) = v(D), and the kernel need not form s D at
+all: the content division below replaces D, and the vector's own v(D)
+decides whether the content was a unit.  Nor is a common factor of the
+numerators divided out between steps; the content division removes it
+once, with one gcd chain.  A gcd chain after every step with s != 1,
+dividing D and the numerators by their common factor, cost more than it
+saved on every benchmark family (Python 3.11.7, 2 vCPUs): leaving it out
+took the solve from 1.61-1.71 s to 1.10-1.12 s on ``vx-rational`` seed 9
+(best of 5, three runs each) and 12-15% off on ``vx-rft0`` seeds 7 and 8,
+and the ``slow:rft0:q`` case from 34.2 s to 26.5 s (one run each, both
+with every Z[t] gcd by the primitive PRS).  Dropping the one gcd that was
+left per step over Z, in the cofactors, together with lowest terms on
+first use below, took ``vx-rational`` from 701 to 746 ips (medians of 10
+interleaved pairs of 24 s runs, seed 12).
 
 Content division.  The content of V/D is its first coefficient of minimal
 valuation, c/D, and (V/D) / (c/D) = V/c: dividing by the content replaces
-the denominator by c, with no division in K.  Dividing V and c by the gcd
-h of the numerators (c is one of them), taken as the associate of h that
-normalises c/h, gives lowest terms with a normalised denominator.  The
-numerator at the content position then equals the new denominator, which
-makes the column monic there.
+the denominator by c, with no division in K.  ``insert`` stores the
+column so, as its numerators over D = c, which is monic at the content
+position, and records it as not in lowest terms (``raw``).  ``reduced``
+puts it there the first time it is read: dividing V and c by the gcd h of
+the numerators (c is one of them), taken as the associate of h that
+normalises c/h, gives lowest terms with a normalised denominator, and the
+numerator at the content position still equals the denominator.  A column
+is read when it is a pivot, so that every multiplier w is a unit; when it
+is the source of an X-shift, whose insertion would otherwise carry the
+common factor on and compound it from round to round (shifting columns as
+stored took the ``zp:2`` n=5, m=7, d=6 saturation of
+``tests/data/verify-zp2-vx-n5m7d6.vsat`` from 0.31 s to 0.48 s, the
+median of 7 interleaved processes); and when ``_packed`` takes it out.  No other reader sees
+a column that is not in lowest terms, so only the columns of the last
+round that are neither generators nor exported skip the chain.  Lowest
+terms is a policy for the size of the numerators, not a condition of
+correctness: by the "Scaling" paragraph of ``vxsat.saturate_vx`` every
+output is the same when a vector is replaced by a nonzero K-multiple.
 
-Over F_p, ``mod`` = p and the numerators are residues over D = 1, so w = 1,
-s = 1 and each step is V - a W mod p; the content is the first nonzero
-residue, divided out by multiplying with its inverse mod p.
+Over F_p, ``mod`` = p and the numerators are residues over D = 1, and a
+column stored over its content residue c is multiplied by c^-1 on its first
+read, so w = 1, s = 1 and each step is V - a W mod p.
 
-Cost model.  One ring gcd per elimination step, and one gcd chain per
-appended column for its content (one ``math.gcd`` call over Z).  Entries
-are reduced one by one, with one gcd each, only when a client reads the
-elements of a column it took out (``_packed``, ``polyvec.PolyVec.comps``).
+Cost model.  One ring gcd per elimination step over Z[t] and F_p[t], none
+over Z and F_p, and one gcd chain for the content of each column that is
+read (one ``math.gcd`` call over Z).  Entries are reduced one by one, with
+one gcd each, only when a client reads the elements of a column it took
+out (``_packed``, ``polyvec.PolyVec.comps``).
 A step over Z[t] or F_p[t] runs no ``ilin`` where both entries are zero,
 and over F_p a content chain that meets a nonzero constant stops at once
 (``_poly.icontent``).  Over Z[t] the gcds dominate once the numerators
@@ -184,8 +212,14 @@ class Integers:
             # every step's s = b / b = 1, as ``_sub_scaled`` mod p requires,
             # and a quotient of equal residues costs no inversion.
             self.gcd = lambda a, b: b
-            self.quo = lambda a, b: (1 if a == b else a if b == 1
-                                     else a * pow(b, -1, mod) % mod)
+            self.quo = quo = lambda a, b: (1 if a == b else a if b == 1
+                                           else a * pow(b, -1, mod) % mod)
+            self.cofactors = lambda a, w: (1, quo(a, w))
+
+    @staticmethod
+    def cofactors(a, w):
+        """(s, t) of the elimination step s V - t W: (w, a) over Z, no gcd."""
+        return w, a
 
     def shed(self, x, m):
         """x / p^m, for x of p-adic valuation at least m."""
@@ -199,7 +233,7 @@ class Integers:
                 _divide(comps, g)
 
     def normalise(self, comps, c):
-        """Divide comps by their content c, in lowest terms; the new D."""
+        """Put comps over their content numerator c in lowest terms; the new D."""
         if self.mod:
             mod = self.mod
             inv = pow(c, -1, mod)
@@ -230,6 +264,12 @@ class Polynomials:
 
     def quo(self, a, b):
         return iquo(a, b, self.mod)
+
+    def cofactors(self, a, w):
+        """(w/g, a/g) for g = gcd(a, w): here the gcd pays for itself."""
+        mod = self.mod
+        g = igcd(a, w, mod)
+        return iquo(w, g, mod), iquo(a, g, mod)
 
     def sub_scaled(self, comps, wcomps, s, t, p):
         """comps <- s * comps - t * wcomps, as ``_sub_scaled`` does over Z;
@@ -263,7 +303,7 @@ class Polynomials:
                 _refill(comps, iter(qs))
 
     def normalise(self, comps, c):
-        """Divide comps by their content c, in lowest terms; the new D.
+        """Put comps over their content numerator c in lowest terms; the new D.
 
         ``icontent`` divides the numerators, c first, by their gcd h; then
         every quotient is scaled by the unit that makes c / h monic over
@@ -290,31 +330,45 @@ def _refill(comps, qs, c=None, d=None):
         comps[i] = [d if x is c else next(qs) if x else () for x in comp]
 
 
-def insert(cols, pivots, vec, ring):
+def insert(cols, pivots, vec, ring, raw):
     """Strict-echelon insertion of a packed vector against a packed basis.
 
     Eliminates vec at each basis pivot in order, over the numerator ring
-    ``ring``.  Returns ``(False, False)`` when it dies.  Otherwise appends
-    its primitive reduction in lowest terms to ``cols`` and the reduction's
+    ``ring``, putting each pivot column in lowest terms first (``reduced``).
+    Returns ``(False, False)`` when it dies.  Otherwise appends its
+    primitive reduction to ``cols``, stored as its content quotient (the
+    numerators over D = c, the numerator at the content position), its
+    index to ``raw``, the set of columns not yet in lowest terms, and its
     pivot (j, r), the content position, to ``pivots``, and returns
     ``(True, new)``, ``new`` telling whether the content divided out was a
     non-unit.
     """
     comps, D = vec
     comps = list(comps)
-    rgcd, quo, sub_scaled, mod = ring.gcd, ring.quo, ring.sub_scaled, ring.mod
-    for (wcomps, w), (j, r) in zip(cols, pivots):
+    cofactors, sub_scaled, mod = ring.cofactors, ring.sub_scaled, ring.mod
+    for i, (j, r) in enumerate(pivots):
         comp = comps[j - 1]
         if r >= len(comp) or not comp[r]:
             continue
-        a = comp[r]
-        g = rgcd(a, w)
-        sub_scaled(comps, wcomps, quo(w, g), quo(a, g), mod)
+        wcomps, w = reduced(cols, raw, i, ring) if i in raw else cols[i]
+        s, t = cofactors(comp[r], w)
+        sub_scaled(comps, wcomps, s, t, mod)
     val = ring.val
     found = _content(comps, val)
     if found is None:
         return False, False
     c, c_val, at = found
-    cols.append((comps, ring.normalise(comps, c)))
+    raw.add(len(cols))
+    cols.append((comps, c))
     pivots.append(at)
     return True, val is not None and c_val != val(D)
+
+
+def reduced(cols, raw, i, ring):
+    """Column i in lowest terms (``ring.normalise``), put there in place on
+    its first read: when it is a pivot, shifted or taken out."""
+    if i in raw:
+        raw.remove(i)
+        comps, c = cols[i]
+        cols[i] = comps, ring.normalise(comps, c)
+    return cols[i]

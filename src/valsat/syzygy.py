@@ -80,10 +80,11 @@ def kernel_kx(U: list[PolyVec]) -> list[tuple[XPoly, ...]]:
         return []
     # Imported on first use, so that importing valsat does not load (and,
     # with no cached bytecode, compile) the packed modules.
-    from ._packed import _kernel_columns
+    from ._packed import _kernel_columns, numerator_ring
 
-    return [PolyVec.from_packed(U[0].domain, ident, next(x for c in ident for x in c if x)).comps
-            for ident in _kernel_columns(U)]
+    domain = U[0].domain
+    return [PolyVec.from_packed(domain, ident, next(x for c in ident for x in c if x)).comps
+            for ident in _kernel_columns(U, numerator_ring(domain))]
 
 
 def _reduce_columns(cols, k, step):

@@ -10,8 +10,10 @@ termination the V[X]-span of B is the V-saturation of M.
 
 Every shipped kind runs the packed engine (``_engines.select_engine``):
 the columns of G are numerators over one denominator per column, in Z, in
-the residues mod p, or in Z[t] or F_p[t] for ``rft0``, and each insertion
-costs one numerator-ring gcd per elimination step (``_ratkernel``).  The
+the residues mod p, or in Z[t] or F_p[t] for ``rft0``; an elimination
+step costs one numerator-ring gcd over Z[t] and F_p[t] and none over Z and
+the residues, and a column is put in lowest terms on its first use: as a
+pivot, as the source of an X-shift, or taken out (``_ratkernel``).  The
 engine inserts each input vector's packed form, which a parsed vector and
 a ``syzygy.scaled_kernel`` vector hold already (``polyvec``).  B is the
 answer and G the certificate behind it, so ``_run`` takes only the columns

@@ -1,5 +1,6 @@
 """The packed kernel and the generic path must agree bit for bit."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -140,9 +141,21 @@ def instances(draw):
     return dom, S
 
 
+# Columns stored with a non-unit content, 4 over zp:2 and t over rft0:3, and
+# shifted before they are ever a pivot: the shift of X^5 + 2 (X^4 + t) is
+# zero at the other pivot, so the shift reads the column in lowest terms first.
+ZP2, RFT3 = Zp(2), RationalFunctionsAtZero("fp", 3)
+
+
 @settings(max_examples=90, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(instances())
+@example((ZP2, [PolyVec.from_raw(ZP2, [[2, 0, 0, 0, 0, 1]]), PolyVec.from_raw(ZP2, [[4]])]))
+@example((ZP2, [PolyVec.from_raw(ZP2, [[2, 0, 0, 0, 0, 1], [1]]),
+                PolyVec.from_raw(ZP2, [[4], [0, 12]])]))
+@example((RFT3, [PolyVec(RFT3, [[RFT3.element(([0, 1], [1])), RFT3.zero, RFT3.zero,
+                                 RFT3.zero, RFT3.one]]),
+                 PolyVec(RFT3, [[RFT3.element(([0, 2], [1, 1]))]])]))
 def test_packed_matches_generic_property(inst):
     dom, S = inst
     assume(S)
@@ -188,7 +201,7 @@ def test_appended_columns_are_monic_at_their_content_position(inst):
     and the packed kernel's fold stays identical to the generic one."""
     dom, S = inst
     ring = numerator_ring(dom)
-    cols, pivots, pcols, ppivs = [], [], [], []
+    cols, pivots, pcols, ppivs, raw = [], [], [], [], set()
 
     def insert(v, packed):
         w = gauss_eliminate(v, cols, pivots)
@@ -200,24 +213,30 @@ def test_appended_columns_are_monic_at_their_content_position(inst):
             assert pivots[-1] == coords[i][0] == cols[-1].piv()
             assert cols[-1].coord(pivots[-1]) == dom.one
             assert cols[-1] == w.div_by(u) and new == (not u.is_unit())
-        inserted = _ratkernel.insert(pcols, ppivs, packed, ring)
+        inserted = _ratkernel.insert(pcols, ppivs, packed, ring, raw)
         assert inserted == (survived, new)
         assert ppivs == pivots
         if survived:
+            # Stored as its content quotient, monic at its pivot; read
+            # through the reduction, from a copy, so that the column stays
+            # raw until the kernel reads it.
             (comps, D), (j, r) = pcols[-1], ppivs[-1]
+            assert len(pcols) - 1 in raw and comps[j - 1][r] == D
+            comps, D = _ratkernel.reduced([(list(comps), D)], {0}, 0, ring)
             assert comps[j - 1][r] == D
             if isinstance(ring, _ratkernel.Polynomials):
                 # Normalised: monic over F_p[t], positive lead over Z[t].
                 assert D[-1] == 1 if ring.mod else D[-1] > 0
             else:
                 assert D > 0
-            assert unpack(dom, pcols[-1]) == cols[-1]
+            assert unpack(dom, (comps, D)) == cols[-1]
 
     for v in S:
         insert(v, (v.nums, v.den))
     # One round of X-shifts, as the saturation driver runs them.
     for i in range(len(cols)):
-        insert(cols[i].shift_x(), _ratkernel.vec_shift(pcols[i], ring.zero))
+        insert(cols[i].shift_x(),
+               _ratkernel.vec_shift(_ratkernel.reduced(pcols, raw, i, ring), ring.zero))
     EchelonBasis(cols, pivots)  # raises unless the fold is strictly echelon
 
 
@@ -227,31 +246,50 @@ Z2, QQ = _ratkernel.Integers(2), _ratkernel.Integers(0)
 F5, F3 = _ratkernel.Integers(0, 5), _ratkernel.Integers(0, 3)
 
 
+class Kernel:
+    """A packed basis for the hand-worked examples: ``insert`` as the engine
+    calls it, and ``cols`` read through the reduction to lowest terms, each
+    stored record checked to be monic at its pivot first."""
+
+    def __init__(self, ring):
+        self.ring, self.stored, self.pivots, self.raw = ring, [], [], set()
+
+    def insert(self, vec):
+        return _ratkernel.insert(self.stored, self.pivots, vec, self.ring, self.raw)
+
+    @property
+    def cols(self):
+        for (comps, D), (j, r) in zip(self.stored, self.pivots):
+            assert comps[j - 1][r] == D
+        return [_ratkernel.reduced(self.stored, self.raw, i, self.ring)
+                for i in range(len(self.stored))]
+
+
 def test_pivot_when_p_divides_denominator():
     # 6/2 = 3 is a unit of Z_(2) although both numerators are even: the
     # content 6/2 sits at (1, 0), and (3, 2) / 3 = (1, 2/3).
-    cols, pivots = [], []
-    assert _ratkernel.insert(cols, pivots, ([[6, 4]], 2), Z2) == (True, False)
-    assert pivots == [(1, 0)] and cols == [([[3, 2]], 3)]
+    kernel = Kernel(Z2)
+    assert kernel.insert(([[6, 4]], 2)) == (True, False)
+    assert kernel.pivots == [(1, 0)] and kernel.cols == [([[3, 2]], 3)]
     # 4/2 = 2 is not a unit; 6/2 = 3 is: (2, 3) / 3 = (2/3, 1).
-    cols, pivots = [], []
-    assert _ratkernel.insert(cols, pivots, ([[4, 6]], 2), Z2) == (True, False)
-    assert pivots == [(1, 1)] and cols == [([[2, 3]], 3)]
+    kernel = Kernel(Z2)
+    assert kernel.insert(([[4, 6]], 2)) == (True, False)
+    assert kernel.pivots == [(1, 1)] and kernel.cols == [([[2, 3]], 3)]
     # (2, 4) has no unit entry: dividing out the content 2 puts the pivot
     # on its position (1, 0).
-    cols, pivots = [], []
-    assert _ratkernel.insert(cols, pivots, ([[4], [8]], 2), Z2) == (True, True)
-    assert pivots == [(1, 0)] and cols == [([[1], [2]], 1)]
+    kernel = Kernel(Z2)
+    assert kernel.insert(([[4], [8]], 2)) == (True, True)
+    assert kernel.pivots == [(1, 0)] and kernel.cols == [([[1], [2]], 1)]
     # Over Q the pivot is the first nonzero entry: (0, -5/4) / (-5/4).
-    cols, pivots = [], []
-    assert _ratkernel.insert(cols, pivots, ([[], [0, -5]], 4), QQ) == (True, False)
-    assert pivots == [(2, 1)] and cols == [([[], [0, 1]], 1)]
+    kernel = Kernel(QQ)
+    assert kernel.insert(([[], [0, -5]], 4)) == (True, False)
+    assert kernel.pivots == [(2, 1)] and kernel.cols == [([[], [0, 1]], 1)]
 
 
 def test_content_when_p_divides_denominator():
     def insert_one(vec, p):
-        cols, pivots = [], []
-        return _ratkernel.insert(cols, pivots, vec, _ratkernel.Integers(p)), cols
+        kernel = Kernel(_ratkernel.Integers(p))
+        return kernel.insert(vec), kernel.cols
 
     # (2, 3): the content is 3, a unit, and (2, 3) / 3 = (2/3, 1).
     assert insert_one(([[4, 6]], 2), 2) == ((True, False), [([[2, 3]], 3)])
@@ -265,23 +303,39 @@ def test_content_when_p_divides_denominator():
     assert insert_one(([[0], []], 3), 3) == ((False, False), [])
 
 
+def test_a_step_over_z_takes_no_gcd(monkeypatch):
+    """Over Z the step is w V - a W: the only gcd chains are those that put
+    a column in lowest terms when it is read, as a pivot or taken out."""
+    calls = []
+    monkeypatch.setattr(_ratkernel, "gcd", lambda *xs: calls.append(xs) or math.gcd(*xs))
+    kernel = Kernel(QQ)
+    assert kernel.insert(([[2, 3]], 1)) == (True, False)
+    assert calls == [] and kernel.stored == [([[2, 3]], 2)]
+    # Column 0 is a pivot, read in lowest terms (one chain); then a = 4 and
+    # w = 2 give 2 (4, 1) - 4 (2, 3) = (0, -10), which keeps the factor
+    # gcd(a, w) = 2 that the step with cofactors w/2 and a/2 divides out.
+    assert kernel.insert(([[4, 1]], 1)) == (True, False)
+    assert len(calls) == 1 and kernel.stored[1] == ([[0, -10]], -10)
+    assert kernel.cols == [([[2, 3]], 2), ([[0, 1]], 1)] and len(calls) == 2
+
+
 def test_insert_residues_mod_p():
     # Over F_5 the pivot is the first nonzero residue, 3 at (1, 1), and the
     # column is multiplied by 3^-1 = 2: (0, 3, 4) becomes (0, 1, 3).
-    cols, pivots = [], []
-    assert _ratkernel.insert(cols, pivots, ([[0, 3, 4]], 1), F5) == (True, False)
-    assert pivots == [(1, 1)] and cols == [([[0, 1, 3]], 1)]
+    kernel = Kernel(F5)
+    assert kernel.insert(([[0, 3, 4]], 1)) == (True, False)
+    assert kernel.pivots == [(1, 1)] and kernel.cols == [([[0, 1, 3]], 1)]
     # (1, 2) - 2 (0, 1, 3) = (1, 0, 4) mod 5, monic at its pivot (1, 0).
-    assert _ratkernel.insert(cols, pivots, ([[1, 2]], 1), F5) == (True, False)
-    assert pivots == [(1, 1), (1, 0)] and cols[1] == ([[1, 0, 4]], 1)
+    assert kernel.insert(([[1, 2]], 1)) == (True, False)
+    assert kernel.pivots == [(1, 1), (1, 0)] and kernel.cols[1] == ([[1, 0, 4]], 1)
     # (2, 4) = 2 (1, 0, 4) + 4 (0, 1, 3) mod 5 lies in the span: it dies and
     # appends nothing.
-    assert _ratkernel.insert(cols, pivots, ([[2, 4]], 1), F5) == (False, False)
-    assert len(cols) == len(pivots) == 2
+    assert kernel.insert(([[2, 4]], 1)) == (False, False)
+    assert len(kernel.cols) == len(kernel.pivots) == 2
     # Over F_3 an empty first component is skipped: (0, 2X, 1) times 2^-1 = 2.
-    cols, pivots = [], []
-    assert _ratkernel.insert(cols, pivots, ([[], [0, 2], [1]], 1), F3) == (True, False)
-    assert pivots == [(2, 1)] and cols == [([[], [0, 1], [2]], 1)]
+    kernel = Kernel(F3)
+    assert kernel.insert(([[], [0, 2], [1]], 1)) == (True, False)
+    assert kernel.pivots == [(2, 1)] and kernel.cols == [([[], [0, 1], [2]], 1)]
 
 
 def test_insert_over_polynomial_numerators():
@@ -289,29 +343,29 @@ def test_insert_over_polynomial_numerators():
     ZT, F5T = _ratkernel.Polynomials(), _ratkernel.Polynomials(5)
     # (-2t/3, -4t^2/3) has the non-unit content -2t/3, t-adic order 1: it
     # is divided out with its sign, giving (1, 2t) over D = 1.
-    cols, pivots = [], []
-    assert _ratkernel.insert(cols, pivots, ([[(0, -2), (0, 0, -4)]], (3,)), ZT) == (True, True)
-    assert pivots == [(1, 0)] and cols == [([[(1,), (0, 2)]], (1,))]
+    kernel = Kernel(ZT)
+    assert kernel.insert(([[(0, -2), (0, 0, -4)]], (3,))) == (True, True)
+    assert kernel.pivots == [(1, 0)] and kernel.cols == [([[(1,), (0, 2)]], (1,))]
     # Over F_5, (3t, t) has the content 3t and becomes (1, 2): t / 3t = 2.
-    cols, pivots = [], []
-    assert _ratkernel.insert(cols, pivots, ([[(0, 3), (0, 1)]], (1,)), F5T) == (True, True)
-    assert pivots == [(1, 0)] and cols == [([[(1,), (2,)]], (1,))]
+    kernel = Kernel(F5T)
+    assert kernel.insert(([[(0, 3), (0, 1)]], (1,))) == (True, True)
+    assert kernel.pivots == [(1, 0)] and kernel.cols == [([[(1,), (2,)]], (1,))]
     for ring, top in ((ZT, -2), (F5T, 3)):
         # (1 + t, 2) is primitive at its unit entry 1 + t: stored as
         # (1 + t, 2) over D = 1 + t, a pivot numerator that is not constant.
-        cols, pivots = [], []
-        assert _ratkernel.insert(cols, pivots, ([[(1, 1), (2,)]], (1,)), ring) == (True, False)
-        assert pivots == [(1, 0)] and cols == [([[(1, 1), (2,)]], (1, 1))]
+        kernel = Kernel(ring)
+        assert kernel.insert(([[(1, 1), (2,)]], (1,))) == (True, False)
+        assert kernel.pivots == [(1, 0)] and kernel.cols == [([[(1, 1), (2,)]], (1, 1))]
         # (1, t) against it: a = 1, w = 1 + t, g = 1, so the step multiplies
         # by w/g = 1 + t: (1 + t)(1, t) - 1 (1 + t, 2) = (0, t^2 + t - 2),
         # whose unit content t^2 + t - 2 leaves (0, 1) over D = 1.
-        assert _ratkernel.insert(cols, pivots, ([[(1,), (0, 1)]], (1,)), ring) == (True, False)
-        assert pivots == [(1, 0), (1, 1)] and cols[1] == ([[(), (1,)]], (1,))
+        assert kernel.insert(([[(1,), (0, 1)]], (1,))) == (True, False)
+        assert kernel.pivots == [(1, 0), (1, 1)] and kernel.cols[1] == ([[(), (1,)]], (1,))
         # (top, 1, 1) is t^2 + t - 2, its constant reduced mod 5 over F_5.
         assert _poly.ilin((1, 1), (0, 1), (1,), (2,), ring.mod) == (top, 1, 1)
         # (1 + t, 2) itself lies in the span: w/g = 1 and it dies.
-        assert _ratkernel.insert(cols, pivots, ([[(1, 1), (2,)]], (1,)), ring) == (False, False)
-        assert len(cols) == len(pivots) == 2
+        assert kernel.insert(([[(1, 1), (2,)]], (1,))) == (False, False)
+        assert len(kernel.cols) == len(kernel.pivots) == 2
 
 
 def test_select_engine_kinds():

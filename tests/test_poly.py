@@ -570,6 +570,29 @@ def test_fp_gcd_in_place_matches_the_remainder_chain(case):
     assert _poly.igcd(a, b, p) == _euclid_chain(a, b, p) == _poly.igcd(b, a, p)
 
 
+@st.composite
+def fp_linear_divisors(draw):
+    """A residue tuple a of 2-11 terms and a linear b over F_2, F_3 or F_5;
+    half the time b divides a."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    b = (draw(st.integers(0, p - 1)), draw(st.integers(1, p - 1)))
+    a = _poly.trim(draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=10)))
+    if draw(st.booleans()):
+        a = _poly.imul(a, b, p)
+    assume(len(a) >= 2)
+    return p, a, b
+
+
+@PROPERTY
+@given(fp_linear_divisors())
+def test_fp_gcd_by_a_linear_divisor_matches_euclid(case):
+    """The Horner test at the divisor's root gives Euclid's monic gcd."""
+    p, a, b = case
+    want = _euclid_chain(a, b, p)
+    assert _poly._gcd_mod(a, b, p) == want
+    assert _poly.igcd(a, b, p) == want == _poly.igcd(b, a, p)
+
+
 def test_fp_content_of_a_constant_runs_no_gcd(monkeypatch):
     """Over F_p a nonzero constant is a unit: h is 1 at once."""
     xs = [(1, 2, 3), (4,), (0, 1)]
