@@ -14,15 +14,20 @@ its arithmetic through a ring object (the last argument of ``insert``):
   ``rft0:p``, valued by the t-adic order, its integer tuples handled by
   ``_poly``'s ``imul``, ``ilin``, ``iquo`` and ``igcd``.
 
-A ring supplies ``zero``, ``one``, ``mod`` (the modulus of its coefficient
-arithmetic, else 0), ``gcd`` (over F_p its second argument, as in any
-field), the exact quotient ``quo``, the ``cofactors`` of an elimination
-step, ``sub_scaled`` over a component list, the valuation ``val`` of a
-numerator (None for the trivial valuation), ``normalise``, which puts a
-column in lowest terms, ``strip``, which divides a column by a common
-factor of its numerators (for ``_packed``'s K[X] reduction), and ``shed``,
-the exact division of a numerator by a power of the uniformiser (for
-``_packed``'s primitive scaling).  A basis column is put in lowest terms,
+``numerator_ring(domain)`` picks the ring of a domain.  A ring supplies
+``zero``, ``one``, ``mod`` (the modulus of its coefficient arithmetic, else
+0), the ``cofactors`` of a step, ``sub_scaled`` over a component list, the
+valuation ``val`` of a numerator (None for the trivial valuation),
+``normalise``, which puts a column in lowest terms, ``strip``, which
+divides a column by a common factor of its numerators (for ``syzygy``'s
+K[X] reduction), and ``shed``, the exact division of a numerator by a
+power of the uniformiser (for ``syzygy``'s primitive scaling).  The
+``cofactors`` serve both steps on packed columns: the elimination step
+below, and the division step of ``syzygy``'s K[X] reduction, which takes
+them for the leading numerators of two row entries.  No ring has a gcd or
+a quotient of its own: the gcds a step needs are inside its cofactors,
+and the content gcds inside ``normalise`` and ``strip``, which over Z call
+the module global ``gcd``.  A basis column is put in lowest terms,
 gcd(numerators, D) = 1 with D normalised (positive over Z, a positive
 leading coefficient over Z[t], monic over F_p[t]), on its first use (see
 below), which makes the packing every reader sees unique; a vector to
@@ -119,11 +124,10 @@ numerators by Kronecker substitution.  With both, that case takes
 (best of 5 warm runs, three interleaved processes each).
 """
 
-import operator
 from math import gcd
 
 from ._poly import icontent, igcd, imul, ilin, iquo, order
-from .valuation import _int_val
+from .valuation import RatFuncElement, _int_val
 
 
 def shift_comps(comps, s, zero=0):
@@ -132,12 +136,6 @@ def shift_comps(comps, s, zero=0):
         return comps
     pad = [zero] * s
     return [pad + comp if comp else [] for comp in comps]
-
-
-def vec_shift(vec, zero=0):
-    """Multiply every component by X; ``zero`` is the ring's zero."""
-    comps, D = vec
-    return shift_comps(comps, 1, zero), D
 
 
 def _content(comps, val):
@@ -198,23 +196,19 @@ class Integers:
     """Z with the p-adic valuation (trivial when p = 0), or residues mod ``mod``."""
 
     zero, one = 0, 1
-    quo = staticmethod(operator.floordiv)
 
     def __init__(self, p=0, mod=0):
         self.p, self.mod = p, mod
-        # Read from the module globals when the ring is made, so that calls
-        # go through ``_ratkernel.gcd`` and ``_ratkernel._sub_scaled`` as
-        # they stand then, wrapped or not.
-        self.gcd, self.sub_scaled = gcd, _sub_scaled
+        # Read from the module global when the ring is made, so that calls
+        # go through ``_ratkernel._sub_scaled`` as it stands then, wrapped
+        # or not.
+        self.sub_scaled = _sub_scaled
         self.val = (lambda n: _int_val(n, p)) if p else None
         if mod:
-            # In a field every nonzero b is a gcd of a and b; taking it makes
-            # every step's s = b / b = 1, as ``_sub_scaled`` mod p requires,
-            # and a quotient of equal residues costs no inversion.
-            self.gcd = lambda a, b: b
-            self.quo = quo = lambda a, b: (1 if a == b else a if b == 1
-                                           else a * pow(b, -1, mod) % mod)
-            self.cofactors = lambda a, w: (1, quo(a, w))
+            # s = 1, as ``_sub_scaled`` mod p requires; a quotient of equal
+            # residues costs no inversion.
+            self.cofactors = lambda a, w: (1, 1 if a == w else a if w == 1
+                                           else a * pow(w, -1, mod) % mod)
 
     @staticmethod
     def cofactors(a, w):
@@ -258,12 +252,6 @@ class Polynomials:
 
     def __init__(self, mod=0):
         self.mod = mod
-
-    def gcd(self, a, b):
-        return igcd(a, b, self.mod)
-
-    def quo(self, a, b):
-        return iquo(a, b, self.mod)
 
     def cofactors(self, a, w):
         """(w/g, a/g) for g = gcd(a, w): here the gcd pays for itself."""
@@ -321,6 +309,14 @@ class Polynomials:
         d = next(qs)
         _refill(comps, qs, c, d)
         return d
+
+
+def numerator_ring(domain):
+    """The ring of the domain's packed numerators: ``Polynomials`` over
+    ``rft0``, else ``Integers``."""
+    if isinstance(domain.one, RatFuncElement):
+        return Polynomials(domain.field.p)
+    return Integers(domain.p, domain.field.p)
 
 
 def _refill(comps, qs, c=None, d=None):

@@ -121,7 +121,7 @@ from math import gcd, lcm
 
 from ._poly import icontent, igcd, ilin, imul, iquo
 from .errors import DegreeExceeded
-from .polyvec import PivotIndex, PolyVec, uniform_family
+from .polyvec import PivotIndex, PolyVec, packed_normal, uniform_family
 from .valuation import RatFuncElement, content
 
 
@@ -603,24 +603,15 @@ def kx_kernel(U) -> list[PolyVec]:
     K[X]-independent.  A kernel vector is a combination of the tails whose
     heads combine to zero, so of the rows whose head reduced to zero alone:
     their tails are the kernel basis returned, each divided by its first
-    nonzero coefficient: packed over it, made positive over Z and 1 over
-    F_p, as ``textio.render_vector`` needs.
+    nonzero coefficient: packed over it by ``polyvec.packed_normal``.
     """
     U = uniform_family(U)
     if not U:
         return []
     domain = U[0].domain
     ring = _ring(domain)
-    out = []
-    for tail in _kernel_rows(ring, U):
-        lead, p = next(x for comp in tail for x in comp if x), ring.p
-        if type(lead) is int and p:
-            inv = pow(lead, -1, p)
-            tail, lead = [[x * inv % p for x in c] for c in tail], 1
-        elif type(lead) is int and lead < 0:
-            tail, lead = [[-x for x in c] for c in tail], -lead
-        out.append(PolyVec.from_packed(domain, tail, lead))
-    return out
+    return [packed_normal(domain, tail, next(x for comp in tail for x in comp if x))
+            for tail in _kernel_rows(ring, U)]
 
 
 def _kernel_rows(ring, U) -> list[list]:

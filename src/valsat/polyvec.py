@@ -22,7 +22,10 @@ costs one ``Fraction`` or residue over ``zp:p``, ``field:q`` and
 reduction.  A vector built from elements packs them on the first read of
 ``nums`` or ``den``: residues over 1, ints over the lcm of the
 denominators, or over ``rft0`` the elements' reduced pairs over their lcm.
-Equality and hashing compare elements.
+Equality and hashing compare elements.  ``packed_normal`` is the one rule
+for an int denominator that a kernel leaves with either sign (the packed
+K[X]-kernel of ``syzygy`` and the oracle's ``kx_kernel``): positive over Z,
+1 over F_p.
 """
 
 from __future__ import annotations
@@ -227,6 +230,20 @@ def uniform_family(vectors) -> list[PolyVec]:
                 f"and over {v.domain.tag} of width {v.n} in one family"
             )
     return vectors
+
+
+def packed_normal(domain: Domain, nums: list[list], den) -> PolyVec:
+    """``PolyVec.from_packed`` with an int ``den`` made positive over Z and
+    1 over F_p, the numerators scaled to match, as ``textio.render_vector``
+    needs; a ``den`` in Z[t] or F_p[t] is taken as it is."""
+    if type(den) is int:
+        mod = domain.field.p
+        if mod:
+            inv = pow(den, -1, mod)
+            nums, den = [[x * inv % mod for x in comp] for comp in nums], 1
+        elif den < 0:
+            nums, den = [[-x for x in comp] for comp in nums], -den
+    return PolyVec.from_packed(domain, nums, den)
 
 
 def red_prim(v: PolyVec) -> tuple[PolyVec, DomainElement]:

@@ -10,45 +10,53 @@ vector by a uniformizer power into a primitive element of V[X]^n
 full syzygy module of u_1..u_n over V[X].  ``syzygy_vx`` is that pair, and
 the CLI runs the same two calls, printing the scaled kernel between them.
 
-Every step runs packed: the kernel columns leave the packed reduction as
-numerators over the numerator ring (``_packed._kernel_columns``), are
-scaled there, and reach the packed engine as ``PolyVec``s in packed form,
-so no element of K is built until the generators' ``comps`` are read.
+Every step runs packed: the kernel columns leave the packed reduction
+(``_kernel_columns``) as numerators over the numerator ring, are scaled
+there, and reach the packed engine as ``PolyVec``s in packed form, so no
+element of K is built until the generators' ``comps`` are read.
 
 K[X] polynomials are trimmed tuples of quotient-field elements; a kernel
 vector from ``kernel_kx`` is a tuple of n such polynomials.
 
 One loop, ``_reduce_columns``, runs the reduction with a division step.
-The packed step, ``_packed._step``, works over the domain's numerator ring
-R (Z for ``zp:p`` and ``field:q``, residues for ``field:p``, Z[t] for
-``rft0:q``, F_p[t] for ``rft0:p``; see ``_ratkernel``).  Each stacked
-column [u_j; e_j] is cleared of denominators, so its identity part starts
-as D_j e_j, and each quotient step is the fraction-free
-``(lb/g) col - (la/g) X^s pivot``, with la, lb the leading numerators of
-the row entries, g their ring gcd and s their degree difference, repeated
-while the row entry's degree is at least the pivot's; then the column is
-divided by a common factor of its numerators (``strip``).  Over F_p the
-ring's gcd is lb itself, so each step is ``col - (la/lb mod p) X^s pivot``,
-Euclidean division, and nothing is stripped.  ``_kernel_kx_generic`` runs
-Euclidean division on polynomials of domain elements, and
-``primitive_scale`` scales its generators: together, the tests' reference
-for ``scaled_kernel``.
+The packed step, ``_step``, works over the domain's numerator ring R (Z for
+``zp:p`` and ``field:q``, residues for ``field:p``, Z[t] for ``rft0:q``,
+F_p[t] for ``rft0:p``; see ``_ratkernel``).  Each stacked column
+[u_j; e_j] is cleared of denominators, so its identity part starts as
+D_j e_j, and each quotient step is the fraction-free ``s col - t X^m
+pivot``, with (s, t) = ``ring.cofactors(la, lb)`` for la, lb the leading
+numerators of the row entries of col and pivot and m their degree
+difference, repeated while the row entry's degree is at least the
+pivot's; then the column is divided by the gcd of its numerators
+(``strip``).  The cofactors are the ring's one rule, the one the echelon
+step of ``_ratkernel.insert`` takes: (lb, la) over Z, with no gcd, as
+the strip divides the factor gcd(la, lb) out with the rest of the content;
+(1, la/lb mod p) over F_p, so that each step is Euclidean division and
+nothing is stripped; (lb/g, la/g) for the ring gcd g over Z[t] and
+F_p[t].  ``_kernel_kx_generic`` runs Euclidean division on polynomials of
+domain elements, and ``primitive_scale`` scales its generators: together,
+the tests' reference for ``scaled_kernel``.
 
-The two reductions return the same basis.  Each step multiplies the column by the nonzero
-lb/g of R, a subring of K, and each strip divides it by a nonzero element
-of R, so after every column update a packed column is a nonzero K-multiple
-of the column that Euclidean division leaves (the pseudo-remainder of a by
-b is c (a mod b) for a nonzero c).  Scaling a column changes no degree and
-no zero pattern, so every pivot choice and every removal from the active
-set is the same on both paths, and the final division of each generator by
-its first nonzero coefficient removes the multiple.
+The two reductions return the same basis.  Each step multiplies the
+column by the nonzero s of R, a subring of K, and each strip divides it by
+a nonzero element of R, so after every column update a packed column is a
+nonzero K-multiple of the column that Euclidean division leaves (the
+pseudo-remainder of a by b is c (a mod b) for a nonzero c).  Scaling a
+column changes no degree and no zero pattern, so every pivot choice and
+every removal from the active set is the same on both paths, and the
+final division of each generator by its first nonzero coefficient removes
+the multiple.
+
+This module imports ``_ratkernel`` inside its functions only, so that
+importing ``valsat`` does not load (and, with no cached bytecode, compile)
+the packed kernel.
 """
 
 from __future__ import annotations
 
 from . import _poly
 from .errors import ZeroVector
-from .polyvec import PolyVec, uniform_family
+from .polyvec import PolyVec, packed_normal, uniform_family
 from .valuation import Domain, DomainElement
 from .vxsat import SaturationResult, _check_cap, saturate_vx
 from .echelon import EchelonBasis
@@ -67,20 +75,18 @@ def kernel_kx(U: list[PolyVec]) -> list[tuple[XPoly, ...]]:
     factor of a column of T would divide the unit det T, so no generator
     needs a gcd strip; each is scaled so its first nonzero coefficient is 1.
 
-    It runs packed over the numerator ring, each division step
-    fraction-free with a content strip after it.  That leaves each column a
-    nonzero K-multiple of its Euclidean reduction, with the same degrees
-    and zero pattern, so every pivot choice is the one Euclidean division
-    makes, and the final normalisation gives the same basis (see the module
-    docstring).
+    It runs packed over the numerator ring (``_kernel_columns``), each
+    division step fraction-free with a content strip after it.  That leaves
+    each column a nonzero K-multiple of its Euclidean reduction, with the
+    same degrees and zero pattern, so every pivot choice is the one
+    Euclidean division makes, and the final normalisation gives the same
+    basis (see the module docstring).
     MixedFamily is raised unless the u_j share one domain and one width.
     """
     U = uniform_family(U)
     if not U:
         return []
-    # Imported on first use, so that importing valsat does not load (and,
-    # with no cached bytecode, compile) the packed modules.
-    from ._packed import _kernel_columns, numerator_ring
+    from ._ratkernel import numerator_ring
 
     domain = U[0].domain
     return [PolyVec.from_packed(domain, ident, next(x for c in ident for x in c if x)).comps
@@ -112,6 +118,47 @@ def _reduce_columns(cols, k, step):
             active.remove(nz[0])
     assert not any(cols[j][row] for j in active for row in range(k))
     return active
+
+
+def _step(ring):
+    """The packed division step over the numerator ring ``ring``.
+
+    With la, lb the X-leading numerators of the row entries of col and
+    pivot, (s, t) = ``ring.cofactors(la, lb)`` and m the difference of
+    their degrees, col <- s col - t X^m pivot while the row entry's degree
+    is at least the pivot's; then the column is divided by the gcd of its
+    numerators (``ring.strip``).  It mirrors the element step of
+    ``_kernel_kx_generic``.
+    """
+    from ._ratkernel import shift_comps
+
+    cofactors, sub_scaled, mod, zero = ring.cofactors, ring.sub_scaled, ring.mod, ring.zero
+
+    def step(col, pivot, row):
+        b = pivot[row]
+        lb, db = b[-1], len(b)
+        while len(col[row]) >= db:
+            a = col[row]
+            s, t = cofactors(a[-1], lb)
+            sub_scaled(col, shift_comps(pivot, len(a) - db, zero), s, t, mod)
+        ring.strip(col)
+        return col
+
+    return step
+
+
+def _kernel_columns(U: list[PolyVec], ring):
+    """The identity parts of the kernel columns of [U; I] for a nonempty U
+    over a shipped kind, as columns over its numerator ring ``ring``: lists
+    of numerators, one per component.
+
+    Each stacked column [u_j; e_j] is packed, so its identity part starts
+    as D_j e_j; a kernel column is a nonzero K-multiple of the generic
+    reduction's generator.
+    """
+    k, n = U[0].n, len(U)
+    cols = [u.nums + [[u.den] if i == j else [] for i in range(n)] for j, u in enumerate(U)]
+    return [cols[j][k:] for j in _reduce_columns(cols, k, _step(ring))]
 
 
 def _kernel_kx_generic(U):
@@ -189,15 +236,29 @@ def scaled_kernel(U: list[PolyVec]) -> list[PolyVec]:
     Each is ``primitive_scale`` of a generator of ``kernel_kx``, computed
     on the packed kernel columns and returned in packed form
     (``PolyVec.from_packed``), so no element of K is built until its
-    ``comps`` is read.
+    ``comps`` is read.  ``primitive_scale`` divides a kernel column by its
+    first nonzero numerator c and by pi^m, for m = min v(x) - v(c) over
+    its numerators x.  Here min v(x) is 0: a column's last step ends with
+    a strip, which leaves its numerators coprime, and a zero u_j packs over
+    D = 1.  So m = -v(c), and the scaled column is the numerators over
+    c / pi^(v(c)) (``ring.shed``), normalised by ``polyvec.packed_normal``.
     MixedFamily is raised unless the u_j share one domain and one width.
     """
     U = uniform_family(U)
     if not U:
         return []
-    from ._packed import scaled_kernel_packed
+    from ._ratkernel import numerator_ring
 
-    return scaled_kernel_packed(U)
+    domain = U[0].domain
+    ring = numerator_ring(domain)
+    val = ring.val
+    out = []
+    for ident in _kernel_columns(U, ring):
+        c = next(x for comp in ident for x in comp if x)
+        if val is not None:
+            c = ring.shed(c, val(c))
+        out.append(packed_normal(domain, ident, c))
+    return out
 
 
 def syzygy_vx(U: list[PolyVec], max_iter: int | None = None) -> SaturationResult:

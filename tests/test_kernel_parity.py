@@ -9,7 +9,8 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 
 from valsat import _poly, _ratkernel, syzygy
 from valsat._engines import GenericEngine, select_engine
-from valsat._packed import PackedEngine, numerator_ring
+from valsat._packed import PackedEngine
+from valsat._ratkernel import numerator_ring
 from valsat.echelon import EchelonBasis, echelon_insert, gauss_eliminate, saturate_free
 from valsat.polyvec import PolyVec, zero_vec
 from valsat.syzygy import (_kernel_kx_generic, kernel_kx, primitive_scale, scaled_kernel,
@@ -235,8 +236,8 @@ def test_appended_columns_are_monic_at_their_content_position(inst):
         insert(v, (v.nums, v.den))
     # One round of X-shifts, as the saturation driver runs them.
     for i in range(len(cols)):
-        insert(cols[i].shift_x(),
-               _ratkernel.vec_shift(_ratkernel.reduced(pcols, raw, i, ring), ring.zero))
+        comps, D = _ratkernel.reduced(pcols, raw, i, ring)
+        insert(cols[i].shift_x(), (_ratkernel.shift_comps(comps, 1, ring.zero), D))
     EchelonBasis(cols, pivots)  # raises unless the fold is strictly echelon
 
 
@@ -305,7 +306,9 @@ def test_content_when_p_divides_denominator():
 
 def test_a_step_over_z_takes_no_gcd(monkeypatch):
     """Over Z the step is w V - a W: the only gcd chains are those that put
-    a column in lowest terms when it is read, as a pivot or taken out."""
+    a column in lowest terms when it is read, as a pivot or taken out; and
+    the K[X] step is lb col - la X^m pivot, whose only gcd chain is the
+    strip at its end."""
     calls = []
     monkeypatch.setattr(_ratkernel, "gcd", lambda *xs: calls.append(xs) or math.gcd(*xs))
     kernel = Kernel(QQ)
@@ -317,6 +320,16 @@ def test_a_step_over_z_takes_no_gcd(monkeypatch):
     assert kernel.insert(([[4, 1]], 1)) == (True, False)
     assert len(calls) == 1 and kernel.stored[1] == ([[0, -10]], -10)
     assert kernel.cols == [([[2, 3]], 2), ([[0, 1]], 1)] and len(calls) == 2
+    # The K[X] step reduces 1 + 4X^2 by the pivot 3 + 2X in row 0 with the
+    # cofactors (lb, la) = (2, 4), then (2, -12): 2 col - 4 X pivot and
+    # 2 col + 12 pivot leave [[40], [12, -8], [4]], and the strip divides out
+    # 4 in its one gcd chain.  Dividing out gcd(la, lb) = 2 at both steps
+    # leaves 4 times less and the same stripped column.
+    calls.clear()
+    ring = _ratkernel.Integers(0)
+    col, pivot = [[1, 0, 4], [], [1]], [[3, 2], [1], []]
+    assert syzygy._step(ring)(col, pivot, 0) == [[10], [3, -2], [1]]
+    assert calls == [(40, 12, -8, 4)] and pivot == [[3, 2], [1], []]
 
 
 def test_insert_residues_mod_p():

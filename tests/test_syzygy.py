@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from valsat import _poly, oracle
-from valsat._packed import _step, numerator_ring
+from valsat._ratkernel import numerator_ring
 from valsat.errors import InvalidIterationCap, ZeroVector
 from valsat.polyvec import PolyVec
 from valsat.syzygy import (
     _kernel_kx_generic,
+    _step,
     apply_columns,
     kernel_kx,
     primitive_scale,
@@ -168,13 +169,14 @@ def test_kernel_kx_hand_worked_over_polynomial_numerators(dom, cols, scaled, str
 
 
 def test_fp_ring_quotients():
-    """Over F_p the ring's quotients are residues; equal arguments give 1,
-    which is every step's s = lb/g, as its gcd is lb."""
+    """Over F_p the cofactors of (a, w) are (1, a/w) in residues: every
+    step's s is 1, equal arguments give t = 1 and w = 1 gives t = a."""
     ring = numerator_ring(TrivialField("fp", 5))
     for a in range(1, 5):
-        assert ring.gcd(a, 3) == 3 and ring.quo(a, a) == 1 and ring.quo(a, 1) == a
-        for b in range(1, 5):
-            assert ring.quo(a, b) * b % 5 == a
+        assert ring.cofactors(a, a) == (1, 1) and ring.cofactors(a, 1) == (1, a)
+        for w in range(1, 5):
+            s, t = ring.cofactors(a, w)
+            assert s == 1 and t * w % 5 == a
 
 
 def test_kernel_rank_and_exactness_random():
